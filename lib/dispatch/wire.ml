@@ -145,6 +145,11 @@ let wait_fd ?deadline ~write fd =
   in
   go ()
 
+(* A reply is often several small frames.  With Nagle's algorithm on, the
+   second waits for the peer's delayed ACK, about 40 ms; the setting is an
+   optimisation, so a socket that refuses it still works. *)
+let no_delay fd = try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
+
 let send ?deadline fd msg =
   let s = encode msg in
   let n = String.length s in

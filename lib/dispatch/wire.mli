@@ -133,6 +133,12 @@ val encode : msg -> string
     ordinary non-blocking [write]s, resuming at the recorded offset —
     never interleave bytes of two frames on one socket. *)
 
+val no_delay : Unix.file_descr -> unit
+(** Turn off Nagle's algorithm on a TCP connection that carries frames.
+    Without it, the second small frame of a reply waits for the peer's
+    delayed ACK (about 40 ms).  Every site that opens or accepts a
+    connection calls it; errors are ignored. *)
+
 val send : ?deadline:float -> Unix.file_descr -> msg -> unit
 (** Write one frame, handling short writes, [EINTR] and — on non-blocking
     sockets — [EAGAIN] (parks in [select] until writable).  Raises

@@ -311,6 +311,7 @@ let serve ?(quiet = false) ?(isolate = false) ?exec ?ready ?(jobs = 1)
   let rec accept_loop () =
     match Unix.accept sock with
     | fd, peer ->
+      Wire.no_delay fd;
       log quiet "connection from %s"
         (match peer with
         | Unix.ADDR_INET (a, p) ->

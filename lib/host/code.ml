@@ -160,50 +160,74 @@ let pp_region ppf r =
   Array.iteri (fun i insn -> Format.fprintf ppf "  @%d: %s@ " i (insn_to_string insn)) r.code;
   Format.fprintf ppf "@]"
 
-(* r0 is hard-wired zero: it is never a real definition and reading it
-   carries no dependence. *)
-let strip = List.filter (fun r -> r <> 0)
+(* Operand sets, written into a caller-owned scratch array so the timing
+   pipeline's per-instruction path allocates nothing.  r0 is hard-wired
+   zero: it is never a real definition and reading it carries no
+   dependence, so the integer sets skip it. *)
+let max_operands = 3
 
-let defs = function
+let[@inline] put1 dst a = if a = 0 then 0 else begin dst.(0) <- a; 1 end
+
+let[@inline] put2 dst a b =
+  let n = put1 dst a in
+  if b = 0 then n else begin dst.(n) <- b; n + 1 end
+
+let put3 dst a b c =
+  let n = put2 dst a b in
+  if c = 0 then n else begin dst.(n) <- c; n + 1 end
+
+let defs insn dst =
+  match insn with
   | Li (rd, _) | Bin (_, rd, _, _) | Bini (_, rd, _, _)
   | Load (_, _, rd, _, _) | Sload (_, _, rd, _, _)
   | Fcmp (rd, _, _) | Cvtfi (rd, _) | Mkfl (_, rd, _, _, _) | Isel (rd, _, _, _) ->
-    strip [ rd ]
-  | Callrt_div { q; r; _ } -> strip [ q; r ]
+    put1 dst rd
+  | Callrt_div { q; r; _ } -> put2 dst q r
   | Nop | Store _ | Fli _ | Fmov _ | Fbin _ | Fun _ | Fload _ | Fstore _ | Cvtif _
   | Callrt_f _ | B _ | J _ | Jr _ | Assert _ | Chk | Commit _ | Exit _ ->
-    []
+    0
 
-let uses = function
-  | Bin (_, _, ra, rb) | B (_, ra, rb, _) | Assert (_, ra, rb) -> strip [ ra; rb ]
-  | Mkfl (_, _, ra, rb, rc) -> strip [ ra; rb; rc ]
-  | Isel (_, rc, ra, rb) -> strip [ rc; ra; rb ]
+let uses insn dst =
+  match insn with
+  | Bin (_, _, ra, rb) | B (_, ra, rb, _) | Assert (_, ra, rb) -> put2 dst ra rb
+  | Mkfl (_, _, ra, rb, rc) -> put3 dst ra rb rc
+  | Isel (_, rc, ra, rb) -> put3 dst rc ra rb
   | Bini (_, _, ra, _) | Load (_, _, _, ra, _) | Sload (_, _, _, ra, _)
   | Fload (_, ra, _) | Cvtif (_, ra) ->
-    strip [ ra ]
-  | Store (_, rv, ra, _) -> strip [ rv; ra ]
-  | Fstore (_, ra, _) -> strip [ ra ]
-  | Jr (ra, rg) -> strip [ ra; rg ]
-  | Callrt_div { hi; lo; d; _ } -> strip [ hi; lo; d ]
-  | Exit e -> (match e.kind with Exit_indirect r -> strip [ r ] | _ -> [])
+    put1 dst ra
+  | Store (_, rv, ra, _) -> put2 dst rv ra
+  | Fstore (_, ra, _) -> put1 dst ra
+  | Jr (ra, rg) -> put2 dst ra rg
+  | Callrt_div { hi; lo; d; _ } -> put3 dst hi lo d
+  | Exit e -> (
+    match e.kind with
+    | Exit_indirect r -> put1 dst r
+    | Exit_direct _ | Exit_syscall _ | Exit_interp _ | Exit_promote _ | Exit_halt -> 0)
   | Nop | Li _ | Fli _ | Fmov _ | Fbin _ | Fun _ | Fcmp _ | Cvtfi _ | Callrt_f _ | J _
   | Chk | Commit _ ->
-    []
+    0
 
-let fdefs = function
+let fdefs insn dst =
+  match insn with
   | Fli (fd, _) | Fmov (fd, _) | Fbin (_, fd, _, _) | Fun (_, fd, _) | Fload (fd, _, _)
   | Cvtif (fd, _) | Callrt_f (_, fd, _) ->
-    [ fd ]
+    dst.(0) <- fd;
+    1
   | Nop | Li _ | Bin _ | Bini _ | Load _ | Sload _ | Store _ | Fstore _ | Fcmp _
   | Cvtfi _ | Mkfl _ | Isel _ | Callrt_div _ | B _ | J _ | Jr _ | Assert _ | Chk
   | Commit _ | Exit _ ->
-    []
+    0
 
-let fuses = function
-  | Fmov (_, fs) | Fun (_, _, fs) | Cvtfi (_, fs) | Callrt_f (_, _, fs) -> [ fs ]
-  | Fbin (_, _, fa, fb) | Fcmp (_, fa, fb) -> [ fa; fb ]
-  | Fstore (fv, _, _) -> [ fv ]
+let fuses insn dst =
+  match insn with
+  | Fmov (_, fs) | Fun (_, _, fs) | Cvtfi (_, fs) | Callrt_f (_, _, fs) | Fstore (fs, _, _) ->
+    dst.(0) <- fs;
+    1
+  | Fbin (_, _, fa, fb) | Fcmp (_, fa, fb) ->
+    dst.(0) <- fa;
+    dst.(1) <- fb;
+    2
   | Nop | Li _ | Bin _ | Bini _ | Load _ | Sload _ | Store _ | Fli _ | Fload _ | Cvtif _
   | Mkfl _ | Isel _ | Callrt_div _ | B _ | J _ | Jr _ | Assert _ | Chk | Commit _
   | Exit _ ->
-    []
+    0

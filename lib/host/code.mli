@@ -125,9 +125,17 @@ val pp_region : Format.formatter -> region -> unit
 val host_pc : region -> int -> int
 (** Architectural host address of instruction [idx]. *)
 
-val defs : insn -> reg list
-val uses : insn -> reg list
-val fdefs : insn -> freg list
-val fuses : insn -> freg list
-(** Register def/use sets (integer and float classes), used by the
-    scheduler's dependence construction and by verification tests. *)
+val max_operands : int
+(** The most registers any one operand set below can hold (3). *)
+
+val defs : insn -> reg array -> int
+val uses : insn -> reg array -> int
+val fdefs : insn -> freg array -> int
+val fuses : insn -> freg array -> int
+(** Register def/use sets (integer and float classes), used by the timing
+    pipeline's scoreboard and by verification tests.  [uses insn dst]
+    writes the set into [dst.(0 .. n-1)] in operand order and returns [n];
+    [dst] must hold at least {!max_operands} elements.  The integer sets
+    leave out r0, which is never a real definition or dependence.  They
+    allocate nothing, so the pipeline can call them once per retired
+    instruction. *)

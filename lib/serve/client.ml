@@ -18,6 +18,7 @@ let with_server ?(need = 4) ~deadline (addr : Darco_dispatch.addr) f =
     @@ fun () ->
     match
       Unix.connect fd (Unix.ADDR_INET (inet, addr.port));
+      Wire.no_delay fd;
       Unix.set_nonblock fd;
       Wire.send ~deadline fd
         (Wire.Hello { version = Wire.protocol_version; slots = 0 });

@@ -879,6 +879,7 @@ let serve ?bus ?(quiet = false) ?(workers = []) ?(jobs = 4) ?(credit = 4)
         | Unix.ADDR_UNIX p -> p
       in
       match
+        Wire.no_delay fd;
         Unix.set_nonblock fd;
         let deadline = Unix.gettimeofday () +. 10.0 in
         match Wire.recv ~deadline fd with

@@ -32,19 +32,21 @@ type events = {
 }
 
 (* Ring buffer of recent cycles, for the IQ-occupancy and physical-register
-   in-flight caps. *)
-type ring = { buf : int array; mutable n : int }
+   in-flight caps.  [n] counts every push and is what a snapshot keeps;
+   [pos] is [n mod capacity], kept alongside so that a push does no
+   division. *)
+type ring = { buf : int array; mutable n : int; mutable pos : int }
 
-let ring_make size = { buf = Array.make (max 1 size) 0; n = 0 }
+let ring_make size = { buf = Array.make (Int.max 1 size) 0; n = 0; pos = 0 }
 
-let ring_push r v =
-  r.buf.(r.n mod Array.length r.buf) <- v;
-  r.n <- r.n + 1
+let[@inline] ring_push r v =
+  r.buf.(r.pos) <- v;
+  r.n <- r.n + 1;
+  r.pos <- (if r.pos + 1 = Array.length r.buf then 0 else r.pos + 1)
 
 (* Cycle at which the element [cap] positions back completes (0 when the
    window is not yet full). *)
-let ring_cap r =
-  if r.n < Array.length r.buf then 0 else r.buf.(r.n mod Array.length r.buf)
+let[@inline] ring_cap r = if r.n < Array.length r.buf then 0 else r.buf.(r.pos)
 
 type t = {
   cfg : Tconfig.t;
@@ -86,6 +88,12 @@ type t = {
   mutable branches : int;
   mutable rf_reads : int;
   mutable rf_writes : int;
+  (* scratch for the instruction in flight through [step]: its operand
+     registers, and the latency, occupancy and weight [classify] found *)
+  ops : int array;
+  mutable cur_latency : int;
+  mutable cur_occupancy : int;
+  mutable cur_weight : int;
   (* optional load-latency distribution (total dTLB + dL1 chain per load);
      [None] costs one pointer test per load and is never persisted — a
      restored pipeline starts with observation off *)
@@ -111,11 +119,11 @@ let create (cfg : Tconfig.t) =
     bp = Predictor.create cfg;
     int_ready = Array.make 64 0;
     fp_ready = Array.make 32 0;
-    simple_free = Array.make (max 1 cfg.n_simple) 0;
-    complex_free = Array.make (max 1 cfg.n_complex) 0;
-    vector_free = Array.make (max 1 cfg.n_vector) 0;
-    rport_free = Array.make (max 1 cfg.mem_read_ports) 0;
-    wport_free = Array.make (max 1 cfg.mem_write_ports) 0;
+    simple_free = Array.make (Int.max 1 cfg.n_simple) 0;
+    complex_free = Array.make (Int.max 1 cfg.n_complex) 0;
+    vector_free = Array.make (Int.max 1 cfg.n_vector) 0;
+    rport_free = Array.make (Int.max 1 cfg.mem_read_ports) 0;
+    wport_free = Array.make (Int.max 1 cfg.mem_write_ports) 0;
     iq_ring = ring_make cfg.iq_size;
     inflight_ring = ring_make cfg.phys_regs;
     fetch_cycle = 0;
@@ -134,47 +142,77 @@ let create (cfg : Tconfig.t) =
     branches = 0;
     rf_reads = 0;
     rf_writes = 0;
+    ops = Array.make Code.max_operands 0;
+    cur_latency = 0;
+    cur_occupancy = 0;
+    cur_weight = 0;
     lat_hist = None;
   }
 
 (* The vector class exists for the SIMD-extension configuration; the
-   current host ISA routes nothing to it. *)
-type cls = Simple | Complex | Vector | Mem_read | Mem_write [@@warning "-37"]
+   current host ISA routes nothing to it.  Multiplies and the other
+   complex operations share the complex units; the power model counts
+   them apart. *)
+type cls = Simple | Mul | Complex | Vector | Mem_read | Mem_write [@@warning "-37"]
 
-(* (unit class, result latency, unit occupancy, stream weight) *)
-let classify (cfg : Tconfig.t) (insn : Code.insn) =
+let classified t cls ~latency ~occupancy ~weight =
+  t.cur_latency <- latency;
+  t.cur_occupancy <- occupancy;
+  t.cur_weight <- weight;
+  cls
+
+(* Unit class of [insn]; its result latency, unit occupancy and stream
+   weight land in [t]'s scratch fields, so no tuple is built. *)
+let[@inline] classify t (insn : Code.insn) =
+  let cfg = t.cfg in
   match insn with
   | Code.Bin ((Mul | Mulhu | Mulhs), _, _, _) ->
-    (Complex, cfg.complex_mul_latency, 1, 1)
-  | Code.Fbin (Fdiv, _, _, _) -> (Complex, cfg.fp_div_latency, cfg.fp_div_latency, 1)
-  | Code.Fbin (_, _, _, _) -> (Complex, cfg.fp_latency, 1, 1)
-  | Code.Fun (Fsqrt, _, _) -> (Complex, cfg.fp_div_latency + 3, cfg.fp_div_latency, 1)
-  | Code.Fun (_, _, _) | Code.Fmov _ | Code.Fli _ -> (Complex, 1, 1, 1)
-  | Code.Fcmp _ | Code.Cvtif _ | Code.Cvtfi _ -> (Complex, 2, 1, 1)
+    classified t Mul ~latency:cfg.complex_mul_latency ~occupancy:1 ~weight:1
+  | Code.Fbin (Fdiv, _, _, _) ->
+    classified t Complex ~latency:cfg.fp_div_latency ~occupancy:cfg.fp_div_latency ~weight:1
+  | Code.Fbin ((Fadd | Fsub | Fmul), _, _, _) ->
+    classified t Complex ~latency:cfg.fp_latency ~occupancy:1 ~weight:1
+  | Code.Fun (Fsqrt, _, _) ->
+    classified t Complex ~latency:(cfg.fp_div_latency + 3) ~occupancy:cfg.fp_div_latency
+      ~weight:1
+  | Code.Fun ((Fabs | Fneg), _, _) | Code.Fmov _ | Code.Fli _ ->
+    classified t Complex ~latency:1 ~occupancy:1 ~weight:1
+  | Code.Fcmp _ | Code.Cvtif _ | Code.Cvtfi _ ->
+    classified t Complex ~latency:2 ~occupancy:1 ~weight:1
   | Code.Callrt_f (fn, _, _) ->
     let c = Code.rt_cost fn in
-    (Complex, c, c, c)
+    classified t Complex ~latency:c ~occupancy:c ~weight:c
   | Code.Callrt_div { signed; _ } ->
     let c = Code.rt_cost (if signed then Rt_divs else Rt_divu) in
-    (Complex, c, c, c)
-  | Code.Load _ | Code.Sload _ | Code.Fload _ -> (Mem_read, 0, 1, 1)
-  | Code.Store _ | Code.Fstore _ -> (Mem_write, 1, 1, 1)
+    classified t Complex ~latency:c ~occupancy:c ~weight:c
+  | Code.Load _ | Code.Sload _ | Code.Fload _ ->
+    classified t Mem_read ~latency:0 ~occupancy:1 ~weight:1
+  | Code.Store _ | Code.Fstore _ -> classified t Mem_write ~latency:1 ~occupancy:1 ~weight:1
   | Code.Nop | Code.Li _ | Code.Bin _ | Code.Bini _ | Code.Mkfl _ | Code.Isel _
   | Code.B _ | Code.J _ | Code.Jr _ | Code.Assert _ | Code.Chk | Code.Commit _
   | Code.Exit _ ->
-    (Simple, 1, 1, 1)
+    classified t Simple ~latency:1 ~occupancy:1 ~weight:1
 
-let acquire_unit free_cycles at occupancy =
+(* Claim the unit that frees first (the lowest index on a tie) no earlier
+   than cycle [at], busy for [occupancy] cycles; returns the issue cycle. *)
+let[@inline] acquire_unit free_cycles at occupancy =
   let best = ref 0 in
-  Array.iteri (fun i c -> if c < free_cycles.(!best) then best := i else ignore c) free_cycles;
-  let start = max at free_cycles.(!best) in
+  for i = 1 to Array.length free_cycles - 1 do
+    if free_cycles.(i) < free_cycles.(!best) then best := i
+  done;
+  let start = Int.max at free_cycles.(!best) in
   free_cycles.(!best) <- start + occupancy;
   start
 
 let line_of (cfg : Tconfig.t) pc = pc / cfg.il1.line
 
+(* The per-instruction path.  It allocates nothing and calls no
+   polymorphic comparison: this build has no flambda, so [max] and [min]
+   on ints are C calls unless typed, hence [Int.max].  DESIGN.md §8 ("The
+   timing pipeline's hot path") has the rules. *)
 let step t (ri : Emulator.retire_info) =
   let cfg = t.cfg in
+  let insn = ri.insn in
   (* ---- front end ---- *)
   if t.redirect_at > t.fetch_cycle then begin
     t.fetch_cycle <- t.redirect_at;
@@ -194,34 +232,36 @@ let step t (ri : Emulator.retire_info) =
     t.fetch_cycle <- t.fetch_cycle + tlb_extra + (ic - cfg.il1.latency)
   end;
   (* instruction-queue backpressure *)
-  t.fetch_cycle <- max t.fetch_cycle (ring_cap t.iq_ring);
+  t.fetch_cycle <- Int.max t.fetch_cycle (ring_cap t.iq_ring);
   t.fetch_count <- t.fetch_count + 1;
   let at_decode = t.fetch_cycle + cfg.decode_depth in
   (* ---- issue ---- *)
-  let cls, latency, occupancy, weight = classify cfg ri.insn in
-  let src_ready =
-    List.fold_left
-      (fun acc r -> max acc t.int_ready.(r))
-      0 (Code.uses ri.insn)
-  in
-  let src_ready =
-    List.fold_left (fun acc r -> max acc t.fp_ready.(r)) src_ready (Code.fuses ri.insn)
-  in
+  let cls = classify t insn in
+  let ops = t.ops in
+  let n_uses = Code.uses insn ops in
+  let src_ready = ref 0 in
+  for i = 0 to n_uses - 1 do
+    src_ready := Int.max !src_ready t.int_ready.(ops.(i))
+  done;
+  let n_fuses = Code.fuses insn ops in
+  for i = 0 to n_fuses - 1 do
+    src_ready := Int.max !src_ready t.fp_ready.(ops.(i))
+  done;
   let in_order_at =
     if t.issued_in_cycle >= cfg.issue_width then t.last_issue + 1 else t.last_issue
   in
   let earliest =
-    max (max at_decode src_ready) (max in_order_at (ring_cap t.inflight_ring))
+    Int.max (Int.max at_decode !src_ready) (Int.max in_order_at (ring_cap t.inflight_ring))
   in
   let units =
     match cls with
     | Simple -> t.simple_free
-    | Complex -> t.complex_free
+    | Mul | Complex -> t.complex_free
     | Vector -> t.vector_free
     | Mem_read -> t.rport_free
     | Mem_write -> t.wport_free
   in
-  let issue = acquire_unit units earliest occupancy in
+  let issue = acquire_unit units earliest t.cur_occupancy in
   if issue > t.last_issue then begin
     t.last_issue <- issue;
     t.issued_in_cycle <- 1
@@ -242,39 +282,42 @@ let step t (ri : Emulator.retire_info) =
     | Some (addr, `Store) ->
       t.mem_writes <- t.mem_writes + 1;
       let tlb_extra = Tlb.access t.dtlb addr in
-      let lat = Cache.access t.dl1 addr ~is_write:true in
-      ignore lat;
+      ignore (Cache.access t.dl1 addr ~is_write:true);
       tlb_extra + 1
-    | None -> latency
+    | None -> t.cur_latency
   in
-  let done_at = issue + max 1 result_latency in
-  List.iter (fun r -> t.int_ready.(r) <- done_at) (Code.defs ri.insn);
-  List.iter (fun r -> t.fp_ready.(r) <- done_at) (Code.fdefs ri.insn);
-  t.rf_reads <- t.rf_reads + List.length (Code.uses ri.insn) + List.length (Code.fuses ri.insn);
-  t.rf_writes <- t.rf_writes + List.length (Code.defs ri.insn) + List.length (Code.fdefs ri.insn);
+  let done_at = issue + Int.max 1 result_latency in
+  let n_defs = Code.defs insn ops in
+  for i = 0 to n_defs - 1 do
+    t.int_ready.(ops.(i)) <- done_at
+  done;
+  let n_fdefs = Code.fdefs insn ops in
+  for i = 0 to n_fdefs - 1 do
+    t.fp_ready.(ops.(i)) <- done_at
+  done;
+  t.rf_reads <- t.rf_reads + n_uses + n_fuses;
+  t.rf_writes <- t.rf_writes + n_defs + n_fdefs;
   (* ---- control ---- *)
   (match ri.branch with
-  | Some (taken, target) ->
+  | Some (taken, target) -> (
     t.branches <- t.branches + 1;
     let resolve = issue + 1 in
-    (match Predictor.observe t.bp ~pc:ri.host_pc ~taken ~target with
+    match Predictor.observe t.bp ~pc:ri.host_pc ~taken ~target with
     | `Correct -> ()
-    | `Mispredict -> t.redirect_at <- max t.redirect_at (resolve + cfg.mispredict_penalty))
+    | `Mispredict -> t.redirect_at <- Int.max t.redirect_at (resolve + cfg.mispredict_penalty))
   | None -> ());
   (* ---- bookkeeping ---- *)
   ring_push t.iq_ring issue;
   ring_push t.inflight_ring done_at;
-  t.horizon <- max t.horizon done_at;
-  t.insns <- t.insns + weight;
-  (match cls with
+  t.horizon <- Int.max t.horizon done_at;
+  t.insns <- t.insns + t.cur_weight;
+  match cls with
   | Simple -> t.int_ops <- t.int_ops + 1
-  | Complex -> (
-    match ri.insn with
-    | Code.Bin _ -> t.mul_ops <- t.mul_ops + 1
-    | _ -> t.fp_ops <- t.fp_ops + 1)
-  | Vector | Mem_read | Mem_write -> ())
+  | Mul -> t.mul_ops <- t.mul_ops + 1
+  | Complex -> t.fp_ops <- t.fp_ops + 1
+  | Vector | Mem_read | Mem_write -> ()
 
-let cycles t = max t.horizon t.last_issue
+let cycles t = Int.max t.horizon t.last_issue
 let instructions t = t.insns
 
 let summary t =
@@ -471,7 +514,9 @@ let restore p =
   blit_same "wport_free" p.p_wport_free t.wport_free;
   let ring_apply name r (buf, n) =
     blit_same name buf r.buf;
-    r.n <- n
+    if n < 0 then invalid_arg ("Pipeline.restore: " ^ name ^ " count is negative");
+    r.n <- n;
+    r.pos <- n mod Array.length r.buf
   in
   ring_apply "iq_ring" t.iq_ring p.p_iq_ring;
   ring_apply "inflight_ring" t.inflight_ring p.p_inflight_ring;

@@ -29,15 +29,19 @@ let create (cfg : Tconfig.t) =
 let pht_index t pc = (pc lsr 2) lxor t.ghr land t.ghr_mask
 let btb_index t pc = (pc lsr 2) land t.btb_mask
 
-let predict t ~pc =
-  let taken = t.pht.(pht_index t pc) >= 2 in
+let predicted_taken t ~pc = t.pht.(pht_index t pc) >= 2
+
+let btb_hit t ~pc ~target =
   let i = btb_index t pc in
-  let target = if t.btb_tag.(i) = pc then Some t.btb_target.(i) else None in
-  (taken, target)
+  t.btb_tag.(i) = pc && t.btb_target.(i) = target
+
+let predict t ~pc =
+  let i = btb_index t pc in
+  (predicted_taken t ~pc, if t.btb_tag.(i) = pc then Some t.btb_target.(i) else None)
 
 let update t ~pc ~taken ~target =
   let i = pht_index t pc in
-  t.pht.(i) <- (if taken then min 3 (t.pht.(i) + 1) else max 0 (t.pht.(i) - 1));
+  t.pht.(i) <- (if taken then Int.min 3 (t.pht.(i) + 1) else Int.max 0 (t.pht.(i) - 1));
   t.ghr <- ((t.ghr lsl 1) lor if taken then 1 else 0) land t.ghr_mask;
   if taken then begin
     let bi = btb_index t pc in
@@ -45,22 +49,20 @@ let update t ~pc ~taken ~target =
     t.btb_target.(bi) <- target
   end
 
+(* The per-branch path: {!predict}'s pair is never built. *)
 let observe t ~pc ~taken ~target =
   t.stats.branches <- t.stats.branches + 1;
-  let pred_taken, pred_target = predict t ~pc in
-  let outcome =
-    if pred_taken <> taken then `Mispredict
-    else if taken then
-      match pred_target with
-      | Some tg when tg = target -> `Correct
-      | Some _ | None ->
-        t.stats.btb_misses <- t.stats.btb_misses + 1;
-        `Mispredict
-    else `Correct
+  let correct =
+    if predicted_taken t ~pc <> taken then false
+    else if taken && not (btb_hit t ~pc ~target) then begin
+      t.stats.btb_misses <- t.stats.btb_misses + 1;
+      false
+    end
+    else true
   in
-  if outcome = `Mispredict then t.stats.mispredicts <- t.stats.mispredicts + 1;
+  if not correct then t.stats.mispredicts <- t.stats.mispredicts + 1;
   update t ~pc ~taken ~target;
-  outcome
+  if correct then `Correct else `Mispredict
 
 let stats t = t.stats
 

@@ -39,7 +39,7 @@ let observe t ~pc ~addr =
     end
     else begin
       let stride = addr - e.last_addr in
-      if stride <> 0 && stride = e.stride then e.confidence <- min 4 (e.confidence + 1)
+      if stride <> 0 && stride = e.stride then e.confidence <- Int.min 4 (e.confidence + 1)
       else e.confidence <- 0;
       e.stride <- stride;
       e.last_addr <- addr;

@@ -23,28 +23,38 @@ let create (geom : Tconfig.tlb_geom) ~parent =
 
 let walker (cfg : Tconfig.t) _vpn = cfg.tlb_walk_latency
 
+(* At most one valid entry maps a page: entries are filled only on a miss,
+   and [apply] refuses persisted state that breaks the rule.  So a lookup
+   may stop at the first match, and returns its index, -1 on a miss. *)
+let rec find entries vpn i =
+  if i >= Array.length entries then -1
+  else
+    let e = entries.(i) in
+    if e.valid && e.vpn = vpn then i else find entries vpn (i + 1)
+
+(* Least recently used entry; the first on a tie. *)
+let victim t =
+  let entries = t.entries in
+  let best = ref entries.(0) in
+  for i = 1 to Array.length entries - 1 do
+    let e = entries.(i) in
+    if e.lru < !best.lru then best := e
+  done;
+  !best
+
 let access t addr =
   let vpn = addr lsr page_bits in
   t.stats.accesses <- t.stats.accesses + 1;
   t.tick <- t.tick + 1;
-  let hit =
-    Array.fold_left
-      (fun acc e ->
-        if e.valid && e.vpn = vpn then begin
-          e.lru <- t.tick;
-          true
-        end
-        else acc)
-      false t.entries
-  in
-  if hit then t.latency
+  let i = find t.entries vpn 0 in
+  if i >= 0 then begin
+    t.entries.(i).lru <- t.tick;
+    t.latency
+  end
   else begin
     t.stats.misses <- t.stats.misses + 1;
     let below = t.parent vpn in
-    let v =
-      Array.fold_left (fun best e -> if e.lru < best.lru then e else best) t.entries.(0)
-        t.entries
-    in
+    let v = victim t in
     v.valid <- true;
     v.vpn <- vpn;
     v.lru <- t.tick;
@@ -74,6 +84,15 @@ let persist t =
 let apply t p =
   if Array.length p.p_entries <> Array.length t.entries then
     invalid_arg "Tlb.apply: persisted TLB geometry mismatch";
+  let seen = Hashtbl.create (Array.length p.p_entries) in
+  Array.iter
+    (fun (vpn, valid, _) ->
+      if valid then begin
+        if Hashtbl.mem seen vpn then
+          invalid_arg "Tlb.apply: two valid entries map the same page";
+        Hashtbl.add seen vpn ()
+      end)
+    p.p_entries;
   Array.iteri
     (fun i (vpn, valid, lru) ->
       let e = t.entries.(i) in

@@ -33,4 +33,6 @@ val persist : t -> persisted
 
 val apply : t -> persisted -> unit
 (** Overwrite a freshly-created TLB of the same size with persisted
-    contents.  Raises [Invalid_argument] on a size mismatch. *)
+    contents.  Raises [Invalid_argument] on a size mismatch, or when two
+    valid entries map the same page: {!access} stops at the first match,
+    which is exact only because a page has at most one valid entry. *)

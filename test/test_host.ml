@@ -329,19 +329,33 @@ let prop_emulator_binop_vs_semantics =
       in
       v = expected)
 
+(* An operand set as a list, through the scratch-array form. *)
+let operands f insn =
+  let dst = Array.make Code.max_operands (-1) in
+  let n = f insn dst in
+  Array.to_list (Array.sub dst 0 n)
+
 let test_defs_uses_consistency () =
   let i = Code.Bin (Add, 20, 21, 22) in
-  Alcotest.(check (list int)) "defs" [ 20 ] (Code.defs i);
-  Alcotest.(check (list int)) "uses" [ 21; 22 ] (Code.uses i);
+  Alcotest.(check (list int)) "defs" [ 20 ] (operands Code.defs i);
+  Alcotest.(check (list int)) "uses" [ 21; 22 ] (operands Code.uses i);
   let s = Code.Store (W32, 20, 21, 0) in
-  Alcotest.(check (list int)) "store defs nothing" [] (Code.defs s);
-  Alcotest.(check (list int)) "store uses" [ 20; 21 ] (Code.uses s);
+  Alcotest.(check (list int)) "store defs nothing" [] (operands Code.defs s);
+  Alcotest.(check (list int)) "store uses" [ 20; 21 ] (operands Code.uses s);
   let z = Code.Bin (Add, 0, 0, 21) in
-  Alcotest.(check (list int)) "r0 filtered from defs" [] (Code.defs z);
-  Alcotest.(check (list int)) "r0 filtered from uses" [ 21 ] (Code.uses z);
+  Alcotest.(check (list int)) "r0 filtered from defs" [] (operands Code.defs z);
+  Alcotest.(check (list int)) "r0 filtered from uses" [ 21 ] (operands Code.uses z);
   let f = Code.Fbin (Fadd, 8, 9, 10) in
-  Alcotest.(check (list int)) "fdefs" [ 8 ] (Code.fdefs f);
-  Alcotest.(check (list int)) "fuses" [ 9; 10 ] (Code.fuses f)
+  Alcotest.(check (list int)) "fdefs" [ 8 ] (operands Code.fdefs f);
+  Alcotest.(check (list int)) "fuses" [ 9; 10 ] (operands Code.fuses f);
+  let d = Code.Callrt_div { signed = true; q = 1; r = 0; hi = 3; lo = 0; d = 5 } in
+  Alcotest.(check (list int)) "r0 filtered mid-set" [ 1 ] (operands Code.defs d);
+  Alcotest.(check (list int)) "three uses, order kept" [ 3; 5 ] (operands Code.uses d);
+  let m = Code.Mkfl (Fl_adc, 4, 7, 6, 5) in
+  Alcotest.(check (list int)) "max_operands uses" [ 7; 6; 5 ] (operands Code.uses m);
+  let fs = Code.Fstore (3, 9, 8) in
+  Alcotest.(check (list int)) "fstore fuses" [ 3 ] (operands Code.fuses fs);
+  Alcotest.(check (list int)) "fstore uses" [ 9 ] (operands Code.uses fs)
 
 let () =
   Alcotest.run "host"

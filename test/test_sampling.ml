@@ -415,7 +415,13 @@ let read_file path =
 
 let test_golden_corpus () =
   let module J = Darco_obs.Jsonx in
-  let decode name = Snapshot.of_string (read_file (Filename.concat "fixtures" name)) in
+  let decode name =
+    let bytes = read_file (Filename.concat "fixtures" name) in
+    let snap = Snapshot.of_string bytes in
+    Alcotest.(check bool) (name ^ " re-encodes byte-identically") true
+      (Snapshot.to_string snap = bytes);
+    snap
+  in
   let fn = decode "mcf_40k_functional_v1.dsnp" in
   Alcotest.(check string) "functional manifest stable"
     {|{"version":1,"kind":"functional","retired":40000,"sections":[{"tag":"GUST","bytes":16674,"crc32":3925566016}]}|}

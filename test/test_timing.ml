@@ -232,6 +232,291 @@ let test_events_populated () =
   Alcotest.(check bool) "cycles" true (e.e_cycles > 0);
   Alcotest.(check bool) "regfile activity" true (e.e_regfile_writes > 0)
 
+(* --- differential test against the reference model ------------------------ *)
+
+(* Every [Code.insn] constructor has an index, by an exhaustive match: a new
+   constructor fails to compile here, and then fails the coverage test
+   until the stream generator below produces it. *)
+let n_constructors = 27
+
+let constructor_index : Code.insn -> int = function
+  | Nop -> 0 | Li _ -> 1 | Bin _ -> 2 | Bini _ -> 3 | Load _ -> 4 | Sload _ -> 5
+  | Store _ -> 6 | Fli _ -> 7 | Fmov _ -> 8 | Fbin _ -> 9 | Fun _ -> 10 | Fload _ -> 11
+  | Fstore _ -> 12 | Fcmp _ -> 13 | Cvtif _ -> 14 | Cvtfi _ -> 15 | Mkfl _ -> 16
+  | Isel _ -> 17 | Callrt_f _ -> 18 | Callrt_div _ -> 19 | B _ -> 20 | J _ -> 21
+  | Jr _ -> 22 | Assert _ -> 23 | Chk -> 24 | Commit _ -> 25 | Exit _ -> 26
+
+(* One instruction of constructor [i], with random operands.  r0 is among
+   the registers, so the operand sets' r0 filtering is exercised. *)
+let gen_insn_of i st : Code.insn =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let reg () = Random.State.int st 64 and freg () = Random.State.int st 32 in
+  let imm () = Random.State.int st 2048 - 1024 in
+  let width () = pick Darco_guest.Isa.[ W8; W16; W32 ] in
+  let binop () =
+    pick Code.[ Add; Sub; Mul; Mulhu; Mulhs; And; Or; Xor; Shl; Shr; Sar; Slt; Sltu; Seq; Sne ]
+  in
+  let cmp () = pick Code.[ Beq; Bne; Blt; Bge; Bltu; Bgeu ] in
+  let rt () = pick Code.[ Rt_sin; Rt_cos; Rt_divu; Rt_divs ] in
+  match i with
+  | 0 -> Nop
+  | 1 -> Li (reg (), imm ())
+  | 2 -> Bin (binop (), reg (), reg (), reg ())
+  | 3 -> Bini (binop (), reg (), reg (), imm ())
+  | 4 -> Load (width (), Random.State.bool st, reg (), reg (), imm ())
+  | 5 -> Sload (width (), Random.State.bool st, reg (), reg (), imm ())
+  | 6 -> Store (width (), reg (), reg (), imm ())
+  | 7 -> Fli (freg (), 1.5)
+  | 8 -> Fmov (freg (), freg ())
+  | 9 -> Fbin (pick Code.[ Fadd; Fsub; Fmul; Fdiv ], freg (), freg (), freg ())
+  | 10 -> Fun (pick Code.[ Fsqrt; Fabs; Fneg ], freg (), freg ())
+  | 11 -> Fload (freg (), reg (), imm ())
+  | 12 -> Fstore (freg (), reg (), imm ())
+  | 13 -> Fcmp (reg (), freg (), freg ())
+  | 14 -> Cvtif (freg (), reg ())
+  | 15 -> Cvtfi (reg (), freg ())
+  | 16 ->
+    Mkfl
+      ( pick
+          Code.
+            [ Fl_add; Fl_adc; Fl_sub; Fl_sbb; Fl_logic; Fl_shl; Fl_shr; Fl_sar; Fl_rol;
+              Fl_ror; Fl_inc; Fl_dec; Fl_neg; Fl_mulu; Fl_muls ],
+        reg (), reg (), reg (), reg () )
+  | 17 -> Isel (reg (), reg (), reg (), reg ())
+  | 18 -> Callrt_f (rt (), freg (), freg ())
+  | 19 ->
+    Callrt_div
+      { signed = Random.State.bool st; q = reg (); r = reg (); hi = reg (); lo = reg (); d = reg () }
+  | 20 -> B (cmp (), reg (), reg (), Random.State.int st 16)
+  | 21 -> J (Random.State.int st 16)
+  | 22 -> Jr (reg (), reg ())
+  | 23 -> Assert (cmp (), reg (), reg ())
+  | 24 -> Chk
+  | 25 -> Commit (Random.State.int st 8)
+  | _ ->
+    let kind : Code.exit_kind =
+      match Random.State.int st 6 with
+      | 0 -> Exit_direct (imm ())
+      | 1 -> Exit_indirect (reg ())
+      | 2 -> Exit_syscall (imm ())
+      | 3 -> Exit_interp (imm ())
+      | 4 -> Exit_promote (imm ())
+      | _ -> Exit_halt
+    in
+    Exit { exit_id = 0; kind; guest_retired = 1; chain = None; prefer_bb = false }
+
+(* A retire stream: a random walk over a random program of blocks spread
+   over many code pages (I-TLB and I-cache misses).  Each memory
+   instruction follows its own address pattern — a stride (the prefetcher
+   locks on), random over a D-cache-sized or an L2/TLB-busting range
+   (misses, evictions, dirty writebacks), or one fixed address — and each
+   conditional branch its own bias; indirect jumps pick a new target each
+   time.  The program holds at least one
+   instruction of every constructor. *)
+let gen_stream ~len st =
+  let nblocks = 1 + Random.State.int st 10 in
+  let code =
+    Array.init nblocks (fun _ ->
+        Array.init (1 + Random.State.int st 40) (fun _ ->
+            gen_insn_of (Random.State.int st n_constructors) st))
+  in
+  (* every constructor at least once, at random places *)
+  for i = 0 to n_constructors - 1 do
+    let b = code.(Random.State.int st nblocks) in
+    b.(Random.State.int st (Array.length b)) <- gen_insn_of i st
+  done;
+  let base =
+    Array.init nblocks (fun _ ->
+        0x4000_0000 + (Random.State.int st 200 * 4096) + (Random.State.int st 64 * 4))
+  in
+  let per_insn f = Array.map (Array.map (fun _ -> f ())) code in
+  let pattern =
+    per_insn (fun () ->
+        match Random.State.int st 4 with
+        | 0 -> `Stride (List.nth [ 4; 8; 64; 256; 4096; -64 ] (Random.State.int st 6))
+        | 1 -> `Random 0x4_0000
+        | 2 -> `Random 0x40_0000
+        | _ -> `Fixed)
+  in
+  let origin = per_insn (fun () -> 0x10_0000 + Random.State.int st 0x10_0000) in
+  let visits = per_insn (fun () -> 0) in
+  let bias = per_insn (fun () -> Random.State.int st 4) in
+  let target = per_insn (fun () -> Random.State.int st nblocks) in
+  let b = ref 0 and i = ref 0 in
+  Array.init len (fun _ ->
+      let blk = !b and ix = !i in
+      let insn = code.(blk).(ix) in
+      let pc = base.(blk) + (4 * ix) in
+      let addr () =
+        let k = visits.(blk).(ix) in
+        visits.(blk).(ix) <- k + 1;
+        let a =
+          match pattern.(blk).(ix) with
+          | `Stride s -> origin.(blk).(ix) + (k * s)
+          | `Random range -> Random.State.int st range
+          | `Fixed -> origin.(blk).(ix)
+        in
+        a land 0x3FFF_FFFF
+      in
+      let mem =
+        match insn with
+        | Load _ | Sload _ | Fload _ -> Some (addr (), `Load)
+        | Store _ | Fstore _ -> Some (addr (), `Store)
+        | _ -> None
+      in
+      let go_to t =
+        b := t;
+        i := 0;
+        Some (true, base.(t))
+      in
+      let fall_through () =
+        if ix + 1 < Array.length code.(blk) then i := ix + 1
+        else begin
+          b := (blk + 1) mod nblocks;
+          i := 0
+        end
+      in
+      let branch =
+        match insn with
+        | B _ ->
+          let taken =
+            match bias.(blk).(ix) with
+            | 0 -> true
+            | 1 -> false
+            | 2 -> visits.(blk).(ix) land 1 = 0
+            | _ -> Random.State.bool st
+          in
+          visits.(blk).(ix) <- visits.(blk).(ix) + 1;
+          if taken then go_to target.(blk).(ix)
+          else begin
+            fall_through ();
+            Some (false, base.(target.(blk).(ix)))
+          end
+        | J _ -> go_to target.(blk).(ix)
+        (* indirect: the target varies, so a BTB hit can be stale *)
+        | Jr _ -> go_to (Random.State.int st nblocks)
+        | Exit _ when Random.State.bool st -> go_to (Random.State.int st nblocks)
+        | Exit _ ->
+          b := Random.State.int st nblocks;
+          i := 0;
+          None
+        | _ ->
+          fall_through ();
+          None
+      in
+      ({ host_pc = pc; insn; mem_access = mem; branch } : Emulator.retire_info))
+
+let configs = [ ("default", Tconfig.default); ("narrow", Tconfig.narrow); ("wide", Tconfig.wide) ]
+
+(* Both pipelines over one stream; the production one is also persisted
+   and restored at a random point, which must not change anything. *)
+let prop_matches_reference (name, cfg) =
+  QCheck.Test.make ~count:40
+    ~name:(Printf.sprintf "pipeline equals the reference model (%s)" name)
+    QCheck.(make ~print:string_of_int Gen.nat)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let stream = gen_stream ~len:(500 + Random.State.int st 3500) st in
+      let split = Random.State.int st (Array.length stream) in
+      let r = Ref_pipeline.create cfg in
+      let p = ref (Pipeline.create cfg) in
+      Array.iteri
+        (fun k ri ->
+          if k = split then p := Pipeline.restore (Pipeline.persist !p);
+          Ref_pipeline.step r ri;
+          Pipeline.step !p ri)
+        stream;
+      let p = !p in
+      Pipeline.persist p = Ref_pipeline.persist r
+      && Pipeline.summary p = Ref_pipeline.summary r
+      && Pipeline.events p = Ref_pipeline.events r)
+
+(* The streams above do reach every constructor, and every structure's
+   miss, eviction and misprediction paths, under each configuration. *)
+let test_streams_cover_constructors () =
+  let seen = Array.make n_constructors false in
+  List.iter
+    (fun (name, cfg) ->
+      let p = Pipeline.create cfg in
+      for seed = 0 to 39 do
+        Array.iter
+          (fun (r : Emulator.retire_info) ->
+            seen.(constructor_index r.insn) <- true;
+            Pipeline.step p r)
+          (gen_stream ~len:4000 (Random.State.make [| seed |]))
+      done;
+      let s = Pipeline.summary p and e = Pipeline.events p in
+      let q = Pipeline.persist p in
+      List.iter
+        (fun (what, n) -> if n <= 0 then Alcotest.failf "%s: no %s" name what)
+        [
+          ("I-TLB misses", q.p_itlb.p_misses);
+          ("D-TLB misses", q.p_dtlb.p_misses);
+          ("L2 TLB misses", q.p_l2tlb.p_misses);
+          ("I-cache misses", e.e_il1.misses);
+          ("D-cache writebacks", e.e_dl1.writebacks);
+          ("L2 misses", e.e_l2.misses);
+          ("prefetches", s.prefetches);
+          ("mispredicts", s.mispredicts);
+          ("BTB misses", q.p_bp.p_btb_misses);
+          ("stores", e.e_mem_writes);
+          ("multiplies", e.e_mul_ops);
+          ("FP operations", e.e_fp_ops);
+        ])
+    configs;
+  Array.iteri
+    (fun i s -> if not s then Alcotest.failf "constructor %d never retired" i)
+    seen
+
+(* The per-instruction path allocates nothing once the pipeline exists
+   (latency histogram off). *)
+let test_step_allocates_nothing () =
+  List.iter
+    (fun (name, cfg) ->
+      let stream = gen_stream ~len:20_000 (Random.State.make [| 11 |]) in
+      let p = Pipeline.create cfg in
+      let before = Gc.minor_words () in
+      for k = 0 to Array.length stream - 1 do
+        Pipeline.step p stream.(k)
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.)) (name ^ ": minor words over 20k steps") 0. words)
+    configs
+
+(* --- restore refuses states the fast paths assume away ---------------------- *)
+
+let expect_invalid what f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s: accepted" what
+
+let test_restore_rejects_negative_ring () =
+  let good = Pipeline.persist (feed Tconfig.default (nop_stream 100)) in
+  ignore (Pipeline.restore good);
+  let buf, _ = good.p_iq_ring in
+  expect_invalid "negative IQ ring count" (fun () ->
+      Pipeline.restore { good with p_iq_ring = (buf, -1) });
+  let buf, _ = good.p_inflight_ring in
+  expect_invalid "negative in-flight ring count" (fun () ->
+      Pipeline.restore { good with p_inflight_ring = (buf, min_int) })
+
+let test_restore_rejects_duplicate_tlb_page () =
+  let fresh () = Tlb.create { entries = 4; latency = 0 } ~parent:(fun _ -> 30) in
+  let t = fresh () in
+  ignore (Tlb.access t 0x1000);
+  ignore (Tlb.access t 0x2000);
+  let p = Tlb.persist t in
+  (* invalid entries may name any page; only two valid ones conflict *)
+  Tlb.apply (fresh ())
+    { p with p_entries = [| (1, true, 1); (1, false, 2); (2, true, 3); (0, false, 0) |] };
+  let dup = { p with p_entries = [| (1, true, 1); (2, true, 2); (1, true, 3); (0, false, 0) |] } in
+  expect_invalid "Tlb.apply" (fun () -> Tlb.apply (fresh ()) dup);
+  let good = Pipeline.persist (feed Tconfig.default (nop_stream 100)) in
+  let e = good.p_dtlb.p_entries in
+  let e = Array.mapi (fun i x -> if i < 2 then (7, true, i + 1) else x) e in
+  expect_invalid "Pipeline.restore" (fun () ->
+      Pipeline.restore { good with p_dtlb = { good.p_dtlb with p_entries = e } })
+
 let () =
   Alcotest.run "timing"
     [
@@ -263,5 +548,18 @@ let () =
           Alcotest.test_case "long operations" `Quick test_pipeline_long_ops;
           Alcotest.test_case "events" `Quick test_events_populated;
           QCheck_alcotest.to_alcotest prop_pipeline_monotone_cycles;
+        ] );
+      ( "reference",
+        List.map (fun c -> QCheck_alcotest.to_alcotest (prop_matches_reference c)) configs
+        @ [
+            Alcotest.test_case "streams cover every constructor and path" `Quick
+              test_streams_cover_constructors;
+            Alcotest.test_case "step allocates nothing" `Quick test_step_allocates_nothing;
+          ] );
+      ( "restore",
+        [
+          Alcotest.test_case "negative ring count" `Quick test_restore_rejects_negative_ring;
+          Alcotest.test_case "two TLB entries for one page" `Quick
+            test_restore_rejects_duplicate_tlb_page;
         ] );
     ]
