@@ -489,9 +489,8 @@ let v4_golden =
     ("wire_done_v4.bin", Wire.Done { id = 7; json = "{\"benchmark\":\"429.mcf\"}" });
   ]
 
-let test_v4_golden_fixtures () =
-  List.iter
-    (fun (name, msg) ->
+let check_golden =
+  List.iter (fun (name, msg) ->
       let golden = read_file (Filename.concat "fixtures" name) in
       Alcotest.(check string)
         (name ^ ": encoder still emits the committed bytes")
@@ -500,7 +499,44 @@ let test_v4_golden_fixtures () =
         (name ^ ": committed bytes still decode to the same message")
         true
         (recv_bytes golden = msg))
-    v4_golden
+
+let test_v4_golden_fixtures () = check_golden v4_golden
+
+(* Every other frame of the protocol, pinned the same way at v5 — the
+   worker conversation, the telemetry frames, and a Status carrying its
+   v5 tail. *)
+let test_v5_golden_fixtures () =
+  let ckpt = "checkpoint bytes" in
+  check_golden
+    [
+      ("wire_helo_v5.bin", Wire.Hello { version = 5; slots = 2 });
+      ("wire_ping_v5.bin", Wire.Ping);
+      ("wire_pong_v5.bin", Wire.Pong);
+      ( "wire_work_v5.bin",
+        Wire.Work
+          { id = 3; unit_ = read_file (Filename.concat "fixtures" "mcf_40k_work_v2.dwrk") }
+      );
+      ( "wire_rslt_v5.bin",
+        Wire.Result { id = 3; text = {|{"ipc":1.5}|}; spans = "span log" } );
+      ( "wire_fail_v5.bin",
+        Wire.Fail { id = -1; reason = "peer version 2 is below the floor 3" } );
+      ("wire_need_v5.bin", Wire.Need { digest = Store.digest ckpt });
+      ("wire_ckpt_v5.bin", Wire.Ckpt { digest = Store.digest ckpt; bytes = ckpt });
+      ("wire_metr_v5.bin", Wire.Metrics { json = {|{"counters":{"events_total":5}}|} });
+      ("wire_hlth_v5.bin", Wire.Health { json = {|{"state":"serving","uptime_s":12}|} });
+      ( "wire_stat_v5.bin",
+        Wire.Status
+          {
+            id = 3;
+            state = "serving";
+            done_ = 2;
+            total = 9;
+            hits = 1;
+            dispatched = 1;
+            uptime_s = 77;
+            version = "0.10.0";
+          } );
+    ]
 
 let test_v4_malformed_rejected () =
   let golden = read_file (Filename.concat "fixtures" "wire_stat_v4.bin") in
@@ -721,6 +757,8 @@ let () =
             test_partial_io;
           Alcotest.test_case "v4 golden fixtures" `Quick
             test_v4_golden_fixtures;
+          Alcotest.test_case "v5 golden fixtures" `Quick
+            test_v5_golden_fixtures;
           Alcotest.test_case "malformed v4 frames rejected" `Quick
             test_v4_malformed_rejected;
           Alcotest.test_case "v5 frames roundtrip" `Quick test_v5_roundtrip;

@@ -413,6 +413,23 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* The geometry the timed fixture was captured with: small enough that the
+   TIMG section stays a few KB. *)
+let tiny_tconfig : Darco_timing.Tconfig.t =
+  let geom sets ways = { Darco_timing.Tconfig.sets; ways; line = 32; latency = 2 } in
+  {
+    Darco_timing.Tconfig.default with
+    il1 = geom 4 2;
+    dl1 = geom 4 2;
+    l2 = { (geom 8 2) with latency = 8 };
+    itlb = { entries = 4; latency = 1 };
+    dtlb = { entries = 4; latency = 1 };
+    l2tlb = { entries = 8; latency = 4 };
+    gshare_bits = 6;
+    btb_entries = 16;
+    prefetch_table = 8;
+  }
+
 let test_golden_corpus () =
   let module J = Darco_obs.Jsonx in
   let decode name =
@@ -434,6 +451,28 @@ let test_golden_corpus () =
   let ctl = Snapshot.restore full in
   expect_done "full fixture resumes" (Controller.run ctl);
   Alcotest.(check (option int)) "resumed exit code" (Some 1)
+    (Controller.exit_code ctl);
+  (* the same capture with a timing pipeline of a tiny geometry attached:
+     the TIMG section is pinned too, and the pipeline it restores carries
+     the geometry it was captured with *)
+  let timed = decode "mcf_40k_timed_v1.dsnp" in
+  Alcotest.(check string) "timed manifest stable"
+    {|{"version":1,"kind":"full","retired":372571,"sections":[{"tag":"GUST","bytes":16674,"crc32":3720639801},{"tag":"CODE","bytes":55178,"crc32":1244300970},{"tag":"TIMG","bytes":4689,"crc32":4166436767}]}|}
+    (J.to_string (Snapshot.manifest timed));
+  let pipe =
+    match Snapshot.restore_pipeline timed with
+    | Some p -> p
+    | None -> Alcotest.fail "timed fixture lost its pipeline"
+  in
+  Alcotest.(check bool) "pipeline keeps its tiny geometry" true
+    ((Pipeline.persist pipe).p_cfg = tiny_tconfig);
+  Alcotest.(check bool) "pipeline was warm at capture" true
+    (Pipeline.instructions pipe > 0);
+  let bus = Darco_obs.Bus.create () in
+  Pipeline.attach pipe bus;
+  let ctl = Snapshot.restore ~bus timed in
+  expect_done "timed fixture resumes" (Controller.run ctl);
+  Alcotest.(check (option int)) "timed resumed exit code" (Some 1)
     (Controller.exit_code ctl)
 
 (* Work-frame golden fixtures: both DWRK versions committed as pinned

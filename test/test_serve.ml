@@ -373,6 +373,62 @@ let test_subm_golden () =
       (Campaign.of_string sweep = fixture_spec)
   | _ -> Alcotest.fail "golden SUBM frame decoded to something else"
 
+(* --- the other serve formats against committed bytes: a DCAM v2 campaign
+   (v1 rides inside the SUBM fixture above), a DART window artifact and a
+   DCKI checkpoint index.  Each decodes to its value and the writer still
+   emits exactly its bytes. *)
+
+let test_dcam_v2_golden () =
+  let golden = read_file "fixtures/campaign_v2.dcam" in
+  let spec =
+    { fixture_spec with input = Some "stdin bytes"; ci_target = Some 0.05 }
+  in
+  Alcotest.(check bool) "decodes to the planned spec" true
+    (Campaign.of_string golden = spec);
+  Alcotest.(check string) "re-encodes byte-identically" golden
+    (Campaign.to_string spec)
+
+let test_library_golden () =
+  with_temp_dir @@ fun dir ->
+  let key =
+    {
+      Library.bench = "429.mcf";
+      cfg = Campaign.config_digest fixture_spec;
+      snap = Store.digest "golden snapshot";
+      offset = 130_000;
+      window = 25_000;
+      warmup = 30_000;
+    }
+  in
+  let json = {|{"offset":130000,"ipc":1.25}|} in
+  let ckpt = Campaign.ckpt_digest fixture_spec in
+  let b0 = "snapshot zero bytes" and b1 = "snapshot one bytes!" in
+  let dart = read_file "fixtures/window_v1.dart" in
+  let dcki = read_file "fixtures/ckpts_v1.dcki" in
+  let dart_name = Library.key_id key ^ ".dart" in
+  let dcki_name = "ckpts_" ^ ckpt ^ ".dcki" in
+  let cold = Filename.concat dir "cold" in
+  Unix.mkdir cold 0o755;
+  write_file (Filename.concat cold dart_name) dart;
+  write_file (Filename.concat cold dcki_name) dcki;
+  let lib = Library.create ~dir:cold () in
+  Alcotest.(check (option string)) "window artifact decodes" (Some json)
+    (Library.find_window lib key);
+  ignore (Store.add (Library.store lib) b0);
+  ignore (Store.add (Library.store lib) b1);
+  Alcotest.(check bool) "checkpoint index decodes" true
+    (Library.find_checkpoints lib ~bench:"429.mcf" ~ckpt
+    = Some [ (0, b0); (50_000, b1) ]);
+  let fresh = Filename.concat dir "fresh" in
+  let lib = Library.create ~dir:fresh () in
+  Library.put_window lib key json;
+  Library.put_checkpoints lib ~bench:"429.mcf" ~ckpt
+    [ (0, Store.digest b0); (50_000, Store.digest b1) ];
+  Alcotest.(check string) "window artifact re-encodes byte-identically" dart
+    (read_file (Filename.concat fresh dart_name));
+  Alcotest.(check string) "checkpoint index re-encodes byte-identically" dcki
+    (read_file (Filename.concat fresh dcki_name))
+
 (* --- the service end to end: resubmission, restore, restart ------------ *)
 
 let parse_stats s = Scanf.sscanf s "%d %d %d %d" (fun a b c d -> (a, b, c, d))
@@ -814,6 +870,7 @@ let () =
             test_campaign_codec;
           Alcotest.test_case "content digests" `Quick test_campaign_digests;
           Alcotest.test_case "golden SUBM frame" `Quick test_subm_golden;
+          Alcotest.test_case "golden DCAM v2" `Quick test_dcam_v2_golden;
         ] );
       ( "library",
         [
@@ -821,6 +878,7 @@ let () =
           Alcotest.test_case "corruption refused" `Quick
             test_library_corruption;
           Alcotest.test_case "checkpoint sets" `Quick test_library_checkpoints;
+          Alcotest.test_case "golden DART and DCKI" `Quick test_library_golden;
         ] );
       ( "service",
         [
