@@ -36,88 +36,66 @@ type msg =
   | Metrics of { json : string }
   | Health of { json : string }
 
-let tag_of = function
-  | Hello _ -> "HELO"
-  | Ping -> "PING"
-  | Pong -> "PONG"
-  | Work _ -> "WORK"
-  | Result _ -> "RSLT"
-  | Fail _ -> "FAIL"
-  | Need _ -> "NEED"
-  | Ckpt _ -> "CKPT"
-  | Submit _ -> "SUBM"
-  | Status _ -> "STAT"
-  | Artifact _ -> "ARTF"
-  | Done _ -> "DONE"
-  | Metrics _ -> "METR"
-  | Health _ -> "HLTH"
-
-let payload_of = function
-  | Hello { version; slots } ->
-    let w = B.writer () in
-    B.int w version;
-    B.int w slots;
-    B.contents w
-  | Ping | Pong -> ""
-  | Work { id; unit_ = s } | Fail { id; reason = s } ->
-    let w = B.writer () in
-    B.int w id;
-    B.str w s;
-    B.contents w
-  | Result { id; text; spans } ->
-    let w = B.writer () in
-    B.int w id;
-    B.str w text;
-    B.str w spans;
-    B.contents w
-  | Need { digest } ->
-    let w = B.writer () in
-    B.str w digest;
-    B.contents w
-  | Ckpt { digest; bytes } ->
-    let w = B.writer () in
-    B.str w digest;
-    B.str w bytes;
-    B.contents w
-  | Submit { id; sweep = s } | Done { id; json = s } ->
-    let w = B.writer () in
-    B.int w id;
-    B.str w s;
-    B.contents w
-  | Status { id; state; done_; total; hits; dispatched; uptime_s; version } ->
-    let w = B.writer () in
-    B.int w id;
-    B.str w state;
-    B.int w done_;
-    B.int w total;
-    B.int w hits;
-    B.int w dispatched;
+(* Every frame is the one [Buf] frame: the tag names the message, and the
+   sealed payload carries its fields. *)
+let codec : msg B.t =
+  let open B in
+  let frame tag payload inject = case tag (sealed payload) inject in
+  let digest what =
+    conv Fun.id
+      (fun d ->
+        if not (Store.is_digest d) then
+          corrupt (Printf.sprintf "%s carries malformed digest %S" what d);
+        d)
+      str
+  in
+  let hello = frame "HELO" (pair int int) (fun (version, slots) -> Hello { version; slots })
+  and ping = frame "PING" unit (fun () -> Ping)
+  and pong = frame "PONG" unit (fun () -> Pong)
+  and work = frame "WORK" (pair int str) (fun (id, unit_) -> Work { id; unit_ })
+  and result =
+    frame "RSLT" (triple int str str) (fun (id, text, spans) -> Result { id; text; spans })
+  and fail = frame "FAIL" (pair int str) (fun (id, reason) -> Fail { id; reason })
+  and need = frame "NEED" (digest "NEED") (fun digest -> Need { digest })
+  and ckpt =
+    frame "CKPT" (pair (digest "CKPT") str) (fun (digest, bytes) ->
+        if Store.digest bytes <> digest then corrupt "CKPT bytes do not match their digest";
+        Ckpt { digest; bytes })
+  and submit = frame "SUBM" (pair int str) (fun (id, sweep) -> Submit { id; sweep })
+  and status =
     (* v5 uptime/version ride as an optional tail so a default-valued
        Status encodes exactly as it did under v4 (golden fixtures) *)
-    if uptime_s <> 0 || version <> "" then begin
-      B.int w uptime_s;
-      B.str w version
-    end;
-    B.contents w
-  | Artifact { id; key; json } ->
-    let w = B.writer () in
-    B.int w id;
-    B.str w key;
-    B.str w json;
-    B.contents w
-  | Metrics { json } | Health { json } ->
-    let w = B.writer () in
-    B.str w json;
-    B.contents w
+    frame "STAT"
+      (pair (quad int str int int) (triple int int (tail (0, "") (pair int str))))
+      (fun ((id, state, done_, total), (hits, dispatched, (uptime_s, version))) ->
+        Status { id; state; done_; total; hits; dispatched; uptime_s; version })
+  and artifact =
+    frame "ARTF" (triple int str str) (fun (id, key, json) -> Artifact { id; key; json })
+  and done_ = frame "DONE" (pair int str) (fun (id, json) -> Done { id; json })
+  and metrics = frame "METR" str (fun json -> Metrics { json })
+  and health = frame "HLTH" str (fun json -> Health { json }) in
+  variant tag4
+    [ Case hello; Case ping; Case pong; Case work; Case result; Case fail; Case need;
+      Case ckpt; Case submit; Case status; Case artifact; Case done_; Case metrics;
+      Case health ]
+    (function
+      | Hello { version; slots } -> tag hello (version, slots)
+      | Ping -> tag ping ()
+      | Pong -> tag pong ()
+      | Work { id; unit_ } -> tag work (id, unit_)
+      | Result { id; text; spans } -> tag result (id, text, spans)
+      | Fail { id; reason } -> tag fail (id, reason)
+      | Need { digest } -> tag need digest
+      | Ckpt { digest; bytes } -> tag ckpt (digest, bytes)
+      | Submit { id; sweep } -> tag submit (id, sweep)
+      | Status { id; state; done_; total; hits; dispatched; uptime_s; version } ->
+        tag status ((id, state, done_, total), (hits, dispatched, (uptime_s, version)))
+      | Artifact { id; key; json } -> tag artifact (id, key, json)
+      | Done { id; json } -> tag done_ (id, json)
+      | Metrics { json } -> tag metrics json
+      | Health { json } -> tag health json)
 
-let encode msg =
-  let payload = payload_of msg in
-  let w = B.writer () in
-  B.tag4 w (tag_of msg);
-  B.int w (String.length payload);
-  B.int w (B.crc32 payload);
-  B.raw w payload;
-  B.contents w
+let encode msg = B.encode codec msg
 
 let is_closed_error = function
   | Unix.ECONNRESET | Unix.EPIPE | Unix.ECONNABORTED | Unix.ESHUTDOWN -> true
@@ -165,11 +143,11 @@ let send ?deadline fd msg =
   in
   go 0
 
-let read_exact ?deadline fd n =
-  let buf = Bytes.create n in
+(* Fill [buf] from [off] to its end. *)
+let read_into ?deadline fd buf off =
+  let n = Bytes.length buf in
   let rec go off =
-    if off = n then Bytes.unsafe_to_string buf
-    else begin
+    if off < n then begin
       if deadline <> None then wait_fd ?deadline ~write:false fd;
       match Unix.read fd buf off (n - off) with
       | 0 -> raise Closed
@@ -181,108 +159,16 @@ let read_exact ?deadline fd n =
       | exception Unix.Unix_error (e, _, _) when is_closed_error e -> raise Closed
     end
   in
-  go 0
+  go off
 
-let header_bytes = 4 + 8 + 8 (* tag, payload length, payload CRC *)
-
+(* The header comes first, so a corrupted length is refused before the
+   payload's buffer is allocated. *)
 let recv ?deadline fd =
-  let r = B.reader (read_exact ?deadline fd header_bytes) in
-  let tag = B.read_tag4 r in
-  let len = B.read_int r in
-  let crc = B.read_int r in
+  let header = Bytes.create B.frame_header_bytes in
+  read_into ?deadline fd header 0;
+  let len = B.frame_length (Bytes.to_string header) in
   if len < 0 || len > max_frame then
     B.corrupt (Printf.sprintf "frame length %d out of bounds" len);
-  let payload = read_exact ?deadline fd len in
-  if B.crc32 payload <> crc then B.corrupt "frame checksum mismatch";
-  match tag with
-  | "HELO" ->
-    let r = B.reader payload in
-    let version = B.read_int r in
-    let slots = B.read_int r in
-    B.expect_end r;
-    Hello { version; slots }
-  | "PING" -> if payload = "" then Ping else B.corrupt "PING carries a payload"
-  | "PONG" -> if payload = "" then Pong else B.corrupt "PONG carries a payload"
-  | "WORK" ->
-    let r = B.reader payload in
-    let id = B.read_int r in
-    let unit_ = B.read_str r in
-    B.expect_end r;
-    Work { id; unit_ }
-  | "RSLT" ->
-    let r = B.reader payload in
-    let id = B.read_int r in
-    let text = B.read_str r in
-    let spans = B.read_str r in
-    B.expect_end r;
-    Result { id; text; spans }
-  | "FAIL" ->
-    let r = B.reader payload in
-    let id = B.read_int r in
-    let reason = B.read_str r in
-    B.expect_end r;
-    Fail { id; reason }
-  | "NEED" ->
-    let r = B.reader payload in
-    let digest = B.read_str r in
-    B.expect_end r;
-    if not (Store.is_digest digest) then
-      B.corrupt (Printf.sprintf "NEED carries malformed digest %S" digest);
-    Need { digest }
-  | "CKPT" ->
-    let r = B.reader payload in
-    let digest = B.read_str r in
-    let bytes = B.read_str r in
-    B.expect_end r;
-    if not (Store.is_digest digest) then
-      B.corrupt (Printf.sprintf "CKPT carries malformed digest %S" digest);
-    if Store.digest bytes <> digest then
-      B.corrupt "CKPT bytes do not match their digest";
-    Ckpt { digest; bytes }
-  | "SUBM" ->
-    let r = B.reader payload in
-    let id = B.read_int r in
-    let sweep = B.read_str r in
-    B.expect_end r;
-    Submit { id; sweep }
-  | "STAT" ->
-    let r = B.reader payload in
-    let id = B.read_int r in
-    let state = B.read_str r in
-    let done_ = B.read_int r in
-    let total = B.read_int r in
-    let hits = B.read_int r in
-    let dispatched = B.read_int r in
-    let uptime_s, version =
-      if B.at_end r then (0, "")
-      else
-        let u = B.read_int r in
-        let v = B.read_str r in
-        (u, v)
-    in
-    B.expect_end r;
-    Status { id; state; done_; total; hits; dispatched; uptime_s; version }
-  | "ARTF" ->
-    let r = B.reader payload in
-    let id = B.read_int r in
-    let key = B.read_str r in
-    let json = B.read_str r in
-    B.expect_end r;
-    Artifact { id; key; json }
-  | "DONE" ->
-    let r = B.reader payload in
-    let id = B.read_int r in
-    let json = B.read_str r in
-    B.expect_end r;
-    Done { id; json }
-  | "METR" ->
-    let r = B.reader payload in
-    let json = B.read_str r in
-    B.expect_end r;
-    Metrics { json }
-  | "HLTH" ->
-    let r = B.reader payload in
-    let json = B.read_str r in
-    B.expect_end r;
-    Health { json }
-  | other -> B.corrupt (Printf.sprintf "unknown frame tag %S" other)
+  let frame = Bytes.extend header 0 len in
+  read_into ?deadline fd frame B.frame_header_bytes;
+  B.decode codec (Bytes.unsafe_to_string frame)

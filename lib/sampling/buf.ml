@@ -2,144 +2,312 @@ exception Corrupt of string
 
 let corrupt msg = raise (Corrupt msg)
 
-type writer = Buffer.t
-type reader = { data : string; mutable pos : int }
+(* A reader consumes [data] from [pos] up to [limit]: a sealed payload is
+   decoded in place, as a window of the enclosing input. *)
+type reader = { data : string; mutable pos : int; limit : int }
+type 'a t = { write : Buffer.t -> 'a -> unit; read : reader -> 'a }
 
-let writer () = Buffer.create 4096
-let contents w = Buffer.contents w
-let reader data = { data; pos = 0 }
-let reader_pos r = r.pos
-let at_end r = r.pos = String.length r.data
-let expect_end r = if not (at_end r) then corrupt "trailing bytes"
+let encode c v =
+  let b = Buffer.create 4096 in
+  c.write b v;
+  Buffer.contents b
+
+let run c data pos limit =
+  let r = { data; pos; limit } in
+  let v = c.read r in
+  if r.pos <> limit then corrupt "trailing bytes";
+  v
+
+let decode c s = run c s 0 (String.length s)
+let decode_prefix c s = c.read { data = s; pos = 0; limit = String.length s }
 
 let need r n =
-  if n < 0 || r.pos + n > String.length r.data then
+  if n < 0 || n > r.limit - r.pos then
     corrupt
       (Printf.sprintf "truncated input (need %d bytes at offset %d of %d)" n
-         r.pos (String.length r.data))
+         r.pos r.limit)
 
-let u8 w v = Buffer.add_char w (Char.chr (v land 0xff))
+let take r n =
+  need r n;
+  let s = String.sub r.data r.pos n in
+  r.pos <- r.pos + n;
+  s
 
-let read_u8 r =
-  need r 1;
-  let v = Char.code r.data.[r.pos] in
-  r.pos <- r.pos + 1;
-  v
+(* --- scalars ------------------------------------------------------------- *)
 
-let i64 w v = Buffer.add_int64_le w v
+let u8 =
+  {
+    write = (fun b v -> Buffer.add_char b (Char.chr (v land 0xff)));
+    read =
+      (fun r ->
+        need r 1;
+        let v = Char.code r.data.[r.pos] in
+        r.pos <- r.pos + 1;
+        v);
+  }
 
-let read_i64 r =
-  need r 8;
-  let v = String.get_int64_le r.data r.pos in
-  r.pos <- r.pos + 8;
-  v
+let i64 =
+  {
+    write = Buffer.add_int64_le;
+    read =
+      (fun r ->
+        need r 8;
+        let v = String.get_int64_le r.data r.pos in
+        r.pos <- r.pos + 8;
+        v);
+  }
 
-let int w v = i64 w (Int64.of_int v)
+let int =
+  {
+    write = (fun b v -> Buffer.add_int64_le b (Int64.of_int v));
+    read =
+      (fun r ->
+        let v = i64.read r in
+        let n = Int64.to_int v in
+        if Int64.of_int n <> v then corrupt "integer out of native int range";
+        n);
+  }
 
-let read_int r =
-  let v = read_i64 r in
-  let n = Int64.to_int v in
-  if Int64.of_int n <> v then corrupt "integer out of native int range";
+let conv enc dec c = { write = (fun b v -> c.write b (enc v)); read = (fun r -> dec (c.read r)) }
+let f64 = conv Int64.bits_of_float Int64.float_of_bits i64
+
+let bool =
+  conv
+    (fun v -> if v then 1 else 0)
+    (function
+      | 0 -> false
+      | 1 -> true
+      | n -> corrupt (Printf.sprintf "invalid boolean byte %d" n))
+    u8
+
+let length r =
+  let n = int.read r in
+  if n < 0 then corrupt "negative length";
   n
 
-let f64 w v = i64 w (Int64.bits_of_float v)
-let read_f64 r = Int64.float_of_bits (read_i64 r)
+let str =
+  {
+    write =
+      (fun b s ->
+        int.write b (String.length s);
+        Buffer.add_string b s);
+    read = (fun r -> take r (length r));
+  }
 
-let bool w v = u8 w (if v then 1 else 0)
+let bytes =
+  {
+    write =
+      (fun b v ->
+        int.write b (Bytes.length v);
+        Buffer.add_bytes b v);
+    read = (fun r -> Bytes.unsafe_of_string (take r (length r)));
+  }
 
-let read_bool r =
-  match read_u8 r with
-  | 0 -> false
-  | 1 -> true
-  | n -> corrupt (Printf.sprintf "invalid boolean byte %d" n)
+let tag4 =
+  {
+    write =
+      (fun b s ->
+        if String.length s <> 4 then invalid_arg "Buf.tag4: tag must be 4 bytes";
+        Buffer.add_string b s);
+    read = (fun r -> take r 4);
+  }
 
-let str w s =
-  int w (String.length s);
-  Buffer.add_string w s
+let raw = { write = Buffer.add_string; read = (fun r -> take r (r.limit - r.pos)) }
+let unit = { write = (fun _ () -> ()); read = (fun _ -> ()) }
 
-let read_str r =
-  let n = read_int r in
-  if n < 0 then corrupt "negative string length";
-  need r n;
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
+(* --- composites ---------------------------------------------------------- *)
 
-let bytes w b = str w (Bytes.to_string b)
-let read_bytes r = Bytes.of_string (read_str r)
+let option c =
+  {
+    write =
+      (fun b -> function
+        | None -> u8.write b 0
+        | Some v ->
+          u8.write b 1;
+          c.write b v);
+    read =
+      (fun r ->
+        match u8.read r with
+        | 0 -> None
+        | 1 -> Some (c.read r)
+        | n -> corrupt (Printf.sprintf "invalid option byte %d" n));
+  }
 
-let tag4 w s =
-  if String.length s <> 4 then invalid_arg "Buf.tag4: tag must be 4 bytes";
-  Buffer.add_string w s
+(* Every element consumes at least one byte in practice: a count that
+   cannot fit the remaining input is refused before anything is built. *)
+let count len r =
+  let n = len.read r in
+  if n < 0 then corrupt "negative length";
+  if n > r.limit - r.pos then corrupt "length exceeds input";
+  n
 
-let read_tag4 r =
-  need r 4;
-  let s = String.sub r.data r.pos 4 in
-  r.pos <- r.pos + 4;
-  s
+let list ?(len = int) c =
+  {
+    write =
+      (fun b xs ->
+        len.write b (List.length xs);
+        List.iter (c.write b) xs);
+    read = (fun r -> List.init (count len r) (fun _ -> c.read r));
+  }
 
-let raw w s = Buffer.add_string w s
+let array c =
+  {
+    write =
+      (fun b xs ->
+        int.write b (Array.length xs);
+        Array.iter (c.write b) xs);
+    read = (fun r -> Array.init (count int r) (fun _ -> c.read r));
+  }
 
-let read_raw r n =
-  if n < 0 then corrupt "negative raw length";
-  need r n;
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
+let array_n n c =
+  let a = array c in
+  {
+    a with
+    read =
+      (fun r ->
+        let xs = a.read r in
+        if Array.length xs <> n then
+          corrupt (Printf.sprintf "array of %d where %d belong" (Array.length xs) n);
+        xs);
+  }
 
-let option w f = function
-  | None -> u8 w 0
-  | Some v ->
-    u8 w 1;
-    f w v
+let pair ca cb =
+  {
+    write =
+      (fun b (x, y) ->
+        ca.write b x;
+        cb.write b y);
+    read =
+      (fun r ->
+        let x = ca.read r in
+        (x, cb.read r));
+  }
 
-let read_option r f =
-  match read_u8 r with
-  | 0 -> None
-  | 1 -> Some (f r)
-  | n -> corrupt (Printf.sprintf "invalid option byte %d" n)
+let triple ca cb cc =
+  conv (fun (x, y, z) -> (x, (y, z))) (fun (x, (y, z)) -> (x, y, z)) (pair ca (pair cb cc))
 
-let list w f xs =
-  int w (List.length xs);
-  List.iter (f w) xs
+let quad ca cb cc cd =
+  conv
+    (fun (w, x, y, z) -> (w, (x, y, z)))
+    (fun (w, (x, y, z)) -> (w, x, y, z))
+    (pair ca (triple cb cc cd))
 
-let read_list r f =
-  let n = read_int r in
-  if n < 0 then corrupt "negative list length";
-  (* Bound sanity: every element consumes at least one byte in practice;
-     reject counts that cannot possibly fit the remaining input. *)
-  if n > String.length r.data - r.pos then corrupt "list length exceeds input";
-  List.init n (fun _ -> f r)
+let tail default c =
+  {
+    write = (fun b v -> if v <> default then c.write b v);
+    read = (fun r -> if r.pos = r.limit then default else c.read r);
+  }
 
-let array w f xs =
-  int w (Array.length xs);
-  Array.iter (f w) xs
+let const c k body =
+  {
+    write =
+      (fun b v ->
+        c.write b k;
+        body.write b v);
+    read =
+      (fun r ->
+        if c.read r <> k then corrupt "unexpected magic or version";
+        body.read r);
+  }
 
-let read_array r f =
-  let n = read_int r in
-  if n < 0 then corrupt "negative array length";
-  if n > String.length r.data - r.pos then corrupt "array length exceeds input";
-  Array.init n (fun _ -> f r)
+(* --- records ------------------------------------------------------------- *)
 
-let int_array w xs = array w int xs
-let read_int_array r = read_array r read_int
-let float_array w xs = array w f64 xs
-let read_float_array r = read_array r read_f64
+type ('r, 'k) fields = { fwrite : Buffer.t -> 'r -> unit; fread : reader -> 'k }
+
+let record k = { fwrite = (fun _ _ -> ()); fread = (fun _ -> k) }
+
+let ( |+ ) f (c, get) =
+  {
+    fwrite =
+      (fun b v ->
+        f.fwrite b v;
+        c.write b (get v));
+    fread =
+      (fun r ->
+        let k = f.fread r in
+        k (c.read r));
+  }
+
+let seal f = { write = f.fwrite; read = f.fread }
+
+(* --- enums and variants -------------------------------------------------- *)
+
+let enum name values to_int =
+  Array.iteri
+    (fun i v -> if to_int v <> i then invalid_arg ("Buf.enum: table out of order: " ^ name))
+    values;
+  conv to_int
+    (fun n ->
+      if n < Array.length values then values.(n)
+      else corrupt (Printf.sprintf "invalid %s tag %d" name n))
+    u8
+
+type ('k, 'v, 'a) case = { key : 'k; payload : 'a t; inject : 'a -> 'v }
+type ('k, 'v) tagged = Tagged : ('k, 'v, 'a) case * 'a -> ('k, 'v) tagged
+type ('k, 'v) any = Case : ('k, 'v, 'a) case -> ('k, 'v) any
+
+let case key payload inject = { key; payload; inject }
+let tag c a = Tagged (c, a)
+
+let variant key cases enc =
+  let table = Hashtbl.create 16 in
+  List.iter
+    (fun (Case c) ->
+      if Hashtbl.mem table c.key then invalid_arg "Buf.variant: duplicate key";
+      Hashtbl.replace table c.key (fun r -> c.inject (c.payload.read r)))
+    cases;
+  {
+    write =
+      (fun b v ->
+        let (Tagged (c, a)) = enc v in
+        key.write b c.key;
+        c.payload.write b a);
+    read =
+      (fun r ->
+        match Hashtbl.find_opt table (key.read r) with
+        | Some read -> read r
+        | None -> corrupt "unknown tag");
+  }
+
+(* --- integrity ----------------------------------------------------------- *)
 
 (* CRC-32, reflected polynomial 0xEDB88320 (IEEE 802.3), table-driven. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let crc32 s =
-  let table = Lazy.force crc_table in
+let crc_sub s pos len =
   let crc = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> crc := table.((!crc lxor Char.code ch) land 0xff) lxor (!crc lsr 8))
-    s;
+  for i = pos to pos + len - 1 do
+    crc := crc_table.((!crc lxor Char.code (String.unsafe_get s i)) land 0xff) lxor (!crc lsr 8)
+  done;
   !crc lxor 0xFFFFFFFF
+
+let crc32 s = crc_sub s 0 (String.length s)
+
+let sealed c =
+  {
+    write =
+      (fun b v ->
+        let payload = encode c v in
+        int.write b (String.length payload);
+        int.write b (crc32 payload);
+        Buffer.add_string b payload);
+    read =
+      (fun r ->
+        let len = length r in
+        let crc = int.read r in
+        need r len;
+        let pos = r.pos in
+        if crc_sub r.data pos len <> crc then corrupt "checksum mismatch";
+        r.pos <- pos + len;
+        run c r.data pos (pos + len));
+  }
+
+let frame_header_bytes = 4 + 8 + 8
+let frame_head = pair tag4 int
+let frame_length header = snd (decode_prefix frame_head header)

@@ -43,64 +43,36 @@ let of_window_stored ~store ~checkpoints ~label ~offset ~window ~warmup =
 
 let digest t = match t.ckpt with Inline _ -> None | Stored d -> Some d
 
-(* The payload layout is shared between the two versions: label and window
-   parameters, then either the embedded snapshot bytes (version 1 — the
-   exact layout the original writer produced) or the checkpoint digest
-   (version 2).  Per the compatibility policy, the version-1 arm is frozen:
-   it is only ever joined by new arms, never edited. *)
-let to_string t =
-  let p = B.writer () in
-  B.str p t.label;
-  B.int p t.offset;
-  B.int p t.window;
-  B.int p t.warmup;
-  let v =
-    match t.ckpt with
-    | Inline snapshot ->
-      B.str p snapshot;
-      1
-    | Stored d ->
-      B.str p d;
-      version
+(* Both versions share the payload layout: label and window parameters,
+   then the embedded snapshot bytes (version 1 — the exact layout the
+   original writer produced) or the checkpoint digest (version 2).  Per
+   the compatibility policy, the version-1 case is frozen: it is only ever
+   joined by new cases, never edited. *)
+let codec : t B.t =
+  let open B in
+  let params = quad str int int int in
+  let unit_ ckpt (label, offset, window, warmup) =
+    if window <= 0 then corrupt "work unit has non-positive window";
+    if warmup < 0 then corrupt "work unit has negative warmup";
+    { label; ckpt; offset; window; warmup }
   in
-  let payload = B.contents p in
-  let w = B.writer () in
-  B.tag4 w magic;
-  B.u8 w v;
-  B.int w (String.length payload);
-  B.int w (B.crc32 payload);
-  B.raw w payload;
-  B.contents w
+  let digest =
+    conv Fun.id
+      (fun d ->
+        if not (Store.is_digest d) then
+          corrupt (Printf.sprintf "work unit carries malformed digest %S" d);
+        d)
+      str
+  in
+  let inline = case 1 (sealed (pair params str)) (fun (p, s) -> unit_ (Inline s) p)
+  and stored = case version (sealed (pair params digest)) (fun (p, d) -> unit_ (Stored d) p) in
+  const tag4 magic
+    (variant u8 [ Case inline; Case stored ] (fun t ->
+         let p = (t.label, t.offset, t.window, t.warmup) in
+         match t.ckpt with Inline s -> tag inline (p, s) | Stored d -> tag stored (p, d)))
 
-let of_string s =
-  let r = B.reader s in
-  if B.read_tag4 r <> magic then B.corrupt "bad work-unit magic";
-  let v = B.read_u8 r in
-  if v <> 1 && v <> version then
-    B.corrupt (Printf.sprintf "unsupported work-unit version %d" v);
-  let len = B.read_int r in
-  let crc = B.read_int r in
-  let payload = B.read_raw r len in
-  B.expect_end r;
-  if B.crc32 payload <> crc then B.corrupt "work-unit checksum mismatch";
-  let r = B.reader payload in
-  let label = B.read_str r in
-  let offset = B.read_int r in
-  let window = B.read_int r in
-  let warmup = B.read_int r in
-  let ckpt =
-    if v = 1 then Inline (B.read_str r)
-    else begin
-      let d = B.read_str r in
-      if not (Store.is_digest d) then
-        B.corrupt (Printf.sprintf "work unit carries malformed digest %S" d);
-      Stored d
-    end
-  in
-  B.expect_end r;
-  if window <= 0 then B.corrupt "work unit has non-positive window";
-  if warmup < 0 then B.corrupt "work unit has negative warmup";
-  { label; ckpt; offset; window; warmup }
+let to_string t = B.encode codec t
+let of_string s = B.decode codec s
 
 let snapshot_bytes ?store t =
   match t.ckpt with

@@ -27,52 +27,58 @@ let normalize t =
   in
   { t with offsets; horizon }
 
-let to_string t =
-  let w = B.writer () in
-  B.tag4 w magic;
-  (* a campaign with no confidence target still encodes as version 1, so
-     every pre-planner frame, golden test and on-the-wire digest keeps
-     its exact bytes; only a planned campaign pays the version bump *)
-  B.int w (match t.ci_target with None -> version | Some _ -> version_plan);
-  B.str w t.bench;
-  B.int w t.scale;
-  B.int w t.seed;
-  B.option w B.str t.input;
-  B.int w t.interval;
-  B.int w t.horizon;
-  B.list w B.int t.offsets;
-  B.int w t.window;
-  B.int w t.warmup;
-  (match t.ci_target with None -> () | Some c -> B.f64 w c);
-  B.contents w
-
-let of_string s =
-  let r = B.reader s in
-  let tag = B.read_tag4 r in
-  if tag <> magic then B.corrupt (Printf.sprintf "campaign: bad magic %S" tag);
-  let v = B.read_int r in
-  if v <> version && v <> version_plan then
-    B.corrupt (Printf.sprintf "campaign: unsupported version %d" v);
-  let bench = B.read_str r in
-  let scale = B.read_int r in
-  let seed = B.read_int r in
-  let input = B.read_option r B.read_str in
-  let interval = B.read_int r in
-  let horizon = B.read_int r in
-  let offsets = B.read_list r B.read_int in
-  let window = B.read_int r in
-  let warmup = B.read_int r in
-  let ci_target = if v >= version_plan then Some (B.read_f64 r) else None in
-  B.expect_end r;
-  if scale < 1 then B.corrupt "campaign: scale < 1";
-  if interval <= 0 then B.corrupt "campaign: interval <= 0";
-  if window <= 0 then B.corrupt "campaign: window <= 0";
-  if warmup < 0 then B.corrupt "campaign: warmup < 0";
-  (match ci_target with
+let validate t =
+  if t.scale < 1 then B.corrupt "campaign: scale < 1";
+  if t.interval <= 0 then B.corrupt "campaign: interval <= 0";
+  if t.window <= 0 then B.corrupt "campaign: window <= 0";
+  if t.warmup < 0 then B.corrupt "campaign: warmup < 0";
+  (match t.ci_target with
   | Some c when not (c > 0.0) -> B.corrupt "campaign: ci_target <= 0"
   | _ -> ());
-  { bench; scale; seed; input; interval; horizon; offsets; window; warmup;
-    ci_target }
+  t
+
+(* A campaign with no confidence target still encodes as version 1, so
+   every pre-planner frame, golden test and on-the-wire digest keeps its
+   exact bytes; only a planned campaign pays the version bump, which
+   appends the target. *)
+let codec : t B.t =
+  let open B in
+  let spec =
+    record (fun bench scale seed input interval horizon offsets window warmup ->
+        {
+          bench;
+          scale;
+          seed;
+          input;
+          interval;
+          horizon;
+          offsets;
+          window;
+          warmup;
+          ci_target = None;
+        })
+    |+ (str, fun t -> t.bench)
+    |+ (int, fun t -> t.scale)
+    |+ (int, fun t -> t.seed)
+    |+ (option str, fun t -> t.input)
+    |+ (int, fun t -> t.interval)
+    |+ (int, fun t -> t.horizon)
+    |+ (list int, fun t -> t.offsets)
+    |+ (int, fun t -> t.window)
+    |+ (int, fun t -> t.warmup)
+    |> seal
+  in
+  let plain = case version spec Fun.id
+  and planned =
+    case version_plan (pair spec f64) (fun (t, c) -> { t with ci_target = Some c })
+  in
+  variant int [ Case plain; Case planned ] (fun t ->
+      match t.ci_target with None -> tag plain t | Some c -> tag planned (t, c))
+  |> conv Fun.id validate
+  |> const tag4 magic
+
+let to_string t = B.encode codec t
+let of_string s = B.decode codec s
 
 (* The digest inputs are rendered, not binary-encoded: a one-line canonical
    string is greppable in a trace and trivially stable.  '|' cannot appear

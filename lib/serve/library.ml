@@ -47,69 +47,61 @@ let store t = t.store
 
 (* --- framed artifact files --------------------------------------------- *)
 
-(* Same container discipline as DSNP: [tag4 | payload length (i64 LE) |
-   CRC-32 (i64 LE) | payload], written whole to a temporary name and
+(* Each artifact file is one frame — [tag4 | payload length (i64 LE) |
+   CRC-32 (i64 LE) | payload] — written whole to a temporary name and
    renamed into place so a crash mid-write leaves either the old file or
-   none — never a torn one. *)
+   none, never a torn one. *)
 
-let header_bytes = 4 + 8 + 8
-
-let write_framed path tag payload =
-  let w = B.writer () in
-  B.tag4 w tag;
-  B.int w (String.length payload);
-  B.int w (B.crc32 payload);
-  B.raw w payload;
+let write_artifact path codec v =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (B.contents w));
+    (fun () -> output_string oc (B.encode codec v));
   Sys.rename tmp path
 
-let read_framed path tag =
+let read_artifact path codec =
   let ic = open_in_bin path in
   let s =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  if String.length s < header_bytes then
-    B.corrupt (Printf.sprintf "%s: truncated artifact" (Filename.basename path));
-  let r = B.reader s in
-  let t = B.read_tag4 r in
-  if t <> tag then
-    B.corrupt
-      (Printf.sprintf "%s: bad artifact magic %S" (Filename.basename path) t);
-  let len = B.read_int r in
-  let crc = B.read_int r in
-  if len <> String.length s - header_bytes then
-    B.corrupt
-      (Printf.sprintf "%s: artifact length mismatch" (Filename.basename path));
-  let payload = B.read_raw r len in
-  if B.crc32 payload <> crc then
-    B.corrupt
-      (Printf.sprintf "%s: artifact checksum mismatch" (Filename.basename path));
-  payload
+  try B.decode codec s
+  with B.Corrupt msg -> B.corrupt (Filename.basename path ^ ": " ^ msg)
 
 (* --- window results ---------------------------------------------------- *)
 
 let window_version = 1
 let window_path t id = Filename.concat t.dir (id ^ ".dart")
 
+let key_codec : key B.t =
+  B.(
+    record (fun bench cfg snap offset window warmup -> { bench; cfg; snap; offset; window; warmup })
+    |+ (str, fun k -> k.bench)
+    |+ (str, fun k -> k.cfg)
+    |+ (str, fun k -> k.snap)
+    |+ (int, fun k -> k.offset)
+    |+ (int, fun k -> k.window)
+    |+ (int, fun k -> k.warmup)
+    |> seal)
+
+(* The key, the JSON text's content digest, then the text. *)
+let window_artifact : (key * string) B.t =
+  B.(
+    triple key_codec str str
+    |> conv
+         (fun (k, json) -> (k, Store.digest json, json))
+         (fun (k, digest, json) ->
+           if Store.digest json <> digest then corrupt "window artifact content digest mismatch";
+           (k, json))
+    |> const int window_version
+    |> sealed
+    |> const tag4 "DART")
+
 let put_window t k json =
   let id = key_id k in
-  let w = B.writer () in
-  B.int w window_version;
-  B.str w k.bench;
-  B.str w k.cfg;
-  B.str w k.snap;
-  B.int w k.offset;
-  B.int w k.window;
-  B.int w k.warmup;
-  B.str w (Store.digest json);
-  B.str w json;
-  write_framed (window_path t id) "DART" (B.contents w);
+  write_artifact (window_path t id) window_artifact (k, json);
   Hashtbl.replace t.windows id json
 
 let find_window t k =
@@ -120,33 +112,13 @@ let find_window t k =
     let path = window_path t id in
     if not (Sys.file_exists path) then None
     else begin
-      let r = B.reader (read_framed path "DART") in
-      let v = B.read_int r in
-      if v <> window_version then
-        B.corrupt (Printf.sprintf "%s: unsupported window artifact version %d"
-                     (Filename.basename path) v);
-      let bench = B.read_str r in
-      let cfg = B.read_str r in
-      let snap = B.read_str r in
-      let offset = B.read_int r in
-      let window = B.read_int r in
-      let warmup = B.read_int r in
-      let json_digest = B.read_str r in
-      let json = B.read_str r in
-      B.expect_end r;
+      let stored, json = read_artifact path window_artifact in
       (* the file name is a digest of the key; a mismatch means the file
          was renamed or the library tampered with — refuse, don't serve a
          wrong window under a right name *)
-      if
-        bench <> k.bench || cfg <> k.cfg || snap <> k.snap
-        || offset <> k.offset || window <> k.window || warmup <> k.warmup
-      then
+      if stored <> k then
         B.corrupt
           (Printf.sprintf "%s: window artifact does not match its key"
-             (Filename.basename path));
-      if Store.digest json <> json_digest then
-        B.corrupt
-          (Printf.sprintf "%s: window artifact content digest mismatch"
              (Filename.basename path));
       Hashtbl.replace t.windows id json;
       Some json
@@ -160,36 +132,19 @@ let ckpt_path t ~bench ~ckpt =
   ignore bench;
   Filename.concat t.dir ("ckpts_" ^ ckpt ^ ".dcki")
 
+(* Benchmark, checkpoint-set digest, then (instruction count, snapshot
+   digest) per checkpoint. *)
+let ckpt_index =
+  B.(triple str str (list (pair int str)) |> const int ckpt_version |> sealed |> const tag4 "DCKI")
+
 let put_checkpoints t ~bench ~ckpt entries =
-  let w = B.writer () in
-  B.int w ckpt_version;
-  B.str w bench;
-  B.str w ckpt;
-  B.list w
-    (fun w (at, digest) ->
-      B.int w at;
-      B.str w digest)
-    entries;
-  write_framed (ckpt_path t ~bench ~ckpt) "DCKI" (B.contents w)
+  write_artifact (ckpt_path t ~bench ~ckpt) ckpt_index (bench, ckpt, entries)
 
 let find_checkpoints t ~bench ~ckpt =
   let path = ckpt_path t ~bench ~ckpt in
   if not (Sys.file_exists path) then None
   else begin
-    let r = B.reader (read_framed path "DCKI") in
-    let v = B.read_int r in
-    if v <> ckpt_version then
-      B.corrupt (Printf.sprintf "%s: unsupported checkpoint index version %d"
-                   (Filename.basename path) v);
-    let f_bench = B.read_str r in
-    let f_ckpt = B.read_str r in
-    let entries =
-      B.read_list r (fun r ->
-          let at = B.read_int r in
-          let digest = B.read_str r in
-          (at, digest))
-    in
-    B.expect_end r;
+    let f_bench, f_ckpt, entries = read_artifact path ckpt_index in
     if f_bench <> bench || f_ckpt <> ckpt then
       B.corrupt
         (Printf.sprintf "%s: checkpoint index does not match its key"

@@ -475,6 +475,31 @@ let test_golden_corpus () =
   Alcotest.(check (option int)) "timed resumed exit code" (Some 1)
     (Controller.exit_code ctl)
 
+(* A one-byte change in the DSNP header must not yield a different but
+   valid snapshot.  The kind byte and the section tags sit outside every
+   CRC, so the decoder pins them instead: each kind admits exactly one
+   section list, in order. *)
+let expect_corrupt what s =
+  match Snapshot.of_string s with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Buf.Corrupt _ -> ()
+
+let test_kind_byte_refused () =
+  let b = Bytes.of_string (read_file (Filename.concat "fixtures" "mcf_40k_full_v1.dsnp")) in
+  Alcotest.(check char) "byte 5 is the kind byte of a Full snapshot" '\001' (Bytes.get b 5);
+  Bytes.set b 5 '\000';
+  expect_corrupt "a Full snapshot relabelled Functional" (Bytes.to_string b)
+
+let test_section_tag_refused () =
+  let timed = read_file (Filename.concat "fixtures" "mcf_40k_timed_v1.dsnp") in
+  (* the TIMG frame's 20-byte header (tag, length, CRC) sits right before
+     its 4,689-byte payload *)
+  let at = String.length timed - 4_689 - 20 in
+  Alcotest.(check string) "TIMG frame located" "TIMG" (String.sub timed at 4);
+  let b = Bytes.of_string timed in
+  Bytes.set b (at + 3) 'H';
+  expect_corrupt "TIMG renamed TIMH" (Bytes.to_string b)
+
 (* Work-frame golden fixtures: both DWRK versions committed as pinned
    bytes.  Version 1 (inline snapshot) is the frozen original format —
    it must decode, re-encode bit-identically, and still {e execute}; the
@@ -701,6 +726,9 @@ let () =
           Alcotest.test_case "golden corpus decodes" `Quick test_golden_corpus;
           Alcotest.test_case "golden work frame v1" `Quick test_golden_work_v1;
           Alcotest.test_case "golden work frame v2" `Quick test_golden_work_v2;
+          Alcotest.test_case "kind byte change refused" `Quick test_kind_byte_refused;
+          Alcotest.test_case "section tag change refused" `Quick
+            test_section_tag_refused;
         ] );
       (* keep last: these spawn domains, which forbids fork for the rest
          of the process (the sweep suite above forks) *)
