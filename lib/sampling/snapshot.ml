@@ -648,6 +648,35 @@ let predictor : Darco_timing.Predictor.persisted B.t =
     |+ (int, fun p -> p.p_btb_misses)
     |> seal)
 
+(* [Pipeline.restore] allocates each structure at the size the
+   configuration names before comparing the persisted state with it, so a
+   corrupt size is refused here, before anything is allocated. *)
+let sized (p : Darco_timing.Pipeline.persisted) =
+  let c = p.p_cfg and len = Array.length in
+  let cache (g : Tconfig.cache_geom) (q : Darco_timing.Cache.persisted) =
+    len q.p_lines = g.sets && Array.for_all (fun set -> len set = g.ways) q.p_lines
+  and tlb (g : Tconfig.tlb_geom) (q : Darco_timing.Tlb.persisted) = len q.p_entries = g.entries
+  and units n a = len a = Int.max 1 n in
+  cache c.l2 p.p_l2
+  && cache c.il1 p.p_il1
+  && cache c.dl1 p.p_dl1
+  && tlb c.l2tlb p.p_l2tlb
+  && tlb c.itlb p.p_itlb
+  && tlb c.dtlb p.p_dtlb
+  && len p.p_pf.p_table = c.prefetch_table
+  && c.gshare_bits >= 0
+  && c.gshare_bits < Sys.int_size - 1
+  && len p.p_bp.p_pht = 1 lsl c.gshare_bits
+  && len p.p_bp.p_btb_tag = c.btb_entries
+  && len p.p_bp.p_btb_target = c.btb_entries
+  && units c.n_simple p.p_simple_free
+  && units c.n_complex p.p_complex_free
+  && units c.n_vector p.p_vector_free
+  && units c.mem_read_ports p.p_rport_free
+  && units c.mem_write_ports p.p_wport_free
+  && units c.iq_size (fst p.p_iq_ring)
+  && units c.phys_regs (fst p.p_inflight_ring)
+
 let pipeline : Darco_timing.Pipeline.t B.t =
   let ring = B.(pair (array int) int) in
   B.(
@@ -730,6 +759,7 @@ let pipeline : Darco_timing.Pipeline.t B.t =
     |+ (int, fun p -> p.p_rf_writes)
     |> seal
     |> conv Darco_timing.Pipeline.persist (fun p ->
+           if not (sized p) then corrupt "timing state does not match its configuration";
            try Darco_timing.Pipeline.restore p with Invalid_argument msg -> corrupt msg))
 
 (* --- public API ---------------------------------------------------------- *)

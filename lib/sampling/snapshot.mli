@@ -74,6 +74,19 @@ val restore : ?bus:Darco_obs.Bus.t -> t -> Darco.Controller.t
 val restore_pipeline : t -> Darco_timing.Pipeline.t option
 (** The warmed timing pipeline, when one was captured. *)
 
+(** {1 Field codecs}
+
+    Pieces the sections are built from, exposed so tests can apply the
+    codec laws to generated values. *)
+
+val insn : Darco_host.Code.insn Buf.t
+val region : Darco_host.Code.region Buf.t
+(** Chain links decode to placeholder regions; only a whole [CODE]
+    section resolves them. *)
+
+val tconfig : Darco_timing.Tconfig.t Buf.t
+val stats : Darco_obs.Stats.t Buf.t
+
 (** {1 Introspection} *)
 
 val manifest : t -> Darco_obs.Jsonx.t
