@@ -94,14 +94,9 @@ let str =
     read = (fun r -> take r (length r));
   }
 
-let bytes =
-  {
-    write =
-      (fun b v ->
-        int.write b (Bytes.length v);
-        Buffer.add_bytes b v);
-    read = (fun r -> Bytes.unsafe_of_string (take r (length r)));
-  }
+(* Neither copy escapes: the writer appends at once, and the reader's
+   string is fresh. *)
+let bytes = conv Bytes.unsafe_to_string Bytes.unsafe_of_string str
 
 let tag4 =
   {
@@ -160,16 +155,12 @@ let array c =
   }
 
 let array_n n c =
-  let a = array c in
-  {
-    a with
-    read =
-      (fun r ->
-        let xs = a.read r in
-        if Array.length xs <> n then
-          corrupt (Printf.sprintf "array of %d where %d belong" (Array.length xs) n);
-        xs);
-  }
+  conv Fun.id
+    (fun xs ->
+      if Array.length xs <> n then
+        corrupt (Printf.sprintf "array of %d where %d belong" (Array.length xs) n);
+      xs)
+    (array c)
 
 let pair ca cb =
   {

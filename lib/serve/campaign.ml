@@ -45,18 +45,8 @@ let codec : t B.t =
   let open B in
   let spec =
     record (fun bench scale seed input interval horizon offsets window warmup ->
-        {
-          bench;
-          scale;
-          seed;
-          input;
-          interval;
-          horizon;
-          offsets;
-          window;
-          warmup;
-          ci_target = None;
-        })
+        { bench; scale; seed; input; interval; horizon; offsets; window; warmup;
+          ci_target = None })
     |+ (str, fun t -> t.bench)
     |+ (int, fun t -> t.scale)
     |+ (int, fun t -> t.seed)
