@@ -41,25 +41,20 @@ type msg =
 let codec : msg B.t =
   let open B in
   let frame tag payload inject = case tag (sealed payload) inject in
-  let digest what =
-    conv Fun.id
-      (fun d ->
-        if not (Store.is_digest d) then
-          corrupt (Printf.sprintf "%s carries malformed digest %S" what d);
-        d)
-      str
-  in
-  let hello = frame "HELO" (pair int int) (fun (version, slots) -> Hello { version; slots })
+  let hello =
+    frame "HELO" (pair int int) (fun (version, slots) -> Hello { version; slots })
   and ping = frame "PING" unit (fun () -> Ping)
   and pong = frame "PONG" unit (fun () -> Pong)
   and work = frame "WORK" (pair int str) (fun (id, unit_) -> Work { id; unit_ })
   and result =
-    frame "RSLT" (triple int str str) (fun (id, text, spans) -> Result { id; text; spans })
+    frame "RSLT" (triple int str str) (fun (id, text, spans) ->
+        Result { id; text; spans })
   and fail = frame "FAIL" (pair int str) (fun (id, reason) -> Fail { id; reason })
-  and need = frame "NEED" (digest "NEED") (fun digest -> Need { digest })
+  and need = frame "NEED" Store.digest_codec (fun digest -> Need { digest })
   and ckpt =
-    frame "CKPT" (pair (digest "CKPT") str) (fun (digest, bytes) ->
-        if Store.digest bytes <> digest then corrupt "CKPT bytes do not match their digest";
+    frame "CKPT" (pair Store.digest_codec str) (fun (digest, bytes) ->
+        if Store.digest bytes <> digest then
+          corrupt "CKPT bytes do not match their digest";
         Ckpt { digest; bytes })
   and submit = frame "SUBM" (pair int str) (fun (id, sweep) -> Submit { id; sweep })
   and status =

@@ -35,7 +35,8 @@ let table c =
 
 let cpu : Cpu.t B.t =
   B.(
-    record (fun regs fregs flags eip halted : Cpu.t -> { regs; fregs; flags; eip; halted })
+    record (fun regs fregs flags eip halted : Cpu.t ->
+        { regs; fregs; flags; eip; halted })
     |+ (array_n 8 int, fun (c : Cpu.t) -> c.regs)
     |+ (array_n 8 f64, fun c -> c.fregs)
     |+ (int, fun c -> c.flags)
@@ -45,12 +46,14 @@ let cpu : Cpu.t B.t =
 
 let memory policy =
   B.conv
-    (fun mem -> List.map (fun idx -> (idx, Memory.get_page mem idx)) (Memory.touched_pages mem))
+    (fun mem ->
+      List.map (fun idx -> (idx, Memory.get_page mem idx)) (Memory.touched_pages mem))
     (fun pages ->
       let mem = Memory.create policy in
       List.iter
         (fun (idx, data) ->
-          if Bytes.length data <> Memory.page_size then B.corrupt "memory page has wrong size";
+          if Bytes.length data <> Memory.page_size then
+            B.corrupt "memory page has wrong size";
           Memory.install_page mem idx data)
         pages;
       mem)
@@ -74,11 +77,13 @@ let sys : Syscall.t B.t =
    [retired] and [guest_eip] decode that prefix and never build memory. *)
 let guest_head = B.(triple int (option int) cpu)
 
+let reference ((retired, exit_code, cpu), (sys, mem)) : Interp_ref.t =
+  { cpu; mem; sys; icache = Step.icache_create (); retired; exit_code; last_effects = [] }
+
 let guest : Interp_ref.t B.t =
   B.conv
     (fun (ir : Interp_ref.t) -> ((ir.retired, ir.exit_code, ir.cpu), (ir.sys, ir.mem)))
-    (fun ((retired, exit_code, cpu), (sys, mem)) : Interp_ref.t ->
-      { cpu; mem; sys; icache = Step.icache_create (); retired; exit_code; last_effects = [] })
+    reference
     B.(pair guest_head (pair sys (memory `Auto_zero)))
 
 (* --- configuration ------------------------------------------------------- *)
@@ -128,8 +133,8 @@ let config : Config.t B.t =
     record
       (fun bb_threshold sb_threshold sb_max_insns sb_max_bbs branch_bias min_reach_prob
            unroll_factor assert_fail_limit use_asserts use_mem_speculation opt_const_fold
-           opt_copy_prop opt_cse opt_dce opt_rle opt_schedule use_chaining use_ibtc ibtc_bits
-           inject_fault slice_fuel code_cache_capacity costs : Config.t ->
+           opt_copy_prop opt_cse opt_dce opt_rle opt_schedule use_chaining use_ibtc
+           ibtc_bits inject_fault slice_fuel code_cache_capacity costs : Config.t ->
         {
           bb_threshold;
           sb_threshold;
@@ -251,7 +256,8 @@ let width =
 
 let binop =
   B.enum "binop"
-    [| Code.Add; Sub; Mul; Mulhu; Mulhs; And; Or; Xor; Shl; Shr; Sar; Slt; Sltu; Seq; Sne |]
+    [| Code.Add; Sub; Mul; Mulhu; Mulhs; And; Or; Xor; Shl; Shr; Sar; Slt; Sltu; Seq;
+       Sne |]
     (function
       | Code.Add -> 0 | Sub -> 1 | Mul -> 2 | Mulhu -> 3 | Mulhs -> 4
       | And -> 5 | Or -> 6 | Xor -> 7 | Shl -> 8 | Shr -> 9 | Sar -> 10
@@ -275,8 +281,8 @@ let rt_fn =
 
 let flkind =
   B.enum "flkind"
-    [| Code.Fl_add; Fl_adc; Fl_sub; Fl_sbb; Fl_logic; Fl_shl; Fl_shr; Fl_sar; Fl_rol; Fl_ror;
-       Fl_inc; Fl_dec; Fl_neg; Fl_mulu; Fl_muls |]
+    [| Code.Fl_add; Fl_adc; Fl_sub; Fl_sbb; Fl_logic; Fl_shl; Fl_shr; Fl_sar; Fl_rol;
+       Fl_ror; Fl_inc; Fl_dec; Fl_neg; Fl_mulu; Fl_muls |]
     (function
       | Code.Fl_add -> 0 | Fl_adc -> 1 | Fl_sub -> 2 | Fl_sbb -> 3
       | Fl_logic -> 4 | Fl_shl -> 5 | Fl_shr -> 6 | Fl_sar -> 7 | Fl_rol -> 8
@@ -305,7 +311,15 @@ let exit_kind : Code.exit_kind B.t =
    region carrying the id; [link] swaps in the decoded target and rebuilds
    the [incoming] lists once every region exists. *)
 let placeholder id : Code.region =
-  { id; entry_pc = 0; mode = `Bb; base = 0; code = [||]; incoming = []; invalidated = true }
+  {
+    id;
+    entry_pc = 0;
+    mode = `Bb;
+    base = 0;
+    code = [||];
+    incoming = [];
+    invalidated = true;
+  }
 
 let exit_info : Code.exit_info B.t =
   B.(
@@ -326,13 +340,17 @@ let insn : Code.insn B.t =
   and bin = case 2 (pair binop reg3) (fun (op, (rd, ra, rb)) -> Code.Bin (op, rd, ra, rb))
   and bini = case 3 (pair binop reg3) (fun (op, (rd, ra, v)) -> Code.Bini (op, rd, ra, v))
   and load =
-    case 4 (triple width bool reg3) (fun (wd, s, (rd, ra, d)) -> Code.Load (wd, s, rd, ra, d))
+    case 4 (triple width bool reg3) (fun (wd, s, (rd, ra, d)) ->
+        Code.Load (wd, s, rd, ra, d))
   and sload =
-    case 5 (triple width bool reg3) (fun (wd, s, (rd, ra, d)) -> Code.Sload (wd, s, rd, ra, d))
-  and store = case 6 (pair width reg3) (fun (wd, (rv, ra, d)) -> Code.Store (wd, rv, ra, d))
+    case 5 (triple width bool reg3) (fun (wd, s, (rd, ra, d)) ->
+        Code.Sload (wd, s, rd, ra, d))
+  and store =
+    case 6 (pair width reg3) (fun (wd, (rv, ra, d)) -> Code.Store (wd, rv, ra, d))
   and fli = case 7 (pair int f64) (fun (fd, v) -> Code.Fli (fd, v))
   and fmov = case 8 reg2 (fun (fd, fs) -> Code.Fmov (fd, fs))
-  and fbin = case 9 (pair fbinop reg3) (fun (op, (fd, fa, fb)) -> Code.Fbin (op, fd, fa, fb))
+  and fbin =
+    case 9 (pair fbinop reg3) (fun (op, (fd, fa, fb)) -> Code.Fbin (op, fd, fa, fb))
   and fun_ = case 10 (triple funop int int) (fun (op, fd, fa) -> Code.Fun (op, fd, fa))
   and fload = case 11 reg3 (fun (fd, ra, d) -> Code.Fload (fd, ra, d))
   and fstore = case 12 reg3 (fun (fv, ra, d) -> Code.Fstore (fv, ra, d))
@@ -342,8 +360,10 @@ let insn : Code.insn B.t =
   and mkfl =
     case 16 (pair flkind (quad int int int int)) (fun (k, (rd, a, b, c)) ->
         Code.Mkfl (k, rd, a, b, c))
-  and isel = case 17 (quad int int int int) (fun (rd, rc, ra, rb) -> Code.Isel (rd, rc, ra, rb))
-  and callrt_f = case 18 (triple rt_fn int int) (fun (fn, fd, fs) -> Code.Callrt_f (fn, fd, fs))
+  and isel =
+    case 17 (quad int int int int) (fun (rd, rc, ra, rb) -> Code.Isel (rd, rc, ra, rb))
+  and callrt_f =
+    case 18 (triple rt_fn int int) (fun (fn, fd, fs) -> Code.Callrt_f (fn, fd, fs))
   and callrt_div =
     case 19 (triple bool reg2 reg3) (fun (signed, (q, r), (hi, lo, d)) ->
         Code.Callrt_div { signed; q; r; hi; lo; d })
@@ -379,7 +399,8 @@ let insn : Code.insn B.t =
       | Mkfl (k, rd, a, b, c) -> tag mkfl (k, (rd, a, b, c))
       | Isel (rd, rc, ra, rb) -> tag isel (rd, rc, ra, rb)
       | Callrt_f (fn, fd, fs) -> tag callrt_f (fn, fd, fs)
-      | Callrt_div { signed; q; r; hi; lo; d } -> tag callrt_div (signed, (q, r), (hi, lo, d))
+      | Callrt_div { signed; q; r; hi; lo; d } ->
+        tag callrt_div (signed, (q, r), (hi, lo, d))
       | B (c, ra, rb, t) -> tag b (c, (ra, rb, t))
       | J t -> tag j t
       | Jr (ra, rg) -> tag jr (ra, rg)
@@ -394,7 +415,8 @@ let region : Code.region B.t =
         { id; entry_pc; mode; base; code; incoming = []; invalidated })
     |+ (int, fun (rg : Code.region) -> rg.id)
     |+ (int, fun rg -> rg.entry_pc)
-    |+ (enum "region mode" [| `Bb; `Super |] (function `Bb -> 0 | `Super -> 1), fun rg -> rg.mode)
+    |+ ( enum "region mode" [| `Bb; `Super |] (function `Bb -> 0 | `Super -> 1),
+         fun rg -> rg.mode )
     |+ (int, fun rg -> rg.base)
     |+ (bool, fun rg -> rg.invalidated)
     |+ (array insn, fun rg -> rg.code)
@@ -421,15 +443,16 @@ let link (p : Darco.Codecache.persisted) =
           | _ -> ())
         rg.code)
     p.p_regions;
-  List.iter (fun (_, ids) -> List.iter (fun id -> ignore (find "pc index references" id)) ids)
+  List.iter
+    (fun (_, ids) -> List.iter (fun id -> ignore (find "pc index references" id)) ids)
     p.p_by_pc;
   p
 
 let codecache : Darco.Codecache.persisted B.t =
   B.(
     record
-      (fun p_regions p_by_pc p_next_id p_next_base p_total_insns p_ibtc_base p_ibtc_entries
-         : Darco.Codecache.persisted ->
+      (fun p_regions p_by_pc p_next_id p_next_base p_total_insns p_ibtc_base
+           p_ibtc_entries : Darco.Codecache.persisted ->
         {
           p_regions;
           p_by_pc;
@@ -451,7 +474,8 @@ let codecache : Darco.Codecache.persisted B.t =
 
 let profile : Darco.Profile.persisted B.t =
   B.(
-    record (fun p_interp p_exec p_edges : Darco.Profile.persisted -> { p_interp; p_exec; p_edges })
+    record (fun p_interp p_exec p_edges : Darco.Profile.persisted ->
+        { p_interp; p_exec; p_edges })
     |+ (list (pair int int), fun (p : Darco.Profile.persisted) -> p.p_interp)
     |+ (list (pair int int), fun p -> p.p_exec)
     |+ (list (pair int (pair int int)), fun p -> p.p_edges)
@@ -459,7 +483,8 @@ let profile : Darco.Profile.persisted B.t =
 
 let divergence : Darco.Controller.divergence B.t =
   B.(
-    record (fun at_retired details : Darco.Controller.divergence -> { at_retired; details })
+    record (fun at_retired details : Darco.Controller.divergence ->
+        { at_retired; details })
     |+ (int, fun (d : Darco.Controller.divergence) -> d.at_retired)
     |+ (list str, fun d -> d.details)
     |> seal)
@@ -470,8 +495,9 @@ let divergence : Darco.Controller.divergence B.t =
 let code ~bus ~(reference : Interp_ref.t) : Darco.Controller.t B.t =
   B.(
     record
-      (fun cfg validate_at_checkpoints validate_memory divergence co_cfg stats cpu mem r f sbuf
-           aliases ckpt_r ckpt_f brk profile codecache fails deopt : Darco.Controller.t ->
+      (fun cfg validate_at_checkpoints validate_memory divergence co_cfg stats cpu mem r f
+           sbuf aliases ckpt_r ckpt_f brk profile codecache fails deopt
+         : Darco.Controller.t ->
         let machine : Machine.t = { r; f; mem; sbuf; aliases; ckpt_r; ckpt_f } in
         let tolmem = Darco.Tolmem.restore mem ~brk in
         let co : Darco.Tol.t =
@@ -518,7 +544,8 @@ let code ~bus ~(reference : Interp_ref.t) : Darco.Controller.t B.t =
 
 let geom : Tconfig.cache_geom B.t =
   B.(
-    record (fun sets ways line latency : Tconfig.cache_geom -> { sets; ways; line; latency })
+    record (fun sets ways line latency : Tconfig.cache_geom ->
+        { sets; ways; line; latency })
     |+ (int, fun (g : Tconfig.cache_geom) -> g.sets)
     |+ (int, fun g -> g.ways)
     |+ (int, fun g -> g.line)
@@ -535,11 +562,11 @@ let tlb_geom : Tconfig.tlb_geom B.t =
 let tconfig : Tconfig.t B.t =
   B.(
     record
-      (fun fetch_width decode_depth issue_width iq_size phys_regs n_simple n_complex n_vector
-           mem_read_ports mem_write_ports complex_mul_latency fp_latency fp_div_latency
-           gshare_bits btb_entries mispredict_penalty il1 dl1 l2 itlb dtlb l2tlb
-           tlb_walk_latency mem_latency prefetch prefetch_table prefetch_degree vector_length
-         : Tconfig.t ->
+      (fun fetch_width decode_depth issue_width iq_size phys_regs n_simple n_complex
+           n_vector mem_read_ports mem_write_ports complex_mul_latency fp_latency
+           fp_div_latency gshare_bits btb_entries mispredict_penalty il1 dl1 l2 itlb dtlb
+           l2tlb tlb_walk_latency mem_latency prefetch prefetch_table prefetch_degree
+           vector_length : Tconfig.t ->
         {
           fetch_width;
           decode_depth;
@@ -606,7 +633,8 @@ let cache : Darco_timing.Cache.persisted B.t =
       (fun p_lines p_tick p_accesses p_misses p_writebacks p_prefetch_fills
          : Darco_timing.Cache.persisted ->
         { p_lines; p_tick; p_accesses; p_misses; p_writebacks; p_prefetch_fills })
-    |+ (array (array (quad int bool bool int)), fun (p : Darco_timing.Cache.persisted) -> p.p_lines)
+    |+ ( array (array (quad int bool bool int)),
+         fun (p : Darco_timing.Cache.persisted) -> p.p_lines )
     |+ (int, fun p -> p.p_tick)
     |+ (int, fun p -> p.p_accesses)
     |+ (int, fun p -> p.p_misses)
@@ -628,7 +656,8 @@ let prefetch : Darco_timing.Prefetch.persisted B.t =
   B.(
     record (fun p_table p_issued p_triggered : Darco_timing.Prefetch.persisted ->
         { p_table; p_issued; p_triggered })
-    |+ (array (quad int int int int), fun (p : Darco_timing.Prefetch.persisted) -> p.p_table)
+    |+ ( array (quad int int int int),
+         fun (p : Darco_timing.Prefetch.persisted) -> p.p_table )
     |+ (int, fun p -> p.p_issued)
     |+ (int, fun p -> p.p_triggered)
     |> seal)
@@ -638,7 +667,15 @@ let predictor : Darco_timing.Predictor.persisted B.t =
     record
       (fun p_pht p_ghr p_btb_tag p_btb_target p_branches p_mispredicts p_btb_misses
          : Darco_timing.Predictor.persisted ->
-        { p_pht; p_ghr; p_btb_tag; p_btb_target; p_branches; p_mispredicts; p_btb_misses })
+        {
+          p_pht;
+          p_ghr;
+          p_btb_tag;
+          p_btb_target;
+          p_branches;
+          p_mispredicts;
+          p_btb_misses;
+        })
     |+ (array int, fun (p : Darco_timing.Predictor.persisted) -> p.p_pht)
     |+ (int, fun p -> p.p_ghr)
     |+ (array int, fun p -> p.p_btb_tag)
@@ -655,7 +692,8 @@ let sized (p : Darco_timing.Pipeline.persisted) =
   let c = p.p_cfg and len = Array.length in
   let cache (g : Tconfig.cache_geom) (q : Darco_timing.Cache.persisted) =
     len q.p_lines = g.sets && Array.for_all (fun set -> len set = g.ways) q.p_lines
-  and tlb (g : Tconfig.tlb_geom) (q : Darco_timing.Tlb.persisted) = len q.p_entries = g.entries
+  and tlb (g : Tconfig.tlb_geom) (q : Darco_timing.Tlb.persisted) =
+    len q.p_entries = g.entries
   and units n a = len a = Int.max 1 n in
   cache c.l2 p.p_l2
   && cache c.il1 p.p_il1
@@ -775,7 +813,9 @@ let capture ?pipeline:pipe (ctl : Darco.Controller.t) =
      the snapshot. *)
   Interp_ref.run_until ctl.reference (Darco.Tol.retired ctl.co);
   let code = code ~bus:ctl.co.bus ~reference:ctl.reference in
-  let sections = [ (guest_tag, B.encode guest ctl.reference); (code_tag, B.encode code ctl) ] in
+  let sections =
+    [ (guest_tag, B.encode guest ctl.reference); (code_tag, B.encode code ctl) ]
+  in
   let sections =
     match pipe with
     | None -> sections
@@ -799,7 +839,8 @@ let restore ?bus t =
     let bus = match bus with Some b -> b | None -> Darco_obs.Bus.create () in
     B.decode (code ~bus ~reference) (section t code_tag)
 
-let restore_pipeline t = Option.map (B.decode pipeline) (List.assoc_opt timing_tag t.sections)
+let restore_pipeline t =
+  Option.map (B.decode pipeline) (List.assoc_opt timing_tag t.sections)
 
 (* The container: every section is one frame, and the kind names exactly
    which sections follow, in order — an unknown, missing or reordered
@@ -807,13 +848,16 @@ let restore_pipeline t = Option.map (B.decode pipeline) (List.assoc_opt timing_t
 let container : t B.t =
   B.(
     record (fun snap_kind sections -> { snap_kind; sections })
-    |+ ( enum "snapshot kind" [| Functional; Full |] (function Functional -> 0 | Full -> 1),
+    |+ ( enum "snapshot kind" [| Functional; Full |] (function
+           | Functional -> 0
+           | Full -> 1),
          fun t -> t.snap_kind )
     |+ (list ~len:u8 (pair tag4 (sealed raw)), fun t -> t.sections)
     |> seal
     |> conv Fun.id (fun t ->
            match (t.snap_kind, List.map fst t.sections) with
-           | Functional, [ "GUST" ] | Full, ([ "GUST"; "CODE" ] | [ "GUST"; "CODE"; "TIMG" ]) -> t
+           | Functional, [ "GUST" ]
+           | Full, ([ "GUST"; "CODE" ] | [ "GUST"; "CODE"; "TIMG" ]) -> t
            | _ -> corrupt "snapshot sections do not match its kind")
     |> const u8 version
     |> const tag4 magic)

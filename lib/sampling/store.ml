@@ -28,6 +28,12 @@ let is_digest s =
        (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
        s
 
+let digest_codec =
+  Buf.conv Fun.id
+    (fun d ->
+      if is_digest d then d else Buf.corrupt (Printf.sprintf "malformed digest %S" d))
+    Buf.str
+
 type tier = Heap | Shared
 
 type bigstring =

@@ -36,6 +36,9 @@ val digest : string -> string
 val is_digest : string -> bool
 (** Shape check used by frame decoders: 32 chars, [0-9a-f]. *)
 
+val digest_codec : string Buf.t
+(** A digest as frames carry it: a {!Buf.str} refused unless {!is_digest}. *)
+
 val create :
   ?bus:Darco_obs.Bus.t -> ?dir:string -> ?tier:tier -> ?max_bytes:int -> unit -> t
 (** An empty store.  With [dir], entries are also written to (and looked

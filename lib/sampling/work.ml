@@ -56,16 +56,11 @@ let codec : t B.t =
     if warmup < 0 then corrupt "work unit has negative warmup";
     { label; ckpt; offset; window; warmup }
   in
-  let digest =
-    conv Fun.id
-      (fun d ->
-        if not (Store.is_digest d) then
-          corrupt (Printf.sprintf "work unit carries malformed digest %S" d);
-        d)
-      str
-  in
   let inline = case 1 (sealed (pair params str)) (fun (p, s) -> unit_ (Inline s) p)
-  and stored = case version (sealed (pair params digest)) (fun (p, d) -> unit_ (Stored d) p) in
+  and stored =
+    case version (sealed (pair params Store.digest_codec)) (fun (p, d) ->
+        unit_ (Stored d) p)
+  in
   const tag4 magic
     (variant u8 [ Case inline; Case stored ] (fun t ->
          let p = (t.label, t.offset, t.window, t.warmup) in

@@ -77,7 +77,8 @@ let window_path t id = Filename.concat t.dir (id ^ ".dart")
 
 let key_codec : key B.t =
   B.(
-    record (fun bench cfg snap offset window warmup -> { bench; cfg; snap; offset; window; warmup })
+    record (fun bench cfg snap offset window warmup ->
+        { bench; cfg; snap; offset; window; warmup })
     |+ (str, fun k -> k.bench)
     |+ (str, fun k -> k.cfg)
     |+ (str, fun k -> k.snap)
@@ -93,7 +94,8 @@ let window_artifact : (key * string) B.t =
     |> conv
          (fun (k, json) -> (k, Store.digest json, json))
          (fun (k, digest, json) ->
-           if Store.digest json <> digest then corrupt "window artifact content digest mismatch";
+           if Store.digest json <> digest then
+             corrupt "window artifact content digest mismatch";
            (k, json))
     |> const int window_version
     |> sealed
@@ -135,7 +137,11 @@ let ckpt_path t ~bench ~ckpt =
 (* Benchmark, checkpoint-set digest, then (instruction count, snapshot
    digest) per checkpoint. *)
 let ckpt_index =
-  B.(triple str str (list (pair int str)) |> const int ckpt_version |> sealed |> const tag4 "DCKI")
+  B.(
+    triple str str (list (pair int str))
+    |> const int ckpt_version
+    |> sealed
+    |> const tag4 "DCKI")
 
 let put_checkpoints t ~bench ~ckpt entries =
   write_artifact (ckpt_path t ~bench ~ckpt) ckpt_index (bench, ckpt, entries)
