@@ -1,11 +1,12 @@
 (** The dispatch wire protocol: length-prefixed, CRC-framed messages over a
     stream socket.
 
-    Every frame is [tag4 | payload length (i64 LE) | CRC-32 of payload
-    (i64 LE) | payload] — the same framing discipline as the DSNP snapshot
-    container, so a bit flip, truncation or desynchronized stream surfaces
-    as a clean {!Darco_sampling.Buf.Corrupt}, never a crash or a silently
-    wrong sample.
+    Every message is one {!Darco_sampling.Buf} frame — [tag4 | payload
+    length (i64 LE) | CRC-32 of payload (i64 LE) | payload], the tag
+    naming the message, as in every Darco container — so a bit flip,
+    truncation or desynchronized stream surfaces as a clean
+    {!Darco_sampling.Buf.Corrupt}, never a crash or a silently wrong
+    sample.
 
     Protocol version 5.  The dispatcher opens a connection per worker and
     handshakes with [Hello]; the worker's [Hello] reply advertises how many

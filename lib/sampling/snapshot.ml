@@ -831,13 +831,11 @@ let guest_eip t =
 
 let restore_reference t = B.decode guest (section t guest_tag)
 
-let restore ?bus t =
+let restore ?(bus = Darco_obs.Bus.create ()) t =
   let reference = restore_reference t in
-  match (t.snap_kind, bus) with
-  | Functional, _ -> Darco.Controller.of_reference ?bus reference
-  | Full, bus ->
-    let bus = match bus with Some b -> b | None -> Darco_obs.Bus.create () in
-    B.decode (code ~bus ~reference) (section t code_tag)
+  match t.snap_kind with
+  | Functional -> Darco.Controller.of_reference ~bus reference
+  | Full -> B.decode (code ~bus ~reference) (section t code_tag)
 
 let restore_pipeline t =
   Option.map (B.decode pipeline) (List.assoc_opt timing_tag t.sections)

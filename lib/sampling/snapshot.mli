@@ -10,8 +10,9 @@ open Darco_guest
     timing pipeline (cache/TLB/predictor/prefetcher contents).
 
     The binary format is sectioned: a fixed header (magic, version, kind)
-    followed by tagged sections, each carrying its own length and CRC-32.  A
-    corrupted or truncated file raises {!Buf.Corrupt} — never a crash.
+    followed by tagged sections, each one {!Buf} frame with its own length
+    and CRC-32.  The kind names exactly which sections follow.  A corrupted
+    or truncated file raises {!Buf.Corrupt} — never a crash.
 
     Two kinds exist, mirroring the two uses in sampling-based simulation:
     - [Functional] captures only the x86 component.  Cheap, used for the
@@ -53,7 +54,8 @@ val guest_eip : t -> int
 
 val to_string : t -> string
 val of_string : string -> t
-(** Raises {!Buf.Corrupt} on bad magic, version, checksum or framing. *)
+(** Raises {!Buf.Corrupt} on bad magic, version, checksum or framing, and
+    on a section list other than the one its kind names. *)
 
 val write_file : string -> t -> unit
 val read_file : string -> t

@@ -3,8 +3,8 @@
     One detailed measurement window, packaged so that {e any} process — a
     forked child on this machine or a worker daemon on another one — can
     execute it with no shared state beyond a checkpoint {!Store}.  The
-    binary encoding is framed like the DSNP snapshot container (magic,
-    version, length, CRC-32), so a corrupted unit is rejected with
+    binary encoding is the magic, a version byte, then a {!Buf.sealed}
+    payload (length, CRC-32), so a corrupted unit is rejected with
     {!Buf.Corrupt}, never mis-executed.
 
     Two format versions exist, both decoded forever (the compatibility

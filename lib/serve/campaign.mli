@@ -3,11 +3,10 @@
     The record carries everything a sweep needs — which benchmark, the
     deterministic input, the checkpointing parameters and the measurement
     windows — so a server can reproduce the sweep bit-for-bit with no
-    other context.  The binary encoding ([DCAM]) rides inside the wire
-    protocol's [Submit] frame and is framed with the same discipline as
-    every other Darco container: a malformed spec surfaces as
-    {!Darco_sampling.Buf.Corrupt}, never as a crash or a silently
-    different sweep.  A campaign without a confidence target encodes as
+    other context.  The binary encoding ([DCAM]: magic, version, fields)
+    rides inside the wire protocol's [Submit] frame, whose CRC covers it;
+    a malformed spec surfaces as {!Darco_sampling.Buf.Corrupt}, never as
+    a crash or a silently different sweep.  A campaign without a confidence target encodes as
     version 1 — byte-identical to every pre-planner frame — and one with
     [ci_target] as version 2, which appends the target after the
     version-1 fields. *)

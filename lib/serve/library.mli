@@ -16,11 +16,11 @@
       {!Campaign.ckpt_digest} matches restores these instead of
       re-running the functional fast-forward.
 
-    Files are written whole to a temporary name and renamed into place,
-    and carry the DSNP framing discipline (magic, length, CRC-32) plus a
-    content digest — so a torn write, bit flip or mismatched key on a
-    cold read surfaces as {!Darco_sampling.Buf.Corrupt} (or a clean
-    miss), never as a wrong result. *)
+    Files are written whole to a temporary name and renamed into place;
+    each is one {!Darco_sampling.Buf} frame (magic, length, CRC-32)
+    carrying a content digest — so a torn write, bit flip or mismatched
+    key on a cold read surfaces as {!Darco_sampling.Buf.Corrupt} (or a
+    clean miss), never as a wrong result. *)
 
 type t
 

@@ -343,18 +343,20 @@ let subjects =
      let lib_dir = temp_dir () in
      at_exit (fun () -> rm_rf lib_dir);
      let lib = Library.create ~dir:lib_dir () in
-     let keys = sample G.(pair g_key g_str) 8 in
-     let darts =
-       List.map
-         (fun (k, json) ->
-           Library.put_window lib k json;
-           read_file (Filename.concat lib_dir (Library.key_id k ^ ".dart")))
-         keys
+     (* a cold library holding just [s], filed as [file] *)
+     let cold_library name file s =
+       let dir = Filename.concat lib_dir name in
+       if Sys.file_exists dir then rm_rf dir;
+       Unix.mkdir dir 0o755;
+       write_file (Filename.concat dir file) s;
+       Library.create ~dir ()
      in
-     let artifact_path = Filename.concat lib_dir "probe" in
+     let key = List.hd (sample g_key 1) in
+     let dart = Library.key_id key ^ ".dart" in
      (* the checkpoint-set digest the committed index is filed under *)
-     let dcki_ckpt = String.sub (fixture "ckpts_v1.dcki") 51 32 in
-     let k0, _ = List.hd keys in
+     let ckpt = String.sub (fixture "ckpts_v1.dcki") 51 32 in
+     let dcki = "ckpts_" ^ ckpt ^ ".dcki" in
+     let stored write file = write (); read_file (Filename.concat lib_dir file) in
      [
        {
          name = "DSNP";
@@ -381,32 +383,26 @@ let subjects =
        };
        {
          name = "DART";
-         samples = fixture "window_v1.dart" :: darts;
-         decode =
-           (fun s ->
-             (* a cold library reading the bytes under the key they claim *)
-             let dir = Filename.concat artifact_path "dart" in
-             if not (Sys.file_exists artifact_path) then Unix.mkdir artifact_path 0o755;
-             if Sys.file_exists dir then rm_rf dir;
-             Unix.mkdir dir 0o755;
-             write_file (Filename.concat dir (Library.key_id k0 ^ ".dart")) s;
-             ignore (Library.find_window (Library.create ~dir ()) k0));
+         samples =
+           List.map
+             (fun json -> stored (fun () -> Library.put_window lib key json) dart)
+             (sample g_str 8);
+         decode = (fun s -> ignore (Library.find_window (cold_library "dart" dart s) key));
          frames = framed_at 4;
          guarded_from = Some 4;
        };
        {
          name = "DCKI";
-         samples = [ fixture "ckpts_v1.dcki" ];
+         samples =
+           fixture "ckpts_v1.dcki"
+           :: List.map
+                (fun entries ->
+                  stored (fun () -> Library.put_checkpoints lib ~bench:"429.mcf" ~ckpt entries) dcki)
+                (sample G.(small_list (pair g_int g_digest)) 8);
          decode =
            (fun s ->
-             let dir = Filename.concat artifact_path "dcki" in
-             if not (Sys.file_exists artifact_path) then Unix.mkdir artifact_path 0o755;
-             if Sys.file_exists dir then rm_rf dir;
-             Unix.mkdir dir 0o755;
-             write_file (Filename.concat dir ("ckpts_" ^ dcki_ckpt ^ ".dcki")) s;
              ignore
-               (Library.find_checkpoints (Library.create ~dir ()) ~bench:"429.mcf"
-                  ~ckpt:dcki_ckpt));
+               (Library.find_checkpoints (cold_library "dcki" dcki s) ~bench:"429.mcf" ~ckpt));
          frames = framed_at 4;
          guarded_from = Some 4;
        };
@@ -493,6 +489,19 @@ let test_captures_reencode () =
         (Snapshot.to_string again = s))
     (Lazy.force captures)
 
+(* The law's own inputs must decode intact, or every refusal below would
+   prove nothing. *)
+let test_samples_decode () =
+  List.iter
+    (fun sub ->
+      List.iter
+        (fun s ->
+          match sub.decode s with
+          | () -> ()
+          | exception e -> Alcotest.failf "%s sample refused: %s" sub.name (Printexc.to_string e))
+        sub.samples)
+    (Lazy.force subjects)
+
 let truncation () =
   law ~count:600 "truncation is refused" g_site (fun (pick, at, _) ->
       let sub = choose pick (Lazy.force subjects) in
@@ -562,7 +571,11 @@ let () =
   Alcotest.run "codec"
     [
       ("round trip", round_trips ());
-      ("captures", [ Alcotest.test_case "re-encode byte-identically" `Quick test_captures_reencode ]);
+      ( "captures",
+        [
+          Alcotest.test_case "re-encode byte-identically" `Quick test_captures_reencode;
+          Alcotest.test_case "law samples decode intact" `Quick test_samples_decode;
+        ] );
       ( "corruption",
         [
           truncation ();
