@@ -638,7 +638,7 @@ let profile () =
   profile_summary := Some (Darco_obs.Prof.to_json ~n:10 prof);
   print_endline "  (attribution reconciles exactly with the run's Stats.t)\n"
 
-(* --- multicore runtime: fork pool vs domain pool on one shared image --- *)
+(* --- multicore runtime: loopback workers vs domain pool on one image --- *)
 
 module Sampling = Darco_sampling
 
@@ -646,7 +646,8 @@ let parallel_summary : Darco_obs.Jsonx.t option ref = ref None
 
 (* Canonical rendering of a sweep's results: what the CI cmp gate
    compares across backends, reproduced here so the bench can assert the
-   fork and domain pools agree byte for byte before timing them. *)
+   loopback fleet and the domain pool agree byte for byte before timing
+   them. *)
 let render_results (results : Sampling.Sweep.result list) =
   let open Darco_obs in
   Jsonx.to_string
@@ -663,13 +664,25 @@ let render_results (results : Sampling.Sweep.result list) =
               ])
           results))
 
+(* The darco CLI built beside this executable:
+   <build>/default/{bench,bin}/ — the loopback fleet runs its workers. *)
+let darco_exe () =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    "bin/darco_cli.exe"
+
+let fleet ~store ~jobs =
+  Darco_dispatch.backend ~store ~exe:(darco_exe ())
+    (Darco_dispatch.Local { jobs; timeout = 60.0; retries = 2 })
+
 (* Phase order is load-bearing: once a process has created ANY domain the
-   OCaml 5 runtime refuses Unix.fork forever, so everything fork-based
-   (the fork-pool Bechamel run, the fork-pool RSS child) must finish
-   before the first domain spawns (the RSS sampler, the domain pool). *)
+   OCaml 5 runtime refuses Unix.fork forever, and each measured sweep
+   runs in a forked child, so both RSS children must finish before this
+   process spawns its first domain (the domain-pool Bechamel run).  The
+   fleet spawns its workers, which stays legal at any point. *)
 let parallel () =
   print_endline
-    "=== Multicore runtime: fork pool vs domain pool (462.libquantum) ===";
+    "=== Multicore runtime: loopback workers vs domain pool (462.libquantum) ===";
   let e = Registry.find "462.libquantum" in
   let program = e.build ~scale:5 () in
   let store = Sampling.Store.create () in
@@ -719,7 +732,7 @@ let parallel () =
   in
   (* wall + peak tree RSS of one sweep on [backend], measured from
      outside: the sweep runs in a forked child whose process tree (the
-     child plus any workers it forks) this process samples.  The same
+     child plus any workers it starts) this process samples.  The same
      yardstick for both backends — each child starts from the same
      parent image, and PSS divides pages the child still shares with us. *)
   let measure name backend =
@@ -766,31 +779,30 @@ let parallel () =
       Sys.remove path;
       (wall, (if !peak = 0 then None else Some !peak), rendered)
   in
-  (* 1. fork pool under Bechamel (must run while fork is still legal) *)
-  let fork_ns = bech "fork" (Sampling.Sweep.Backend.local ~store ~jobs ()) in
+  (* 1. the loopback fleet under Bechamel: every sweep starts and stops
+     its own workers, as [--backend local:4] does *)
+  let local_ns = bech "local" (fleet ~store ~jobs) in
   (* 2. one measured sweep per backend; the domains child spawns its
      domains in the child only, so this process can still fork *)
-  let fork_wall, fork_peak, fork_rendered =
-    measure "fork" (Sampling.Sweep.Backend.local ~store ~jobs ())
-  in
+  let local_wall, local_peak, local_rendered = measure "local" (fleet ~store ~jobs) in
   let domains_wall, domains_peak, domains_rendered =
     measure "domains" (Sampling.Sweep.Backend.domains ~store ~jobs ())
   in
   (* 3. domain pool under Bechamel — the process's first domains, and
      the point past which Unix.fork is gone for good *)
   let domains_ns = bech "domains" (Sampling.Sweep.Backend.domains ~store ~jobs ()) in
-  let identical = String.equal fork_rendered domains_rendered in
+  let identical = String.equal local_rendered domains_rendered in
   if not identical then begin
     Printf.printf
-      "!! fork and domains backends disagree on the sweep's result JSON\n";
+      "!! local and domains backends disagree on the sweep's result JSON\n";
     exit 1
   end;
   let pp_kb = function None -> "n/a" | Some kb -> Printf.sprintf "%d kB" kb in
   Printf.printf "  %-8s %8.2f ms/sweep (OLS)  wall %.2fs  peak tree RSS %s\n"
-    "fork" (fork_ns /. 1e6) fork_wall (pp_kb fork_peak);
+    "local" (local_ns /. 1e6) local_wall (pp_kb local_peak);
   Printf.printf "  %-8s %8.2f ms/sweep (OLS)  wall %.2fs  peak tree RSS %s\n"
     "domains" (domains_ns /. 1e6) domains_wall (pp_kb domains_peak);
-  print_endline "  (result JSON byte-identical across both pools)\n";
+  print_endline "  (result JSON byte-identical across both backends)\n";
   let open Darco_obs in
   let side ns wall peak =
     Jsonx.Obj
@@ -810,7 +822,7 @@ let parallel () =
            ("jobs", Jsonx.Int jobs);
            ("shared_images", Jsonx.Int (Sampling.Store.count store));
            ("identical_json", Jsonx.Bool identical);
-           ("fork", side fork_ns fork_wall fork_peak);
+           ("local", side local_ns local_wall local_peak);
            ("domains", side domains_ns domains_wall domains_peak);
          ])
 
@@ -899,11 +911,11 @@ let adaptive () =
       plan )
   in
   let serial_doc, plan = sweep (Sampling.Sweep.Backend.serial ~store ()) in
-  let fork_doc, _ = sweep (Sampling.Sweep.Backend.local ~store ~jobs:4 ()) in
-  let identical = String.equal serial_doc fork_doc in
+  let local_doc, _ = sweep (fleet ~store ~jobs:4) in
+  let identical = String.equal serial_doc local_doc in
   if not identical then begin
     Printf.printf
-      "!! adaptive sweep documents differ between serial and fork backends\n";
+      "!! adaptive sweep documents differ between serial and local backends\n";
     exit 1
   end;
   let used = Sampling.Plan.completed plan in
@@ -1201,7 +1213,7 @@ let all () =
   adaptive ();
   telemetry ();
   (* last: the first Domain.spawn forbids Unix.fork for the rest of the
-     process, and earlier sections must stay free to fork *)
+     process, and [parallel]'s RSS children must fork before it *)
   parallel ()
 
 (* Machine-readable companion to the ASCII figures: one entry per run,

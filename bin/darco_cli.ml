@@ -578,7 +578,10 @@ let sample_cmd =
           | None -> ())
         | _ -> ());
     let store = Darco_sampling.Store.create ?dir:store_dir () in
-    let backend = Darco_dispatch.backend ~bus ~fallback_jobs:jobs ~store spec in
+    let backend =
+      Darco_dispatch.backend ~bus ~fallback_jobs:jobs ~store
+        ~exe:Sys.executable_name spec
+    in
     Printf.printf
       "== %s: functional fast-forward to %d, checkpoint every %d ==\n%!"
       entry.name horizon interval;
@@ -771,8 +774,8 @@ let sample_cmd =
        ~doc:
          "Sampled simulation: functional fast-forward with periodic \
           checkpoints, then detailed measurement windows swept across an \
-          execution backend — forked local workers, a shared-memory domain \
-          pool, or remote worker daemons")
+          execution backend — loopback worker processes, a shared-memory \
+          domain pool, or remote worker daemons")
     Term.(
       const run $ Flag.bench $ Flag.scale $ Flag.sim
       $ Arg.(value & opt int 50_000 & info [ "interval" ] ~doc:"Guest instructions between functional checkpoints")
@@ -781,10 +784,10 @@ let sample_cmd =
       $ Arg.(value & opt int 400_000 & info [ "horizon" ] ~doc:"Span of guest execution to sample (when --offsets is absent)")
       $ Arg.(value & opt int 25_000 & info [ "window" ] ~doc:"Detailed measurement window length")
       $ Arg.(value & opt int 30_000 & info [ "warmup" ] ~doc:"Detailed warm-up before each window")
-      $ Arg.(value & opt int 4 & info [ "jobs" ] ~doc:"Worker processes or domains (local/domains backends, remote fallback)")
-      $ Arg.(value & opt string "local" & info [ "backend" ] ~docv:"SPEC" ~doc:"Execution backend: serial (in-process, sequential), local, local:JOBS (fork per unit), domains, domains:JOBS (shared-memory domain pool), or remote:HOST:PORT[,HOST:PORT...]")
-      $ Arg.(value & opt float 60.0 & info [ "dispatch-timeout" ] ~docv:"SECONDS" ~doc:"Remote backend: per-work-unit deadline")
-      $ Arg.(value & opt int 2 & info [ "dispatch-retries" ] ~docv:"N" ~doc:"Remote backend: re-dispatches per unit after a worker is lost")
+      $ Arg.(value & opt int 4 & info [ "jobs" ] ~docv:"N" ~doc:"Loopback worker processes (local) or domains (domains, and the fallback of local and remote when no worker is reachable)")
+      $ Arg.(value & opt string "local" & info [ "backend" ] ~docv:"SPEC" ~doc:"Execution backend: serial (in-process, sequential), local, local:JOBS (that many loopback $(b,darco worker) processes, started for the sweep), domains, domains:JOBS (shared-memory domain pool), or remote:HOST:PORT[,HOST:PORT...]")
+      $ Arg.(value & opt float 60.0 & info [ "dispatch-timeout" ] ~docv:"SECONDS" ~doc:"Local and remote backends: per-work-unit deadline")
+      $ Arg.(value & opt int 2 & info [ "dispatch-retries" ] ~docv:"N" ~doc:"Local and remote backends: re-dispatches per unit after a worker is lost")
       $ Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc:"Spill the sweep's content-addressed checkpoint store to $(docv)")
       $ Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"Write the sweep results as JSON to $(docv)")
       $ Arg.(value & opt (some string) None & info [ "chrome-trace" ] ~docv:"FILE" ~doc:"Write the sweep's cross-machine span timeline as a Chrome trace-event JSON file (loadable in Perfetto)")
@@ -797,34 +800,38 @@ let sample_cmd =
       $ Arg.(value & opt int 4 & info [ "round" ] ~docv:"N" ~doc:"Windows dispatched per planner round"))
 
 let worker_cmd =
-  let run listen quiet isolate jobs store_dir =
+  let run listen quiet jobs store_dir =
     if jobs < 1 then begin
       Printf.eprintf "--jobs must be at least 1\n";
       exit 2
     end;
-    match Darco_dispatch.addr_of_string listen with
+    (* port 0 asks the kernel for a free port; the first log line names it *)
+    let listen =
+      let n = String.length listen in
+      if n > 2 && String.ends_with ~suffix:":0" listen then
+        Ok { Darco_dispatch.host = String.sub listen 0 (n - 2); port = 0 }
+      else Darco_dispatch.addr_of_string listen
+    in
+    match listen with
     | Error e ->
       Printf.eprintf "%s\n" e;
       exit 2
     | Ok { Darco_dispatch.host; port } ->
-      Darco_dispatch.Worker.serve ~quiet ~isolate ~jobs ?store_dir ~host ~port
-        ()
+      Darco_dispatch.Worker.serve ~quiet ~jobs ?store_dir ~host ~port ()
   in
   Cmd.v
     (Cmd.info "worker"
        ~doc:
          "Run a sample-sweep worker daemon: accept work units (snapshot + \
           window parameters) over the dispatch TCP protocol, execute them \
-          concurrently on a shared-memory domain pool (or in forked \
-          children with $(b,--isolate)), and stream back per-sample JSON \
-          results.  Digest-addressed units resolve through the daemon's \
-          checkpoint store; each missing checkpoint is fetched from the \
-          dispatcher once")
+          concurrently on a shared-memory domain pool, and stream back \
+          per-sample JSON results.  Digest-addressed units resolve through \
+          the daemon's checkpoint store; each missing checkpoint is fetched \
+          from the dispatcher once")
     Term.(
       const run
-      $ Arg.(required & opt (some string) None & info [ "listen" ] ~docv:"HOST:PORT" ~doc:"Bind and serve on $(docv)")
+      $ Arg.(required & opt (some string) None & info [ "listen" ] ~docv:"HOST:PORT" ~doc:"Bind and serve on $(docv); port 0 binds a free port, named in the first log line")
       $ Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress per-connection log lines")
-      $ Arg.(value & flag & info [ "isolate" ] ~doc:"Run each unit in a forked child instead of on the domain pool: a segfaulting or OOM-killed unit then loses only itself, at the price of per-unit fork overhead and copy-on-write page duplication")
       $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Work units to keep executing concurrently (advertised to the dispatcher)")
       $ Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc:"Spill received checkpoints to $(docv) so they survive daemon restarts"))
 
@@ -890,11 +897,15 @@ let serve_cmd =
       budget max_submissions metrics_file metrics_interval flight flight_out
       quiet trace =
     let addr = parse_addr listen in
-    let workers =
+    (* without --workers, one loopback fleet serves the daemon's whole
+       lifetime and is stopped when it returns *)
+    let with_workers f =
       match workers with
-      | None -> []
       | Some s ->
-        List.map (fun p -> parse_addr (String.trim p)) (String.split_on_char ',' s)
+        f (List.map (fun p -> parse_addr (String.trim p)) (String.split_on_char ',' s))
+      | None ->
+        Darco_dispatch.with_fleet ~exe:Sys.executable_name jobs (fun fleet ->
+            f (List.map fst fleet))
     in
     let bus = Darco_obs.Bus.create () in
     with_trace bus trace @@ fun _trace_oc ->
@@ -907,10 +918,11 @@ let serve_cmd =
       else None
     in
     (try
-       Darco_serve.Serve.serve ~bus ~quiet ~workers ~jobs ~credit
-         ~dispatch_timeout ~dispatch_retries ?max_bytes:budget ?max_submissions
-         ?metrics_file ~metrics_interval ~library
-         ~host:addr.Darco_dispatch.host ~port:addr.Darco_dispatch.port ()
+       with_workers (fun workers ->
+           Darco_serve.Serve.serve ~bus ~quiet ~workers ~jobs ~credit
+             ~dispatch_timeout ~dispatch_retries ?max_bytes:budget
+             ?max_submissions ?metrics_file ~metrics_interval ~library
+             ~host:addr.Darco_dispatch.host ~port:addr.Darco_dispatch.port ())
      with e ->
        Option.iter Darco_obs.Recorder.dump recorder;
        raise e);
@@ -924,19 +936,19 @@ let serve_cmd =
        ~doc:
          "Run the persistent campaign service: accept sweep submissions \
           from many clients over the dispatch TCP protocol, schedule them \
-          fairly onto the worker fleet (or local forks), and keep every \
-          checkpoint and window result in a crash-safe content-addressed \
-          artifact library — a resubmitted sweep dispatches nothing and \
-          returns byte-identical JSON")
+          fairly onto the worker fleet, and keep every checkpoint and \
+          window result in a crash-safe content-addressed artifact library \
+          — a resubmitted sweep dispatches nothing and returns \
+          byte-identical JSON")
     Term.(
       const run
       $ Arg.(value & opt string "127.0.0.1:9300" & info [ "listen" ] ~docv:"HOST:PORT" ~doc:"Bind and serve on $(docv)")
       $ Arg.(required & opt (some string) None & info [ "library" ] ~docv:"DIR" ~doc:"Artifact library directory (created if missing)")
-      $ Arg.(value & opt (some string) None & info [ "workers" ] ~docv:"HOST:PORT,..." ~doc:"Dispatch work units to these worker daemons (default: fork locally)")
-      $ Arg.(value & opt int 4 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Concurrent local fork workers (without --workers)")
+      $ Arg.(value & opt (some string) None & info [ "workers" ] ~docv:"HOST:PORT,..." ~doc:"Dispatch work units to these worker daemons (default: start --jobs loopback $(b,darco worker) processes for the daemon's lifetime)")
+      $ Arg.(value & opt int 4 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Loopback worker processes to start without --workers; also the domain count of the fallback when no worker is reachable")
       $ Arg.(value & opt int 4 & info [ "credit" ] ~docv:"N" ~doc:"Fair-share allowance: work units each submission may occupy per scheduling round")
-      $ Arg.(value & opt float 60.0 & info [ "dispatch-timeout" ] ~docv:"SECONDS" ~doc:"Remote backend: per-work-unit deadline")
-      $ Arg.(value & opt int 2 & info [ "dispatch-retries" ] ~docv:"N" ~doc:"Remote backend: re-dispatches per unit after a worker is lost")
+      $ Arg.(value & opt float 60.0 & info [ "dispatch-timeout" ] ~docv:"SECONDS" ~doc:"Per-work-unit deadline on the worker fleet")
+      $ Arg.(value & opt int 2 & info [ "dispatch-retries" ] ~docv:"N" ~doc:"Re-dispatches per unit after a worker is lost")
       $ Arg.(value & opt (some int) None & info [ "library-budget" ] ~docv:"BYTES" ~doc:"LRU byte budget for the library's checkpoint store")
       $ Arg.(value & opt (some int) None & info [ "max-submissions" ] ~docv:"N" ~doc:"Exit after completing $(docv) submissions (default: serve forever)")
       $ Arg.(value & opt (some string) None & info [ "metrics-file" ] ~docv:"PATH" ~doc:"Periodically dump the live metrics registry as Prometheus-style exposition text to $(docv) (atomic write-then-rename)")

@@ -24,7 +24,7 @@ let addr_of_string s =
 
 type spec =
   | Serial
-  | Local of { jobs : int }
+  | Local of { jobs : int; timeout : float; retries : int }
   | Domains of { jobs : int }
   | Remote of { workers : addr list; timeout : float; retries : int }
 
@@ -34,10 +34,10 @@ let spec_of_string ?(jobs = 4) ?(timeout = 60.0) ?(retries = 2) s =
     && String.sub s 0 (String.length p) = p
   in
   if s = "serial" then Ok Serial
-  else if s = "local" then Ok (Local { jobs })
+  else if s = "local" then Ok (Local { jobs; timeout; retries })
   else if prefix "local:" then begin
     match int_of_string_opt (String.sub s 6 (String.length s - 6)) with
-    | Some j when j >= 1 -> Ok (Local { jobs = j })
+    | Some j when j >= 1 -> Ok (Local { jobs = j; timeout; retries })
     | _ -> Error (Printf.sprintf "bad backend %S: expected local:JOBS" s)
   end
   else if s = "domains" then Ok (Domains { jobs })
@@ -573,13 +573,13 @@ let session_run se works =
         (fun (i, _, _) -> if finished.(i) then None else Some i)
         !pending
     in
-    (* close the dispatcher-side spans before handing over: the local
+    (* close the dispatcher-side spans before handing over: the domains
        backend opens its own "running" spans for these units *)
     List.iter (fun i -> close_span i ~ok:true) todo;
     pending := [];
     let results =
       Sweep.run
-        (Sweep.Backend.local ?bus ?store ~jobs:fallback_jobs ())
+        (Sweep.Backend.domains ?bus ?store ~jobs:fallback_jobs ())
         (List.map (fun i -> units.(i)) todo)
     in
     List.iter2 (fun i (r : Sweep.result) -> settle i r.outcome) todo results
@@ -727,44 +727,112 @@ let session_run se works =
     (fun i (u : Work.t) -> { Sweep.label = u.Work.label; outcome = outcomes.(i) })
     (Array.to_list units)
 
-(* The one-shot dispatch is a session of exactly one round ([se_base]
-   stays 0, so the wire ids — and with them every span and trace record —
-   are unchanged from the pre-session dispatcher). *)
-let run_remote ?bus ?fallback_jobs ?store ?keepalive_idle ?keepalive_misses
-    ~workers ~timeout ~retries works =
-  let se =
-    open_session ?bus ?fallback_jobs ?store ?keepalive_idle ?keepalive_misses
-      ~timeout ~retries workers
-  in
-  Fun.protect
-    ~finally:(fun () -> close_session se)
-    (fun () -> session_run se works)
-
+(* [Sweep.run] is a session of exactly one round ([se_base] stays 0, so
+   the wire ids — and with them every span and trace record — are those
+   of a one-shot dispatch). *)
 let remote ?bus ?fallback_jobs ?store ?keepalive_idle ?keepalive_misses
     ?(timeout = 60.0) ?(retries = 2) workers : Sweep.Backend.t =
   {
     Sweep.Backend.name =
       Printf.sprintf "remote:%s"
         (String.concat "," (List.map addr_to_string workers));
-    dispatch =
-      run_remote ?bus ?fallback_jobs ?store ?keepalive_idle ?keepalive_misses
-        ~workers ~timeout ~retries;
     session =
       (fun () ->
         let se =
           open_session ?bus ?fallback_jobs ?store ?keepalive_idle
             ?keepalive_misses ~timeout ~retries workers
         in
-        {
-          Sweep.Backend.s_dispatch = (fun works -> session_run se works);
-          s_close = (fun () -> close_session se);
-        });
+        { s_dispatch = session_run se; s_close = (fun () -> close_session se) });
   }
 
-let backend ?bus ?fallback_jobs ?store spec : Sweep.Backend.t =
+(* --- the loopback fleet ------------------------------------------------- *)
+
+let free_port () =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close s) @@ fun () ->
+  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Unix.getsockname s with
+  | Unix.ADDR_INET (_, port) -> port
+  | Unix.ADDR_UNIX _ -> invalid_arg "free_port"
+
+let accepts port =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close s) @@ fun () ->
+  match Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
+  | () -> true
+  | exception Unix.Unix_error _ -> false
+
+let stop_fleet fleet =
+  List.iter
+    (fun (_, pid) -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+    fleet;
+  let rec reap pid =
+    try ignore (Unix.waitpid [] pid) with
+    | Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
+    | Unix.Unix_error _ -> ()
+  in
+  List.iter (fun (_, pid) -> reap pid) fleet
+
+(* Spawn, not fork: [Unix.create_process] stays legal after the process
+   has run a domain, and the worker is a fresh image with nothing of ours
+   to copy.  Each worker binds a port found free a moment earlier (it
+   sets SO_REUSEADDR); the fleet is ready once every one accepts. *)
+let start_fleet ~exe jobs =
+  let fleet = ref [] in
+  match
+    for _ = 1 to max 1 jobs do
+      let port = free_port () in
+      let argv =
+        [| exe; "worker"; "--listen"; Printf.sprintf "127.0.0.1:%d" port;
+           "-j"; "1"; "--quiet" |]
+      in
+      let pid = Unix.create_process exe argv Unix.stdin Unix.stdout Unix.stderr in
+      fleet := ({ host = "127.0.0.1"; port }, pid) :: !fleet
+    done;
+    let deadline = Unix.gettimeofday () +. 30.0 in
+    List.iter
+      (fun (a, pid) ->
+        while not (accepts a.port) do
+          if fst (Unix.waitpid [ Unix.WNOHANG ] pid) <> 0 then
+            failwith ("loopback worker exited during start-up: " ^ addr_to_string a);
+          if Unix.gettimeofday () > deadline then
+            failwith ("loopback worker did not start: " ^ addr_to_string a);
+          Unix.sleepf 0.002
+        done)
+      !fleet
+  with
+  | () -> List.rev !fleet
+  | exception e ->
+    stop_fleet !fleet;
+    raise e
+
+let with_fleet ~exe jobs f =
+  let fleet = start_fleet ~exe jobs in
+  Fun.protect ~finally:(fun () -> stop_fleet fleet) (fun () -> f fleet)
+
+let backend ?bus ?fallback_jobs ?store ~exe spec : Sweep.Backend.t =
   match spec with
   | Serial -> Sweep.Backend.serial ?bus ?store ()
-  | Local { jobs } -> Sweep.Backend.local ?bus ?store ~jobs ()
   | Domains { jobs } -> Sweep.Backend.domains ?bus ?store ~jobs ()
   | Remote { workers; timeout; retries } ->
     remote ?bus ?fallback_jobs ?store ~timeout ~retries workers
+  | Local { jobs; timeout; retries } ->
+    {
+      name = Printf.sprintf "local:%d" (max 1 jobs);
+      session =
+        (fun () ->
+          (* one fleet per session: it lives exactly as long as the
+             dispatcher's connections to it *)
+          let fleet = start_fleet ~exe jobs in
+          let workers = List.map fst fleet in
+          let remote = remote ?bus ?fallback_jobs ?store ~timeout ~retries workers in
+          match remote.session () with
+          | s ->
+            let s_close () =
+              Fun.protect ~finally:(fun () -> stop_fleet fleet) s.s_close
+            in
+            { s with s_close }
+          | exception e ->
+            stop_fleet fleet;
+            raise e);
+    }

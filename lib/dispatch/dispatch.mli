@@ -1,8 +1,11 @@
-(** Distributed sample dispatch (the [Remote] sweep backend).
+(** Distributed sample dispatch (the [Local] and [Remote] sweep backends).
 
     A dispatcher holds one TCP connection per worker daemon
     ({!Worker.serve}, [darco worker --listen HOST:PORT -j N]) and drives a
-    sweep to completion in the presence of cluster reality:
+    sweep to completion in the presence of cluster reality.  The workers
+    are either remote daemons or a fleet of loopback worker processes the
+    dispatcher starts for the sweep ({!with_fleet}); the two differ only
+    in who starts the workers.
 
     - each worker advertises its concurrency ([-j], the [slots] field of
       its {!Wire.Hello} reply) and the dispatcher keeps up to that many
@@ -30,8 +33,9 @@
       ignored — execution is deterministic, so which copy wins cannot
       change the bytes;
     - a per-unit {!Wire.Fail} over a healthy connection is a
-      deterministic failure and is {e not} retried — matching the [Local]
-      backend's crash-containment semantics;
+      deterministic failure (an exception in the unit) and is {e not}
+      retried; it settles as [Failed] with the reason the in-process
+      backends give;
     - idle connections are {b probed}: once nothing has arrived from a
       worker for [keepalive_idle] seconds a {!Wire.Ping} goes out (and
       again each interval), and after [keepalive_misses] unanswered
@@ -39,16 +43,16 @@
       catching a frozen (e.g. SIGSTOPped) or unreachable worker long
       before the per-unit deadline would;
     - when no workers are reachable (at start or mid-run), the remaining
-      units {b fall back} to the local fork backend, so a sweep always
-      completes;
+      units {b fall back} to {!Darco_sampling.Sweep.Backend.domains} in
+      this process, so a sweep always completes;
     - every step emits a typed event ([Worker_up], [Worker_lost],
       [Dispatch_sent], [Dispatch_done], [Dispatch_retry],
       [Dispatch_fallback], [Dispatch_inflight], [Ckpt_push], [Ckpt_hit],
       [Steal]) on [bus], so a cluster run is traceable end to end with
       the ordinary [--trace] machinery.
 
-    Results return in input order and are bit-identical to the [Local]
-    backend's: workers execute the same [Work.exec], and the JSON text
+    Results return in input order and are bit-identical to the in-process
+    backends': workers execute the same [Work.exec], and the JSON text
     round-trips exactly ([Jsonx] prints floats with [%.17g]). *)
 
 type addr = { host : string; port : int }
@@ -65,7 +69,10 @@ type spec =
       (** in-process sequential execution
           ({!Darco_sampling.Sweep.Backend.serial}) — the determinism
           reference *)
-  | Local of { jobs : int }  (** fork-per-unit on this machine *)
+  | Local of { jobs : int; timeout : float; retries : int }
+      (** [jobs] loopback worker processes started for each session
+          ({!with_fleet}), driven by the dispatcher with [timeout] and
+          [retries] as for [Remote] *)
   | Domains of { jobs : int }
       (** a shared-memory OCaml domain pool on this machine
           ({!Darco_sampling.Sweep.Backend.domains}) *)
@@ -76,14 +83,19 @@ val spec_of_string :
 (** Parse [serial], [local], [local:JOBS], [domains], [domains:JOBS] or
     [remote:HOST:PORT[,HOST:PORT...]].  [jobs] (default 4) fills in
     [local]'s and [domains]'s job count; [timeout] (default 60s) and
-    [retries] (default 2) parameterize the remote spec. *)
+    [retries] (default 2) parameterize the local and remote specs. *)
 
 val backend :
   ?bus:Darco_obs.Bus.t ->
   ?fallback_jobs:int ->
   ?store:Darco_sampling.Store.t ->
+  exe:string ->
   spec ->
   Darco_sampling.Sweep.Backend.t
+(** The executable backend for a spec.  [Local] is {!remote} over a
+    fleet of [exe worker] processes ({!with_fleet}) started when a
+    session opens and stopped when it closes, so {!Darco_sampling.Sweep.run}
+    and [run_stream] start one fleet per sweep. *)
 
 val remote :
   ?bus:Darco_obs.Bus.t ->
@@ -96,8 +108,20 @@ val remote :
   addr list ->
   Darco_sampling.Sweep.Backend.t
 (** The distributed backend described above.  [fallback_jobs] (default 4)
-    bounds the local fork pool used when no workers are reachable;
+    sizes the domain pool used when no workers are reachable;
     [store] resolves digest-addressed units — both the [Need] requests
-    coming back from workers and the local fallback path.
+    coming back from workers and the fallback path.
     [keepalive_idle] (default 5s) and [keepalive_misses] (default 3)
     parameterize the idle-connection probing. *)
+
+val with_fleet : exe:string -> int -> ((addr * int) list -> 'a) -> 'a
+(** [with_fleet ~exe j f] starts [j] (at least one) loopback workers —
+    [exe worker -j 1 --quiet] processes on free 127.0.0.1 ports, spawned
+    with [Unix.create_process], which stays legal after [Domain.spawn]
+    where a fork does not — waits until each accepts connections, and
+    calls [f] with every worker's address and pid.  The workers are
+    killed and reaped when [f] returns or raises, and when start-up fails
+    ([Failure]: a worker exited or did not accept within 30s).  [exe] is
+    the [darco] executable; the CLI passes [Sys.executable_name].  A
+    process killed by SIGKILL cannot stop its fleet: those workers keep
+    running until killed. *)

@@ -5,13 +5,6 @@ module Dpool = Darco_sampling.Dpool
 module Jsonx = Darco_obs.Jsonx
 module Span = Darco_obs.Span
 
-(* How units execute: on a shared pool of OCaml domains (the default —
-   one store image serves every slot, completions arrive via the pool's
-   wake fd), or each in a forked child ([--isolate] — a segfaulting or
-   OOM-killed unit loses only itself).  The pool outlives connections;
-   fork state is per-connection. *)
-type engine = Fork | Pool of Jsonx.t Dpool.t
-
 let log quiet fmt =
   Printf.ksprintf
     (fun s -> if not quiet then Printf.printf "[worker] %s\n%!" s)
@@ -28,36 +21,23 @@ let resolve host =
     | exception Not_found ->
       invalid_arg (Printf.sprintf "cannot resolve host %S" host))
 
-let write_whole path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
-let read_whole path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-type child = { c_id : int; c_path : string }
-
-(* One connection: a select/waitpid loop multiplexing incoming frames with
-   up to [jobs] forked unit executions.  Units whose checkpoint is missing
-   from the store park until the dispatcher ships it ([Need] is sent once
-   per digest, no matter how many units wait on it).  A malformed frame
-   means the byte stream can no longer be trusted, so after a [Fail]
-   courtesy reply the connection is dropped — the daemon itself lives on.
-   A crashing unit (uncaught exception, fatal signal) fails only itself:
-   it runs in its own child process, exactly like the local backend. *)
-let serve_connection ~quiet ~ident ~engine ~exec ~jobs ~store fd =
+(* One connection: a select loop multiplexing incoming frames with up to
+   [jobs] unit executions on the daemon's domain pool, whose completions
+   wake the loop through the pool's pipe.  The pool outlives connections.
+   Units whose checkpoint is missing from the store park until the
+   dispatcher ships it ([Need] is sent once per digest, no matter how
+   many units wait on it).  A malformed frame means the byte stream can
+   no longer be trusted, so after a [Fail] courtesy reply the connection
+   is dropped — the daemon itself lives on.  An exception in a unit fails
+   only that unit. *)
+let serve_connection ~quiet ~ident ~pool ~exec ~jobs ~store fd =
   let runq = Queue.create () in
   let parked : (string, (int * Work.t) Queue.t) Hashtbl.t = Hashtbl.create 4 in
-  let running : (int, child) Hashtbl.t = Hashtbl.create jobs in
   let closed = ref false in
   let send msg = try Wire.send fd msg with Wire.Closed -> closed := true in
-  (* Per-unit span log (newest first): "queued" covers enqueue-to-fork —
+  (* Per-unit span log (newest first): "queued" covers enqueue-to-start —
      including any park waiting for a checkpoint push — and "running"
-     covers the forked child's lifetime.  The log ships back inside the
+     covers the unit's execution.  The log ships back inside the
      unit's [Result] frame so the dispatcher can merge this machine's
      timeline into its own trace. *)
   let spanlog : (int, Span.t list) Hashtbl.t = Hashtbl.create jobs in
@@ -73,30 +53,7 @@ let serve_connection ~quiet ~ident ~engine ~exec ~jobs ~store fd =
   let spawn (id, work) =
     log_span id (Span.end_ ~span:"queued" ~corr:id ~host:ident ());
     log_span id (Span.begin_ ~span:"running" ~corr:id ~host:ident ());
-    match engine with
-    | Pool pool -> Dpool.submit pool ~tag:id (fun () -> exec work)
-    | Fork -> (
-      let path = Filename.temp_file "darco_worker" ".json" in
-      (* flush before forking so buffered output is not emitted twice *)
-      flush stdout;
-      flush stderr;
-      match Unix.fork () with
-      | 0 ->
-        let code =
-          try
-            write_whole path (Jsonx.to_string (exec work));
-            0
-          with e ->
-            (try write_whole path (Printexc.to_string e) with _ -> ());
-            3
-        in
-        Unix._exit code
-      | pid -> Hashtbl.replace running pid { c_id = id; c_path = path })
-  in
-  let busy () =
-    match engine with
-    | Pool pool -> Dpool.pending pool
-    | Fork -> Hashtbl.length running
+    Dpool.submit pool ~tag:id (fun () -> exec work)
   in
   let finish id msg =
     let ok = match msg with Wire.Result _ -> true | _ -> false in
@@ -112,60 +69,19 @@ let serve_connection ~quiet ~ident ~engine ~exec ~jobs ~store fd =
     in
     send msg
   in
-  let reap_pool pool =
-    let rec drain () =
-      match Dpool.try_next pool with
-      | None -> ()
-      | Some (id, res) ->
-        (match res with
-        | Stdlib.Ok json ->
-          finish id (Wire.Result { id; text = Jsonx.to_string json; spans = "" })
-        | Stdlib.Error e ->
-          finish id (Wire.Fail { id; reason = Printexc.to_string e }));
-        drain ()
-    in
-    drain ()
-  in
-  let reap_forks () =
-    let continue = ref true in
-    while !continue && Hashtbl.length running > 0 do
-      match Unix.waitpid [ Unix.WNOHANG ] (-1) with
-      | 0, _ -> continue := false
-      | pid, status -> (
-        match Hashtbl.find_opt running pid with
-        | None -> () (* not ours; nothing to report *)
-        | Some c ->
-          Hashtbl.remove running pid;
-          let msg =
-            match status with
-            | Unix.WEXITED 0 -> (
-              match read_whole c.c_path with
-              | text -> Wire.Result { id = c.c_id; text; spans = "" }
-              | exception Sys_error m ->
-                Wire.Fail { id = c.c_id; reason = "result unreadable: " ^ m })
-            | Unix.WEXITED 3 ->
-              let reason =
-                try read_whole c.c_path with Sys_error _ -> "unit failed"
-              in
-              Wire.Fail { id = c.c_id; reason }
-            | Unix.WEXITED n ->
-              Wire.Fail
-                { id = c.c_id; reason = Printf.sprintf "unit exited with code %d" n }
-            | Unix.WSIGNALED s ->
-              Wire.Fail
-                { id = c.c_id; reason = Printf.sprintf "unit killed by signal %d" s }
-            | Unix.WSTOPPED s ->
-              Wire.Fail
-                { id = c.c_id; reason = Printf.sprintf "unit stopped by signal %d" s }
-          in
-          (try Sys.remove c.c_path with Sys_error _ -> ());
-          finish c.c_id msg)
-      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> continue := false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    done
-  in
-  let reap_ready () =
-    match engine with Pool pool -> reap_pool pool | Fork -> reap_forks ()
+  let rec reap () =
+    match Dpool.try_next pool with
+    | None -> ()
+    | Some (id, res) ->
+      (match res with
+      | Stdlib.Ok json ->
+        finish id (Wire.Result { id; text = Jsonx.to_string json; spans = "" })
+      | Stdlib.Error e ->
+        (* worded as the in-process backends word it, so a failed unit
+           renders identically on every backend *)
+        finish id
+          (Wire.Fail { id; reason = "worker failed: " ^ Printexc.to_string e }));
+      reap ()
   in
   let enqueue id (work : Work.t) =
     log_span id
@@ -229,18 +145,11 @@ let serve_connection ~quiet ~ident ~engine ~exec ~jobs ~store fd =
       closed := true
   in
   while not !closed do
-    while (not (Queue.is_empty runq)) && busy () < jobs do
+    while (not (Queue.is_empty runq)) && Dpool.pending pool < jobs do
       spawn (Queue.pop runq)
     done;
-    (* the domain pool wakes us through its pipe, so its select blocks
-       indefinitely; forked children have no fd, so poll while any run *)
-    let extra_fds, timeout =
-      match engine with
-      | Pool pool -> ([ Dpool.wake_fd pool ], -1.0)
-      | Fork -> ([], if Hashtbl.length running > 0 then 0.05 else -1.0)
-    in
     let readable =
-      match Unix.select (fd :: extra_fds) [] [] timeout with
+      match Unix.select [ fd; Dpool.wake_fd pool ] [] [] (-1.0) with
       | r, _, _ -> List.mem fd r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
     in
@@ -254,60 +163,43 @@ let serve_connection ~quiet ~ident ~engine ~exec ~jobs ~store fd =
          with Wire.Closed -> ());
         closed := true
     end;
-    reap_ready ()
+    reap ()
   done;
-  (* the dispatcher is gone: in-flight units are orphans, reclaim them *)
-  (match engine with
-  | Fork ->
-    Hashtbl.iter
-      (fun pid _ -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-      running;
-    Hashtbl.iter
-      (fun pid c ->
-        (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-        try Sys.remove c.c_path with Sys_error _ -> ())
-      running
-  | Pool pool ->
-    (* domains cannot be killed: let in-flight units run out and discard
-       their results, so the pool is clean for the next connection *)
-    while Dpool.pending pool > 0 do
-      ignore (Dpool.await pool)
-    done);
+  (* the dispatcher is gone: domains cannot be killed, so let in-flight
+     units run out and discard their results, leaving the pool clean for
+     the next connection *)
+  while Dpool.pending pool > 0 do
+    ignore (Dpool.await pool)
+  done;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let serve ?(quiet = false) ?(isolate = false) ?exec ?ready ?(jobs = 1)
-    ?store_dir ~host ~port () =
+let serve ?(quiet = false) ?exec ?ready ?(jobs = 1) ?store_dir ~host ~port () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let jobs = max 1 jobs in
-  (* forked children never touch the image after exec starts, so give the
-     isolating engine the off-heap tier: one physical copy feeds them all *)
-  let tier = if isolate then Store.Shared else Store.Heap in
-  let store = Store.create ?dir:store_dir ~tier () in
+  let store = Store.create ?dir:store_dir () in
   let exec =
     match exec with Some f -> f | None -> fun w -> Work.exec ~store w
   in
-  let engine = if isolate then Fork else Pool (Dpool.create ~jobs ()) in
+  let pool = Dpool.create ~jobs () in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock (Unix.ADDR_INET (resolve host, port));
   Unix.listen sock 16;
   Option.iter (fun f -> f (Unix.getsockname sock)) ready;
-  (* span host identity: the bound address with the kernel-assigned port
-     (the caller may have passed port 0) *)
-  let ident =
+  (* the kernel assigns the port when the caller passed 0: report the
+     bound one, in the log and as the span host identity *)
+  let bound =
     match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, p) -> Printf.sprintf "worker:%s:%d" host p
-    | _ -> Printf.sprintf "worker:%s:%d" host port
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> port
   in
-  log quiet "listening on %s:%d (protocol v%d, %d %s slot%s%s)" host port
-    Wire.protocol_version jobs
-    (if isolate then "forked" else "domain")
-    (if jobs = 1 then "" else "s")
-    (match engine with
-    | Pool p when Dpool.size p < jobs ->
-      Printf.sprintf ", %d domain%s" (Dpool.size p)
-        (if Dpool.size p = 1 then "" else "s")
-    | Pool _ | Fork -> "");
+  let ident = Printf.sprintf "worker:%s:%d" host bound in
+  let plural n = if n = 1 then "" else "s" in
+  log quiet "listening on %s:%d (protocol v%d, %d domain slot%s%s)" host bound
+    Wire.protocol_version jobs (plural jobs)
+    (if Dpool.size pool < jobs then
+       Printf.sprintf ", %d domain%s" (Dpool.size pool) (plural (Dpool.size pool))
+     else "");
   let rec accept_loop () =
     match Unix.accept sock with
     | fd, peer ->
@@ -317,7 +209,7 @@ let serve ?(quiet = false) ?(isolate = false) ?exec ?ready ?(jobs = 1)
         | Unix.ADDR_INET (a, p) ->
           Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
         | Unix.ADDR_UNIX p -> p);
-      serve_connection ~quiet ~ident ~engine ~exec ~jobs ~store fd;
+      serve_connection ~quiet ~ident ~pool ~exec ~jobs ~store fd;
       accept_loop ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
   in

@@ -1,18 +1,15 @@
 (** The sample-sweep worker daemon ([darco worker --listen HOST:PORT]).
 
     Accepts dispatcher connections and serves each with a select loop
-    that keeps up to [jobs] work units executing concurrently.  By
-    default units run on a pool of OCaml domains sharing the daemon's
-    checkpoint store — one resident image serves every slot, and an
-    exception in a unit fails only that unit.  With [isolate] each unit
-    instead runs in its own forked child reading a {!Store.Shared}
-    (off-heap, copy-on-write-clean) image, so even a segfaulting or
-    OOM-killed unit loses only itself — pay the fork for untrusted or
-    crashy workloads, keep the domains for throughput.  Each
-    {!Wire.Work} frame decodes to a
-    {!Darco_sampling.Work.t} and is eventually answered by one
-    {!Wire.Result} (JSON) or {!Wire.Fail} carrying the same unit id;
-    replies may arrive out of order.
+    that keeps up to [jobs] work units executing concurrently on a pool
+    of OCaml domains sharing the daemon's checkpoint store — one resident
+    image serves every slot, and an exception in a unit fails only that
+    unit.  Crash isolation is the process boundary: a unit that
+    segfaults or exhausts memory takes this daemon down, and the
+    dispatcher reassigns its in-flight units to the workers still alive.
+    Each {!Wire.Work} frame decodes to a {!Darco_sampling.Work.t} and is
+    eventually answered by one {!Wire.Result} (JSON) or {!Wire.Fail}
+    carrying the same unit id; replies may arrive out of order.
 
     Version-2 units reference their checkpoint by digest.  The daemon
     keeps a {!Darco_sampling.Store} (optionally spilled to [store_dir]):
@@ -24,8 +21,7 @@
 
     A malformed frame gets a connection-level [Fail] reply and drops that
     connection (the stream can no longer be trusted) while the daemon
-    keeps accepting; children of a dropped connection are killed and
-    reaped.  Never returns normally. *)
+    keeps accepting.  Never returns normally. *)
 
 val resolve : string -> Unix.inet_addr
 (** Dotted-quad or hostname to address.
@@ -33,7 +29,6 @@ val resolve : string -> Unix.inet_addr
 
 val serve :
   ?quiet:bool ->
-  ?isolate:bool ->
   ?exec:(Darco_sampling.Work.t -> Darco_obs.Jsonx.t) ->
   ?ready:(Unix.sockaddr -> unit) ->
   ?jobs:int ->
@@ -43,13 +38,12 @@ val serve :
   unit ->
   unit
 (** [serve ~host ~port ()] binds (SO_REUSEADDR), listens and serves
-    forever.  [ready] is called with the bound address once listening
-    (tests use [port:0] and read the kernel-assigned port here); [exec]
-    overrides unit execution (default [Work.exec] against the daemon's
-    checkpoint store; with [isolate] it runs in the forked child,
-    otherwise on a worker domain — so it must be domain-safe); [jobs]
-    (default 1) is the concurrency advertised to the dispatcher in the
-    [Hello] reply and the size of the domain pool; [isolate] (default
-    false) trades the shared-memory domain pool for fork-per-unit crash
-    containment; [store_dir] spills received checkpoints to disk so they
-    survive daemon restarts; [quiet] silences the log lines. *)
+    forever.  Its first log line names the bound address, with the
+    kernel-assigned port when [port] is 0.  [ready] is called with the
+    bound address once listening (tests use [port:0] and read the port
+    here); [exec] overrides unit execution (default [Work.exec] against
+    the daemon's checkpoint store) and runs on a worker domain, so it
+    must be domain-safe; [jobs] (default 1) is the concurrency advertised
+    to the dispatcher in the [Hello] reply and the size of the domain
+    pool; [store_dir] spills received checkpoints to disk so they survive
+    daemon restarts; [quiet] silences the log lines. *)

@@ -12,7 +12,7 @@
     of the sink array, so {!active}/{!emit} cost exactly what they did
     before OCaml 5 domains entered the runtime.  Sink {e handlers} are
     called on whichever domain emits.  The single-domain simulator keeps
-    its plain mutable sinks ([Agg], [Prof], trace writers); a multi-domain
+    its plain mutable sinks ([Prof], trace writers); a multi-domain
     producer must either serialize its own emission (what the [domains]
     sweep backend does, one mutex around its span events) or give each
     domain a private accumulator and {!Stats.merge}/{!Prof.merge} the

@@ -5,8 +5,8 @@
     argument of {!Bus.emit}); dispatch-lifecycle and span events carry
     the strictly monotonic wall-clock microsecond stamp of {!Clock}
     instead (see below).  The taxonomy is complete with respect to
-    {!Stats.t}: replaying a run's event stream through {!Agg} reproduces
-    every counter exactly. *)
+    {!Stats.t}: replaying a run's event stream through the test suite's
+    fold ([test/agg.ml]) reproduces every counter exactly. *)
 
 type rollback_kind = Rb_assert | Rb_alias
 type deopt_kind = De_noassert | De_nomem
@@ -86,7 +86,7 @@ type t =
   | Dispatch_retry of { unit_label : string; attempt : int; delay : float }
       (** the unit's worker died mid-flight; requeued after [delay] seconds *)
   | Dispatch_fallback of { reason : string }
-      (** no live workers; remaining units run on the local fork backend *)
+      (** no live workers; remaining units run on an in-process domain pool *)
   | Ckpt_push of { worker : string; digest : string; bytes : int }
       (** the worker asked for checkpoint [digest] ([NEED]) and the
           dispatcher shipped it ([CKPT], [bytes] snapshot bytes) *)

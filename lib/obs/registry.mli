@@ -67,7 +67,8 @@ val exposition : snapshot -> string
 (** {1 Bus fold} *)
 
 val apply : t -> at:int -> Event.t -> unit
-(** Fold one event into the registry ([Agg.apply] for metrics): machine
+(** Fold one event into the registry (the metrics twin of the test
+    suite's [Stats] fold, [test/agg.ml]): machine
     events feed counters that reconcile exactly with {!Stats.t}
     ({!reconciles}), infrastructure events feed service counters, the
     per-worker [dispatch_inflight{worker=..}] gauges, the
@@ -77,7 +78,7 @@ val apply : t -> at:int -> Event.t -> unit
     cells across events. *)
 
 val attach : Bus.t -> t
-(** [Agg.attach]-style: create a registry and subscribe {!apply} as a
+(** Create a registry and subscribe {!apply} as a
     bus sink named ["registry"], so the registry is exactly
     reconstructible from the event stream. *)
 

@@ -4,8 +4,8 @@
 
     This module is the in-memory aggregate view of the observability
     layer: the core mutates an instance directly on its hot paths, and
-    {!Agg} can rebuild an identical instance purely from the {!Event.t}
-    stream published on a {!Bus.t}. *)
+    the test suite's fold ([test/agg.ml]) rebuilds an identical instance
+    purely from the {!Event.t} stream published on a {!Bus.t}. *)
 
 (** The seven TOL-overhead categories of Figure 7. *)
 type overhead =

@@ -63,8 +63,9 @@ let create ~jobs () =
   (* Never spawn more compute domains than the runtime recommends:
      domains share stop-the-world minor collections, so oversubscribing
      cores turns every minor GC into a scheduling stampede (measured 3x
-     slower on a single-core host).  Forked workers have no such coupling
-     — the kernel time-slices them fine — so only the domain pool clamps.
+     slower on a single-core host).  Worker processes have no such
+     coupling — the kernel time-slices them fine — so only the domain pool
+     clamps.
      The queue absorbs the difference; callers still get [jobs]-deep
      admission. *)
   let size = max 1 (min jobs (Domain.recommended_domain_count ())) in

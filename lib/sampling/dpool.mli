@@ -1,7 +1,7 @@
 (** A fixed pool of worker domains draining one thunk queue.
 
-    The pool is the shared-memory counterpart of the fork pool in
-    {!Sweep}: submit tagged thunks, collect [(tag, result)] completions
+    The pool behind {!Sweep.Backend.domains} and the worker daemon's
+    slots: submit tagged thunks, collect [(tag, result)] completions
     in finish order.  Thunks run on worker domains, so everything they
     close over must be domain-safe (per-unit state, or shared structures
     with their own locking such as {!Store.t}).  A raising thunk reports

@@ -18,7 +18,7 @@
     total order (stratum phase ascending, offset ascending) — so an
     adaptive sweep chooses the same windows, in the same dispatch
     order, whichever backend runs it, and the sweep JSON stays
-    byte-identical across serial/fork/domains/remote.
+    byte-identical across serial/local/domains/remote.
 
     {b Predictor.}  A cheap analytic per-region IPC predictor rides
     along: the sample mean of each stratum's completed windows, falling

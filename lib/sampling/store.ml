@@ -3,18 +3,7 @@
    them.  The store is an in-memory table with an optional on-disk spill
    directory (one file per digest); disk reads are re-verified against the
    digest, so a tampered or bit-rotted cache entry is refused, never
-   restored.
-
-   Two residency tiers:
-   - Heap: entries are ordinary strings.  Cheapest lookups; fine for a
-     single-domain process and for the domains pool, where every domain
-     reads the same string by reference.
-   - Shared: entries live in Bigarrays outside the OCaml heap.  The GC
-     neither moves nor marks them, so after a fork the image's pages stay
-     copy-on-write-clean in every child no matter how hard the child's GC
-     works — N forked units really do read ONE physical copy.  Cold reads
-     from the spill directory are mmap'd, so separate worker processes on
-     one machine share the page cache mapping too.
+   restored.  Every reader in the process shares each image by reference.
 
    All table operations are serialized by a per-store mutex, so any mix of
    domains may put/get concurrently.  Disk I/O happens outside the lock;
@@ -34,23 +23,15 @@ let digest_codec =
       if is_digest d then d else Buf.corrupt (Printf.sprintf "malformed digest %S" d))
     Buf.str
 
-type tier = Heap | Shared
-
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type image = In_heap of string | Off_heap of bigstring
-
-(* Spill-tier accounting for the byte-budget LRU policy: one record per
+(* Spill accounting for the byte-budget LRU policy: one record per
    on-disk entry.  [m_use] is a store-local logical clock tick (bumped on
    every add/find touching the entry); [m_pins] protects in-flight entries
    from eviction. *)
 type meta = { mutable m_bytes : int; mutable m_use : int; mutable m_pins : int }
 
 type t = {
-  table : (string, image) Hashtbl.t;
+  table : (string, string) Hashtbl.t;
   dir : string option;
-  tier : tier;
   lock : Mutex.t;
   (* byte budget for the spill directory (None = unbounded, the
      pre-existing behaviour); enforcement state below is only meaningful
@@ -64,7 +45,7 @@ type t = {
 
 let path_of dir d = Filename.concat dir (d ^ ".dsnp")
 
-let create ?bus ?dir ?(tier = Heap) ?max_bytes () =
+let create ?bus ?dir ?max_bytes () =
   Option.iter
     (fun d -> if not (Sys.file_exists d) then Unix.mkdir d 0o755)
     dir;
@@ -72,7 +53,6 @@ let create ?bus ?dir ?(tier = Heap) ?max_bytes () =
     {
       table = Hashtbl.create 16;
       dir;
-      tier;
       lock = Mutex.create ();
       max_bytes;
       bus;
@@ -107,29 +87,9 @@ let create ?bus ?dir ?(tier = Heap) ?max_bytes () =
            t.disk_bytes <- t.disk_bytes + size));
   t
 
-let tier t = t.tier
-
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let of_bigstring (ba : bigstring) =
-  String.init (Bigarray.Array1.dim ba) (fun i -> ba.{i})
-
-let to_bigstring s : bigstring =
-  let n = String.length s in
-  let ba = Bigarray.(Array1.create char c_layout n) in
-  for i = 0 to n - 1 do
-    ba.{i} <- s.[i]
-  done;
-  ba
-
-let string_of_image = function
-  | In_heap s -> s
-  | Off_heap ba -> of_bigstring ba
-
-let image_of_string tier s =
-  match tier with Heap -> In_heap s | Shared -> Off_heap (to_bigstring s)
 
 (* Call under the lock.  Records (or refreshes) the spill accounting for
    [d] and marks it most recently used. *)
@@ -218,24 +178,13 @@ let read_whole path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Map the spill file read-only.  The mapping is shared machine-wide
-   through the page cache: ten worker processes cold-reading the same
-   digest fault in one set of physical pages. *)
-let map_whole path : bigstring =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      Bigarray.array1_of_genarray
-        (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| -1 |]))
-
 let add t bytes =
   let d = digest bytes in
   let fresh =
     locked t (fun () ->
         if Hashtbl.mem t.table d then false
         else begin
-          Hashtbl.replace t.table d (image_of_string t.tier bytes);
+          Hashtbl.replace t.table d bytes;
           true
         end)
   in
@@ -250,40 +199,26 @@ let add t bytes =
 
 let find t d =
   match locked t (fun () -> Hashtbl.find_opt t.table d) with
-  | Some img ->
+  | Some bytes ->
     if t.dir <> None then
       locked t (fun () ->
-          if Hashtbl.mem t.meta d then
-            touch_spilled t d (String.length (string_of_image img)));
-    Some (string_of_image img)
+          if Hashtbl.mem t.meta d then touch_spilled t d (String.length bytes));
+    Some bytes
   | None -> (
     match t.dir with
     | None -> None
     | Some dir -> (
-      let path = path_of dir d in
-      let cold =
-        match t.tier with
-        | Shared -> (
-          match map_whole path with
-          | exception Unix.Unix_error _ -> None
-          | ba -> Some (Off_heap ba))
-        | Heap -> (
-          match read_whole path with
-          | exception Sys_error _ -> None
-          | bytes -> Some (In_heap bytes))
-      in
-      match cold with
-      | None -> None
-      | Some img ->
-        let bytes = string_of_image img in
+      match read_whole (path_of dir d) with
+      | exception Sys_error _ -> None
+      | bytes ->
         if digest bytes <> d then
           Buf.corrupt
             (Printf.sprintf "checkpoint cache entry %s does not match its digest"
                d);
         (* a concurrent cold read of the same digest may have raced us
-           here; either image has the right content, last write wins *)
+           here; either copy has the right content, last write wins *)
         locked t (fun () ->
-            Hashtbl.replace t.table d img;
+            Hashtbl.replace t.table d bytes;
             touch_spilled t d (String.length bytes));
         Some bytes))
 

@@ -2,7 +2,7 @@
 
     Work units (version 2) no longer embed their starting snapshot; they
     carry the {e digest} of its encoded bytes and every executing party —
-    the local fork pool, the dispatcher, a worker daemon — resolves the
+    an in-process backend, the dispatcher, a worker daemon — resolves the
     digest through a store.  A sweep of W windows sharing one checkpoint
     therefore holds (and ships) the snapshot bytes once, not W times.
 
@@ -14,20 +14,10 @@
 
     Every operation is domain-safe: the table is guarded by a per-store
     mutex (I/O happens outside it), so a domain pool may put/get/spill
-    concurrently.  The {!tier} chooses where resident images live:
-
-    - {!Heap} (default): ordinary strings; all readers in one process
-      share each image by reference.
-    - {!Shared}: images live in Bigarrays off the OCaml heap.  The GC
-      never marks or moves them, so forked children keep the image's
-      pages copy-on-write-clean — an N-way fork sweep reads one physical
-      copy — and cold reads mmap the spill file, sharing pages across
-      worker processes on the machine. *)
+    concurrently, every domain reading each resident image by
+    reference. *)
 
 type t
-
-(** Residency of in-memory images; see the module preamble. *)
-type tier = Heap | Shared
 
 val digest : string -> string
 (** Content address of a byte string: 32 lowercase hex characters
@@ -39,11 +29,9 @@ val is_digest : string -> bool
 val digest_codec : string Buf.t
 (** A digest as frames carry it: a {!Buf.str} refused unless {!is_digest}. *)
 
-val create :
-  ?bus:Darco_obs.Bus.t -> ?dir:string -> ?tier:tier -> ?max_bytes:int -> unit -> t
+val create : ?bus:Darco_obs.Bus.t -> ?dir:string -> ?max_bytes:int -> unit -> t
 (** An empty store.  With [dir], entries are also written to (and looked
     up in) [dir/<digest>.dsnp]; the directory is created if missing.
-    [tier] defaults to {!Heap}.
 
     [max_bytes] puts a byte budget on the spill directory (it has no
     effect without [dir]): after every add, least-recently-used unpinned
@@ -54,8 +42,6 @@ val create :
     cold read of an evicted digest is a plain miss ([find] returns
     [None]).  Pre-existing spill files are picked up (oldest mtime =
     least recent) so the budget holds across restarts. *)
-
-val tier : t -> tier
 
 val pin : t -> string -> unit
 (** Exempt the digest from LRU eviction (e.g. while units referencing it

@@ -1,7 +1,7 @@
 (** A self-contained, portable sample work unit.
 
     One detailed measurement window, packaged so that {e any} process — a
-    forked child on this machine or a worker daemon on another one — can
+    domain of this one, or a worker daemon on this machine or another — can
     execute it with no shared state beyond a checkpoint {!Store}.  The
     binary encoding is the magic, a version byte, then a {!Buf.sealed}
     payload (length, CRC-32), so a corrupted unit is rejected with

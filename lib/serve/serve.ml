@@ -76,7 +76,7 @@ type pend = {
 
 let checkpoint_set_key bench ckd = Printf.sprintf "ckpts:%s/%s" bench ckd
 
-let serve ?bus ?(quiet = false) ?(workers = []) ?(jobs = 4) ?(credit = 4)
+let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
     ?(dispatch_timeout = 60.0) ?(dispatch_retries = 2) ?keepalive_idle
     ?keepalive_misses ?max_bytes ?max_submissions ?metrics_file
     ?(metrics_interval = 5.0) ?ready ~library ~host ~port () =
@@ -126,12 +126,9 @@ let serve ?bus ?(quiet = false) ?(workers = []) ?(jobs = 4) ?(credit = 4)
   let lib = Library.create ?bus ?max_bytes ~dir:library () in
   let store = Library.store lib in
   let backend =
-    match workers with
-    | [] -> Sweep.Backend.local ?bus ~store ~jobs ()
-    | ws ->
-      Darco_dispatch.remote ?bus ~fallback_jobs:jobs ~store ?keepalive_idle
-        ?keepalive_misses ~timeout:dispatch_timeout ~retries:dispatch_retries
-        ws
+    Darco_dispatch.remote ?bus ~fallback_jobs:jobs ~store ?keepalive_idle
+      ?keepalive_misses ~timeout:dispatch_timeout ~retries:dispatch_retries
+      workers
   in
   (* --- service state --------------------------------------------------- *)
   let clients = ref [] in

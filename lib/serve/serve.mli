@@ -40,7 +40,7 @@
 val serve :
   ?bus:Darco_obs.Bus.t ->
   ?quiet:bool ->
-  ?workers:Darco_dispatch.addr list ->
+  workers:Darco_dispatch.addr list ->
   ?jobs:int ->
   ?credit:int ->
   ?dispatch_timeout:float ->
@@ -58,10 +58,12 @@ val serve :
   unit ->
   unit
 (** Run the service on [host:port] with its artifact library rooted at
-    [library].  With [workers] the sweep backend is the distributed
-    dispatcher (timeout/retries/keepalive as in {!Darco_dispatch.remote});
-    without, units fork locally with [jobs] (default 4) concurrent
-    children.  [credit] (default 4) is the per-submission units-per-round
+    [library], dispatching work units to the worker daemons at [workers]
+    through {!Darco_dispatch.remote} (timeout/retries/keepalive as
+    there; [darco serve] without [--workers] passes the addresses of a
+    loopback fleet it keeps for the daemon's lifetime).  [jobs] (default
+    4) sizes the domain pool units fall back to when no worker is
+    reachable.  [credit] (default 4) is the per-submission units-per-round
     fair-share allowance; [max_bytes] bounds the library's checkpoint
     store (LRU eviction).  [ready] is called with the bound address once
     the listener is up.  With [max_submissions] the server returns

@@ -92,7 +92,7 @@ let render { metrics; health } =
            ]
          rows));
   (match getl "workers" health with
-  | [] -> add "\nno remote workers (local backend)\n"
+  | [] -> add "\nno workers connected yet\n"
   | ws ->
     let rows =
       List.map

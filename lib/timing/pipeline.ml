@@ -495,7 +495,38 @@ let blit_same name src dst =
     invalid_arg ("Pipeline.restore: " ^ name ^ " size mismatch");
   Array.blit src 0 dst 0 (Array.length dst)
 
+(* Every persisted structure against the size [create p_cfg] would
+   allocate for it, checked before anything is allocated: a corrupt
+   geometry must not cost gigabytes before it is refused. *)
+let sized p =
+  let c = p.p_cfg and len = Array.length in
+  let cache (g : Tconfig.cache_geom) (q : Cache.persisted) =
+    len q.p_lines = g.sets && Array.for_all (fun set -> len set = g.ways) q.p_lines
+  and tlb (g : Tconfig.tlb_geom) (q : Tlb.persisted) = len q.p_entries = g.entries
+  and units n a = len a = Int.max 1 n in
+  cache c.l2 p.p_l2
+  && cache c.il1 p.p_il1
+  && cache c.dl1 p.p_dl1
+  && tlb c.l2tlb p.p_l2tlb
+  && tlb c.itlb p.p_itlb
+  && tlb c.dtlb p.p_dtlb
+  && len p.p_pf.p_table = c.prefetch_table
+  && c.gshare_bits >= 0
+  && c.gshare_bits < Sys.int_size - 1
+  && len p.p_bp.p_pht = 1 lsl c.gshare_bits
+  && len p.p_bp.p_btb_tag = c.btb_entries
+  && len p.p_bp.p_btb_target = c.btb_entries
+  && units c.n_simple p.p_simple_free
+  && units c.n_complex p.p_complex_free
+  && units c.n_vector p.p_vector_free
+  && units c.mem_read_ports p.p_rport_free
+  && units c.mem_write_ports p.p_wport_free
+  && units c.iq_size (fst p.p_iq_ring)
+  && units c.phys_regs (fst p.p_inflight_ring)
+
 let restore p =
+  if not (sized p) then
+    invalid_arg "Pipeline.restore: state does not match its configuration";
   let t = create p.p_cfg in
   Cache.apply t.l2 p.p_l2;
   Cache.apply t.il1 p.p_il1;

@@ -117,4 +117,5 @@ val persist : t -> persisted
 val restore : persisted -> t
 (** Build a pipeline whose observable behaviour continues exactly where
     [persist] left off.  Raises [Invalid_argument] if the persisted arrays
-    do not match the geometry implied by [p_cfg]. *)
+    do not match the geometry implied by [p_cfg], checked before any
+    structure is allocated. *)

@@ -1,5 +1,5 @@
 (** Resident-set measurement from [/proc] — how much physical memory a
-    run (and the worker processes it forks) actually holds.
+    run (and the worker processes it starts) actually holds.
 
     Sizes are in kilobytes, as the kernel reports them.  Every reader
     returns [None] where [/proc] is absent or unreadable (non-Linux,
@@ -8,11 +8,11 @@
 
     The per-process readers prefer {b PSS} (proportional set size, from
     [smaps_rollup]) over VmRSS when summing a process {e tree}: PSS
-    divides each shared physical page among its mappers, so N forked
-    children copy-on-write-sharing one checkpoint image count the image
-    once — exactly the sharing the {!Darco_sampling.Store.Shared} tier
-    and the domains backends exist to create.  Plain VmRSS would charge
-    the image N times and overstate the fork backend's footprint. *)
+    divides each shared physical page among its mappers, so pages a
+    forked child still shares with its parent (the program image, a
+    checkpoint loaded before the fork) count once.  Plain VmRSS would
+    charge them to every process and overstate a process tree's
+    footprint. *)
 
 val self_pid : unit -> int
 

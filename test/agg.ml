@@ -1,3 +1,5 @@
+open Darco_obs
+
 let apply (s : Stats.t) ~at:_ (ev : Event.t) =
   match ev with
   | Init { cost } -> Stats.charge s Ov_other cost

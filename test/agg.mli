@@ -1,3 +1,5 @@
+open Darco_obs
+
 (** The in-memory aggregator sink: folds the event stream back into a
     {!Stats.t}.  On a run whose bus was created before the controller
     (so initialization events are captured), the aggregate equals the

@@ -1,8 +1,10 @@
 (* The distributed sweep, tested against real processes: worker daemons
-   forked onto ephemeral loopback ports, a real dispatcher, and failures
-   injected where a cluster actually produces them — a worker dying with a
-   unit in flight, a worker that never existed, a corrupted byte stream, a
-   checkpoint push whose bytes do not match their digest. *)
+   forked onto ephemeral loopback ports, fleets of [darco worker]
+   processes started by the [local] backend, a real dispatcher, and
+   failures injected where a cluster actually produces them — a worker
+   dying with a unit in flight, a worker that never existed, a corrupted
+   byte stream, a checkpoint push whose bytes do not match their
+   digest. *)
 
 module Sweep = Darco_sampling.Sweep
 module Work = Darco_sampling.Work
@@ -19,13 +21,13 @@ let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 (* Fork a worker daemon on an ephemeral port; the child reports the
    kernel-assigned port through a pipe once it is actually listening, so
    there is no race between spawn and first connect. *)
-let spawn_worker ?exec ?jobs ?isolate () =
+let spawn_worker ?exec ?jobs () =
   let r, w = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
     Unix.close r;
     (try
-       Worker.serve ~quiet:true ?exec ?jobs ?isolate
+       Worker.serve ~quiet:true ?exec ?jobs
          ~ready:(fun sa ->
            let port = match sa with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
            let line = Bytes.of_string (string_of_int port ^ "\n") in
@@ -70,10 +72,10 @@ let render (r : Sweep.result) =
     | Sweep.Ok j -> J.to_string j
     | Sweep.Failed e -> "FAILED " ^ e)
 
-(* What the Local backend says — the reference every remote run must
+(* What the serial backend says — the reference every remote run must
    reproduce byte for byte. *)
 let expected =
-  lazy (List.map render (Sweep.run (Sweep.Backend.local ~jobs:2 ()) (Lazy.force works)))
+  lazy (List.map render (Sweep.run (Sweep.Backend.serial ()) (Lazy.force works)))
 
 let collecting_bus () =
   let events = ref [] in
@@ -84,7 +86,7 @@ let collecting_bus () =
 let saw events p = List.exists p !events
 let count events p = List.length (List.filter p !events)
 
-(* --- 1. loopback end-to-end: remote results bit-identical to Local --- *)
+(* --- 1. loopback end-to-end: remote results bit-identical to serial --- *)
 let test_loopback_e2e () =
   let p1, a1 = spawn_worker () in
   let p2, a2 = spawn_worker () in
@@ -96,29 +98,13 @@ let test_loopback_e2e () =
         Sweep.run (Darco_dispatch.remote ~bus [ a1; a2 ]) (Lazy.force works)
       in
       Alcotest.(check (list string))
-        "remote sweep bit-identical to local" (Lazy.force expected)
+        "remote sweep bit-identical to serial" (Lazy.force expected)
         (List.map render remote);
       Alcotest.(check bool) "both workers connected" true
         (saw events (function Event.Worker_up _ -> true | _ -> false));
       Alcotest.(check bool) "every unit acknowledged" true
         (count events (function Event.Dispatch_done _ -> true | _ -> false)
         = List.length (Lazy.force works)))
-
-(* --- 1a. the same loopback against --isolate workers: the fork engine
-   is no longer the daemon's default, so pin that its results stay
-   byte-identical to Local (and hence to the domain-pool engine) --- *)
-let test_loopback_isolate () =
-  let p1, a1 = spawn_worker ~isolate:true () in
-  let p2, a2 = spawn_worker ~isolate:true ~jobs:2 () in
-  Fun.protect
-    ~finally:(fun () -> reap p1; reap p2)
-    (fun () ->
-      let remote =
-        Sweep.run (Darco_dispatch.remote [ a1; a2 ]) (Lazy.force works)
-      in
-      Alcotest.(check (list string))
-        "isolated workers bit-identical to local" (Lazy.force expected)
-        (List.map render remote))
 
 (* --- 1b. observability of the same sweep: lifecycle events carry
    wall-clock stamps, worker span logs ship back inside RSLT frames and
@@ -143,7 +129,7 @@ let test_sweep_observability () =
         Sweep.run (Darco_dispatch.remote ~bus [ a1; a2 ]) (Lazy.force works)
       in
       Alcotest.(check (list string))
-        "observed sweep still bit-identical to local" (Lazy.force expected)
+        "observed sweep still bit-identical to serial" (Lazy.force expected)
         (List.map render remote);
       (* the dispatch-event stamping fix: lifecycle events used to be
          emitted at:0; they must carry real wall-clock microseconds *)
@@ -202,9 +188,7 @@ let test_ckpt_shipped_once () =
       [ 12_000; 14_000; 16_000; 18_000 ]
   in
   Alcotest.(check int) "one checkpoint in the store" 1 (Store.count store);
-  let local =
-    List.map render (Sweep.run (Sweep.Backend.local ~store ~jobs:2 ()) stored)
-  in
+  let local = List.map render (Sweep.run (Sweep.Backend.serial ~store ()) stored) in
   let p1, a1 = spawn_worker ~jobs:2 () in
   let p2, a2 = spawn_worker ~jobs:1 () in
   Fun.protect
@@ -215,7 +199,7 @@ let test_ckpt_shipped_once () =
         Sweep.run (Darco_dispatch.remote ~bus ~store [ a1; a2 ]) stored
       in
       Alcotest.(check (list string))
-        "digest-addressed remote sweep bit-identical to local" local
+        "digest-addressed remote sweep bit-identical to serial" local
         (List.map render remote);
       (* each (worker, digest) pair was pushed at most once *)
       let pushes = Hashtbl.create 4 in
@@ -292,8 +276,9 @@ let test_worker_died_mid_unit () =
       Alcotest.(check bool) "the orphaned unit was retried" true
         (saw events (function Event.Dispatch_retry _ -> true | _ -> false)))
 
-(* --- 5. no reachable worker: graceful degradation to the local fork
-   backend, same results --- *)
+(* --- 5. no reachable worker: graceful degradation to the domains
+   backend, same results.  The fallback spawns domains in this process,
+   after which it may never fork again, so this test runs last --- *)
 let test_unreachable_falls_back () =
   (* an ephemeral port with provably nobody behind it *)
   let sock = Unix.socket PF_INET SOCK_STREAM 0 in
@@ -310,7 +295,7 @@ let test_unreachable_falls_back () =
       (Lazy.force works)
   in
   Alcotest.(check (list string))
-    "falls back to local and completes" (Lazy.force expected)
+    "falls back to domains and completes" (Lazy.force expected)
     (List.map render remote);
   Alcotest.(check bool) "fallback was announced" true
     (saw events (function Event.Dispatch_fallback _ -> true | _ -> false))
@@ -697,6 +682,95 @@ let test_keepalive_detects_stopped_worker () =
              | _ -> false)
            !events))
 
+(* --- 12. the loopback fleet behind [--backend local:J]: byte-identical
+   to serial, a unit's exception included, and every worker process
+   stopped and reaped when the sweep ends — also when it ends by an
+   exception --- *)
+let test_fleet_matches_serial () =
+  let garbage =
+    { Work.label = "garbage"; ckpt = Work.Inline "not a snapshot"; offset = 0;
+      window = 1; warmup = 0 }
+  in
+  let units = Lazy.force works @ [ garbage ] in
+  let serial = List.map render (Sweep.run (Sweep.Backend.serial ()) units) in
+  Alcotest.(check (list string))
+    "local:2 renders identically to serial, failed unit included" serial
+    (List.map render (Sweep.run (Fleet.backend 2) units));
+  Alcotest.(check bool) "the failed unit keeps its reason" true
+    (contains (List.nth serial 4) "worker failed: ");
+  Alcotest.(check bool) "every fleet worker reaped" true (Fleet.no_children ());
+  (match
+     Sweep.run_stream (Fleet.backend 2) ~next:(fun round _ ->
+         if round = 0 then [ garbage ] else raise Exit)
+   with
+  | _ -> Alcotest.fail "the callback's exception was swallowed"
+  | exception Exit -> ());
+  Alcotest.(check bool) "fleet reaped after the callback raised" true
+    (Fleet.no_children ());
+  let pids = ref [] in
+  (match
+     Darco_dispatch.with_fleet ~exe:Fleet.exe 2 (fun fleet ->
+         pids := List.map snd fleet;
+         raise Exit)
+   with
+  | () -> Alcotest.fail "with_fleet swallowed the exception"
+  | exception Exit -> ());
+  Alcotest.(check int) "with_fleet started two workers" 2 (List.length !pids);
+  Alcotest.(check bool) "with_fleet reaped them on the way out" true
+    (Fleet.no_children ())
+
+(* --- 13. a fleet worker SIGKILLed as its first unit is sent loses
+   nothing: its unit is reassigned to the surviving worker and the sweep
+   is still byte-identical --- *)
+let test_fleet_worker_killed () =
+  Darco_dispatch.with_fleet ~exe:Fleet.exe 2 (fun fleet ->
+      let victim_addr, victim = List.hd fleet in
+      let victim_name = Darco_dispatch.addr_to_string victim_addr in
+      let bus, events = collecting_bus () in
+      let killed = ref false in
+      Darco_obs.Bus.attach bus ~name:"killer" (fun ~at:_ ev ->
+          match ev with
+          | Event.Dispatch_sent { worker; _ } when worker = victim_name && not !killed
+            ->
+            killed := true;
+            Unix.kill victim Sys.sigkill
+          | _ -> ());
+      let remote =
+        Sweep.run (Darco_dispatch.remote ~bus (List.map fst fleet)) (Lazy.force works)
+      in
+      Alcotest.(check bool) "the worker was killed" true !killed;
+      Alcotest.(check (list string))
+        "sweep byte-identical past the killed worker" (Lazy.force expected)
+        (List.map render remote);
+      Alcotest.(check bool) "the loss was observed" true
+        (saw events (function
+          | Event.Worker_lost { worker; _ } -> worker = victim_name
+          | _ -> false));
+      Alcotest.(check bool) "the orphaned unit was retried" true
+        (saw events (function Event.Dispatch_retry _ -> true | _ -> false)))
+
+(* --- 14. [darco worker --listen HOST:0] announces the port the kernel
+   bound, on its first stdout line, and that port answers a Hello --- *)
+let test_worker_announces_bound_port () =
+  let r, w = Unix.pipe () in
+  let pid =
+    Unix.create_process Fleet.exe
+      [| Fleet.exe; "worker"; "--listen"; "127.0.0.1:0"; "-j"; "1" |]
+      Unix.stdin w Unix.stderr
+  in
+  Unix.close w;
+  let ic = Unix.in_channel_of_descr r in
+  Fun.protect
+    ~finally:(fun () ->
+      reap pid;
+      close_in_noerr ic)
+    (fun () ->
+      let port =
+        Scanf.sscanf (input_line ic) "[worker] listening on 127.0.0.1:%d" Fun.id
+      in
+      Alcotest.(check bool) "the announced port is the bound one" true (port > 0);
+      Unix.close (connect { Darco_dispatch.host = "127.0.0.1"; port }))
+
 (* --- spec parsing (the CLI's --backend flag) --- *)
 let test_spec_parsing () =
   let ok = function Ok s -> s | Error e -> Alcotest.failf "parse failed: %s" e in
@@ -704,10 +778,13 @@ let test_spec_parsing () =
   | Darco_dispatch.Serial -> ()
   | _ -> Alcotest.fail "expected Serial");
   (match ok (Darco_dispatch.spec_of_string ~jobs:3 "local") with
-  | Darco_dispatch.Local { jobs } -> Alcotest.(check int) "default jobs" 3 jobs
+  | Darco_dispatch.Local { jobs; _ } -> Alcotest.(check int) "default jobs" 3 jobs
   | _ -> Alcotest.fail "expected Local");
-  (match ok (Darco_dispatch.spec_of_string "local:9") with
-  | Darco_dispatch.Local { jobs } -> Alcotest.(check int) "explicit jobs" 9 jobs
+  (match ok (Darco_dispatch.spec_of_string ~timeout:5.0 ~retries:1 "local:9") with
+  | Darco_dispatch.Local { jobs; timeout; retries } ->
+    Alcotest.(check int) "explicit jobs" 9 jobs;
+    Alcotest.(check (float 0.0)) "dispatch timeout governs local" 5.0 timeout;
+    Alcotest.(check int) "dispatch retries govern local" 1 retries
   | _ -> Alcotest.fail "expected Local");
   (match ok (Darco_dispatch.spec_of_string ~jobs:3 "domains") with
   | Darco_dispatch.Domains { jobs } ->
@@ -764,12 +841,12 @@ let () =
           Alcotest.test_case "v5 frames roundtrip" `Quick test_v5_roundtrip;
           Alcotest.test_case "version negotiation" `Quick
             test_version_negotiation;
+          Alcotest.test_case "worker announces its bound port" `Quick
+            test_worker_announces_bound_port;
         ] );
       ( "cluster",
         [
           Alcotest.test_case "loopback end-to-end" `Quick test_loopback_e2e;
-          Alcotest.test_case "loopback via --isolate workers" `Quick
-            test_loopback_isolate;
           Alcotest.test_case "sweep observability: stamps, spans, chrome"
             `Quick test_sweep_observability;
           Alcotest.test_case "checkpoint shipped at most once" `Quick
@@ -780,6 +857,11 @@ let () =
             test_worker_died_mid_unit;
           Alcotest.test_case "keepalive exposes a stopped worker" `Quick
             test_keepalive_detects_stopped_worker;
+          Alcotest.test_case "local fleet matches serial, is reaped" `Quick
+            test_fleet_matches_serial;
+          Alcotest.test_case "killed fleet worker loses nothing" `Quick
+            test_fleet_worker_killed;
+          (* last: its fallback spawns domains, after which no test may fork *)
           Alcotest.test_case "unreachable worker falls back" `Quick
             test_unreachable_falls_back;
         ] );

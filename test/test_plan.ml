@@ -234,7 +234,7 @@ let small_sweep () =
   (store, [ 8_000; 16_000; 24_000 ], mk)
 
 (* A fixed plan through [run_stream] on the serial backend must rebuild
-   the one-shot fork sweep's document byte for byte — the degenerate plan
+   the one-shot sweep's document byte for byte — the degenerate plan
    really is the existing pipeline. *)
 let test_fixed_stream_matches_oneshot () =
   let store, offsets, mk = small_sweep () in
@@ -247,7 +247,7 @@ let test_fixed_stream_matches_oneshot () =
   let oneshot =
     report
       (List.combine offsets
-         (Sweep.run (Sweep.Backend.local ~store ~jobs:2 ()) (List.map mk offsets)))
+         (Sweep.run (Fleet.backend ~store 2) (List.map mk offsets)))
   in
   let plan =
     Plan.create
@@ -266,14 +266,14 @@ let test_fixed_stream_matches_oneshot () =
     oneshot streamed
 
 (* The serial backend is the determinism reference: same results, same
-   rendering as the fork pool, without forking. *)
-let test_serial_identical_to_fork () =
+   rendering as loopback worker processes, in this process. *)
+let test_serial_identical_to_local () =
   let store, offsets, mk = small_sweep () in
   let works = List.map mk offsets in
-  let via_fork = Sweep.run (Sweep.Backend.local ~store ~jobs:2 ()) works in
+  let via_local = Sweep.run (Fleet.backend ~store 2) works in
   let via_serial = Sweep.run (Sweep.Backend.serial ~store ()) works in
-  Alcotest.(check (list string)) "serial renders identically to fork"
-    (List.map render_result via_fork)
+  Alcotest.(check (list string)) "serial renders identically to the local fleet"
+    (List.map render_result via_local)
     (List.map render_result via_serial)
 
 (* An adaptive sweep chooses the same windows and produces byte-identical
@@ -321,9 +321,9 @@ let test_adaptive_backend_independent () =
         .Report.doc
   in
   let serial = sweep (Sweep.Backend.serial ~store ()) in
-  let fork = sweep (Sweep.Backend.local ~store ~jobs:3 ()) in
+  let local = sweep (Fleet.backend ~store 3) in
   let domains = sweep (Sweep.Backend.domains ~store ~jobs:3 ()) in
-  Alcotest.(check string) "serial and fork byte-identical" serial fork;
+  Alcotest.(check string) "serial and local fleet byte-identical" serial local;
   Alcotest.(check string) "serial and domains byte-identical" serial domains;
   (* and the document carries the planner's summary *)
   let doc = J.parse serial in
@@ -361,8 +361,8 @@ let () =
         [
           Alcotest.test_case "fixed stream matches one-shot" `Quick
             test_fixed_stream_matches_oneshot;
-          Alcotest.test_case "serial backend identical to fork" `Quick
-            test_serial_identical_to_fork;
+          Alcotest.test_case "serial backend identical to local" `Quick
+            test_serial_identical_to_local;
           Alcotest.test_case "adaptive backend-independent" `Quick
             test_adaptive_backend_independent;
         ] );

@@ -181,60 +181,6 @@ let test_corrupted_snapshot () =
   let resumed = Snapshot.restore (Snapshot.of_string good) in
   expect_done "good bytes resume" (Controller.run resumed)
 
-(* Dummy units for exercising the sweep machinery with injected behaviour:
-   the closure passed to [Backend.of_exec] keys off the label, so no real
-   simulation happens. *)
-let dummy_works labels =
-  List.map
-    (fun label -> { Work.label; ckpt = Work.Inline ""; offset = 0; window = 1; warmup = 0 })
-    labels
-
-let crashy_exec (w : Work.t) =
-  let module J = Darco_obs.Jsonx in
-  match int_of_string w.label with
-  | 1 -> failwith "boom"
-  | 2 ->
-    (* die without the courtesy of an exception *)
-    Unix.kill (Unix.getpid ()) Sys.sigkill;
-    assert false
-  | i -> J.Obj [ ("v", J.Int i) ]
-
-(* A crashing worker loses only its own sample.  Runs through the
-   backend-agnostic [Sweep.run] front door with an instrumented executor
-   ([Backend.of_exec]), which shares its fork pool with [Backend.local] —
-   so the containment property is tested for the real path. *)
-let test_sweep_contains_crashes () =
-  let module J = Darco_obs.Jsonx in
-  let results =
-    Sweep.run
-      (Sweep.Backend.of_exec ~jobs:2 ~name:"crashy" crashy_exec)
-      (dummy_works [ "0"; "1"; "2"; "3" ])
-  in
-  Alcotest.(check int) "all samples reported" 4 (List.length results);
-  let nth n = (List.nth results n).Sweep.outcome in
-  (match nth 0 with
-  | Sweep.Ok json ->
-    Alcotest.(check (option int)) "payload survives" (Some 0)
-      (Option.bind (J.member "v" json) J.to_int)
-  | Sweep.Failed r -> Alcotest.failf "sample 0 failed: %s" r);
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  (match nth 1 with
-  | Sweep.Failed reason ->
-    Alcotest.(check bool) "exception reason captured" true (contains reason "boom")
-  | Sweep.Ok _ -> Alcotest.fail "exception not contained");
-  (match nth 2 with
-  | Sweep.Failed reason ->
-    Alcotest.(check bool) "signal death reported" true
-      (String.length reason > 0)
-  | Sweep.Ok _ -> Alcotest.fail "signal death not contained");
-  match nth 3 with
-  | Sweep.Ok _ -> ()
-  | Sweep.Failed r -> Alcotest.failf "sample 3 failed: %s" r
-
 (* --- the content-addressed checkpoint store --- *)
 
 let test_store_basics () =
@@ -554,11 +500,6 @@ let test_golden_work_v2 () =
 
 (* --- the multicore runtime ------------------------------------------------ *)
 
-(* Everything below spawns domains.  The OCaml 5 runtime forbids
-   [Unix.fork] once any domain has ever been created in the process, so
-   these suites are registered LAST: every fork-based test above (the
-   sweep pool tests) has finished before the first domain exists. *)
-
 let render_result (r : Sweep.result) =
   r.Sweep.label ^ " => "
   ^ (match r.Sweep.outcome with
@@ -566,9 +507,9 @@ let render_result (r : Sweep.result) =
     | Sweep.Failed e -> "FAILED " ^ e)
 
 (* The acceptance contract of the domains backend: a real sweep renders
-   byte-identically whichever pool ran it.  Fork runs first — after the
-   domains sweep this process can never fork again. *)
-let test_domains_identical_to_fork () =
+   byte-identically on the domain pool and on loopback worker processes
+   (whose workers start by spawn, legal after this process's domains). *)
+let test_domains_identical_to_local () =
   let program = build "462.libquantum" in
   let store = Store.create () in
   let window = 1_500 and warmup = 500 in
@@ -585,16 +526,16 @@ let test_domains_identical_to_fork () =
           ~offset ~window ~warmup)
       offsets
   in
-  let via_fork = Sweep.run (Sweep.Backend.local ~store ~jobs:3 ()) works in
   let via_domains = Sweep.run (Sweep.Backend.domains ~store ~jobs:3 ()) works in
+  let via_local = Sweep.run (Fleet.backend ~store 3) works in
   Alcotest.(check (list string))
-    "fork and domains render identically"
-    (List.map render_result via_fork)
+    "local fleet and domains render identically"
+    (List.map render_result via_local)
     (List.map render_result via_domains)
 
 (* A unit raising on a worker domain is contained as its own [Failed]
-   outcome — and rendered exactly as the fork pool renders the same
-   failure (a v2 unit whose digest is in nobody's store). *)
+   outcome carrying the exception (a v2 unit whose digest is in nobody's
+   store). *)
 let test_domains_contains_failures () =
   let phantom = Store.digest "never stored anywhere" in
   let works =
@@ -631,7 +572,7 @@ let test_store_concurrent () =
     end
   in
   Fun.protect ~finally:cleanup (fun () ->
-      let store = Store.create ~dir ~tier:Store.Shared () in
+      let store = Store.create ~dir () in
       let ndom = 4 and per = 25 and shared_contents = 5 in
       let doms =
         List.init ndom (fun d ->
@@ -663,15 +604,15 @@ let test_store_concurrent () =
           Alcotest.(check bool) "own digest resolves" true
             (Store.find store dn <> None))
         outcomes;
-      (* a fresh Shared-tier store over the same directory cold-reads the
-         spilled entries (mmap path) and re-verifies them *)
-      let fresh = Store.create ~dir ~tier:Store.Shared () in
+      (* a fresh store over the same directory cold-reads the spilled
+         entries and re-verifies them *)
+      let fresh = Store.create ~dir () in
       Alcotest.(check int) "fresh store starts empty" 0 (Store.count fresh);
       let d0 = Store.digest "shared-0" in
-      Alcotest.(check (option string)) "cold mmap read"
+      Alcotest.(check (option string)) "cold read"
         (Some "shared-0") (Store.find fresh d0);
       (* concurrent cold reads of one spilled entry from several domains *)
-      let cold = Store.create ~dir ~tier:Store.Shared () in
+      let cold = Store.create ~dir () in
       let readers =
         List.init ndom (fun _ ->
             Domain.spawn (fun () -> Store.find cold d0 = Some "shared-0"))
@@ -680,12 +621,12 @@ let test_store_concurrent () =
         (fun d ->
           Alcotest.(check bool) "concurrent cold read" true (Domain.join d))
         readers;
-      (* tampered spill bytes are refused on the mmap path too *)
+      (* tampered spill bytes are refused on a cold read *)
       let dp = Store.digest "phantom" in
       let oc = open_out_bin (Filename.concat dir (dp ^ ".dsnp")) in
       output_string oc "not the phantom";
       close_out oc;
-      match Store.find (Store.create ~dir ~tier:Store.Shared ()) dp with
+      match Store.find (Store.create ~dir ()) dp with
       | _ -> Alcotest.fail "accepted a tampered cache entry"
       | exception Buf.Corrupt _ -> ())
 
@@ -706,10 +647,6 @@ let () =
       ( "driver",
         [ Alcotest.test_case "matches create_at" `Quick test_driver_matches_create_at ]
       );
-      ( "sweep",
-        [
-          Alcotest.test_case "crash containment" `Quick test_sweep_contains_crashes;
-        ] );
       ( "store",
         [
           Alcotest.test_case "content addressing" `Quick test_store_basics;
@@ -730,12 +667,10 @@ let () =
           Alcotest.test_case "section tag change refused" `Quick
             test_section_tag_refused;
         ] );
-      (* keep last: these spawn domains, which forbids fork for the rest
-         of the process (the sweep suite above forks) *)
       ( "multicore",
         [
-          Alcotest.test_case "domains backend identical to fork" `Quick
-            test_domains_identical_to_fork;
+          Alcotest.test_case "domains backend identical to local" `Quick
+            test_domains_identical_to_local;
           Alcotest.test_case "domains backend contains failures" `Quick
             test_domains_contains_failures;
           Alcotest.test_case "store under concurrent domains" `Quick

@@ -161,7 +161,7 @@ let expected_doc =
              ~offset:off ~window:2_000 ~warmup:1_000)
          spec1.Campaign.offsets
      in
-     let results = Sweep.run (Sweep.Backend.local ~store ~jobs:2 ()) works in
+     let results = Sweep.run (Sweep.Backend.serial ~store ()) works in
      let rep =
        Report.sweep_json ~benchmark:"continuous" ~seed:7 ~interval:10_000
          ~window:2_000 ~warmup:1_000
@@ -470,13 +470,20 @@ let must_read dir name =
       (let err = Filename.concat dir (Filename.remove_extension name ^ ".err") in
        if Sys.file_exists err then ": " ^ read_file err else "")
 
+(* One worker daemon for a test's servers, stopped when the test ends. *)
+let with_worker f =
+  let pid, addr = spawn_worker () in
+  Fun.protect ~finally:(fun () -> reap pid) (fun () -> f addr)
+
 let test_serve_resubmit_and_restore () =
   with_temp_dir @@ fun dir ->
+  with_worker @@ fun waddr ->
   let libdir = Filename.concat dir "lib" in
   let pipe = Unix.pipe () in
   let pid = fork_client pipe (seq_client dir) in
   let bus, events = collecting_bus () in
-  Serve.serve ~bus ~quiet:true ~jobs:2 ~credit:2 ~max_submissions:3
+  Serve.serve ~bus ~quiet:true ~workers:[ waddr ] ~jobs:2 ~credit:2
+    ~max_submissions:3
     ~ready:(announce [ snd pipe ])
     ~library:libdir ~host:"127.0.0.1" ~port:0 ();
   wait pid;
@@ -493,7 +500,7 @@ let test_serve_resubmit_and_restore () =
   let doc0 = must_read dir "first.json" in
   Alcotest.(check string) "resubmitted document byte-identical" doc0
     (must_read dir "again.json");
-  Alcotest.(check string) "document byte-identical to the local backend"
+  Alcotest.(check string) "document byte-identical to the serial backend"
     (Lazy.force expected_doc) doc0;
   (* the sibling campaign has new windows but the same checkpoint set *)
   Alcotest.(check (list int)) "sibling: new windows dispatched" [ 2; 2; 0; 2 ]
@@ -566,7 +573,7 @@ let test_serve_resubmit_and_restore () =
           write_file (Filename.concat dir "cold.json") doc
         | Error e -> write_file (Filename.concat dir "cold.err") e)
   in
-  Serve.serve ~quiet:true ~jobs:2 ~max_submissions:1
+  Serve.serve ~quiet:true ~workers:[ waddr ] ~jobs:2 ~max_submissions:1
     ~ready:(announce [ snd pipe2 ])
     ~library:libdir ~host:"127.0.0.1" ~port:0 ();
   wait pid2;
@@ -592,6 +599,7 @@ let adaptive_spec =
 
 let test_serve_adaptive_campaign () =
   with_temp_dir @@ fun dir ->
+  with_worker @@ fun waddr ->
   let pipe = Unix.pipe () in
   let pid =
     fork_client pipe (fun addr ->
@@ -605,7 +613,8 @@ let test_serve_adaptive_campaign () =
         | Error e -> write_file (Filename.concat dir "adaptive.err") e)
   in
   let bus, events = collecting_bus () in
-  Serve.serve ~bus ~quiet:true ~jobs:2 ~credit:4 ~max_submissions:1
+  Serve.serve ~bus ~quiet:true ~workers:[ waddr ] ~jobs:2 ~credit:4
+    ~max_submissions:1
     ~ready:(announce [ snd pipe ])
     ~library:(Filename.concat dir "lib") ~host:"127.0.0.1" ~port:0 ();
   wait pid;

@@ -517,6 +517,21 @@ let test_restore_rejects_duplicate_tlb_page () =
   expect_invalid "Pipeline.restore" (fun () ->
       Pipeline.restore { good with p_dtlb = { good.p_dtlb with p_entries = e } })
 
+(* A configuration naming a far larger L2 than the persisted arrays hold
+   (65,536 sets of 16 ways: about 50 MB of lines) is refused before
+   [create] allocates any of it. *)
+let test_restore_checks_geometry_first () =
+  let good = Pipeline.persist (feed Tconfig.default (nop_stream 100)) in
+  let cfg = good.p_cfg in
+  let big = { cfg with l2 = { cfg.l2 with sets = 1 lsl 16; ways = 16 } } in
+  let before = Gc.allocated_bytes () in
+  expect_invalid "L2 geometry larger than its state" (fun () ->
+      Pipeline.restore { good with p_cfg = big });
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "refused before allocating (%.0f bytes allocated)" allocated)
+    true (allocated < 1e6)
+
 let () =
   Alcotest.run "timing"
     [
@@ -561,5 +576,7 @@ let () =
           Alcotest.test_case "negative ring count" `Quick test_restore_rejects_negative_ring;
           Alcotest.test_case "two TLB entries for one page" `Quick
             test_restore_rejects_duplicate_tlb_page;
+          Alcotest.test_case "geometry checked before allocation" `Quick
+            test_restore_checks_geometry_first;
         ] );
     ]
