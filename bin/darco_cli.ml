@@ -898,14 +898,18 @@ let serve_cmd =
       quiet trace =
     let addr = parse_addr listen in
     (* without --workers, one loopback fleet serves the daemon's whole
-       lifetime and is stopped when it returns *)
+       lifetime, restarting a dead worker before each round, and is
+       stopped when the daemon returns *)
     let with_workers f =
       match workers with
       | Some s ->
-        f (List.map (fun p -> parse_addr (String.trim p)) (String.split_on_char ',' s))
+        let addrs =
+          List.map (fun p -> parse_addr (String.trim p)) (String.split_on_char ',' s)
+        in
+        f (fun () -> addrs)
       | None ->
         Darco_dispatch.with_fleet ~exe:Sys.executable_name jobs (fun fleet ->
-            f (List.map fst fleet))
+            f (fun () -> Darco_dispatch.fleet_revive fleet))
     in
     let bus = Darco_obs.Bus.create () in
     with_trace bus trace @@ fun _trace_oc ->
@@ -944,7 +948,7 @@ let serve_cmd =
       const run
       $ Arg.(value & opt string "127.0.0.1:9300" & info [ "listen" ] ~docv:"HOST:PORT" ~doc:"Bind and serve on $(docv)")
       $ Arg.(required & opt (some string) None & info [ "library" ] ~docv:"DIR" ~doc:"Artifact library directory (created if missing)")
-      $ Arg.(value & opt (some string) None & info [ "workers" ] ~docv:"HOST:PORT,..." ~doc:"Dispatch work units to these worker daemons (default: start --jobs loopback $(b,darco worker) processes for the daemon's lifetime)")
+      $ Arg.(value & opt (some string) None & info [ "workers" ] ~docv:"HOST:PORT,..." ~doc:"Dispatch work units to these worker daemons (default: start --jobs loopback $(b,darco worker) processes for the daemon's lifetime, restarting any that died before each scheduling round)")
       $ Arg.(value & opt int 4 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Loopback worker processes to start without --workers; also the domain count of the fallback when no worker is reachable")
       $ Arg.(value & opt int 4 & info [ "credit" ] ~docv:"N" ~doc:"Fair-share allowance: work units each submission may occupy per scheduling round")
       $ Arg.(value & opt float 60.0 & info [ "dispatch-timeout" ] ~docv:"SECONDS" ~doc:"Per-work-unit deadline on the worker fleet")

@@ -144,7 +144,7 @@ let connect_worker ~bus ~timeout ~ix (a : addr) =
   match Worker.resolve a.host with
   | exception Invalid_argument m -> fail None m
   | inet -> (
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
     Wire.no_delay fd;
     Unix.set_nonblock fd;
     let sockaddr = Unix.ADDR_INET (inet, a.port) in
@@ -345,8 +345,11 @@ let session_run se works =
   in
   (* (unit index, attempt, earliest re-dispatch time), input order *)
   let pending = ref (List.init n (fun i -> (i, 0, 0.0))) in
+  (* why each requeued unit's last worker was lost *)
+  let lost_with = Array.make n "" in
   let requeue (i, attempt) reason =
     let label = units.(i).Work.label in
+    lost_with.(i) <- reason;
     if attempt >= retries then
       settle i
         (Sweep.Failed
@@ -566,23 +569,36 @@ let session_run se works =
       | _ -> ()
     end
   in
+  (* No worker left: the units no worker ever received run on domains in
+     this process.  A unit lost along with a worker may be what killed
+     it, and a domain shares this process, so it fails instead. *)
   let fallback reason =
-    emit bus (Event.Dispatch_fallback { reason });
     let todo =
       List.filter_map
-        (fun (i, _, _) -> if finished.(i) then None else Some i)
+        (fun (i, attempt, _) ->
+          if finished.(i) then None
+          else if attempt > 0 then begin
+            settle i
+              (Sweep.Failed
+                 (Printf.sprintf "worker lost while running it (%s)" lost_with.(i)));
+            None
+          end
+          else Some i)
         !pending
     in
-    (* close the dispatcher-side spans before handing over: the domains
-       backend opens its own "running" spans for these units *)
-    List.iter (fun i -> close_span i ~ok:true) todo;
     pending := [];
-    let results =
-      Sweep.run
-        (Sweep.Backend.domains ?bus ?store ~jobs:fallback_jobs ())
-        (List.map (fun i -> units.(i)) todo)
-    in
-    List.iter2 (fun i (r : Sweep.result) -> settle i r.outcome) todo results
+    if todo <> [] then begin
+      emit bus (Event.Dispatch_fallback { reason });
+      (* close the dispatcher-side spans before handing over: the domains
+         backend opens its own "running" spans for these units *)
+      List.iter (fun i -> close_span i ~ok:true) todo;
+      let results =
+        Sweep.run
+          (Sweep.Backend.domains ?bus ?store ~jobs:fallback_jobs ())
+          (List.map (fun i -> units.(i)) todo)
+      in
+      List.iter2 (fun i (r : Sweep.result) -> settle i r.outcome) todo results
+    end
   in
   if live () = [] then
     fallback
@@ -747,68 +763,142 @@ let remote ?bus ?fallback_jobs ?store ?keepalive_idle ?keepalive_misses
 
 (* --- the loopback fleet ------------------------------------------------- *)
 
-let free_port () =
-  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> Unix.close s) @@ fun () ->
-  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  match Unix.getsockname s with
-  | Unix.ADDR_INET (_, port) -> port
-  | Unix.ADDR_UNIX _ -> invalid_arg "free_port"
+(* A port reservation: a socket bound with SO_REUSEADDR but never
+   listening.  The worker's own bind beside it succeeds (it sets
+   SO_REUSEADDR too, and neither socket listens yet), while no other
+   socket is handed the port in between — not even by the kernel's
+   ephemeral choice.  [port] when it is free, else a fresh one. *)
+let rec reserve port =
+  let s = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  match
+    Unix.setsockopt s Unix.SO_REUSEADDR true;
+    Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    Unix.getsockname s
+  with
+  | Unix.ADDR_INET (_, p) -> (s, p)
+  | Unix.ADDR_UNIX _ -> invalid_arg "reserve"
+  | exception e ->
+    close_quietly s;
+    if port = 0 then raise e else reserve 0
 
 let accepts port =
-  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let s = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> Unix.close s) @@ fun () ->
   match Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
   | () -> true
   | exception Unix.Unix_error _ -> false
 
-let stop_fleet fleet =
-  List.iter
-    (fun (_, pid) -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-    fleet;
-  let rec reap pid =
-    try ignore (Unix.waitpid [] pid) with
-    | Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
-    | Unix.Unix_error _ -> ()
-  in
-  List.iter (fun (_, pid) -> reap pid) fleet
+type member = {
+  mutable m_addr : addr;
+  mutable m_pid : int; (* 0 once reaped *)
+  mutable m_resv : Unix.file_descr option; (* held until the worker accepts *)
+}
+
+type fleet = { f_exe : string; f_members : member list }
+
+let fleet_members f = List.map (fun m -> (m.m_addr, m.m_pid)) f.f_members
+
+let release m =
+  Option.iter close_quietly m.m_resv;
+  m.m_resv <- None
+
+(* Reaps the member's process when it has exited. *)
+let exited m =
+  m.m_pid = 0
+  ||
+  match Unix.waitpid [ Unix.WNOHANG ] m.m_pid with
+  | 0, _ -> false
+  | _ | (exception Unix.Unix_error _) ->
+    m.m_pid <- 0;
+    true
+
+let stop m =
+  release m;
+  if m.m_pid > 0 then begin
+    (try Unix.kill m.m_pid Sys.sigkill with Unix.Unix_error _ -> ());
+    let rec reap () =
+      try ignore (Unix.waitpid [] m.m_pid) with
+      | Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
+      | Unix.Unix_error _ -> ()
+    in
+    reap ();
+    m.m_pid <- 0
+  end
 
 (* Spawn, not fork: [Unix.create_process] stays legal after the process
    has run a domain, and the worker is a fresh image with nothing of ours
-   to copy.  Each worker binds a port found free a moment earlier (it
-   sets SO_REUSEADDR); the fleet is ready once every one accepts. *)
+   to copy.  The worker gets the member's old port back while it is
+   free. *)
+let launch exe m =
+  release m;
+  let resv, port = reserve m.m_addr.port in
+  m.m_resv <- Some resv;
+  m.m_addr <- { host = "127.0.0.1"; port };
+  m.m_pid <-
+    Unix.create_process exe
+      [| exe; "worker"; "--listen"; addr_to_string m.m_addr; "-j"; "1"; "--quiet" |]
+      Unix.stdin Unix.stdout Unix.stderr
+
+(* Wait until every launched member accepts, then drop its reservation.
+   A worker that exits first starts again on a fresh port, twice at
+   most. *)
+let await exe members =
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  List.iter
+    (fun m ->
+      let restarts = ref 2 in
+      while not (accepts m.m_addr.port) do
+        if exited m then begin
+          if !restarts = 0 then
+            failwith ("loopback worker exited during start-up: " ^ addr_to_string m.m_addr);
+          decr restarts;
+          m.m_addr <- { m.m_addr with port = 0 };
+          launch exe m
+        end
+        else if Unix.gettimeofday () > deadline then
+          failwith ("loopback worker did not start: " ^ addr_to_string m.m_addr);
+        Unix.sleepf 0.002
+      done;
+      release m)
+    members
+
+let stop_fleet f = List.iter stop f.f_members
+
 let start_fleet ~exe jobs =
-  let fleet = ref [] in
+  let f =
+    {
+      f_exe = exe;
+      f_members =
+        List.init (max 1 jobs) (fun _ ->
+            { m_addr = { host = "127.0.0.1"; port = 0 }; m_pid = 0; m_resv = None });
+    }
+  in
   match
-    for _ = 1 to max 1 jobs do
-      let port = free_port () in
-      let argv =
-        [| exe; "worker"; "--listen"; Printf.sprintf "127.0.0.1:%d" port;
-           "-j"; "1"; "--quiet" |]
-      in
-      let pid = Unix.create_process exe argv Unix.stdin Unix.stdout Unix.stderr in
-      fleet := ({ host = "127.0.0.1"; port }, pid) :: !fleet
-    done;
-    let deadline = Unix.gettimeofday () +. 30.0 in
-    List.iter
-      (fun (a, pid) ->
-        while not (accepts a.port) do
-          if fst (Unix.waitpid [ Unix.WNOHANG ] pid) <> 0 then
-            failwith ("loopback worker exited during start-up: " ^ addr_to_string a);
-          if Unix.gettimeofday () > deadline then
-            failwith ("loopback worker did not start: " ^ addr_to_string a);
-          Unix.sleepf 0.002
-        done)
-      !fleet
+    List.iter (launch exe) f.f_members;
+    await exe f.f_members
   with
-  | () -> List.rev !fleet
+  | () -> f
   | exception e ->
-    stop_fleet !fleet;
+    stop_fleet f;
     raise e
 
 let with_fleet ~exe jobs f =
   let fleet = start_fleet ~exe jobs in
   Fun.protect ~finally:(fun () -> stop_fleet fleet) (fun () -> f fleet)
+
+let fleet_revive f =
+  let dead =
+    List.filter (fun m -> exited m || not (accepts m.m_addr.port)) f.f_members
+  in
+  (* a worker still running but no longer accepting is stopped before its
+     replacement starts *)
+  List.iter
+    (fun m ->
+      stop m;
+      launch f.f_exe m)
+    dead;
+  await f.f_exe dead;
+  List.map (fun m -> m.m_addr) f.f_members
 
 let backend ?bus ?fallback_jobs ?store ~exe spec : Sweep.Backend.t =
   match spec with
@@ -824,7 +914,7 @@ let backend ?bus ?fallback_jobs ?store ~exe spec : Sweep.Backend.t =
           (* one fleet per session: it lives exactly as long as the
              dispatcher's connections to it *)
           let fleet = start_fleet ~exe jobs in
-          let workers = List.map fst fleet in
+          let workers = List.map fst (fleet_members fleet) in
           let remote = remote ?bus ?fallback_jobs ?store ~timeout ~retries workers in
           match remote.session () with
           | s ->

@@ -42,9 +42,12 @@
       probes the worker is declared dead and its units reassigned —
       catching a frozen (e.g. SIGSTOPped) or unreachable worker long
       before the per-unit deadline would;
-    - when no workers are reachable (at start or mid-run), the remaining
-      units {b fall back} to {!Darco_sampling.Sweep.Backend.domains} in
-      this process, so a sweep always completes;
+    - when no workers are reachable (at start or mid-run), the units no
+      worker ever received {b fall back} to
+      {!Darco_sampling.Sweep.Backend.domains} in this process, so a sweep
+      always completes; a unit that was in flight on a lost worker may be
+      what killed it, so it settles as [Failed] ("worker lost while
+      running it") instead of running beside the dispatcher;
     - every step emits a typed event ([Worker_up], [Worker_lost],
       [Dispatch_sent], [Dispatch_done], [Dispatch_retry],
       [Dispatch_fallback], [Dispatch_inflight], [Ckpt_push], [Ckpt_hit],
@@ -114,14 +117,31 @@ val remote :
     [keepalive_idle] (default 5s) and [keepalive_misses] (default 3)
     parameterize the idle-connection probing. *)
 
-val with_fleet : exe:string -> int -> ((addr * int) list -> 'a) -> 'a
-(** [with_fleet ~exe j f] starts [j] (at least one) loopback workers —
-    [exe worker -j 1 --quiet] processes on free 127.0.0.1 ports, spawned
-    with [Unix.create_process], which stays legal after [Domain.spawn]
-    where a fork does not — waits until each accepts connections, and
-    calls [f] with every worker's address and pid.  The workers are
-    killed and reaped when [f] returns or raises, and when start-up fails
-    ([Failure]: a worker exited or did not accept within 30s).  [exe] is
-    the [darco] executable; the CLI passes [Sys.executable_name].  A
-    process killed by SIGKILL cannot stop its fleet: those workers keep
-    running until killed. *)
+type fleet
+(** Loopback worker processes: [darco worker -j 1 --quiet] on 127.0.0.1
+    ports, spawned with [Unix.create_process], which stays legal after
+    [Domain.spawn] where a fork does not. *)
+
+val with_fleet : exe:string -> int -> (fleet -> 'a) -> 'a
+(** [with_fleet ~exe j f] starts a fleet of [j] (at least one) workers,
+    waits until each accepts connections, and calls [f] with it.  [exe]
+    is the [darco] executable; the CLI passes [Sys.executable_name].
+    Each worker binds a port this process holds reserved until the
+    worker accepts, so no other socket can take it in between; a worker
+    that exits before accepting starts again on a fresh port, twice at
+    most.  Start-up fails with [Failure] when a worker still exits, or
+    does not accept within 30s.  The workers are killed and reaped when
+    [f] returns or raises, and when start-up fails.  A process killed by
+    SIGKILL cannot stop its fleet: those workers keep running until
+    killed. *)
+
+val fleet_members : fleet -> (addr * int) list
+(** Every worker's address and pid. *)
+
+val fleet_revive : fleet -> addr list
+(** Restart every worker whose process has exited or no longer accepts
+    connections — on its old port when that is still free, else on a
+    fresh one — wait until the new ones accept (as {!with_fleet}), and
+    return every worker's address.  [darco serve] calls it before each
+    scheduling round, so a worker lost to a crashing unit costs one
+    round's worth of it, not the daemon's capacity. *)

@@ -125,10 +125,12 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
   in
   let lib = Library.create ?bus ?max_bytes ~dir:library () in
   let store = Library.store lib in
-  let backend =
+  (* the worker addresses are asked for afresh each round: a loopback
+     fleet restarts a worker that died since the last one *)
+  let backend () =
     Darco_dispatch.remote ?bus ~fallback_jobs:jobs ~store ?keepalive_idle
       ?keepalive_misses ~timeout:dispatch_timeout ~retries:dispatch_retries
-      workers
+      (workers ())
   in
   (* --- service state --------------------------------------------------- *)
   let clients = ref [] in
@@ -788,7 +790,7 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
       let results =
         Fun.protect
           ~finally:(fun () -> List.iter (Store.unpin store) digests)
-          (fun () -> Sweep.run backend (List.map (fun (_, p) -> p.p_work) batch))
+          (fun () -> Sweep.run (backend ()) (List.map (fun (_, p) -> p.p_work) batch))
       in
       List.iter2
         (fun (kid, p) (r : Sweep.result) ->
@@ -857,16 +859,18 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
       !subs
   in
   (* --- accept loop ----------------------------------------------------- *)
-  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (* close-on-exec, as are client connections: a worker started later
+     must not hold the daemon's sockets open *)
+  let lsock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
   Unix.bind lsock
     (Unix.ADDR_INET (Darco_dispatch.Worker.resolve host, port));
   Unix.listen lsock 16;
   Option.iter (fun f -> f (Unix.getsockname lsock)) ready;
   log "serving on %s:%d (library %s, backend %s)" host port library
-    backend.Sweep.Backend.name;
+    (backend ()).Sweep.Backend.name;
   let accept_client () =
-    match Unix.accept lsock with
+    match Unix.accept ~cloexec:true lsock with
     | exception Unix.Unix_error _ -> ()
     | fd, peer_addr -> (
       let peer =

@@ -40,7 +40,7 @@
 val serve :
   ?bus:Darco_obs.Bus.t ->
   ?quiet:bool ->
-  workers:Darco_dispatch.addr list ->
+  workers:(unit -> Darco_dispatch.addr list) ->
   ?jobs:int ->
   ?credit:int ->
   ?dispatch_timeout:float ->
@@ -58,14 +58,17 @@ val serve :
   unit ->
   unit
 (** Run the service on [host:port] with its artifact library rooted at
-    [library], dispatching work units to the worker daemons at [workers]
-    through {!Darco_dispatch.remote} (timeout/retries/keepalive as
-    there; [darco serve] without [--workers] passes the addresses of a
-    loopback fleet it keeps for the daemon's lifetime).  [jobs] (default
-    4) sizes the domain pool units fall back to when no worker is
-    reachable.  [credit] (default 4) is the per-submission units-per-round
-    fair-share allowance; [max_bytes] bounds the library's checkpoint
-    store (LRU eviction).  [ready] is called with the bound address once
-    the listener is up.  With [max_submissions] the server returns
-    normally after completing that many submissions — the clean-shutdown
-    path used by tests and CI; otherwise it serves forever. *)
+    [library], dispatching work units to the worker daemons at
+    [workers ()] through {!Darco_dispatch.remote} (timeout/retries/
+    keepalive as there).  [workers] is asked before every scheduling
+    round: [darco serve] without [--workers] keeps one loopback fleet for
+    the daemon's lifetime and answers with
+    {!Darco_dispatch.fleet_revive}, which first restarts any worker that
+    died.  [jobs] (default 4) sizes the domain pool units fall back to
+    when no worker is reachable.  [credit] (default 4) is the
+    per-submission units-per-round fair-share allowance; [max_bytes]
+    bounds the library's checkpoint store (LRU eviction).  [ready] is
+    called with the bound address once the listener is up.  With
+    [max_submissions] the server returns normally after completing that
+    many submissions — the clean-shutdown path used by tests and CI;
+    otherwise it serves forever. *)

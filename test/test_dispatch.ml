@@ -86,6 +86,11 @@ let collecting_bus () =
 let saw events p = List.exists p !events
 let count events p = List.length (List.filter p !events)
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 (* --- 1. loopback end-to-end: remote results bit-identical to serial --- *)
 let test_loopback_e2e () =
   let p1, a1 = spawn_worker () in
@@ -299,6 +304,46 @@ let test_unreachable_falls_back () =
     (List.map render remote);
   Alcotest.(check bool) "fallback was announced" true
     (saw events (function Event.Dispatch_fallback _ -> true | _ -> false))
+
+(* --- 5b. the last worker dies under a unit: that unit may be what
+   killed it, so it fails rather than run in this process, and only the
+   units no worker received fall back to domains.  The worker kills
+   itself on every unit; run in the dispatcher, the same unit would
+   succeed.  The fallback spawns domains, so this test runs after every
+   test that forks --- *)
+let test_lost_unit_not_run_here () =
+  let suicide _ =
+    Unix.kill (Unix.getpid ()) Sys.sigkill;
+    Unix.sleepf 10.0;
+    Alcotest.fail "unreachable"
+  in
+  let p, a = spawn_worker ~exec:suicide () in
+  Fun.protect
+    ~finally:(fun () -> reap p)
+    (fun () ->
+      let bus, events = collecting_bus () in
+      match
+        Sweep.run
+          (Darco_dispatch.remote ~bus ~fallback_jobs:2 [ a ])
+          (Lazy.force works)
+      with
+      | first :: rest ->
+        (match first.outcome with
+        | Sweep.Failed reason ->
+          Alcotest.(check bool)
+            (Printf.sprintf "failed as lost with its worker (%s)" reason)
+            true
+            (contains reason "worker lost while running it")
+        | Sweep.Ok _ -> Alcotest.fail "the unit that killed its worker ran here");
+        Alcotest.(check (list string))
+          "units no worker received ran on domains"
+          (List.tl (Lazy.force expected))
+          (List.map render rest);
+        Alcotest.(check int) "one unit reached the worker" 1
+          (count events (function Event.Dispatch_sent _ -> true | _ -> false));
+        Alcotest.(check bool) "the fallback was announced" true
+          (saw events (function Event.Dispatch_fallback _ -> true | _ -> false))
+      | [] -> Alcotest.fail "no results")
 
 (* --- 6. protocol robustness: malformed frames are rejected cleanly and
    the daemon keeps serving --- *)
@@ -642,11 +687,6 @@ let test_version_negotiation () =
 (* --- 11. keepalive: a worker that stops responding mid-sweep (SIGSTOP —
    the socket stays open, so only missed pongs can expose it) is declared
    dead after K missed probes and its units are reassigned --- *)
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 let test_keepalive_detects_stopped_worker () =
   let stopper w =
     Unix.kill (Unix.getpid ()) Sys.sigstop;
@@ -710,13 +750,20 @@ let test_fleet_matches_serial () =
   let pids = ref [] in
   (match
      Darco_dispatch.with_fleet ~exe:Fleet.exe 2 (fun fleet ->
-         pids := List.map snd fleet;
+         pids := List.map snd (Darco_dispatch.fleet_members fleet);
          raise Exit)
    with
   | () -> Alcotest.fail "with_fleet swallowed the exception"
   | exception Exit -> ());
   Alcotest.(check int) "with_fleet started two workers" 2 (List.length !pids);
   Alcotest.(check bool) "with_fleet reaped them on the way out" true
+    (Fleet.no_children ());
+  (* a worker that exits during start-up is restarted, twice, then the
+     start-up fails *)
+  (match Darco_dispatch.with_fleet ~exe:"/bin/false" 1 (fun _ -> ()) with
+  | () -> Alcotest.fail "a fleet of exiting workers started"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "a failed start-up leaves no process" true
     (Fleet.no_children ())
 
 (* --- 13. a fleet worker SIGKILLed as its first unit is sent loses
@@ -724,7 +771,8 @@ let test_fleet_matches_serial () =
    is still byte-identical --- *)
 let test_fleet_worker_killed () =
   Darco_dispatch.with_fleet ~exe:Fleet.exe 2 (fun fleet ->
-      let victim_addr, victim = List.hd fleet in
+      let members = Darco_dispatch.fleet_members fleet in
+      let victim_addr, victim = List.hd members in
       let victim_name = Darco_dispatch.addr_to_string victim_addr in
       let bus, events = collecting_bus () in
       let killed = ref false in
@@ -736,7 +784,7 @@ let test_fleet_worker_killed () =
             Unix.kill victim Sys.sigkill
           | _ -> ());
       let remote =
-        Sweep.run (Darco_dispatch.remote ~bus (List.map fst fleet)) (Lazy.force works)
+        Sweep.run (Darco_dispatch.remote ~bus (List.map fst members)) (Lazy.force works)
       in
       Alcotest.(check bool) "the worker was killed" true !killed;
       Alcotest.(check (list string))
@@ -748,6 +796,41 @@ let test_fleet_worker_killed () =
           | _ -> false));
       Alcotest.(check bool) "the orphaned unit was retried" true
         (saw events (function Event.Dispatch_retry _ -> true | _ -> false)))
+
+(* --- 13b. [fleet_revive] restarts a dead fleet worker: on its old port
+   while that is free, on a fresh one once another socket holds it, and
+   the revived fleet sweeps byte-identically --- *)
+let test_fleet_revive () =
+  Darco_dispatch.with_fleet ~exe:Fleet.exe 1 (fun fleet ->
+      let member () = List.hd (Darco_dispatch.fleet_members fleet) in
+      (* killed and reaped here, so the fleet finds it gone for certain *)
+      let kill () =
+        let _, pid = member () in
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        pid
+      in
+      let a0, _ = member () in
+      let dead = kill () in
+      (match Darco_dispatch.fleet_revive fleet with
+      | [ a1 ] ->
+        Alcotest.(check int) "revived on its old port" a0.port a1.port;
+        Alcotest.(check bool) "by a new process" true (snd (member ()) <> dead)
+      | _ -> Alcotest.fail "expected one worker");
+      ignore (kill ());
+      let squatter = Unix.socket PF_INET SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close squatter) @@ fun () ->
+      Unix.setsockopt squatter Unix.SO_REUSEADDR true;
+      Unix.bind squatter (ADDR_INET (Unix.inet_addr_loopback, a0.port));
+      Unix.listen squatter 1;
+      match Darco_dispatch.fleet_revive fleet with
+      | [ a2 ] ->
+        Alcotest.(check bool) "moved off the taken port" true (a2.port <> a0.port);
+        Alcotest.(check (list string))
+          "revived fleet sweeps byte-identically" (Lazy.force expected)
+          (List.map render
+             (Sweep.run (Darco_dispatch.remote [ a2 ]) (Lazy.force works)))
+      | _ -> Alcotest.fail "expected one worker")
 
 (* --- 14. [darco worker --listen HOST:0] announces the port the kernel
    bound, on its first stdout line, and that port answers a Hello --- *)
@@ -861,7 +944,12 @@ let () =
             test_fleet_matches_serial;
           Alcotest.test_case "killed fleet worker loses nothing" `Quick
             test_fleet_worker_killed;
-          (* last: its fallback spawns domains, after which no test may fork *)
+          Alcotest.test_case "dead fleet worker revived" `Quick
+            test_fleet_revive;
+          (* last: their fallbacks spawn domains, after which no test may
+             fork *)
+          Alcotest.test_case "lost unit is not run in the dispatcher" `Quick
+            test_lost_unit_not_run_here;
           Alcotest.test_case "unreachable worker falls back" `Quick
             test_unreachable_falls_back;
         ] );

@@ -482,7 +482,7 @@ let test_serve_resubmit_and_restore () =
   let pipe = Unix.pipe () in
   let pid = fork_client pipe (seq_client dir) in
   let bus, events = collecting_bus () in
-  Serve.serve ~bus ~quiet:true ~workers:[ waddr ] ~jobs:2 ~credit:2
+  Serve.serve ~bus ~quiet:true ~workers:(fun () -> [ waddr ]) ~jobs:2 ~credit:2
     ~max_submissions:3
     ~ready:(announce [ snd pipe ])
     ~library:libdir ~host:"127.0.0.1" ~port:0 ();
@@ -573,7 +573,7 @@ let test_serve_resubmit_and_restore () =
           write_file (Filename.concat dir "cold.json") doc
         | Error e -> write_file (Filename.concat dir "cold.err") e)
   in
-  Serve.serve ~quiet:true ~workers:[ waddr ] ~jobs:2 ~max_submissions:1
+  Serve.serve ~quiet:true ~workers:(fun () -> [ waddr ]) ~jobs:2 ~max_submissions:1
     ~ready:(announce [ snd pipe2 ])
     ~library:libdir ~host:"127.0.0.1" ~port:0 ();
   wait pid2;
@@ -583,6 +583,64 @@ let test_serve_resubmit_and_restore () =
      [ a; b; c; d ]);
   Alcotest.(check string) "after restart: document still byte-identical" doc0
     (must_read dir "cold.json")
+
+(* --- a dead fleet worker is restarted between rounds -------------------- *)
+
+(* [darco serve] without [--workers]: a loopback fleet worker killed
+   between two submissions is started again before the next round, so
+   the second submission still runs on a worker and none of it falls
+   back to the daemon's own domains. *)
+let test_serve_revives_fleet_worker () =
+  with_temp_dir @@ fun dir ->
+  Darco_dispatch.with_fleet ~exe:Fleet.exe 1 @@ fun fleet ->
+  let victim_addr, victim = List.hd (Darco_dispatch.fleet_members fleet) in
+  let refuses port =
+    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    match Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port)) with
+    | () -> false
+    | exception Unix.Unix_error _ -> true
+  in
+  let submit addr name spec =
+    match Client.submit addr spec with
+    | Ok (st, _) ->
+      write_file
+        (Filename.concat dir (name ^ ".stats"))
+        (Printf.sprintf "%d %d %d %d" st.Client.done_ st.Client.total
+           st.Client.hits st.Client.dispatched)
+    | Error e -> write_file (Filename.concat dir (name ^ ".err")) e
+  in
+  let pipe = Unix.pipe () in
+  let pid =
+    fork_client pipe (fun addr ->
+        submit addr "first" spec1;
+        Unix.kill victim Sys.sigkill;
+        while not (refuses victim_addr.Darco_dispatch.port) do
+          Unix.sleepf 0.01
+        done;
+        submit addr "second" spec2)
+  in
+  let bus, events = collecting_bus () in
+  Serve.serve ~bus ~quiet:true
+    ~workers:(fun () -> Darco_dispatch.fleet_revive fleet)
+    ~max_submissions:2
+    ~ready:(announce [ snd pipe ])
+    ~library:(Filename.concat dir "lib") ~host:"127.0.0.1" ~port:0 ();
+  wait pid;
+  let stats name =
+    let a, b, c, d = parse_stats (must_read dir (name ^ ".stats")) in
+    [ a; b; c; d ]
+  in
+  Alcotest.(check (list int)) "first submission dispatched" [ 3; 3; 0; 3 ]
+    (stats "first");
+  Alcotest.(check (list int)) "second submission dispatched" [ 2; 2; 0; 2 ]
+    (stats "second");
+  Alcotest.(check bool) "the killed worker was replaced" true
+    (snd (List.hd (Darco_dispatch.fleet_members fleet)) <> victim);
+  Alcotest.(check int) "every window ran on a worker" 5
+    (count events (function Event.Dispatch_done { ok; _ } -> ok | _ -> false));
+  Alcotest.(check int) "nothing fell back to the daemon" 0
+    (count events (function Event.Dispatch_fallback _ -> true | _ -> false))
 
 (* --- an adaptive campaign exits early ---------------------------------- *)
 
@@ -613,7 +671,7 @@ let test_serve_adaptive_campaign () =
         | Error e -> write_file (Filename.concat dir "adaptive.err") e)
   in
   let bus, events = collecting_bus () in
-  Serve.serve ~bus ~quiet:true ~workers:[ waddr ] ~jobs:2 ~credit:4
+  Serve.serve ~bus ~quiet:true ~workers:(fun () -> [ waddr ]) ~jobs:2 ~credit:4
     ~max_submissions:1
     ~ready:(announce [ snd pipe ])
     ~library:(Filename.concat dir "lib") ~host:"127.0.0.1" ~port:0 ();
@@ -685,7 +743,7 @@ let test_serve_concurrent_sharing () =
       let bus, events = collecting_bus () in
       (* credit 1 keeps scheduling rounds short, so the second submission
          is admitted while the first is still in flight *)
-      Serve.serve ~bus ~quiet:true ~workers:[ a1; a2 ] ~credit:1
+      Serve.serve ~bus ~quiet:true ~workers:(fun () -> [ a1; a2 ]) ~credit:1
         ~max_submissions:2
         ~ready:(announce [ snd pipe1; snd pipe2 ])
         ~library:libdir ~host:"127.0.0.1" ~port:0 ();
@@ -794,7 +852,7 @@ let test_serve_telemetry () =
   in
   let probe_pid = fork_client pipe2 (telemetry_probe dir) in
   let bus, _events = collecting_bus () in
-  Serve.serve ~bus ~quiet:true ~workers:[ waddr ] ~credit:1 ~max_submissions:2
+  Serve.serve ~bus ~quiet:true ~workers:(fun () -> [ waddr ]) ~credit:1 ~max_submissions:2
     ~metrics_file ~metrics_interval:0.2
     ~ready:(announce [ snd pipe1; snd pipe2 ])
     ~library:(Filename.concat dir "lib") ~host:"127.0.0.1" ~port:0 ();
@@ -902,5 +960,12 @@ let () =
         [
           Alcotest.test_case "scrape, top, health, metrics file" `Quick
             test_serve_telemetry;
+        ] );
+      (* last: should the revival fail, the round falls back to domains in
+         this process, after which no test may fork *)
+      ( "fleet",
+        [
+          Alcotest.test_case "dead worker restarted between rounds" `Quick
+            test_serve_revives_fleet_worker;
         ] );
     ]
