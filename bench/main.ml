@@ -4,7 +4,9 @@
 
    Figures are printed as labelled rows/series (with ASCII renderings of the
    paper's stacked-bar charts); EXPERIMENTS.md records the paper-vs-measured
-   comparison.  The §VI-A speed table is measured with Bechamel. *)
+   comparison.  The §VI-A speed table is [Speed.measure]: one timed
+   [Controller.run] of 400k guest instructions per row, on a cold code
+   cache. *)
 
 module Registry = Darco_workloads.Registry
 module Table = Darco_util.Table
@@ -287,76 +289,19 @@ let fig7 () =
     "  (paper: interpretation + BB-translation dominate Physicsbench; SB\n\
     \   translator overhead comparatively small everywhere)\n"
 
-(* --- §VI-A: DARCO speed, measured with Bechamel --- *)
-
-let speed_workload = lazy ((Registry.find "429.mcf").build ())
-
-let bechamel_speed () =
-  let open Bechamel in
-  let open Toolkit in
-  let insns = 150_000 in
-  let mk name timing =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let ctl = Darco.Controller.create ~seed:42 (Lazy.force speed_workload) in
-           if timing then begin
-             let p = Darco_timing.Pipeline.create Darco_timing.Tconfig.default in
-             Darco_timing.Pipeline.attach p (Darco.Controller.bus ctl)
-           end;
-           ignore (Darco.Controller.run ~max_insns:insns ctl);
-           Darco.Controller.stats ctl))
-  in
-  (* the profiler's cost relative to "functional": what one bus sink adds
-     to the no-sink fast path (which stays sink-free and unchanged) *)
-  let mk_profiled name =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let bus = Darco_obs.Bus.create () in
-           ignore (Darco_obs.Prof.attach bus);
-           let ctl =
-             Darco.Controller.create ~bus ~seed:42 (Lazy.force speed_workload)
-           in
-           ignore (Darco.Controller.run ~max_insns:insns ctl);
-           Darco.Controller.stats ctl))
-  in
-  let test =
-    Test.make_grouped ~name:"darco-speed"
-      [ mk "functional" false; mk "with-timing" true; mk_profiled "with-profiler" ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 2.0) ~stabilize:false () in
-  let raw = Benchmark.all cfg instances test in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let results = Analyze.merge ols instances results in
-  let ns_per_run name =
-    let tbl = Hashtbl.find results (Measure.label Instance.monotonic_clock) in
-    let ols_result = Hashtbl.find tbl ("darco-speed/" ^ name) in
-    match Analyze.OLS.estimates ols_result with
-    | Some [ est ] -> est
-    | Some _ | None -> nan
-  in
-  Printf.printf "Bechamel (429.mcf, %d guest insns per run):\n" insns;
-  List.iter
-    (fun name ->
-      let ns = ns_per_run name in
-      Printf.printf "  %-12s %8.1f ms/run -> %.2f guest MIPS\n" name (ns /. 1e6)
-        (float_of_int insns /. (ns /. 1e9) /. 1e6))
-    [ "functional"; "with-timing"; "with-profiler" ]
+(* --- §VI-A: DARCO speed --- *)
 
 let speed () =
   print_endline "=== Section VI-A: DARCO speed ===";
   let s =
-    Darco_studies.Speed.measure ~insns:400_000 (Lazy.force speed_workload) ~seed:42
+    Darco_studies.Speed.measure ~insns:400_000
+      ((Registry.find "429.mcf").build ())
+      ~seed:42
   in
   Format.printf "%a@." Darco_studies.Speed.pp s;
   print_endline
     "  (paper, on 2017 hardware: guest 3.4 MIPS emulated / 370 KIPS timed;\n\
-    \   host 20 MIPS emulated / 2 MIPS timed)";
-  bechamel_speed ();
-  print_newline ()
+    \   host 20 MIPS emulated / 2 MIPS timed)\n"
 
 (* --- execution engines: the reference walker vs direct-threaded chains --- *)
 
@@ -1168,9 +1113,12 @@ let telemetry () =
   let set_ns = bench_ns "gauge set" (fun () -> Registry.set g 7) in
   let obs_ns = bench_ns "hist observe" (fun () -> Registry.observe h 512) in
   (* the do-nothing path every un-observed run takes: an event offered to
-     a bus nobody listens to *)
+     a bus nobody listens to.  The registry folds a dispatch event into a
+     counter and a histogram observation. *)
   let quiet = Bus.create () in
-  let ev = Event.Chain_made { pc = 0x400 } in
+  let ev =
+    Event.Dispatch_sent { unit_label = "u"; worker = "w:1"; attempt = 0; bytes = 512 }
+  in
   let silent_ns = bench_ns "silent emit" (fun () -> Bus.emit quiet ~at:1 ev) in
   (* the full observed path: event -> bus -> registry fold *)
   let observed = Bus.create () in

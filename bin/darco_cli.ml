@@ -514,7 +514,7 @@ let resume_cmd =
 let sample_cmd =
   let run bench scale (sim : Flag.sim) interval offsets nsamples horizon window
       warmup jobs backend_str dispatch_timeout dispatch_retries store_dir
-      json_out chrome_out verify max_error engine plan_kind ci_target
+      json_out chrome_out verify max_error plan_kind ci_target
       max_windows round_size =
     let entry = Darco_workloads.Registry.find bench in
     let program = entry.build ~scale () in
@@ -691,7 +691,7 @@ let sample_cmd =
         let vbus = Darco_obs.Bus.create () in
         let pipe = attach_timing vbus in
         (* fine slices, so window edges match the sampled measurement *)
-        let cfg = { Darco.Config.default with slice_fuel = 2_000; engine } in
+        let cfg = { Darco.Config.default with slice_fuel = 2_000 } in
         let ctl =
           Darco.Controller.create ~cfg ~bus:vbus ?input:sim.input ~seed:sim.seed
             program
@@ -793,7 +793,6 @@ let sample_cmd =
       $ Arg.(value & opt (some string) None & info [ "chrome-trace" ] ~docv:"FILE" ~doc:"Write the sweep's cross-machine span timeline as a Chrome trace-event JSON file (loadable in Perfetto)")
       $ Arg.(value & flag & info [ "verify" ] ~doc:"Also run full detailed simulation and report per-sample IPC error")
       $ Arg.(value & opt (some float) None & info [ "max-error" ] ~doc:"With --verify: exit non-zero if average error exceeds this fraction")
-      $ engine_arg
       $ Arg.(value & opt (enum [ ("fixed", Plan.Fixed); ("adaptive", Plan.Adaptive) ]) Plan.Fixed & info [ "plan" ] ~docv:"KIND" ~doc:"Window planner: $(b,fixed) sweeps the offsets in order; $(b,adaptive) runs rounds, steering windows at the high-variance program phases and stopping once --ci-target is met")
       $ Arg.(value & opt float 0.0 & info [ "ci-target" ] ~docv:"FRACTION" ~doc:"Stop once the IPC CI95 half-width is within this fraction of the mean (e.g. 0.02 = ±2%); 0 disables early exit")
       $ Arg.(value & opt int 0 & info [ "max-windows" ] ~docv:"N" ~doc:"Total window budget for the planner; 0 = unlimited")

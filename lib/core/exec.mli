@@ -9,8 +9,8 @@ open Darco_host
     ([Emulator.run] for host code, the IR evaluator for region IR), and
     [Threaded], the direct-threaded closure chains compiled by
     {!Threaded}.  [Threaded] is the default; [Eval] remains the
-    reference/fallback path the profiler, the timing pipeline and
-    divergence checks use.
+    reference path, and the one every run with a retire subscriber (the
+    timing pipeline) takes.
 
     The former [Ir_eval.run] entry point is no longer exported from the
     library surface; callers go through {!run}.  See DESIGN.md §13 for the

@@ -44,9 +44,3 @@ let decode icache mem entry_pc =
   in
   let body, term, term_len, insn_count = scan entry_pc [] 0 in
   { pc = entry_pc; body; term; term_len; insn_count }
-
-let next_pcs t =
-  match t.term with
-  | Tjmp x | Tcall (x, _) | Tsplit x -> [ x ]
-  | Tjcc (_, a, b) -> [ a; b ]
-  | Tcallind _ | Tjmpind _ | Tret | Tsyscall _ | Thalt | Tinterp _ -> []

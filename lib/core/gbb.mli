@@ -27,6 +27,3 @@ type t = {
 
 val decode : Step.icache -> Memory.t -> int -> t
 (** Decode the basic block starting at the given guest PC. *)
-
-val next_pcs : t -> int list
-(** Statically known successor PCs. *)

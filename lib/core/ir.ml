@@ -95,8 +95,6 @@ let fuses = function
   | Irt_div _ | Ibr _ | Iassert _ | Iexit _ ->
     []
 
-let is_terminator = function Iexit _ -> true | _ -> false
-
 let has_side_effect = function
   | Iput _ | Iputf _ | Iputfl _ | Istore _ | Ifstore _ | Ibr _ | Iassert _ | Iexit _ ->
     true
@@ -127,20 +125,6 @@ let subst_uses f = function
   | (Iget _ | Igetf _ | Iputf _ | Igetfl _ | Ili _ | Ifli _ | Ifmov _ | Ifbin _ | Ifun _
     | Ifcmp _ | Icvtfi _ | Irt_f _
     | Iexit { target = Xdirect _ | Xsyscall _ | Xinterp _ | Xhalt; _ }) as i ->
-    i
-
-let subst_fuses f = function
-  | Iputf (gf, v) -> Iputf (gf, f v)
-  | Ifmov (d, s) -> Ifmov (d, f s)
-  | Ifbin (op, d, a, b) -> Ifbin (op, d, f a, f b)
-  | Ifun (op, d, a) -> Ifun (op, d, f a)
-  | Ifstore (fv, a, off) -> Ifstore (f fv, a, off)
-  | Ifcmp (d, a, b) -> Ifcmp (d, f a, f b)
-  | Icvtfi (d, v) -> Icvtfi (d, f v)
-  | Irt_f (fn, d, s) -> Irt_f (fn, d, f s)
-  | (Iget _ | Iput _ | Igetf _ | Igetfl _ | Iputfl _ | Ili _ | Imov _ | Ibin _ | Ibini _
-    | Imkfl _ | Iisel _ | Iload _ | Isload _ | Istore _ | Ifli _ | Ifload _ | Icvtif _
-    | Irt_div _ | Ibr _ | Iassert _ | Iexit _) as i ->
     i
 
 let exit_target_to_string = function

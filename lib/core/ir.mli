@@ -67,15 +67,10 @@ type t =
 val subst_uses : (vreg -> vreg) -> t -> t
 (** Rewrite integer-vreg uses (definitions untouched). *)
 
-val subst_fuses : (vfreg -> vfreg) -> t -> t
-
 val defs : t -> vreg list
 val uses : t -> vreg list
 val fdefs : t -> vfreg list
 val fuses : t -> vfreg list
-
-val is_terminator : t -> bool
-(** [Iexit] only; branches are internal. *)
 
 val has_side_effect : t -> bool
 (** Instructions DCE must keep regardless of liveness: stores, guest-state

@@ -37,11 +37,6 @@ let edge_counts t pc =
   | None -> None
   | Some (ta, fa) -> Some (Tolmem.read32 t.tolmem ta, Tolmem.read32 t.tolmem fa)
 
-let reset_exec_counter t pc =
-  match Hashtbl.find_opt t.exec pc with
-  | None -> ()
-  | Some a -> Tolmem.write32 t.tolmem a 0
-
 type persisted = {
   p_interp : (int * int) list;
   p_exec : (int * int) list;

@@ -28,10 +28,6 @@ val edge_counters : t -> int -> int * int
 val edge_counts : t -> int -> (int * int) option
 (** Current (taken, fallthrough) counts, if the BB has edge counters. *)
 
-val reset_exec_counter : t -> int -> unit
-(** Zero the in-code execution counter (used when a superblock rebuild
-    demotes back to BBM). *)
-
 val histogram : t -> (int * int) list
 (** Per-BB total observed execution counts (interpreted + in-code BBM
     counter), the TOL profiler state the warm-up heuristic correlates. *)

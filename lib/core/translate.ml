@@ -728,10 +728,8 @@ let translate_pop ctx =
   v
 
 let fresh_vreg = fresh_v
-let fresh_vfreg = fresh_f
 let emit_ir = emit
 
-let count_retired ctx = ctx.retired
 let add_retired ctx n = ctx.retired <- ctx.retired + n
 
 (* --- exits, asserts, stubs --------------------------------------------- *)

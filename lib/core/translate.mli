@@ -34,7 +34,6 @@ val lower_cond : ctx -> Isa.cond -> cond_lowering
 val cond_value : ctx -> Isa.cond -> Ir.vreg
 (** The condition as a 0/1 value (SETcc / CMOV / unroll guards). *)
 
-val count_retired : ctx -> int
 val add_retired : ctx -> int -> unit
 
 val emit_exit :
@@ -80,7 +79,6 @@ val finalize : ctx -> mode:[ `Bb | `Super ] -> prof:(int * int) option -> Region
     front-end built this way. *)
 
 val fresh_vreg : ctx -> Ir.vreg
-val fresh_vfreg : ctx -> Ir.vfreg
 val emit_ir : ctx -> Ir.t -> unit
 (** Append a raw IR instruction (the emitter must respect SSA discipline). *)
 

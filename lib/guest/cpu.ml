@@ -23,13 +23,6 @@ let copy t =
     halted = t.halted;
   }
 
-let assign dst src =
-  Array.blit src.regs 0 dst.regs 0 8;
-  Array.blit src.fregs 0 dst.fregs 0 8;
-  dst.flags <- src.flags;
-  dst.eip <- src.eip;
-  dst.halted <- src.halted
-
 let float_bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let equal a b =

@@ -16,8 +16,6 @@ val set : t -> Isa.reg -> int -> unit
 val getf : t -> Isa.freg -> float
 val setf : t -> Isa.freg -> float -> unit
 val copy : t -> t
-val assign : t -> t -> unit
-(** [assign dst src] overwrites [dst] in place. *)
 
 val equal : t -> t -> bool
 (** Architectural equality; FP registers are compared bit-for-bit. *)

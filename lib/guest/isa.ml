@@ -80,14 +80,6 @@ let freg_of_index i = all_fregs.(i)
 let scale_factor = function S1 -> 1 | S2 -> 2 | S4 -> 4 | S8 -> 8
 let width_bytes = function W8 -> 1 | W16 -> 2 | W32 -> 4
 
-let is_control = function
-  | Jmp _ | JmpInd _ | Jcc _ | Call _ | CallInd _ | Ret | Syscall | Halt -> true
-  | Nop | Mov _ | Movx _ | Movw _ | Lea _ | Alu _ | Cmp _ | Test _ | Inc _ | Dec _
-  | Neg _ | Not _ | Shift _ | Mul _ | Imul _ | Imul2 _ | Div _ | Idiv _ | Push _
-  | Pop _ | Cmov _ | Setcc _ | Str _ | Fld _ | Fst _ | Fmov _ | Fldi _ | Fbin _
-  | Fun_ _ | Fcmp _ | Fild _ | Fist _ ->
-    false
-
 let negate_cond = function
   | E -> NE | NE -> E
   | L -> GE | GE -> L

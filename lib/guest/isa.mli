@@ -104,10 +104,6 @@ val freg_of_index : int -> freg
 val scale_factor : scale -> int
 val width_bytes : width -> int
 
-val is_control : insn -> bool
-(** True for instructions that terminate a basic block (branches, calls,
-    returns, syscall, halt). *)
-
 val negate_cond : cond -> cond
 
 val pp_reg : Format.formatter -> reg -> unit

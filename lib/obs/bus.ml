@@ -40,4 +40,3 @@ let on_retire t f =
         | fs -> Some (fun ri -> List.iter (fun g -> g ri) fs)))
 
 let retire_hook t = t.retire_hook
-let sink_names t = Array.to_list (Array.map (fun s -> s.name) t.sinks)

@@ -44,5 +44,3 @@ val on_retire : t -> retire -> unit
 val retire_hook : t -> retire option
 (** The composed retire subscription ([None] when nobody subscribed), in
     the shape the host emulator's [?on_retire] parameter expects. *)
-
-val sink_names : t -> string list

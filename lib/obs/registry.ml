@@ -220,22 +220,6 @@ let exposition s =
 let apply t =
   let c = counter t in
   let events = c "events_total"
-  and guest = c "guest_insns_total"
-  and host_app = c "host_app_insns_total"
-  and overhead = c "overhead_cycles_total"
-  and translations = c "translations_total"
-  and rollbacks = c "rollbacks_total"
-  and deopts = c "deopts_total"
-  and syscalls = c "syscalls_total"
-  and validations = c "validations_total"
-  and chains_made = c "chains_made_total"
-  and chains_followed = c "chains_followed_total"
-  and wasted = c "wasted_host_insns_total"
-  and flushes = c "code_cache_flushes_total"
-  and pages = c "page_installs_total"
-  and ibtc_misses = c "ibtc_misses_total"
-  and ibtc_fills = c "ibtc_fills_total"
-  and divergences = c "divergences_total"
   and worker_up = c "worker_up_total"
   and worker_lost = c "worker_lost_total"
   and sent = c "dispatch_sent_total"
@@ -271,40 +255,13 @@ let apply t =
   fun ~at:_ (ev : Event.t) ->
     inc events 1;
     match ev with
-    | Init { cost } -> inc overhead cost
-    | Clock_sync { retired } -> inc guest retired
-    | Slice_start | Halt -> ()
-    | Slice_end { overheads; _ } ->
-      List.iter (fun (_, n) -> inc overhead n) overheads
-    | Interp_block { insns; cost; _ } ->
-      inc guest insns;
-      inc overhead cost
-    | Interp_step { cost; _ } | Interp_exec { cost; _ } ->
-      inc guest 1;
-      inc overhead cost
-    | Bb_translated { cost; _ } | Sb_translated { cost; _ } ->
-      inc translations 1;
-      inc overhead cost
-    | Region_exec
-        { guest_bb; guest_sb; host_bb; host_sb; chains_followed = cf;
-          wasted_host; _ } ->
-      inc guest (guest_bb + guest_sb);
-      inc host_app (host_bb + host_sb);
-      inc chains_followed cf;
-      inc wasted wasted_host
-    | Chain_made _ -> inc chains_made 1
-    | Ibtc_miss _ -> inc ibtc_misses 1
-    | Ibtc_fill _ -> inc ibtc_fills 1
-    | Rollback _ -> inc rollbacks 1
-    | Deopt_rebuild _ -> inc deopts 1
-    | Cache_flush _ -> inc flushes 1
-    | Page_install _ -> inc pages 1
-    | Syscall { cost; _ } ->
-      inc syscalls 1;
-      inc guest 1;
-      inc overhead cost
-    | Validation _ -> inc validations 1
-    | Divergence _ -> inc divergences 1
+    (* the simulated machine: counted by [Stats], attributed by [Prof] *)
+    | Init _ | Clock_sync _ | Slice_start | Slice_end _ | Interp_block _
+    | Interp_step _ | Interp_exec _ | Bb_translated _ | Sb_translated _
+    | Region_exec _ | Chain_made _ | Ibtc_miss _ | Ibtc_fill _ | Rollback _
+    | Deopt_rebuild _ | Cache_flush _ | Page_install _ | Syscall _
+    | Validation _ | Divergence _ | Halt ->
+      ()
     | Worker_up _ -> inc worker_up 1
     | Worker_lost { worker; _ } ->
       inc worker_lost 1;
@@ -338,44 +295,3 @@ let attach bus =
   let t = create () in
   Bus.attach bus ~name:"registry" (apply t);
   t
-
-let reconciles t (s : Stats.t) =
-  let v name =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.cells name with
-        | Some (C a) -> Atomic.get a
-        | _ -> 0)
-  in
-  let check name got want =
-    if got = want then Ok ()
-    else
-      Error (Printf.sprintf "%s: registry holds %d, stats hold %d" name got want)
-  in
-  let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
-  check "guest instructions" (v "guest_insns_total") (Stats.guest_total s)
-  >>= fun () ->
-  check "host app instructions" (v "host_app_insns_total")
-    (Stats.host_app_total s)
-  >>= fun () ->
-  check "overhead cycles" (v "overhead_cycles_total") (Stats.total_overhead s)
-  >>= fun () ->
-  check "translations" (v "translations_total")
-    (s.bb_translations + s.sb_translations)
-  >>= fun () ->
-  check "rollbacks" (v "rollbacks_total")
-    (s.assert_rollbacks + s.alias_rollbacks)
-  >>= fun () ->
-  check "deopt rebuilds" (v "deopts_total")
-    (s.sb_rebuilds_noassert + s.sb_rebuilds_nomem)
-  >>= fun () ->
-  check "syscalls" (v "syscalls_total") s.syscalls >>= fun () ->
-  check "validations" (v "validations_total") s.validations >>= fun () ->
-  check "chains made" (v "chains_made_total") s.chains_made >>= fun () ->
-  check "chains followed" (v "chains_followed_total") s.chains_followed
-  >>= fun () ->
-  check "wasted host" (v "wasted_host_insns_total") s.wasted_host >>= fun () ->
-  check "cache flushes" (v "code_cache_flushes_total") s.code_cache_flushes
-  >>= fun () ->
-  check "page installs" (v "page_installs_total") s.page_requests >>= fun () ->
-  check "ibtc misses" (v "ibtc_misses_total") s.ibtc_misses >>= fun () ->
-  check "ibtc fills" (v "ibtc_fills_total") s.ibtc_fills

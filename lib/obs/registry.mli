@@ -67,22 +67,18 @@ val exposition : snapshot -> string
 (** {1 Bus fold} *)
 
 val apply : t -> at:int -> Event.t -> unit
-(** Fold one event into the registry (the metrics twin of the test
-    suite's [Stats] fold, [test/agg.ml]): machine
-    events feed counters that reconcile exactly with {!Stats.t}
-    ({!reconciles}), infrastructure events feed service counters, the
-    per-worker [dispatch_inflight{worker=..}] gauges, the
-    [straggler_ratio_pct] gauge and the byte-size histograms.  The match
-    is total: adding an {!Event.t} constructor forces a decision here.
-    Partially apply ([let f = apply t in ...]) to reuse the registered
-    cells across events. *)
+(** Fold one event into the registry.  Only the sweep infrastructure is
+    folded: dispatch, service and planner events feed their counters,
+    the per-worker [dispatch_inflight{worker=..}] gauges, the
+    [straggler_ratio_pct] gauge and the byte-size histograms, and every
+    event bumps [events_total].  Simulated-machine events are counted
+    nowhere here: {!Stats.t} is their counter of record and {!Prof}
+    attributes them by PC.  The match is total and wildcard-free: adding
+    an {!Event.t} constructor forces a decision here.  Partially apply
+    ([let f = apply t in ...]) to reuse the registered cells across
+    events. *)
 
 val attach : Bus.t -> t
-(** Create a registry and subscribe {!apply} as a
-    bus sink named ["registry"], so the registry is exactly
-    reconstructible from the event stream. *)
-
-val reconciles : t -> Stats.t -> (unit, string) result
-(** Check the event-fed machine counters against an independently
-    aggregated {!Stats.t} from the same bus ([Prof.reconciles] for the
-    registry); [Error] names the first counter that disagrees. *)
+(** Create a registry, register the service series and subscribe
+    {!apply} as a bus sink named ["registry"], so every event-fed series
+    is exactly reconstructible by replaying the event stream. *)

@@ -78,7 +78,6 @@ type window_result = {
   w_cycles : int;
   w_ipc : float;
   w_power : Darco_power.Model.report;
-  w_detail_us : int;
 }
 
 let detailed_window ?(cfg = Darco.Config.default)
@@ -90,7 +89,6 @@ let detailed_window ?(cfg = Darco.Config.default)
   let cfg = { cfg with Darco.Config.slice_fuel = min cfg.Darco.Config.slice_fuel 2_000 } in
   let start = max 0 (offset - warmup) in
   let from = (nearest checkpoints start).at in
-  let t0 = Darco_obs.Clock.ticks () in
   let bus = Darco_obs.Bus.create () in
   let pipe = Pipeline.create tcfg in
   Pipeline.attach pipe bus;
@@ -100,7 +98,6 @@ let detailed_window ?(cfg = Darco.Config.default)
   ignore (Darco.Controller.run ~max_insns:(offset + window) ctl);
   let delta = Pipeline.events_diff (Pipeline.events pipe) before in
   let di = delta.Pipeline.e_insns and dc = delta.Pipeline.e_cycles in
-  let detail_us = Darco_obs.Clock.ticks () - t0 in
   {
     w_offset = offset;
     w_window = window;
@@ -110,7 +107,6 @@ let detailed_window ?(cfg = Darco.Config.default)
     w_cycles = dc;
     w_ipc = (if dc = 0 then 0.0 else float_of_int di /. float_of_int dc);
     w_power = Darco_power.Model.evaluate delta;
-    w_detail_us = detail_us;
   }
 
 let window_json r =
@@ -126,8 +122,8 @@ let window_json r =
       ("energy_j", Jsonx.Float r.w_power.Darco_power.Model.total_joules);
       ("avg_watts", Jsonx.Float r.w_power.Darco_power.Model.avg_watts);
       ("epi_nj", Jsonx.Float r.w_power.Darco_power.Model.epi_nj);
-      (* w_detail_us is deliberately absent: the result document must be a
-         pure function of the window, identical wherever it was computed —
+      (* no wall-clock field: the result document must be a pure
+         function of the window, identical wherever it was computed —
          that determinism is what lets the sweep tests compare local and
          remote backends byte for byte.  Wall-clock cost travels on the
          observability side instead, as "running" span durations. *)

@@ -68,11 +68,6 @@ type window_result = {
       (** the power model evaluated over the window's pipeline activity
           alone (warm-up excluded), so sweeps can aggregate energy/power
           with the same stddev/CI treatment as IPC *)
-  w_detail_us : int;
-      (** wall-clock microseconds the detailed run took (restore + warm-up
-          + window).  In-process only: excluded from {!window_json} so the
-          result document stays a deterministic function of the window —
-          sweep latency is observed through span durations instead *)
 }
 
 val detailed_window :
@@ -90,4 +85,6 @@ val detailed_window :
 
 val window_json : window_result -> Darco_obs.Jsonx.t
 (** Flat JSON of the result, including the power fields ([energy_j],
-    [avg_watts], [epi_nj]).  Deterministic: [w_detail_us] is excluded. *)
+    [avg_watts], [epi_nj]).  Deterministic: no wall-clock field, so a
+    window's document is the same wherever it ran; its cost is observed
+    through "running" span durations. *)

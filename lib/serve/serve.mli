@@ -27,8 +27,10 @@
     will find it.
 
     The daemon is live-inspectable (wire v5): a
-    {!Darco_obs.Registry} attached to the bus folds every event into
-    named counters/gauges/histograms, scraped with [METR] (snapshot
+    {!Darco_obs.Registry} attached to the bus folds the dispatch,
+    service and planner events into named counters/gauges/histograms
+    (the simulated machine runs on the workers and never reaches this
+    bus), scraped with [METR] (snapshot
     JSON) and summarized by [HLTH] (uptime, build version, per-worker
     keepalive state, queue depths, per-campaign progress with planner CI
     state, library hit-rate).  [metrics_file] additionally dumps the

@@ -1,5 +1,3 @@
-let self_pid () = Unix.getpid ()
-
 let read_whole path =
   (* /proc files report size 0; read incrementally *)
   match open_in_bin path with
@@ -91,40 +89,3 @@ let tree_rss_kb root =
       | Some kb -> Some (kb + Option.value ~default:0 acc))
     None
     (root :: descendants root)
-
-let sample_during ?(interval_s = 0.02) f =
-  let me = self_pid () in
-  let peak = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let observe () =
-    match tree_rss_kb me with
-    | None -> ()
-    | Some kb ->
-      let rec bump () =
-        let cur = Atomic.get peak in
-        if kb > cur && not (Atomic.compare_and_set peak cur kb) then bump ()
-      in
-      bump ()
-  in
-  observe ();
-  let sampler =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          observe ();
-          Unix.sleepf interval_s
-        done)
-  in
-  let finish () =
-    Atomic.set stop true;
-    Domain.join sampler;
-    observe ()
-  in
-  let result =
-    try f ()
-    with e ->
-      finish ();
-      raise e
-  in
-  finish ();
-  let p = Atomic.get peak in
-  (result, if p = 0 then None else Some p)

@@ -14,8 +14,6 @@
     charge them to every process and overstate a process tree's
     footprint. *)
 
-val self_pid : unit -> int
-
 val rss_kb : int -> int option
 (** The process's current resident set: PSS when [smaps_rollup] is
     readable, VmRSS otherwise. *)
@@ -32,11 +30,3 @@ val descendants : int -> int list
 val tree_rss_kb : int -> int option
 (** Current resident total of [pid] plus all its live descendants
     (PSS-preferred, see above).  [None] only when nothing was readable. *)
-
-val sample_during : ?interval_s:float -> (unit -> 'a) -> 'a * int option
-(** [sample_during f] runs [f ()] while a background domain polls
-    {!tree_rss_kb} on this process every [interval_s] (default 0.02)
-    seconds, and returns [f]'s result with the peak total observed.
-    The first sample is taken before [f] starts and one more after it
-    finishes, so short-lived allocations between polls still bound the
-    result from both ends. *)

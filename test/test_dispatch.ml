@@ -14,6 +14,7 @@ module B = Darco_sampling.Buf
 module Wire = Darco_dispatch.Wire
 module Worker = Darco_dispatch.Worker
 module Event = Darco_obs.Event
+module Registry = Darco_obs.Registry
 module J = Darco_obs.Jsonx
 
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -179,52 +180,93 @@ let test_sweep_observability () =
 
 (* --- 2. digest-addressed units: four windows off one checkpoint ship the
    snapshot bytes to each worker at most once, and repeat assignments are
-   observed as cache hits --- *)
+   observed as cache hits.  The sweep runs once, with a live registry and
+   a log of its bus, for this test and the registry replay below --- *)
+type ckpt_run = {
+  stored_ckpts : int;
+  local : string list;
+  remote : string list;
+  log : (int * Event.t) list;  (** the dispatcher's bus, in emission order *)
+  live : Registry.snapshot;
+}
+
+let ckpt_sweep =
+  lazy
+    (let store = Store.create () in
+     (* offsets whose warm-up starts all land inside [10_000, 20_000): one
+        shared checkpoint, hence one digest for the whole sweep *)
+     let stored =
+       List.map
+         (fun off ->
+           Work.of_window_stored ~store ~checkpoints:(Lazy.force checkpoints)
+             ~label:(Printf.sprintf "continuous@%d" off)
+             ~offset:off ~window:2_000 ~warmup:1_000)
+         [ 12_000; 14_000; 16_000; 18_000 ]
+     in
+     let local = List.map render (Sweep.run (Sweep.Backend.serial ~store ()) stored) in
+     let p1, a1 = spawn_worker ~jobs:2 () in
+     let p2, a2 = spawn_worker ~jobs:1 () in
+     Fun.protect
+       ~finally:(fun () -> reap p1; reap p2)
+       (fun () ->
+         let bus = Darco_obs.Bus.create () in
+         let log = ref [] in
+         Darco_obs.Bus.attach bus ~name:"log" (fun ~at ev -> log := (at, ev) :: !log);
+         let reg = Registry.attach bus in
+         let remote =
+           Sweep.run (Darco_dispatch.remote ~bus ~store [ a1; a2 ]) stored
+         in
+         {
+           stored_ckpts = Store.count store;
+           local;
+           remote = List.map render remote;
+           log = List.rev !log;
+           live = Registry.snapshot reg;
+         }))
+
 let test_ckpt_shipped_once () =
-  let store = Store.create () in
-  (* offsets whose warm-up starts all land inside [10_000, 20_000): one
-     shared checkpoint, hence one digest for the whole sweep *)
-  let stored =
-    List.map
-      (fun off ->
-        Work.of_window_stored ~store ~checkpoints:(Lazy.force checkpoints)
-          ~label:(Printf.sprintf "continuous@%d" off)
-          ~offset:off ~window:2_000 ~warmup:1_000)
-      [ 12_000; 14_000; 16_000; 18_000 ]
-  in
-  Alcotest.(check int) "one checkpoint in the store" 1 (Store.count store);
-  let local = List.map render (Sweep.run (Sweep.Backend.serial ~store ()) stored) in
-  let p1, a1 = spawn_worker ~jobs:2 () in
-  let p2, a2 = spawn_worker ~jobs:1 () in
-  Fun.protect
-    ~finally:(fun () -> reap p1; reap p2)
-    (fun () ->
-      let bus, events = collecting_bus () in
-      let remote =
-        Sweep.run (Darco_dispatch.remote ~bus ~store [ a1; a2 ]) stored
-      in
-      Alcotest.(check (list string))
-        "digest-addressed remote sweep bit-identical to serial" local
-        (List.map render remote);
-      (* each (worker, digest) pair was pushed at most once *)
-      let pushes = Hashtbl.create 4 in
-      List.iter
-        (function
-          | Event.Ckpt_push { worker; digest; _ } ->
-            let k = (worker, digest) in
-            Hashtbl.replace pushes k (1 + Option.value ~default:0 (Hashtbl.find_opt pushes k))
-          | _ -> ())
-        !events;
-      Alcotest.(check bool) "at least one checkpoint push" true
-        (Hashtbl.length pushes >= 1);
-      Hashtbl.iter
-        (fun (worker, digest) n ->
-          if n > 1 then
-            Alcotest.failf "checkpoint %s pushed %d times to %s" digest n worker)
-        pushes;
-      (* 4 units, 3 slots, 1 digest: some worker reused its cached copy *)
-      Alcotest.(check bool) "at least one checkpoint cache hit" true
-        (saw events (function Event.Ckpt_hit _ -> true | _ -> false)))
+  let run = Lazy.force ckpt_sweep in
+  let events = ref (List.map snd run.log) in
+  Alcotest.(check int) "one checkpoint in the store" 1 run.stored_ckpts;
+  Alcotest.(check (list string))
+    "digest-addressed remote sweep bit-identical to serial" run.local run.remote;
+  (* each (worker, digest) pair was pushed at most once *)
+  let pushes = Hashtbl.create 4 in
+  List.iter
+    (function
+      | Event.Ckpt_push { worker; digest; _ } ->
+        let k = (worker, digest) in
+        Hashtbl.replace pushes k (1 + Option.value ~default:0 (Hashtbl.find_opt pushes k))
+      | _ -> ())
+    !events;
+  Alcotest.(check bool) "at least one checkpoint push" true
+    (Hashtbl.length pushes >= 1);
+  Hashtbl.iter
+    (fun (worker, digest) n ->
+      if n > 1 then
+        Alcotest.failf "checkpoint %s pushed %d times to %s" digest n worker)
+    pushes;
+  (* 4 units, 3 slots, 1 digest: some worker reused its cached copy *)
+  Alcotest.(check bool) "at least one checkpoint cache hit" true
+    (saw events (function Event.Ckpt_hit _ -> true | _ -> false))
+
+(* --- 2b. the registry is a pure fold over the event stream: the same
+   sweep's bus log replayed into a fresh registry lands on the snapshot
+   the live one reached, service counters included --- *)
+let test_registry_rebuild () =
+  let run = Lazy.force ckpt_sweep in
+  let rebuilt = Registry.create () in
+  let apply = Registry.apply rebuilt in
+  List.iter (fun (at, ev) -> apply ~at ev) run.log;
+  List.iter
+    (fun name ->
+      match List.assoc_opt name run.live.Registry.counters with
+      | Some n when n > 0 -> ()
+      | _ -> Alcotest.failf "%s did not move during the sweep" name)
+    [ "dispatch_sent_total"; "ckpt_pushes_total"; "ckpt_hits_total" ];
+  Alcotest.(check string) "replayed snapshot identical to the live one"
+    (J.to_string (Registry.to_json run.live))
+    (J.to_string (Registry.to_json (Registry.snapshot rebuilt)))
 
 (* --- 3. work stealing: a unit stuck on a slow worker is speculatively
    duplicated onto an idle one, and the result is still byte-identical --- *)
@@ -926,6 +968,13 @@ let () =
             test_version_negotiation;
           Alcotest.test_case "worker announces its bound port" `Quick
             test_worker_announces_bound_port;
+        ] );
+      (* before "cluster", whose last tests spawn domains: this one may be
+         the first to force the shared sweep, which forks workers *)
+      ( "registry",
+        [
+          Alcotest.test_case "rebuilt from the event stream" `Quick
+            test_registry_rebuild;
         ] );
       ( "cluster",
         [

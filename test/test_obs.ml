@@ -609,37 +609,47 @@ let test_registry_json_roundtrip () =
     Alcotest.(check string) "and renders the same exposition"
       (Registry.exposition s) (Registry.exposition s')
 
-let test_registry_reconciles name () =
-  let reg = ref None in
-  let ctl, _ =
-    run_with_bus ~attach:(fun bus -> reg := Some (Registry.attach bus)) name
-  in
-  match Registry.reconciles (Option.get !reg) (Controller.stats ctl) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "registry drift on %s: %s" name e
-
-(* The registry is a pure fold over the event stream: replaying a
-   recorded stream into a fresh registry must land on the same snapshot
-   the live one reached. *)
-let test_registry_rebuild () =
-  let log = ref [] in
-  let reg = ref None in
-  let _ctl, _ =
-    run_with_bus
-      ~attach:(fun bus ->
-        reg := Some (Registry.attach bus);
-        Bus.attach bus ~name:"log" (fun ~at ev -> log := (at, ev) :: !log))
-      "429.mcf"
-  in
-  let live = Registry.snapshot (Option.get !reg) in
-  let rebuilt = Registry.create () in
-  let apply = Registry.apply rebuilt in
-  List.iter (fun (at, ev) -> apply ~at ev) (List.rev !log);
-  Alcotest.(check bool) "stream was non-trivial" true
-    (List.length !log > 100);
-  Alcotest.(check string) "replayed snapshot identical to the live one"
-    (Jsonx.to_string (Registry.to_json live))
-    (Jsonx.to_string (Registry.to_json (Registry.snapshot rebuilt)))
+(* The registry folds only the sweep infrastructure: a fresh fold
+   registers exactly the service series, and the event samples (one per
+   constructor) plus a failed [Dispatch_done] move every one of them, so
+   no registered series can sit at 0 forever. *)
+let test_registry_service_series () =
+  let bus = Bus.create () in
+  let r = Registry.attach bus in
+  let fresh = Registry.snapshot r in
+  Alcotest.(check (list string)) "service counters"
+    [
+      "admitted_units_total"; "artifact_hits_total"; "artifact_stores_total";
+      "ckpt_hits_total"; "ckpt_pushes_total"; "dispatch_done_total";
+      "dispatch_failed_total"; "dispatch_fallbacks_total";
+      "dispatch_retries_total"; "dispatch_sent_total"; "events_total";
+      "plan_rounds_total"; "plan_stops_total"; "steals_total";
+      "store_evictions_total"; "submissions_total"; "worker_lost_total";
+      "worker_up_total";
+    ]
+    (List.map fst fresh.counters);
+  Alcotest.(check (list string)) "service gauges" [ "straggler_ratio_pct" ]
+    (List.map fst fresh.gauges);
+  Alcotest.(check (list string)) "service histograms"
+    [ "artifact_store_bytes"; "ckpt_push_bytes"; "dispatch_sent_bytes" ]
+    (List.map fst fresh.hists);
+  List.iter (fun (ev, _, _) -> Bus.emit bus ~at:5 ev) event_samples;
+  Bus.emit bus ~at:5
+    (Event.Dispatch_done { unit_label = "u"; worker = "w:1"; ok = false });
+  let moved = Registry.snapshot r in
+  List.iter
+    (fun (n, v) ->
+      if v = 0 then Alcotest.failf "counter %s never moved" n)
+    moved.Registry.counters;
+  List.iter
+    (fun (n, j) ->
+      match Jsonx.member "count" j with
+      | Some (Jsonx.Int c) when c > 0 -> ()
+      | _ -> Alcotest.failf "histogram %s never observed" n)
+    moved.Registry.hists;
+  Alcotest.(check int) "one event counted per emit"
+    (List.length event_samples + 1)
+    (List.assoc "events_total" moved.Registry.counters)
 
 (* --- flight recorder ----------------------------------------------------- *)
 
@@ -947,17 +957,14 @@ let () =
               (test_prof_reconciles w))
           workloads );
       ( "registry",
-        Alcotest.test_case "cells + kind safety" `Quick test_registry_cells
-        :: Alcotest.test_case "exposition golden" `Quick test_registry_exposition
-        :: Alcotest.test_case "snapshot JSON roundtrip" `Quick
-             test_registry_json_roundtrip
-        :: Alcotest.test_case "rebuilt from the event stream" `Quick
-             test_registry_rebuild
-        :: List.map
-             (fun w ->
-               Alcotest.test_case ("reconciles with Stats.t: " ^ w) `Quick
-                 (test_registry_reconciles w))
-             workloads );
+        [
+          Alcotest.test_case "cells + kind safety" `Quick test_registry_cells;
+          Alcotest.test_case "exposition golden" `Quick test_registry_exposition;
+          Alcotest.test_case "snapshot JSON roundtrip" `Quick
+            test_registry_json_roundtrip;
+          Alcotest.test_case "service series golden" `Quick
+            test_registry_service_series;
+        ] );
       ( "recorder",
         [
           Alcotest.test_case "ring + dump on divergence" `Quick test_recorder_ring;
