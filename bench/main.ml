@@ -291,6 +291,8 @@ let fig7 () =
 
 (* --- §VI-A: DARCO speed --- *)
 
+let speed_summary : Darco_obs.Jsonx.t option ref = ref None
+
 let speed () =
   print_endline "=== Section VI-A: DARCO speed ===";
   let s =
@@ -299,6 +301,20 @@ let speed () =
       ~seed:42
   in
   Format.printf "%a@." Darco_studies.Speed.pp s;
+  speed_summary :=
+    Some
+      Darco_obs.Jsonx.(
+        Obj
+          [
+            ("workload", String "429.mcf");
+            ("insns", Int 400_000);
+            ("guest_mips_emulated", Float s.guest_mips_emulated);
+            ("guest_mips_timing", Float s.guest_mips_timing);
+            ("host_mips_emulated", Float s.host_mips_emulated);
+            ("host_mips_timing", Float s.host_mips_timing);
+            ("minor_words_per_guest_insn_emulated", Float s.minor_words_emulated);
+            ("minor_words_per_guest_insn_timing", Float s.minor_words_timing);
+          ]);
   print_endline
     "  (paper, on 2017 hardware: guest 3.4 MIPS emulated / 370 KIPS timed;\n\
     \   host 20 MIPS emulated / 2 MIPS timed)\n"
@@ -1189,6 +1205,7 @@ let write_results path =
     Jsonx.Obj
       [
         ("runs", Jsonx.List (List.rev_map entry !recorded));
+        ("speed", match !speed_summary with Some j -> j | None -> Jsonx.Null);
         ( "sampling",
           match !sampling_summary with Some j -> j | None -> Jsonx.Null );
         ( "engines",

@@ -13,8 +13,10 @@ type t = {
   by_pc : (int, Code.region list) Hashtbl.t;
   by_base : (int, Code.region) Hashtbl.t;
   (* region id -> direct-threaded closure chain; compiled on first
-     execution, dropped when the region dies *)
-  tcode : (int, Threaded.compiled) Hashtbl.t;
+     execution, dropped when the region dies.  Ids are dense (they count
+     up from 0), so a chained transfer finds its chain with one array
+     load. *)
+  mutable tcode : Threaded.compiled option array;
   mutable next_id : int;
   mutable next_base : int;
   mutable total_insns : int;
@@ -30,7 +32,7 @@ let create ?(bus = Bus.create ()) (cfg : Config.t) tolmem stats =
     bus;
     by_pc = Hashtbl.create 256;
     by_base = Hashtbl.create 256;
-    tcode = Hashtbl.create 256;
+    tcode = [||];
     next_id = 0;
     next_base = code_base;
     total_insns = 0;
@@ -49,7 +51,7 @@ let flush t =
   Hashtbl.iter (fun _ (r : Code.region) -> r.invalidated <- true) t.by_base;
   Hashtbl.reset t.by_pc;
   Hashtbl.reset t.by_base;
-  Hashtbl.reset t.tcode;
+  Array.fill t.tcode 0 (Array.length t.tcode) None;
   t.total_insns <- 0;
   for i = 0 to t.ibtc_entries - 1 do
     ibtc_clear_entry t i
@@ -89,24 +91,48 @@ let insert t (cfg : Config.t) (rir : Regionir.t) =
   register t region;
   region
 
+(* The first live region of the preferred mode, else the first live one:
+   scans of the list that allocate nothing but the result. *)
+let rec first_of_mode mode = function
+  | [] -> None
+  | (r : Code.region) :: rest ->
+    if (not r.invalidated) && r.mode = mode then Some r else first_of_mode mode rest
+
+let rec first_alive = function
+  | [] -> None
+  | (r : Code.region) :: rest -> if r.invalidated then first_alive rest else Some r
+
 let find t ?(prefer_bb = false) pc =
   match Hashtbl.find_opt t.by_pc pc with
   | None -> None
   | Some regions -> (
-    let alive = List.filter (fun (r : Code.region) -> not r.invalidated) regions in
-    let pick mode = List.find_opt (fun (r : Code.region) -> r.mode = mode) alive in
-    match if prefer_bb then pick `Bb else pick `Super with
-    | Some r -> Some r
-    | None -> ( match alive with r :: _ -> Some r | [] -> None))
+    match first_of_mode (if prefer_bb then `Bb else `Super) regions with
+    | Some _ as r -> r
+    | None -> first_alive regions)
 
 let resolve_base t base = Hashtbl.find_opt t.by_base base
 
 let compiled t (r : Code.region) =
-  match Hashtbl.find_opt t.tcode r.id with
+  let id = r.id in
+  match if id >= 0 && id < Array.length t.tcode then Array.unsafe_get t.tcode id else None with
   | Some c -> c
   | None ->
     let c = Threaded.compile r in
-    Hashtbl.replace t.tcode r.id c;
+    (* A restored region brings its id from the snapshot: only an id this
+       cache could have issued is memoized, so the array stays within
+       twice [next_id]. *)
+    if id >= 0 && id < t.next_id then begin
+      if id >= Array.length t.tcode then begin
+        let n = ref (max 256 (2 * Array.length t.tcode)) in
+        while !n <= id do
+          n := 2 * !n
+        done;
+        let grown = Array.make !n None in
+        Array.blit t.tcode 0 grown 0 (Array.length t.tcode);
+        t.tcode <- grown
+      end;
+      t.tcode.(id) <- Some c
+    end;
     c
 
 let chain t (e : Code.exit_info) (target : Code.region) =
@@ -132,7 +158,7 @@ let ibtc_fill t ~guest_pc (region : Code.region) =
 
 let invalidate t (r : Code.region) =
   r.invalidated <- true;
-  Hashtbl.remove t.tcode r.id;
+  if r.id >= 0 && r.id < Array.length t.tcode then t.tcode.(r.id) <- None;
   List.iter (fun (e : Code.exit_info) -> e.chain <- None) r.incoming;
   r.incoming <- [];
   (match Hashtbl.find_opt t.by_pc r.entry_pc with
@@ -195,7 +221,7 @@ let unpersist ?(bus = Bus.create ()) tolmem stats p =
       (* Closure chains are process state, never snapshot state: a restored
          region recompiles on first execution under whatever engine the
          restoring process runs. *)
-      tcode = Hashtbl.create 256;
+      tcode = [||];
       next_id = p.p_next_id;
       next_base = p.p_next_base;
       total_insns = p.p_total_insns;

@@ -27,7 +27,8 @@ val resolve_base : t -> int -> Code.region option
 
 val compiled : t -> Code.region -> Threaded.compiled
 (** The region's direct-threaded closure chain, compiled on first request
-    and memoized alongside the region; dropped on {!invalidate} and
+    and memoized in an array indexed by region id (ids are dense), so a
+    chained transfer costs one array load; dropped on {!invalidate} and
     {!flush}.  Chains are process state: they are rebuilt (not restored)
     after {!unpersist}. *)
 

@@ -11,18 +11,9 @@ let binop_fn (op : Code.binop) : int -> int -> int =
   match op with
   | Add -> fun a b -> Semantics.mask32 (a + b)
   | Sub -> fun a b -> Semantics.mask32 (a - b)
-  | Mul ->
-    fun a b ->
-      let lo, _, _ = Semantics.mul_u a b in
-      lo
-  | Mulhu ->
-    fun a b ->
-      let _, hi, _ = Semantics.mul_u a b in
-      hi
-  | Mulhs ->
-    fun a b ->
-      let _, hi, _ = Semantics.mul_s a b in
-      hi
+  | Mul -> fun a b -> Semantics.result_of (Semantics.mul_u a b)
+  | Mulhu -> Semantics.mulhi_u
+  | Mulhs -> Semantics.mulhi_s
   | And -> ( land )
   | Or -> ( lor )
   | Xor -> ( lxor )
@@ -327,7 +318,7 @@ let compile (region : Code.region) : compiled =
           guard c;
           let m = c.m in
           let addr = Semantics.mask32 (Machine.get m ra + d) in
-          m.f.(fd) <- Machine.load_f64 m addr;
+          Machine.load_f64 m fd addr;
           bump c 1;
           k c
       | Fstore (fv, ra, d) ->
@@ -335,7 +326,7 @@ let compile (region : Code.region) : compiled =
           guard c;
           let m = c.m in
           let addr = Semantics.mask32 (Machine.get m ra + d) in
-          Machine.store_f64 m addr m.f.(fv);
+          Machine.store_f64 m addr fv;
           bump c 1;
           k c
       | Fcmp (rd, fa, fb) ->

@@ -97,9 +97,7 @@ let eval_binop op a b =
   match op with
   | Add -> Semantics.mask32 (a + b)
   | Sub -> Semantics.mask32 (a - b)
-  | Mul ->
-    let lo, _, _ = Semantics.mul_u a b in
-    lo
+  | Mul -> Semantics.result_of (Semantics.mul_u a b)
   | And -> a land b
   | Or -> a lor b
   | Xor -> a lxor b

@@ -1,23 +1,75 @@
-type t = { pages : (int, bytes) Hashtbl.t; policy : [ `Auto_zero | `Fault ] }
-
 exception Page_fault of int
 
 let page_size = 4096
 let page_bits = 12
-let create policy = { pages = Hashtbl.create 64; policy }
+
+(* Pages live in a two-level table: a directory indexed by [idx lsr
+   leaf_bits] whose entries are leaves of [leaf_size] page slots.  A lookup
+   is two array loads and a comparison against the [absent] sentinel; no
+   hashing, no option.  Every directory slot starts on the one shared
+   [empty_leaf], and a leaf of its own is allocated on the first install
+   beneath it.  The directory spans every page a 32-bit address reaches,
+   including page 0x100000 that an access straddling 4 GiB touches; any
+   other index (negative, or beyond) goes to a rarely used [overflow]
+   table, so every int remains a valid page index. *)
+let leaf_bits = 10
+let leaf_size = 1 lsl leaf_bits
+let leaf_mask = leaf_size - 1
+let dir_size = (0x100000 lsr leaf_bits) + 1
+
+(* Never written, never returned: physical identity marks an empty slot.
+   A literal, so it is allocated statically: [Array.make] of a large array
+   forces a minor collection when its initial value is a young block. *)
+let absent = Bytes.unsafe_of_string ""
+let empty_leaf = Array.make leaf_size absent
+
+type t = {
+  dir : bytes array array;
+  overflow : (int, bytes) Hashtbl.t;
+  policy : [ `Auto_zero | `Fault ];
+}
+
+let create policy =
+  { dir = Array.make dir_size empty_leaf; overflow = Hashtbl.create 1; policy }
+
 let page_index addr = addr lsr page_bits
 let page_base idx = idx lsl page_bits
 
-let get_page t idx =
-  match Hashtbl.find_opt t.pages idx with
-  | Some p -> p
-  | None ->
-    (match t.policy with
-    | `Fault -> raise (Page_fault idx)
-    | `Auto_zero ->
-      let p = Bytes.make page_size '\000' in
-      Hashtbl.replace t.pages idx p;
-      p)
+(* The stored page for [idx], or [absent]. *)
+let[@inline] find t idx =
+  let d = idx lsr leaf_bits in
+  if d < dir_size then
+    Array.unsafe_get (Array.unsafe_get t.dir d) (idx land leaf_mask)
+  else
+    match Hashtbl.find_opt t.overflow idx with Some p -> p | None -> absent
+
+let store t idx p =
+  let d = idx lsr leaf_bits in
+  if d < dir_size then begin
+    let leaf =
+      let leaf = t.dir.(d) in
+      if leaf != empty_leaf then leaf
+      else begin
+        let leaf = Array.make leaf_size absent in
+        t.dir.(d) <- leaf;
+        leaf
+      end
+    in
+    leaf.(idx land leaf_mask) <- p
+  end
+  else Hashtbl.replace t.overflow idx p
+
+let materialize t idx =
+  match t.policy with
+  | `Fault -> raise (Page_fault idx)
+  | `Auto_zero ->
+    let p = Bytes.make page_size '\000' in
+    store t idx p;
+    p
+
+let[@inline] get_page t idx =
+  let p = find t idx in
+  if p != absent then p else materialize t idx
 
 let read8 t addr =
   let p = get_page t (page_index addr) in
@@ -28,8 +80,9 @@ let write8 t addr v =
   Bytes.unsafe_set p (addr land (page_size - 1)) (Char.unsafe_chr (v land 0xFF))
 
 (* Multi-byte accesses that stay within one page take a single page lookup;
-   page-crossing ones fall back to the byte loop so the fault order (lowest
-   byte's page first) is unchanged. *)
+   page-crossing ones fall back to the byte loop so the fault order is
+   unchanged.  ocamlopt evaluates the [lor] operands right to left, so when
+   both pages are missing the higher one faults first. *)
 let read (t : t) (w : Isa.width) addr =
   match w with
   | W8 -> read8 t addr
@@ -93,16 +146,30 @@ let write_f64 t addr x =
   write32 t addr (Int64.to_int (Int64.logand bits 0xFFFFFFFFL));
   write32 t (addr + 4) (Int64.to_int (Int64.shift_right_logical bits 32))
 
-let has_page t idx = Hashtbl.mem t.pages idx
+let has_page t idx = find t idx != absent
 
 let install_page t idx data =
   assert (Bytes.length data = page_size);
-  let p = Bytes.make page_size '\000' in
-  Bytes.blit data 0 p 0 page_size;
-  Hashtbl.replace t.pages idx p
+  store t idx (Bytes.copy data)
 
+(* Directory order is index order; overflow indices lie below it
+   (negative) or above it, so sorting just those keeps the whole list
+   sorted. *)
 let touched_pages t =
-  Hashtbl.fold (fun idx _ acc -> idx :: acc) t.pages [] |> List.sort compare
+  let inside = ref [] in
+  for d = dir_size - 1 downto 0 do
+    let leaf = t.dir.(d) in
+    if leaf != empty_leaf then
+      for i = leaf_size - 1 downto 0 do
+        if leaf.(i) != absent then inside := ((d lsl leaf_bits) lor i) :: !inside
+      done
+  done;
+  if Hashtbl.length t.overflow = 0 then !inside
+  else begin
+    let outside = List.sort compare (Hashtbl.fold (fun i _ acc -> i :: acc) t.overflow []) in
+    let below, above = List.partition (fun i -> i < 0) outside in
+    below @ !inside @ above
+  end
 
 let blit_bytes t addr b =
   for i = 0 to Bytes.length b - 1 do
@@ -112,6 +179,5 @@ let blit_bytes t addr b =
 let zero_page = Bytes.make page_size '\000'
 
 let equal_page a b idx =
-  let pa = Option.value (Hashtbl.find_opt a.pages idx) ~default:zero_page in
-  let pb = Option.value (Hashtbl.find_opt b.pages idx) ~default:zero_page in
-  Bytes.equal pa pb
+  let page m = let p = find m idx in if p != absent then p else zero_page in
+  Bytes.equal (page a) (page b)

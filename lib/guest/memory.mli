@@ -6,7 +6,14 @@
     - the co-designed component raises {!Page_fault} on the first touch of a
       page ([`Fault]); the controller services the fault by copying the page
       from the authoritative memory (the paper's "data request"
-      synchronization event). *)
+      synchronization event).
+
+    Pages live in a two-level table (a directory of lazily allocated
+    1024-page leaves), so a lookup is two array loads: no hashing, and an
+    integer access to a present page allocates nothing.  The table spans every page a 32-bit
+    address reaches, including page [0x100000] that an access straddling
+    4 GiB touches; every other index remains valid through a small
+    overflow table. *)
 
 type t
 
@@ -40,7 +47,9 @@ val install_page : t -> int -> bytes -> unit
 (** [install_page t idx data] copies [data] (page-sized) in as page [idx]. *)
 
 val touched_pages : t -> int list
-(** Sorted indices of all materialized pages. *)
+(** Sorted indices of all materialized pages (a walk of the table in index
+    order).  Under [`Auto_zero] a read materializes the page it touches,
+    as a write does. *)
 
 val blit_bytes : t -> int -> bytes -> unit
 (** [blit_bytes t addr b] writes the whole of [b] starting at [addr]

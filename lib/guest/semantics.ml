@@ -11,21 +11,36 @@ let sign_extend (w : Isa.width) v =
   | W16 -> if v land 0x8000 <> 0 then mask32 (v lor 0xFFFF0000) else v land 0xFFFF
   | W32 -> mask32 v
 
-let zf_sf res = Flags.make ~cf:false ~zf:(res = 0) ~sf:(bit31 res) ~of_:false
+(* A flag-producing operation returns its 32-bit result and the packed
+   {!Flags} word in one immediate int, the flags above bit 31, so no tuple
+   is allocated per guest ALU operation. *)
+let[@inline] pack res f = res lor (f lsl 32)
+let result_of p = p land 0xFFFFFFFF
+let flags_of p = p lsr 32
 
-let add_like a b cf_in =
+(* [Flags.make] inlined: building a flag word costs no call. *)
+let[@inline] make_flags ~cf ~zf ~sf ~of_ =
+  (if cf then Flags.cf_bit else 0)
+  lor (if zf then Flags.zf_bit else 0)
+  lor (if sf then Flags.sf_bit else 0)
+  lor if of_ then Flags.of_bit else 0
+
+let[@inline] logic res =
+  pack res (make_flags ~cf:false ~zf:(res = 0) ~sf:(bit31 res) ~of_:false)
+
+let[@inline] add_like a b cf_in =
   let full = a + b + cf_in in
   let res = mask32 full in
   let cf = full > 0xFFFFFFFF in
   let of_ = bit31 a = bit31 b && bit31 res <> bit31 a in
-  (res, Flags.make ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
+  pack res (make_flags ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
 
-let sub_like a b cf_in =
+let[@inline] sub_like a b cf_in =
   let full = a - b - cf_in in
   let res = mask32 full in
   let cf = full < 0 in
   let of_ = bit31 a <> bit31 b && bit31 res <> bit31 a in
-  (res, Flags.make ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
+  pack res (make_flags ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
 
 let alu (op : Isa.alu_op) ~cf_in a b =
   let carry = if cf_in then 1 else 0 in
@@ -34,21 +49,15 @@ let alu (op : Isa.alu_op) ~cf_in a b =
   | Adc -> add_like a b carry
   | Sub -> sub_like a b 0
   | Sbb -> sub_like a b carry
-  | And -> let r = a land b in (r, zf_sf r)
-  | Or -> let r = a lor b in (r, zf_sf r)
-  | Xor -> let r = a lxor b in (r, zf_sf r)
+  | And -> logic (a land b)
+  | Or -> logic (a lor b)
+  | Xor -> logic (a lxor b)
 
 (* INC/DEC preserve CF: recompute the other flags and splice CF back in. *)
-let keep_cf flags new_flags = new_flags land lnot Flags.cf_bit lor (flags land Flags.cf_bit)
+let keep_cf flags p = p land lnot (Flags.cf_bit lsl 32) lor ((flags land Flags.cf_bit) lsl 32)
 
-let inc v ~flags =
-  let res, f = add_like v 1 0 in
-  (res, keep_cf flags f)
-
-let dec v ~flags =
-  let res, f = sub_like v 1 0 in
-  (res, keep_cf flags f)
-
+let inc v ~flags = keep_cf flags (add_like v 1 0)
+let dec v ~flags = keep_cf flags (sub_like v 1 0)
 let neg v = sub_like 0 v 0
 let not32 v = mask32 (lnot v)
 
@@ -57,7 +66,7 @@ let rotr32 v c = mask32 ((v lsr c) lor (v lsl (32 - c)))
 
 let shift (op : Isa.shift_op) v ~count ~flags =
   let c = count land 31 in
-  if c = 0 then (v, flags)
+  if c = 0 then pack v flags
   else begin
     let res, cf, of_ =
       match op with
@@ -79,26 +88,28 @@ let shift (op : Isa.shift_op) v ~count ~flags =
         let res = rotr32 v c in
         (res, bit31 res, false)
     in
-    (res, Flags.make ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
+    pack res (make_flags ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
   end
 
 let mul_u a b =
   let p = Int64.mul (Int64.of_int a) (Int64.of_int b) in
-  let lo = mask32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL)) in
-  let hi = mask32 (Int64.to_int (Int64.shift_right_logical p 32)) in
-  let wide = hi <> 0 in
-  (lo, hi, Flags.make ~cf:wide ~zf:(lo = 0) ~sf:(bit31 lo) ~of_:wide)
+  let lo = mask32 (Int64.to_int p) in
+  let wide = Int64.shift_right_logical p 32 <> 0L in
+  pack lo (make_flags ~cf:wide ~zf:(lo = 0) ~sf:(bit31 lo) ~of_:wide)
+
+let mulhi_u a b =
+  let p = Int64.mul (Int64.of_int a) (Int64.of_int b) in
+  mask32 (Int64.to_int (Int64.shift_right_logical p 32))
 
 let mul_s a b =
   let p = Int64.mul (Int64.of_int (signed a)) (Int64.of_int (signed b)) in
-  let lo = mask32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL)) in
-  let hi = mask32 (Int64.to_int (Int64.shift_right_logical p 32)) in
+  let lo = mask32 (Int64.to_int p) in
   let wide = p <> Int64.of_int (signed lo) in
-  (lo, hi, Flags.make ~cf:wide ~zf:(lo = 0) ~sf:(bit31 lo) ~of_:wide)
+  pack lo (make_flags ~cf:wide ~zf:(lo = 0) ~sf:(bit31 lo) ~of_:wide)
 
-let imul2 a b =
-  let lo, _, f = mul_s a b in
-  (lo, f)
+let mulhi_s a b =
+  let p = Int64.mul (Int64.of_int (signed a)) (Int64.of_int (signed b)) in
+  mask32 (Int64.to_int (Int64.shift_right_logical p 32))
 
 let div_u ~hi ~lo d =
   if d = 0 then (0xFFFFFFFF, lo)
@@ -135,10 +146,10 @@ let fp_un (op : Isa.fp_un) a =
 
 let fcmp_flags a b =
   if Float.is_nan a || Float.is_nan b then
-    Flags.make ~cf:true ~zf:true ~sf:false ~of_:false
-  else if a < b then Flags.make ~cf:true ~zf:false ~sf:false ~of_:false
-  else if a = b then Flags.make ~cf:false ~zf:true ~sf:false ~of_:false
-  else Flags.make ~cf:false ~zf:false ~sf:false ~of_:false
+    make_flags ~cf:true ~zf:true ~sf:false ~of_:false
+  else if a < b then make_flags ~cf:true ~zf:false ~sf:false ~of_:false
+  else if a = b then make_flags ~cf:false ~zf:true ~sf:false ~of_:false
+  else make_flags ~cf:false ~zf:false ~sf:false ~of_:false
 
 let f2i x =
   if Float.is_nan x || x >= 2147483648.0 || x < -2147483648.0 then 0x80000000

@@ -1,38 +1,105 @@
 open Isa
 
-type control =
-  | Next
-  | Cond_branch of { taken : bool; target : int }
-  | Uncond of int
-  | Indirect of int
-  | Trap_syscall
-  | Trap_halt
+type kind = Next | Branch | Syscall | Halt
 
-type result = { insn : Isa.insn; len : int; control : control }
-type icache = (int, Isa.insn * int) Hashtbl.t
+(* The decode cache: open addressing on the guest PC with linear probing
+   over [mask + 1] slots.  [keys] holds -1 in free slots; a hit costs one
+   masked index and a comparison, with no hashing and no option.  PCs are
+   canonical 32-bit values, so a negative one (never produced by guest
+   code) is decoded into the spare slot past the table instead of being
+   cached.  Entries are never removed: self-modifying code is
+   unsupported. *)
+type icache = {
+  mutable mask : int;
+  mutable keys : int array;
+  mutable insns : Isa.insn array;
+  mutable lens : int array;
+  mutable count : int;
+}
 
-let icache_create () : icache = Hashtbl.create 1024
+let tables slots =
+  (Array.make (slots + 1) (-1), Array.make (slots + 1) Nop, Array.make (slots + 1) 0)
 
-let fetch (ic : icache) mem pc =
-  match Hashtbl.find_opt ic pc with
-  | Some r -> r
-  | None ->
-    let r = Codec.decode ~fetch:(fun a -> Memory.read8 mem a) ~pc in
-    Hashtbl.replace ic pc r;
-    r
+let icache_create () =
+  let keys, insns, lens = tables 1024 in
+  { mask = 1023; keys; insns; lens; count = 0 }
+
+let rec probe keys mask pc i =
+  let k = Array.unsafe_get keys i in
+  if k = pc || k = -1 then i else probe keys mask pc ((i + 1) land mask)
+
+(* Keep the table at most half full so a probe ends within a few slots. *)
+let grow ic =
+  let old_keys = ic.keys and old_insns = ic.insns and old_lens = ic.lens in
+  let slots = 2 * (ic.mask + 1) in
+  let keys, insns, lens = tables slots in
+  ic.mask <- slots - 1;
+  ic.keys <- keys;
+  ic.insns <- insns;
+  ic.lens <- lens;
+  for i = 0 to Array.length old_keys - 2 do
+    let pc = old_keys.(i) in
+    if pc >= 0 then begin
+      let j = probe keys ic.mask pc (pc land ic.mask) in
+      keys.(j) <- pc;
+      insns.(j) <- old_insns.(i);
+      lens.(j) <- old_lens.(i)
+    end
+  done
+
+let fill ic slot pc (insn, len) =
+  ic.keys.(slot) <- pc;
+  ic.insns.(slot) <- insn;
+  ic.lens.(slot) <- len;
+  slot
+
+(* The slot holding the decoded instruction at [pc], decoding it on a
+   miss.  A decode that faults or fails caches nothing. *)
+let lookup ic mem pc =
+  let i = probe ic.keys ic.mask pc (pc land ic.mask) in
+  if Array.unsafe_get ic.keys i = pc && pc >= 0 then i
+  else begin
+    let decoded = Codec.decode ~fetch:(fun a -> Memory.read8 mem a) ~pc in
+    if pc < 0 then fill ic (ic.mask + 1) (-1) decoded
+    else begin
+      if 2 * (ic.count + 1) > ic.mask + 1 then grow ic;
+      ic.count <- ic.count + 1;
+      fill ic (probe ic.keys ic.mask pc (pc land ic.mask)) pc decoded
+    end
+  end
+
+let fetch ic mem pc =
+  let i = lookup ic mem pc in
+  (ic.insns.(i), ic.lens.(i))
 
 let is_interp_only = function Str (_, _, (Rep | Repe | Repne)) -> true | _ -> false
 
+(* [Cpu]'s register accessors, restated here: under separate compilation
+   every call into another module is a real call, and these run several
+   times per instruction. *)
+let[@inline] mask32 v = v land 0xFFFFFFFF
+
+let[@inline] ri (r : reg) =
+  match r with
+  | EAX -> 0 | ECX -> 1 | EDX -> 2 | EBX -> 3
+  | ESP -> 4 | EBP -> 5 | ESI -> 6 | EDI -> 7
+
+let[@inline] fi (f : freg) =
+  match f with
+  | F0 -> 0 | F1 -> 1 | F2 -> 2 | F3 -> 3
+  | F4 -> 4 | F5 -> 5 | F6 -> 6 | F7 -> 7
+
+let[@inline] get (cpu : Cpu.t) r = cpu.regs.(ri r)
+let[@inline] set (cpu : Cpu.t) r v = cpu.regs.(ri r) <- mask32 v
+
 let mem_addr cpu { base; index; disp } =
-  let b = match base with None -> 0 | Some r -> Cpu.get cpu r in
-  let i =
-    match index with None -> 0 | Some (r, s) -> Cpu.get cpu r * scale_factor s
-  in
-  Semantics.mask32 (b + i + disp)
+  let b = match base with None -> 0 | Some r -> get cpu r in
+  let i = match index with None -> 0 | Some (r, s) -> get cpu r * scale_factor s in
+  mask32 (b + i + disp)
 
 let read_operand cpu mem = function
-  | Reg r -> Cpu.get cpu r
-  | Imm n -> Semantics.mask32 n
+  | Reg r -> get cpu r
+  | Imm n -> mask32 n
   | Mem m -> Memory.read mem W32 (mem_addr cpu m)
 
 (* Touch every page a write of [w] at [addr] will reach, so the write cannot
@@ -44,250 +111,257 @@ let probe_write mem w addr =
 
 let write_operand cpu mem op v =
   match op with
-  | Reg r -> Cpu.set cpu r v
+  | Reg r -> set cpu r v
   | Mem m -> Memory.write mem W32 (mem_addr cpu m) v
   | Imm _ -> invalid_arg "write_operand: immediate destination"
 
-(* A read-modify-write destination: reading it first both fetches the value
-   and probes the pages the write-back will touch. *)
-let rmw cpu mem op f =
-  let v = read_operand cpu mem op in
-  match f v with
-  | None -> ()
-  | Some res ->
-    (match op with
-    | Reg r -> Cpu.set cpu r res
-    | Mem m -> Memory.write mem W32 (mem_addr cpu m) res
-    | Imm _ -> invalid_arg "rmw: immediate destination")
+(* The write-back half of a read-modify-write destination.  Reading the
+   destination first (with [read_operand]) both fetched the value and
+   probed the pages this write touches. *)
+let write_back cpu mem op v =
+  match op with
+  | Reg r -> set cpu r v
+  | Mem m -> Memory.write mem W32 (mem_addr cpu m) v
+  | Imm _ -> invalid_arg "rmw: immediate destination"
+
+(* Set the flags of a packed outcome and write its result back. *)
+let[@inline] retire_rmw (cpu : Cpu.t) mem d p =
+  cpu.flags <- Semantics.flags_of p;
+  write_back cpu mem d (Semantics.result_of p)
 
 let push cpu mem v =
-  let sp = Semantics.mask32 (Cpu.get cpu ESP - 4) in
+  let sp = mask32 (get cpu ESP - 4) in
   probe_write mem W32 sp;
   Memory.write mem W32 sp v;
-  Cpu.set cpu ESP sp
+  set cpu ESP sp
 
 let pop cpu mem =
-  let sp = Cpu.get cpu ESP in
+  let sp = get cpu ESP in
   let v = Memory.read mem W32 sp in
-  Cpu.set cpu ESP (sp + 4);
+  set cpu ESP (sp + 4);
   v
 
 (* One iteration of a string instruction; [w] bytes, pointers ascend. *)
-let string_once cpu mem kind w =
+let string_once (cpu : Cpu.t) mem kind w =
   let sz = width_bytes w in
-  let esi = Cpu.get cpu ESI and edi = Cpu.get cpu EDI in
+  let esi = get cpu ESI and edi = get cpu EDI in
   match kind with
   | Movs ->
     let v = Memory.read mem w esi in
     probe_write mem w edi;
     Memory.write mem w edi v;
-    Cpu.set cpu ESI (esi + sz);
-    Cpu.set cpu EDI (edi + sz)
+    set cpu ESI (esi + sz);
+    set cpu EDI (edi + sz)
   | Stos ->
     probe_write mem w edi;
-    Memory.write mem w edi (Semantics.truncate_width w (Cpu.get cpu EAX));
-    Cpu.set cpu EDI (edi + sz)
+    Memory.write mem w edi (Semantics.truncate_width w (get cpu EAX));
+    set cpu EDI (edi + sz)
   | Lods ->
     let v = Memory.read mem w esi in
-    Cpu.set cpu EAX v;
-    Cpu.set cpu ESI (esi + sz)
+    set cpu EAX v;
+    set cpu ESI (esi + sz)
   | Scas ->
     let v = Memory.read mem w edi in
-    let a = Semantics.truncate_width w (Cpu.get cpu EAX) in
-    let _, f = Semantics.alu Sub ~cf_in:false a v in
-    cpu.flags <- f;
-    Cpu.set cpu EDI (edi + sz)
+    let a = Semantics.truncate_width w (get cpu EAX) in
+    cpu.flags <- Semantics.flags_of (Semantics.alu Sub ~cf_in:false a v);
+    set cpu EDI (edi + sz)
   | Cmps ->
     let a = Memory.read mem w esi in
     let b = Memory.read mem w edi in
-    let _, f = Semantics.alu Sub ~cf_in:false a b in
-    cpu.flags <- f;
-    Cpu.set cpu ESI (esi + sz);
-    Cpu.set cpu EDI (edi + sz)
+    cpu.flags <- Semantics.flags_of (Semantics.alu Sub ~cf_in:false a b);
+    set cpu ESI (esi + sz);
+    set cpu EDI (edi + sz)
 
-let exec_string cpu mem kind w rep =
+let exec_string (cpu : Cpu.t) mem kind w rep =
   match rep with
   | NoRep -> string_once cpu mem kind w
   | Rep | Repe | Repne ->
-    let continue () =
-      match rep with
-      | Rep -> true
-      | Repe -> Flags.zf cpu.flags
-      | Repne -> not (Flags.zf cpu.flags)
-      | NoRep -> assert false
-    in
-    let rec loop first =
-      if Cpu.get cpu ECX <> 0 && (first || continue ()) then begin
-        string_once cpu mem kind w;
-        Cpu.set cpu ECX (Cpu.get cpu ECX - 1);
-        loop false
-      end
-    in
-    loop true
+    let first = ref true in
+    while
+      get cpu ECX <> 0
+      && (!first
+         ||
+         match rep with
+         | Repe -> Flags.zf cpu.flags
+         | Repne -> not (Flags.zf cpu.flags)
+         | Rep | NoRep -> true)
+    do
+      first := false;
+      string_once cpu mem kind w;
+      set cpu ECX (get cpu ECX - 1)
+    done
 
-let exec cpu mem insn =
-  let rd op = read_operand cpu mem op in
-  let cf_in = Flags.cf cpu.flags in
+let[@inline] next (cpu : Cpu.t) len =
+  cpu.eip <- mask32 (cpu.eip + len);
+  Next
+
+let[@inline] jump (cpu : Cpu.t) target =
+  cpu.eip <- target;
+  Branch
+
+let[@inline] f64_of_words lo hi =
+  Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+
+let exec (cpu : Cpu.t) mem insn len =
   match insn with
-  | Nop -> Next
+  | Nop -> next cpu len
   | Mov (d, s) ->
-    let v = rd s in
+    let v = read_operand cpu mem s in
     write_operand cpu mem d v;
-    Next
+    next cpu len
   | Movx (w, signed, r, m) ->
     let v = Memory.read mem w (mem_addr cpu m) in
-    Cpu.set cpu r (if signed then Semantics.sign_extend w v else v);
-    Next
+    set cpu r (if signed then Semantics.sign_extend w v else v);
+    next cpu len
   | Movw (w, m, r) ->
     let addr = mem_addr cpu m in
     probe_write mem w addr;
-    Memory.write mem w addr (Semantics.truncate_width w (Cpu.get cpu r));
-    Next
+    Memory.write mem w addr (Semantics.truncate_width w (get cpu r));
+    next cpu len
   | Lea (r, m) ->
-    Cpu.set cpu r (mem_addr cpu m);
-    Next
+    set cpu r (mem_addr cpu m);
+    next cpu len
   | Alu (op, d, s) ->
-    let b = rd s in
-    rmw cpu mem d (fun a ->
-        let res, f = Semantics.alu op ~cf_in a b in
-        cpu.flags <- f;
-        Some res);
-    Next
+    let b = read_operand cpu mem s in
+    let a = read_operand cpu mem d in
+    retire_rmw cpu mem d (Semantics.alu op ~cf_in:(Flags.cf cpu.flags) a b);
+    next cpu len
   | Cmp (d, s) ->
-    let a = rd d and b = rd s in
-    let _, f = Semantics.alu Sub ~cf_in:false a b in
-    cpu.flags <- f;
-    Next
+    let a = read_operand cpu mem d in
+    let b = read_operand cpu mem s in
+    cpu.flags <- Semantics.flags_of (Semantics.alu Sub ~cf_in:false a b);
+    next cpu len
   | Test (d, s) ->
-    let a = rd d and b = rd s in
-    let _, f = Semantics.alu And ~cf_in:false a b in
-    cpu.flags <- f;
-    Next
+    let a = read_operand cpu mem d in
+    let b = read_operand cpu mem s in
+    cpu.flags <- Semantics.flags_of (Semantics.alu And ~cf_in:false a b);
+    next cpu len
   | Inc d ->
-    rmw cpu mem d (fun a ->
-        let res, f = Semantics.inc a ~flags:cpu.flags in
-        cpu.flags <- f;
-        Some res);
-    Next
+    let a = read_operand cpu mem d in
+    retire_rmw cpu mem d (Semantics.inc a ~flags:cpu.flags);
+    next cpu len
   | Dec d ->
-    rmw cpu mem d (fun a ->
-        let res, f = Semantics.dec a ~flags:cpu.flags in
-        cpu.flags <- f;
-        Some res);
-    Next
+    let a = read_operand cpu mem d in
+    retire_rmw cpu mem d (Semantics.dec a ~flags:cpu.flags);
+    next cpu len
   | Neg d ->
-    rmw cpu mem d (fun a ->
-        let res, f = Semantics.neg a in
-        cpu.flags <- f;
-        Some res);
-    Next
+    let a = read_operand cpu mem d in
+    retire_rmw cpu mem d (Semantics.neg a);
+    next cpu len
   | Not d ->
-    rmw cpu mem d (fun a -> Some (Semantics.not32 a));
-    Next
+    let a = read_operand cpu mem d in
+    write_back cpu mem d (Semantics.not32 a);
+    next cpu len
   | Shift (op, d, c) ->
-    let count = rd c in
-    rmw cpu mem d (fun a ->
-        let res, f = Semantics.shift op a ~count ~flags:cpu.flags in
-        cpu.flags <- f;
-        Some res);
-    Next
+    let count = read_operand cpu mem c in
+    let a = read_operand cpu mem d in
+    retire_rmw cpu mem d (Semantics.shift op a ~count ~flags:cpu.flags);
+    next cpu len
   | Mul s ->
-    let lo, hi, f = Semantics.mul_u (Cpu.get cpu EAX) (rd s) in
-    Cpu.set cpu EAX lo;
-    Cpu.set cpu EDX hi;
-    cpu.flags <- f;
-    Next
+    let a = get cpu EAX and b = read_operand cpu mem s in
+    let p = Semantics.mul_u a b in
+    set cpu EAX (Semantics.result_of p);
+    set cpu EDX (Semantics.mulhi_u a b);
+    cpu.flags <- Semantics.flags_of p;
+    next cpu len
   | Imul s ->
-    let lo, hi, f = Semantics.mul_s (Cpu.get cpu EAX) (rd s) in
-    Cpu.set cpu EAX lo;
-    Cpu.set cpu EDX hi;
-    cpu.flags <- f;
-    Next
+    let a = get cpu EAX and b = read_operand cpu mem s in
+    let p = Semantics.mul_s a b in
+    set cpu EAX (Semantics.result_of p);
+    set cpu EDX (Semantics.mulhi_s a b);
+    cpu.flags <- Semantics.flags_of p;
+    next cpu len
   | Imul2 (r, s) ->
-    let res, f = Semantics.imul2 (Cpu.get cpu r) (rd s) in
-    Cpu.set cpu r res;
-    cpu.flags <- f;
-    Next
+    let p = Semantics.mul_s (get cpu r) (read_operand cpu mem s) in
+    set cpu r (Semantics.result_of p);
+    cpu.flags <- Semantics.flags_of p;
+    next cpu len
   | Div s ->
-    let q, r = Semantics.div_u ~hi:(Cpu.get cpu EDX) ~lo:(Cpu.get cpu EAX) (rd s) in
-    Cpu.set cpu EAX q;
-    Cpu.set cpu EDX r;
-    Next
+    let q, r = Semantics.div_u ~hi:(get cpu EDX) ~lo:(get cpu EAX) (read_operand cpu mem s) in
+    set cpu EAX q;
+    set cpu EDX r;
+    next cpu len
   | Idiv s ->
-    let q, r = Semantics.div_s ~hi:(Cpu.get cpu EDX) ~lo:(Cpu.get cpu EAX) (rd s) in
-    Cpu.set cpu EAX q;
-    Cpu.set cpu EDX r;
-    Next
+    let q, r = Semantics.div_s ~hi:(get cpu EDX) ~lo:(get cpu EAX) (read_operand cpu mem s) in
+    set cpu EAX q;
+    set cpu EDX r;
+    next cpu len
   | Push s ->
-    let v = rd s in
+    let v = read_operand cpu mem s in
     push cpu mem v;
-    Next
+    next cpu len
   | Pop r ->
     let v = pop cpu mem in
-    Cpu.set cpu r v;
-    Next
-  | Jmp t -> Uncond t
-  | JmpInd s -> Indirect (rd s)
-  | Jcc (c, t) -> Cond_branch { taken = Flags.eval_cond c cpu.flags; target = t }
+    set cpu r v;
+    next cpu len
+  | Jmp t -> jump cpu t
+  | JmpInd s -> jump cpu (read_operand cpu mem s)
+  | Jcc (c, t) ->
+    if Flags.eval_cond c cpu.flags then jump cpu t
+    else begin
+      cpu.eip <- mask32 (cpu.eip + len);
+      Branch
+    end
   | Call t ->
-    push cpu mem (Semantics.mask32 (cpu.eip + Codec.length insn));
-    Uncond t
+    push cpu mem (mask32 (cpu.eip + Codec.length insn));
+    jump cpu t
   | CallInd s ->
-    let target = rd s in
-    push cpu mem (Semantics.mask32 (cpu.eip + Codec.length insn));
-    Indirect target
-  | Ret -> Indirect (pop cpu mem)
+    let target = read_operand cpu mem s in
+    push cpu mem (mask32 (cpu.eip + Codec.length insn));
+    jump cpu target
+  | Ret -> jump cpu (pop cpu mem)
   | Cmov (c, r, s) ->
-    let v = rd s in
-    if Flags.eval_cond c cpu.flags then Cpu.set cpu r v;
-    Next
+    let v = read_operand cpu mem s in
+    if Flags.eval_cond c cpu.flags then set cpu r v;
+    next cpu len
   | Setcc (c, r) ->
-    Cpu.set cpu r (if Flags.eval_cond c cpu.flags then 1 else 0);
-    Next
+    set cpu r (if Flags.eval_cond c cpu.flags then 1 else 0);
+    next cpu len
   | Str (kind, w, rep) ->
     exec_string cpu mem kind w rep;
-    Next
+    next cpu len
   | Fld (f, m) ->
-    Cpu.setf cpu f (Memory.read_f64 mem (mem_addr cpu m));
-    Next
+    let addr = mem_addr cpu m in
+    let lo = Memory.read mem W32 addr in
+    let hi = Memory.read mem W32 (addr + 4) in
+    cpu.fregs.(fi f) <- f64_of_words lo hi;
+    next cpu len
   | Fst (m, f) ->
     let addr = mem_addr cpu m in
     ignore (Memory.read8 mem addr);
     ignore (Memory.read8 mem (addr + 7));
-    Memory.write_f64 mem addr (Cpu.getf cpu f);
-    Next
+    let bits = Int64.bits_of_float cpu.fregs.(fi f) in
+    Memory.write mem W32 addr (Int64.to_int (Int64.logand bits 0xFFFFFFFFL));
+    Memory.write mem W32 (addr + 4) (Int64.to_int (Int64.shift_right_logical bits 32));
+    next cpu len
   | Fmov (d, s) ->
-    Cpu.setf cpu d (Cpu.getf cpu s);
-    Next
+    cpu.fregs.(fi d) <- cpu.fregs.(fi s);
+    next cpu len
   | Fldi (f, v) ->
-    Cpu.setf cpu f v;
-    Next
+    cpu.fregs.(fi f) <- v;
+    next cpu len
   | Fbin (op, d, s) ->
-    Cpu.setf cpu d (Semantics.fp_bin op (Cpu.getf cpu d) (Cpu.getf cpu s));
-    Next
+    let fr = cpu.fregs in
+    fr.(fi d) <- Semantics.fp_bin op fr.(fi d) fr.(fi s);
+    next cpu len
   | Fun_ (op, f) ->
-    Cpu.setf cpu f (Semantics.fp_un op (Cpu.getf cpu f));
-    Next
+    let fr = cpu.fregs in
+    fr.(fi f) <- Semantics.fp_un op fr.(fi f);
+    next cpu len
   | Fcmp (a, b) ->
-    cpu.flags <- Semantics.fcmp_flags (Cpu.getf cpu a) (Cpu.getf cpu b);
-    Next
+    cpu.flags <- Semantics.fcmp_flags cpu.fregs.(fi a) cpu.fregs.(fi b);
+    next cpu len
   | Fild (f, r) ->
-    Cpu.setf cpu f (Semantics.i2f (Cpu.get cpu r));
-    Next
+    cpu.fregs.(fi f) <- Semantics.i2f (get cpu r);
+    next cpu len
   | Fist (r, f) ->
-    Cpu.set cpu r (Semantics.f2i (Cpu.getf cpu f));
-    Next
-  | Syscall -> Trap_syscall
-  | Halt -> Trap_halt
+    set cpu r (Semantics.f2i cpu.fregs.(fi f));
+    next cpu len
+  | Syscall -> Syscall
+  | Halt ->
+    cpu.halted <- true;
+    Halt
 
-let step ic cpu mem =
-  let insn, len = fetch ic mem cpu.Cpu.eip in
-  let control = exec cpu mem insn in
-  (match control with
-  | Next -> cpu.eip <- Semantics.mask32 (cpu.eip + len)
-  | Cond_branch { taken; target } ->
-    cpu.eip <- (if taken then target else Semantics.mask32 (cpu.eip + len))
-  | Uncond t | Indirect t -> cpu.eip <- t
-  | Trap_syscall -> ()
-  | Trap_halt -> cpu.halted <- true);
-  { insn; len; control }
+let step ic (cpu : Cpu.t) mem =
+  let i = lookup ic mem cpu.eip in
+  exec cpu mem (Array.unsafe_get ic.insns i) (Array.unsafe_get ic.lens i)

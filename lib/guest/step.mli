@@ -6,31 +6,35 @@
     instruction can be transparently retried after the controller services
     the data request.  REP string instructions fault at iteration
     granularity, which is architecturally consistent (ESI/EDI/ECX always
-    describe the remaining work, as on real x86). *)
+    describe the remaining work, as on real x86).
 
-type control =
-  | Next
-  | Cond_branch of { taken : bool; target : int }
-      (** [target] is the taken-path target. *)
-  | Uncond of int        (** direct jmp or call *)
-  | Indirect of int      (** resolved target of ret / indirect jmp / call *)
-  | Trap_syscall         (** EIP left pointing at the syscall instruction *)
-  | Trap_halt
+    The per-instruction path allocates nothing: {!step} returns an
+    immediate {!kind}, a decode-cache hit is an array probe, and
+    read-modify-write destinations, flag results and FP register traffic
+    go through no closure, tuple or float box (FP arithmetic itself still
+    boxes its operands at the {!Semantics} call). *)
 
-type result = { insn : Isa.insn; len : int; control : control }
+(** What the instruction did to control flow.  EIP has already been
+    updated, except for [Syscall]. *)
+type kind =
+  | Next     (** fell through to the next instruction *)
+  | Branch   (** a jump, call, return or conditional branch, taken or not *)
+  | Syscall  (** EIP left pointing at the syscall instruction *)
+  | Halt     (** the guest halted; [cpu.halted] is set *)
 
 type icache
-(** Decode cache (guest address -> decoded instruction).  Self-modifying
-    guest code is unsupported across the infrastructure. *)
+(** Decode cache (guest address -> decoded instruction), an open-addressing
+    table on the PC.  Self-modifying guest code is unsupported across the
+    infrastructure. *)
 
 val icache_create : unit -> icache
 val fetch : icache -> Memory.t -> int -> Isa.insn * int
 (** Decode (with caching) the instruction at the given guest address. *)
 
-val step : icache -> Cpu.t -> Memory.t -> result
+val step : icache -> Cpu.t -> Memory.t -> kind
 (** Execute one instruction at [cpu.eip], updating [cpu] and memory and
-    advancing EIP (except for traps, which leave EIP at the trapping
-    instruction; the caller advances by [len] after servicing). *)
+    advancing EIP (except for a syscall, which leaves EIP at the trapping
+    instruction; the caller advances past it after servicing). *)
 
 val is_interp_only : Isa.insn -> bool
 (** Instructions the TOL never includes in translations and always defers to

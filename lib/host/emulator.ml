@@ -39,15 +39,9 @@ let eval_binop (op : Code.binop) a b =
   match op with
   | Add -> Semantics.mask32 (a + b)
   | Sub -> Semantics.mask32 (a - b)
-  | Mul ->
-    let lo, _, _ = Semantics.mul_u a b in
-    lo
-  | Mulhu ->
-    let _, hi, _ = Semantics.mul_u a b in
-    hi
-  | Mulhs ->
-    let _, hi, _ = Semantics.mul_s a b in
-    hi
+  | Mul -> Semantics.result_of (Semantics.mul_u a b)
+  | Mulhu -> Semantics.mulhi_u a b
+  | Mulhs -> Semantics.mulhi_s a b
   | And -> a land b
   | Or -> a lor b
   | Xor -> a lxor b
@@ -156,11 +150,11 @@ let run m ~resolve ?(fuel = max_int) ?on_retire entry_region =
       retire insn 1
     | Fload (fd, ra, d) ->
       let addr = Semantics.mask32 (Machine.get m ra + d) in
-      m.f.(fd) <- Machine.load_f64 m addr;
+      Machine.load_f64 m fd addr;
       retire ~mem_access:(addr, `Load) insn 1
     | Fstore (fv, ra, d) ->
       let addr = Semantics.mask32 (Machine.get m ra + d) in
-      Machine.store_f64 m addr m.f.(fv);
+      Machine.store_f64 m addr fv;
       retire ~mem_access:(addr, `Store) insn 1
     | Fcmp (rd, fa, fb) ->
       Machine.set m rd (Semantics.fcmp_flags m.f.(fa) m.f.(fb));

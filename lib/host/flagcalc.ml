@@ -1,24 +1,20 @@
 open Darco_guest
 
 let compute (k : Code.flkind) ~a ~b ~c =
-  let snd2 (_, f) = f in
-  match k with
-  | Fl_add -> snd2 (Semantics.alu Add ~cf_in:false a b)
-  | Fl_adc -> snd2 (Semantics.alu Adc ~cf_in:(c <> 0) a b)
-  | Fl_sub -> snd2 (Semantics.alu Sub ~cf_in:false a b)
-  | Fl_sbb -> snd2 (Semantics.alu Sbb ~cf_in:(c <> 0) a b)
-  | Fl_logic -> snd2 (Semantics.alu Or ~cf_in:false a 0)
-  | Fl_shl -> snd2 (Semantics.shift Shl a ~count:b ~flags:c)
-  | Fl_shr -> snd2 (Semantics.shift Shr a ~count:b ~flags:c)
-  | Fl_sar -> snd2 (Semantics.shift Sar a ~count:b ~flags:c)
-  | Fl_rol -> snd2 (Semantics.shift Rol a ~count:b ~flags:c)
-  | Fl_ror -> snd2 (Semantics.shift Ror a ~count:b ~flags:c)
-  | Fl_inc -> snd2 (Semantics.inc a ~flags:c)
-  | Fl_dec -> snd2 (Semantics.dec a ~flags:c)
-  | Fl_neg -> snd2 (Semantics.neg a)
-  | Fl_mulu ->
-    let _, _, f = Semantics.mul_u a b in
-    f
-  | Fl_muls ->
-    let _, _, f = Semantics.mul_s a b in
-    f
+  Semantics.flags_of
+    (match k with
+    | Fl_add -> Semantics.alu Add ~cf_in:false a b
+    | Fl_adc -> Semantics.alu Adc ~cf_in:(c <> 0) a b
+    | Fl_sub -> Semantics.alu Sub ~cf_in:false a b
+    | Fl_sbb -> Semantics.alu Sbb ~cf_in:(c <> 0) a b
+    | Fl_logic -> Semantics.alu Or ~cf_in:false a 0
+    | Fl_shl -> Semantics.shift Shl a ~count:b ~flags:c
+    | Fl_shr -> Semantics.shift Shr a ~count:b ~flags:c
+    | Fl_sar -> Semantics.shift Sar a ~count:b ~flags:c
+    | Fl_rol -> Semantics.shift Rol a ~count:b ~flags:c
+    | Fl_ror -> Semantics.shift Ror a ~count:b ~flags:c
+    | Fl_inc -> Semantics.inc a ~flags:c
+    | Fl_dec -> Semantics.dec a ~flags:c
+    | Fl_neg -> Semantics.neg a
+    | Fl_mulu -> Semantics.mul_u a b
+    | Fl_muls -> Semantics.mul_s a b)

@@ -496,9 +496,9 @@ let code ~bus ~(reference : Interp_ref.t) : Darco.Controller.t B.t =
   B.(
     record
       (fun cfg validate_at_checkpoints validate_memory divergence co_cfg stats cpu mem r f
-           sbuf aliases ckpt_r ckpt_f brk profile codecache fails deopt
+           pending aliases ckpt_r ckpt_f brk profile codecache fails deopt
          : Darco.Controller.t ->
-        let machine : Machine.t = { r; f; mem; sbuf; aliases; ckpt_r; ckpt_f } in
+        let machine = Machine.restore mem ~r ~f ~pending ~aliases ~ckpt_r ~ckpt_f in
         let tolmem = Darco.Tolmem.restore mem ~brk in
         let co : Darco.Tol.t =
           {
@@ -526,11 +526,12 @@ let code ~bus ~(reference : Interp_ref.t) : Darco.Controller.t B.t =
     |+ (cpu, fun ctl -> ctl.co.cpu)
     |+ (memory `Fault, fun ctl -> ctl.co.mem)
     (* host machine: at a synchronization boundary the store buffer and alias
-       table are empty, but serialize them anyway so capture never lies *)
+       table are empty, but serialize them anyway so capture never lies; the
+       buffer travels as address-sorted (byte address, byte) pairs *)
     |+ (array_n 64 int, fun ctl -> ctl.co.machine.r)
     |+ (array_n 32 f64, fun ctl -> ctl.co.machine.f)
-    |+ (table int, fun ctl -> ctl.co.machine.sbuf)
-    |+ (list (pair int int), fun ctl -> ctl.co.machine.aliases)
+    |+ (list (pair int int), fun ctl -> Machine.pending_bytes ctl.co.machine)
+    |+ (list (pair int int), fun ctl -> Machine.alias_ranges ctl.co.machine)
     |+ (array int, fun ctl -> ctl.co.machine.ckpt_r)
     |+ (array f64, fun ctl -> ctl.co.machine.ckpt_f)
     |+ (int, fun ctl -> Darco.Tolmem.brk ctl.co.tolmem)

@@ -8,11 +8,15 @@ type t = {
   guest_mips_timing : float;     (** guest insns/s with timing enabled *)
   host_mips_emulated : float;    (** host insns/s, functional only *)
   host_mips_timing : float;
+  minor_words_emulated : float;
+      (** [Gc.minor_words] per guest insn across the functional run *)
+  minor_words_timing : float;    (** the same, with timing enabled *)
 }
 
 val measure : ?cfg:Darco.Config.t -> ?insns:int -> Program.t -> seed:int -> t
 (** Run the program (bounded by [insns] retired guest instructions) twice —
     functional and with the timing simulator attached — and report
-    throughputs from wall-clock time. *)
+    throughputs from wall-clock time, and the minor-heap words each run
+    allocated per guest instruction (deterministic, unlike the speeds). *)
 
 val pp : Format.formatter -> t -> unit

@@ -5,39 +5,55 @@ module Rng = Darco_util.Rng
 
 let flags_t = Alcotest.testable (Fmt.of_to_string Flags.to_string) ( = )
 
+(* The flag-producing operations return one packed int; these split it
+   back into (result, flags) so each check reads the halves separately. *)
+let split p = (Semantics.result_of p, Semantics.flags_of p)
+let alu op ~cf_in a b = split (Semantics.alu op ~cf_in a b)
+let inc v ~flags = split (Semantics.inc v ~flags)
+let dec v ~flags = split (Semantics.dec v ~flags)
+let shift op v ~count ~flags = split (Semantics.shift op v ~count ~flags)
+
+let mul_u a b =
+  let p = Semantics.mul_u a b in
+  (Semantics.result_of p, Semantics.mulhi_u a b, Semantics.flags_of p)
+
+let mul_s a b =
+  let p = Semantics.mul_s a b in
+  (Semantics.result_of p, Semantics.mulhi_s a b, Semantics.flags_of p)
+
 let test_add_flags () =
-  let res, f = Semantics.alu Add ~cf_in:false 0xFFFFFFFF 1 in
+  let res, f = alu Add ~cf_in:false 0xFFFFFFFF 1 in
   Alcotest.(check int) "wraps" 0 res;
   Alcotest.(check bool) "CF" true (Flags.cf f);
   Alcotest.(check bool) "ZF" true (Flags.zf f);
   Alcotest.(check bool) "OF clear (unsigned carry only)" false (Flags.of_ f);
-  let _, f = Semantics.alu Add ~cf_in:false 0x7FFFFFFF 1 in
+  let _, f = alu Add ~cf_in:false 0x7FFFFFFF 1 in
   Alcotest.(check bool) "signed overflow sets OF" true (Flags.of_ f);
   Alcotest.(check bool) "no carry" false (Flags.cf f);
   Alcotest.(check bool) "SF set" true (Flags.sf f)
 
 let test_sub_flags () =
-  let res, f = Semantics.alu Sub ~cf_in:false 3 5 in
+  let res, f = alu Sub ~cf_in:false 3 5 in
   Alcotest.(check int) "wraps" (Semantics.mask32 (-2)) res;
   Alcotest.(check bool) "borrow sets CF" true (Flags.cf f);
   Alcotest.(check bool) "SF" true (Flags.sf f);
-  let _, f = Semantics.alu Sub ~cf_in:false 0x80000000 1 in
+  let _, f = alu Sub ~cf_in:false 0x80000000 1 in
   Alcotest.(check bool) "INT_MIN - 1 overflows" true (Flags.of_ f)
 
 let test_adc_sbb_chain () =
   (* 64-bit add via adc: 0xFFFFFFFF_FFFFFFFF + 1 = 0 carry-out *)
-  let lo, f1 = Semantics.alu Add ~cf_in:false 0xFFFFFFFF 1 in
-  let hi, f2 = Semantics.alu Adc ~cf_in:(Flags.cf f1) 0xFFFFFFFF 0 in
+  let lo, f1 = alu Add ~cf_in:false 0xFFFFFFFF 1 in
+  let hi, f2 = alu Adc ~cf_in:(Flags.cf f1) 0xFFFFFFFF 0 in
   Alcotest.(check int) "lo" 0 lo;
   Alcotest.(check int) "hi" 0 hi;
   Alcotest.(check bool) "carry out" true (Flags.cf f2);
-  let lo, f1 = Semantics.alu Sub ~cf_in:false 0 1 in
-  let hi, _ = Semantics.alu Sbb ~cf_in:(Flags.cf f1) 5 0 in
+  let lo, f1 = alu Sub ~cf_in:false 0 1 in
+  let hi, _ = alu Sbb ~cf_in:(Flags.cf f1) 5 0 in
   Alcotest.(check int) "borrow lo" 0xFFFFFFFF lo;
   Alcotest.(check int) "borrow hi" 4 hi
 
 let test_logic_flags () =
-  let res, f = Semantics.alu And ~cf_in:true 0xF0F0 0x0F0F in
+  let res, f = alu And ~cf_in:true 0xF0F0 0x0F0F in
   Alcotest.(check int) "and" 0 res;
   Alcotest.(check bool) "ZF" true (Flags.zf f);
   Alcotest.(check bool) "CF cleared" false (Flags.cf f);
@@ -45,47 +61,47 @@ let test_logic_flags () =
 
 let test_inc_dec_preserve_cf () =
   let flags = Flags.make ~cf:true ~zf:false ~sf:false ~of_:false in
-  let res, f = Semantics.inc 0xFFFFFFFF ~flags in
+  let res, f = inc 0xFFFFFFFF ~flags in
   Alcotest.(check int) "inc wraps" 0 res;
   Alcotest.(check bool) "CF preserved" true (Flags.cf f);
   Alcotest.(check bool) "ZF set" true (Flags.zf f);
-  let res, f = Semantics.dec 0 ~flags:0 in
+  let res, f = dec 0 ~flags:0 in
   Alcotest.(check int) "dec wraps" 0xFFFFFFFF res;
   Alcotest.(check bool) "CF still clear" false (Flags.cf f)
 
 let test_shift_semantics () =
-  let v, f = Semantics.shift Shl 0x80000001 ~count:1 ~flags:0 in
+  let v, f = shift Shl 0x80000001 ~count:1 ~flags:0 in
   Alcotest.(check int) "shl" 2 v;
   Alcotest.(check bool) "CF from msb" true (Flags.cf f);
-  let v, f0 = Semantics.shift Shr 0x3 ~count:1 ~flags:0 in
+  let v, f0 = shift Shr 0x3 ~count:1 ~flags:0 in
   Alcotest.(check int) "shr" 1 v;
   Alcotest.(check bool) "CF from lsb" true (Flags.cf f0);
-  let v, _ = Semantics.shift Sar 0x80000000 ~count:4 ~flags:0 in
+  let v, _ = shift Sar 0x80000000 ~count:4 ~flags:0 in
   Alcotest.(check int) "sar sign-fills" 0xF8000000 v;
-  let v, _ = Semantics.shift Rol 0x80000001 ~count:1 ~flags:0 in
+  let v, _ = shift Rol 0x80000001 ~count:1 ~flags:0 in
   Alcotest.(check int) "rol" 3 v;
-  let v, _ = Semantics.shift Ror 0x1 ~count:1 ~flags:0 in
+  let v, _ = shift Ror 0x1 ~count:1 ~flags:0 in
   Alcotest.(check int) "ror" 0x80000000 v;
   (* zero count leaves flags untouched *)
   let sentinel = Flags.make ~cf:true ~zf:true ~sf:true ~of_:true in
-  let v, f = Semantics.shift Shl 123 ~count:0 ~flags:sentinel in
+  let v, f = shift Shl 123 ~count:0 ~flags:sentinel in
   Alcotest.(check int) "value unchanged" 123 v;
   Alcotest.check flags_t "flags unchanged" sentinel f;
   (* counts are masked to 5 bits *)
-  let v, _ = Semantics.shift Shl 1 ~count:33 ~flags:0 in
+  let v, _ = shift Shl 1 ~count:33 ~flags:0 in
   Alcotest.(check int) "count masked" 2 v
 
 let test_mul () =
-  let lo, hi, f = Semantics.mul_u 0xFFFFFFFF 0xFFFFFFFF in
+  let lo, hi, f = mul_u 0xFFFFFFFF 0xFFFFFFFF in
   Alcotest.(check int) "lo" 1 lo;
   Alcotest.(check int) "hi" 0xFFFFFFFE hi;
   Alcotest.(check bool) "wide" true (Flags.cf f);
-  let lo, hi, f = Semantics.mul_s 0xFFFFFFFF 3 in
+  let lo, hi, f = mul_s 0xFFFFFFFF 3 in
   (* -1 * 3 = -3 *)
   Alcotest.(check int) "slo" 0xFFFFFFFD lo;
   Alcotest.(check int) "shi" 0xFFFFFFFF hi;
   Alcotest.(check bool) "fits" false (Flags.cf f);
-  let lo, _, _ = Semantics.mul_u 123456 789 in
+  let lo, _, _ = mul_u 123456 789 in
   Alcotest.(check int) "plain" (123456 * 789) lo
 
 let test_div () =
@@ -119,7 +135,7 @@ let prop_alu_matches_int64 =
     (fun (is_add, a0, b0) ->
       let a = Semantics.mask32 (a0 * 17) and b = Semantics.mask32 (b0 * 29) in
       let res, _ =
-        Semantics.alu (if is_add then Add else Sub) ~cf_in:false a b
+        alu (if is_add then Add else Sub) ~cf_in:false a b
       in
       let model =
         Int64.to_int
@@ -154,9 +170,9 @@ let test_fcmp () =
 (* --- flags / conditions -------------------------------------------------- *)
 
 let test_eval_cond () =
-  let f_eq = snd (Semantics.alu Sub ~cf_in:false 5 5) in
-  let f_lt = snd (Semantics.alu Sub ~cf_in:false 3 5) in
-  let f_gt = snd (Semantics.alu Sub ~cf_in:false 7 5) in
+  let f_eq = snd (alu Sub ~cf_in:false 5 5) in
+  let f_lt = snd (alu Sub ~cf_in:false 3 5) in
+  let f_gt = snd (alu Sub ~cf_in:false 7 5) in
   let checks =
     [
       (Isa.E, f_eq, true); (Isa.E, f_lt, false);
@@ -266,6 +282,165 @@ let test_memory_equal_page () =
   Alcotest.(check bool) "absent = zero" true (Memory.equal_page a b 1);
   Memory.write32 a 0x1000 5;
   Alcotest.(check bool) "differs" false (Memory.equal_page a b 1)
+
+(* --- Memory against the byte-map model ------------------------------------ *)
+
+(* [Memory] is shared by the oracle and the TOL, so its differential is
+   against [Ref_memory], the [Hashtbl] implementation it replaced: random
+   operation sequences under both policies, on two pairs of memories (so
+   [equal_page] compares across them), with every result and the fault
+   index of every [Page_fault] compared after each operation. *)
+
+type mem_op =
+  | M_read of Isa.width * int
+  | M_write of Isa.width * int * int
+  | M_read_f64 of int
+  | M_write_f64 of int * float
+  | M_install of int * int  (* page index, fill byte *)
+  | M_has of int
+  | M_get of int
+  | M_equal of int
+  | M_blit of int * string
+  | M_touched
+  | M_second of mem_op  (* the same operation on the second pair *)
+
+let width_name : Isa.width -> string = function W8 -> "W8" | W16 -> "W16" | W32 -> "W32"
+
+let rec show_mem_op = function
+  | M_read (w, a) -> Printf.sprintf "read %s 0x%x" (width_name w) a
+  | M_write (w, a, v) -> Printf.sprintf "write %s 0x%x 0x%x" (width_name w) a v
+  | M_read_f64 a -> Printf.sprintf "read_f64 0x%x" a
+  | M_write_f64 (a, x) -> Printf.sprintf "write_f64 0x%x %h" a x
+  | M_install (i, b) -> Printf.sprintf "install 0x%x fill %d" i b
+  | M_has i -> Printf.sprintf "has 0x%x" i
+  | M_get i -> Printf.sprintf "get 0x%x" i
+  | M_equal i -> Printf.sprintf "equal 0x%x" i
+  | M_blit (a, b) -> Printf.sprintf "blit 0x%x %S" a b
+  | M_touched -> "touched"
+  | M_second op -> "second: " ^ show_mem_op op
+
+(* Tgen's memory operands stay inside a 2 KiB data region, so the
+   differentials draw their own addresses: ordinary pages, page
+   boundaries, the 4 GiB edge (an access there straddles into page
+   0x100000) and any 32-bit value. *)
+let gen_addr =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun p o -> (p lsl 12) + o) (int_range 0 5) (int_bound 4095));
+        (3, map2 (fun p k -> (p lsl 12) - 8 + k) (int_range 1 5) (int_bound 15));
+        (2, map (fun k -> 0xFFFFFFF0 + k) (int_bound 15));
+        (1, map (fun k -> 0x100000000 + k) (int_bound 7));
+        (1, map (fun x -> x land 0xFFFFFFFF) int);
+      ])
+
+(* Page indices reach past both edges of the page table's directory:
+   negative, huge, and either side of its last leaf. *)
+let gen_page_index =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, int_range 0 6);
+        (2, oneofl [ 0xFFFFF; 0x100000; 0x1003FF; 0x100400 ]);
+        (1, int_range (-3) (-1));
+        (1, map (fun k -> (1 lsl 40) + k) (int_bound 3));
+      ])
+
+let gen_width = QCheck.Gen.oneofl [ Isa.W8; Isa.W16; Isa.W32 ]
+
+let gen_mem_op =
+  QCheck.Gen.(
+    let base =
+      frequency
+        [
+          (6, map2 (fun w a -> M_read (w, a)) gen_width gen_addr);
+          (6, map3 (fun w a v -> M_write (w, a, v)) gen_width gen_addr (int_bound 0xFFFFFFFF));
+          (2, map (fun a -> M_read_f64 a) gen_addr);
+          (2, map2 (fun a x -> M_write_f64 (a, x)) gen_addr float);
+          (2, map2 (fun i b -> M_install (i, b)) gen_page_index (int_bound 255));
+          (2, map (fun i -> M_has i) gen_page_index);
+          (1, map (fun i -> M_get i) gen_page_index);
+          (2, map (fun i -> M_equal i) gen_page_index);
+          (1, map2 (fun a s -> M_blit (a, s)) gen_addr (string_size (int_bound 9)));
+          (1, return M_touched);
+        ]
+    in
+    frequency [ (3, base); (1, map (fun op -> M_second op) base) ])
+
+(* Run one operation on both implementations; the results, rendered as
+   strings, must agree. *)
+let rec apply_mem_op (n1, n2) (r1, r2) op =
+  let run f g =
+    let fault = Printf.sprintf "fault 0x%x" in
+    let a = match f () with v -> v | exception Memory.Page_fault i -> fault i in
+    let b = match g () with v -> v | exception Ref_memory.Page_fault i -> fault i in
+    if a <> b then QCheck.Test.fail_reportf "%s: %s vs model %s" (show_mem_op op) a b
+  in
+  let page b = Bytes.make Memory.page_size (Char.chr b) in
+  let bits x = Int64.to_string (Int64.bits_of_float x) in
+  let unit () = "()" in
+  match op with
+  | M_second op -> apply_mem_op (n2, n1) (r2, r1) op
+  | M_read (w, a) ->
+    run
+      (fun () -> string_of_int (Memory.read n1 w a))
+      (fun () -> string_of_int (Ref_memory.read r1 w a))
+  | M_write (w, a, v) ->
+    run (fun () -> Memory.write n1 w a v; unit ()) (fun () -> Ref_memory.write r1 w a v; unit ())
+  | M_read_f64 a ->
+    run (fun () -> bits (Memory.read_f64 n1 a)) (fun () -> bits (Ref_memory.read_f64 r1 a))
+  | M_write_f64 (a, x) ->
+    run
+      (fun () -> Memory.write_f64 n1 a x; unit ())
+      (fun () -> Ref_memory.write_f64 r1 a x; unit ())
+  | M_install (i, b) ->
+    run (fun () -> Memory.install_page n1 i (page b); unit ()) (fun () ->
+        Ref_memory.install_page r1 i (page b);
+        unit ())
+  | M_has i ->
+    run
+      (fun () -> string_of_bool (Memory.has_page n1 i))
+      (fun () -> string_of_bool (Ref_memory.has_page r1 i))
+  | M_get i ->
+    run
+      (fun () -> Bytes.to_string (Memory.get_page n1 i))
+      (fun () -> Bytes.to_string (Ref_memory.get_page r1 i))
+  | M_equal i ->
+    run (fun () -> string_of_bool (Memory.equal_page n1 n2 i)) (fun () ->
+        string_of_bool (Ref_memory.equal_page r1 r2 i))
+  | M_blit (a, s) ->
+    run (fun () -> Memory.blit_bytes n1 a (Bytes.of_string s); unit ()) (fun () ->
+        Ref_memory.blit_bytes r1 a (Bytes.of_string s);
+        unit ())
+  | M_touched ->
+    let show l = String.concat "," (List.map string_of_int l) in
+    run (fun () -> show (Memory.touched_pages n1)) (fun () -> show (Ref_memory.touched_pages r1))
+
+let prop_memory_matches_model policy =
+  let name = match policy with `Auto_zero -> "auto-zero" | `Fault -> "fault" in
+  QCheck.Test.make ~count:300
+    ~name:(Printf.sprintf "Memory = byte-map model (%s)" name)
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map show_mem_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 60) gen_mem_op))
+    (fun ops ->
+      let n = (Memory.create policy, Memory.create policy) in
+      let r = (Ref_memory.create policy, Ref_memory.create policy) in
+      List.iter (apply_mem_op n r) ops;
+      (* and the final images: same pages, same bytes *)
+      List.iter
+        (fun (n, r) ->
+          let pages = Memory.touched_pages n in
+          if pages <> Ref_memory.touched_pages r then
+            QCheck.Test.fail_report "touched pages differ";
+          List.iter
+            (fun i ->
+              if not (Bytes.equal (Memory.get_page n i) (Ref_memory.get_page r i)) then
+                QCheck.Test.fail_reportf "page 0x%x differs" i)
+            pages)
+        [ (fst n, fst r); (snd n, snd r) ];
+      true)
 
 (* --- cpu ---------------------------------------------------------------- *)
 
@@ -406,6 +581,134 @@ let test_step_fault_leaves_state () =
       ignore (Step.step ic cpu m));
   Alcotest.(check bool) "state untouched" true (Cpu.equal snapshot cpu)
 
+(* --- Step against the reference Step --------------------------------------- *)
+
+(* The oracle and the TOL both execute through [Step], so its differential
+   is against [Ref_step], the allocating implementation it replaced.  Two
+   copies of one booted guest run in lock step, one per implementation:
+   after every instruction the control kinds, the CPUs and the bytes the
+   instruction may have written must agree, and every few thousand
+   instructions (and at the end) the whole memory images. *)
+
+let kind_of_control : Ref_step.control -> Step.kind = function
+  | Next -> Next
+  | Cond_branch _ | Uncond _ | Indirect _ -> Branch
+  | Trap_syscall -> Syscall
+  | Trap_halt -> Halt
+
+let kind_name : Step.kind -> string = function
+  | Next -> "next"
+  | Branch -> "branch"
+  | Syscall -> "syscall"
+  | Halt -> "halt"
+
+(* Equal [len] bytes at [addr] in both memories, without materializing a
+   page on either side. *)
+let same_bytes a b addr len =
+  let ok = ref true in
+  for x = addr to addr + len - 1 do
+    let i = Memory.page_index x in
+    match (Memory.has_page a i, Memory.has_page b i) with
+    | false, false -> ()
+    | true, true ->
+      let off = x land (Memory.page_size - 1) in
+      let byte m = Bytes.get (Memory.get_page m i) off in
+      if byte a <> byte b then ok := false
+    | _ -> ok := false
+  done;
+  !ok
+
+let same_memory a b =
+  let pages = Memory.touched_pages a in
+  pages = Memory.touched_pages b
+  && List.for_all (fun i -> Bytes.equal (Memory.get_page a i) (Memory.get_page b i)) pages
+
+(* The byte ranges an instruction may write, from the state before it
+   runs: its memory operands, the pushed stack word, the string
+   destination. *)
+let write_windows (cpu : Cpu.t) (insn : Isa.insn) =
+  let ea (m : Isa.mem) = Ref_step.mem_addr cpu m in
+  let stack = (Semantics.mask32 (Cpu.get cpu ESP - 4), 4) in
+  match insn with
+  | Mov (Mem m, _) | Alu (_, Mem m, _) | Inc (Mem m) | Dec (Mem m) | Neg (Mem m)
+  | Not (Mem m) | Shift (_, Mem m, _) | Movw (_, m, _) | Fst (m, _) ->
+    [ (ea m, 8) ]
+  | Push _ | Call _ | CallInd _ -> [ stack ]
+  | Str (_, w, rep) ->
+    let n = match rep with NoRep -> 1 | _ -> Cpu.get cpu ECX in
+    [ (Cpu.get cpu EDI, min 65536 (n * Isa.width_bytes w)) ]
+  | _ -> []
+
+let lockstep ~what ~steps (a : Interp_ref.t) (b : Interp_ref.t) =
+  let ric = Ref_step.icache_create () in
+  let k = ref 0 in
+  while !k < steps && not a.cpu.halted do
+    let insn, _ = Ref_step.fetch ric b.mem b.cpu.eip in
+    let windows = write_windows b.cpu insn in
+    let ka = match Step.step a.icache a.cpu a.mem with k -> Ok k | exception e -> Error e in
+    let kb =
+      match Ref_step.step ric b.cpu b.mem with
+      | r -> Ok (kind_of_control r.control)
+      | exception e -> Error e
+    in
+    (match (ka, kb) with
+    | Ok x, Ok y when x = y -> ()
+    | Error x, Error y when Printexc.to_string x = Printexc.to_string y -> raise x
+    | _ ->
+      let show = function Ok k -> kind_name k | Error e -> Printexc.to_string e in
+      Alcotest.failf "%s: step %d at 0x%x (%s): %s vs reference %s" what !k b.cpu.eip
+        (Isa.to_string insn) (show ka) (show kb));
+    if ka = Ok Syscall then begin
+      ignore (Interp_ref.service_syscall a);
+      ignore (Interp_ref.service_syscall b)
+    end;
+    let here = Printf.sprintf "%s: step %d (%s)" what !k (Isa.to_string insn) in
+    Tgen.check_cpu_equal here a.cpu b.cpu;
+    List.iter
+      (fun (addr, len) ->
+        if not (same_bytes a.mem b.mem addr len) then
+          Alcotest.failf "%s wrote differently at 0x%x" here addr)
+      windows;
+    if !k land 4095 = 0 && not (same_memory a.mem b.mem) then
+      Alcotest.failf "%s: memory differs by step %d" what !k;
+    incr k
+  done;
+  if not (same_memory a.mem b.mem) then Alcotest.failf "%s: final memory differs" what
+
+let prop_step_matches_reference =
+  QCheck.Test.make ~count:60 ~name:"Step = reference Step on random programs"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let p = Tgen.random_program ~seed () in
+      lockstep ~what:(Printf.sprintf "program %d" seed) ~steps:200_000
+        (Interp_ref.boot ~seed:1 p) (Interp_ref.boot ~seed:1 p);
+      true)
+
+let test_step_matches_reference_on_workloads () =
+  List.iter
+    (fun (e : Darco_workloads.Registry.entry) ->
+      let p = e.build () in
+      let boot () = Interp_ref.boot ~seed:42 p in
+      lockstep ~what:e.name ~steps:50_000 (boot ()) (boot ()))
+    Darco_workloads.Registry.all
+
+(* The reference emulator's per-instruction path allocates nothing: over a
+   warm 100k-instruction window, integer code stays under 0.1 minor words
+   per instruction (syscall service and the rare decode-cache miss are
+   the remainder), and FP-heavy code under 5 (FP arithmetic boxes its
+   operands at the [Semantics] call). *)
+let test_run_until_allocation () =
+  List.iter
+    (fun (name, bound) ->
+      let r = Interp_ref.boot ~seed:42 ((Darco_workloads.Registry.find name).build ()) in
+      Interp_ref.run_until r 100_000;
+      let before = Gc.minor_words () in
+      Interp_ref.run_until r 200_000;
+      let per_insn = (Gc.minor_words () -. before) /. float_of_int (r.retired - 100_000) in
+      if not (per_insn <= bound) then
+        Alcotest.failf "%s: %.3f minor words per instruction (bound %.1f)" name per_insn bound)
+    [ ("429.mcf", 0.1); ("401.bzip2", 0.1); ("470.lbm", 5.); ("explosions", 5.) ]
+
 (* --- asm / loader / syscall --------------------------------------------- *)
 
 let test_asm_duplicate_label () =
@@ -495,6 +798,18 @@ let () =
         [
           Alcotest.test_case "eval_cond table" `Quick test_eval_cond;
           QCheck_alcotest.to_alcotest prop_negate_cond;
+        ] );
+      ( "memory-model",
+        [
+          QCheck_alcotest.to_alcotest (prop_memory_matches_model `Auto_zero);
+          QCheck_alcotest.to_alcotest (prop_memory_matches_model `Fault);
+        ] );
+      ( "step-model",
+        [
+          QCheck_alcotest.to_alcotest prop_step_matches_reference;
+          Alcotest.test_case "Step = reference Step on 31 workloads" `Quick
+            test_step_matches_reference_on_workloads;
+          Alcotest.test_case "run_until allocation" `Quick test_run_until_allocation;
         ] );
       ( "codec",
         [

@@ -83,6 +83,220 @@ let test_guest_mapping_roundtrip () =
   cpu'.eip <- cpu.eip;
   Alcotest.(check bool) "roundtrip" true (Cpu.equal cpu cpu')
 
+(* --- the store buffer against the byte-level model ------------------------- *)
+
+(* Both engines share [Machine], so its buffer's differential is against
+   [Ref_machine], the byte-[Hashtbl] buffer and alias list it replaced.
+   Both run the same random sequence over their own copy of one [Fault]
+   memory with missing pages: loaded values, faults, [Alias_violation]s,
+   the buffer's byte view and alias table, the registers after a rollback
+   and the memory after each commit must agree.  A commit that faults must
+   name an absent page the buffer touches and leave memory untouched; the
+   two buffers may probe their pages in different orders, so the page
+   named may differ. *)
+
+type sb_op =
+  | S_store of Isa.width * int * int
+  | S_load of Isa.width * bool * int
+  | S_load_spec of Isa.width * bool * int
+  | S_store_f64 of int * float
+  | S_load_f64 of int
+  | S_set of int * int
+  | S_checkpoint
+  | S_commit
+  | S_rollback
+  | S_install of int
+
+let width_name : Isa.width -> string = function W8 -> "W8" | W16 -> "W16" | W32 -> "W32"
+
+let show_sb_op = function
+  | S_store (w, a, v) -> Printf.sprintf "store %s 0x%x 0x%x" (width_name w) a v
+  | S_load (w, sg, a) -> Printf.sprintf "load %s %b 0x%x" (width_name w) sg a
+  | S_load_spec (w, sg, a) -> Printf.sprintf "load_spec %s %b 0x%x" (width_name w) sg a
+  | S_store_f64 (a, x) -> Printf.sprintf "store_f64 0x%x %h" a x
+  | S_load_f64 a -> Printf.sprintf "load_f64 0x%x" a
+  | S_set (r, v) -> Printf.sprintf "set r%d 0x%x" r v
+  | S_checkpoint -> "checkpoint"
+  | S_commit -> "commit"
+  | S_rollback -> "rollback"
+  | S_install i -> Printf.sprintf "install 0x%x" i
+
+(* The pages the buffer differential's memory may hold; which of them are
+   present at the start is part of the case. *)
+let sb_pages = [| 1; 2; 3; 4; 0xFFFFF; 0x100000 |]
+
+(* Tgen's memory operands stay inside a 2 KiB data region, so this draws
+   its own: a handful of hot words (so stores overlap, forward and alias),
+   page boundaries, the 4 GiB edge and anywhere on the four low pages. *)
+let gen_sb_addr =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun k o -> 0x1000 + (4 * k) + o) (int_bound 11) (int_bound 3));
+        (3, map2 (fun p k -> (p lsl 12) - 6 + k) (int_range 2 4) (int_bound 11));
+        (1, map (fun k -> 0xFFFFFFF4 + k) (int_bound 11));
+        (2, int_range 0x1000 0x4FFF);
+      ])
+
+let gen_sb_op =
+  QCheck.Gen.(
+    let width = oneofl [ Isa.W8; Isa.W16; Isa.W32 ] in
+    frequency
+      [
+        (8, map3 (fun w a v -> S_store (w, a, v)) width gen_sb_addr (int_bound 0xFFFFFFFF));
+        (6, map3 (fun w sg a -> S_load (w, sg, a)) width bool gen_sb_addr);
+        (3, map3 (fun w sg a -> S_load_spec (w, sg, a)) width bool gen_sb_addr);
+        (1, map2 (fun a x -> S_store_f64 (a, x)) gen_sb_addr float);
+        (1, map (fun a -> S_load_f64 a) gen_sb_addr);
+        (1, map2 (fun r v -> S_set (r, v)) (int_range 1 63) (int_bound 0xFFFFFFFF));
+        (1, return S_checkpoint);
+        (2, return S_commit);
+        (1, return S_rollback);
+        (1, map (fun i -> S_install sb_pages.(i)) (int_bound (Array.length sb_pages - 1)));
+      ])
+
+let sb_memory present =
+  let mem = Memory.create `Fault in
+  Array.iteri
+    (fun k idx ->
+      if present land (1 lsl k) <> 0 then
+        Memory.install_page mem idx
+          (Bytes.init Memory.page_size (fun i -> Char.chr (((i * 7) + k) land 0xFF))))
+    sb_pages;
+  mem
+
+let sb_memory_equal a b =
+  Array.for_all
+    (fun i ->
+      Memory.has_page a i = Memory.has_page b i
+      && ((not (Memory.has_page a i)) || Bytes.equal (Memory.get_page a i) (Memory.get_page b i)))
+    sb_pages
+
+let run_sb_case (present, ops) =
+  let m = Machine.create (sb_memory present) and r = Ref_machine.create (sb_memory present) in
+  let fail op fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) (show_sb_op op) in
+  let outcome f =
+    match f () with
+    | v -> Ok v
+    | exception Memory.Page_fault i -> Error (Printf.sprintf "fault 0x%x" i)
+    | exception (Machine.Alias_violation | Ref_machine.Alias_violation) -> Error "alias"
+  in
+  let same op a b =
+    if a <> b then
+      let show = function Ok v -> v | Error e -> e in
+      fail op "%s vs model %s" (show a) (show b)
+  in
+  let int_result f = outcome (fun () -> string_of_int (f ())) in
+  let unit_result f = outcome (fun () -> f (); "()") in
+  let bits x = Int64.to_string (Int64.bits_of_float x) in
+  List.iter
+    (fun op ->
+      (match op with
+      | S_store (w, a, v) ->
+        same op
+          (unit_result (fun () -> Machine.store m w a v))
+          (unit_result (fun () -> Ref_machine.store r w a v))
+      | S_load (w, signed, a) ->
+        same op
+          (int_result (fun () -> Machine.load m w ~signed a))
+          (int_result (fun () -> Ref_machine.load r w ~signed a))
+      | S_load_spec (w, signed, a) ->
+        same op
+          (int_result (fun () -> Machine.load_spec m w ~signed a))
+          (int_result (fun () -> Ref_machine.load_spec r w ~signed a))
+      | S_store_f64 (a, x) ->
+        m.f.(5) <- x;
+        same op
+          (unit_result (fun () -> Machine.store_f64 m a 5))
+          (unit_result (fun () -> Ref_machine.store_f64 r a x))
+      | S_load_f64 a ->
+        same op
+          (outcome (fun () -> Machine.load_f64 m 6 a; bits m.f.(6)))
+          (outcome (fun () -> bits (Ref_machine.load_f64 r a)))
+      | S_set (reg, v) ->
+        Machine.set m reg v;
+        Ref_machine.set r reg v
+      | S_checkpoint ->
+        Machine.checkpoint m;
+        Ref_machine.checkpoint r
+      | S_rollback ->
+        Machine.rollback m;
+        Ref_machine.rollback r;
+        if m.r <> r.r then fail op "registers differ after rollback"
+      | S_install idx ->
+        if not (Memory.has_page m.mem idx) then begin
+          let page = Bytes.make Memory.page_size '\x5a' in
+          Memory.install_page m.mem idx page;
+          Memory.install_page r.mem idx page
+        end
+      | S_commit -> (
+        let touched =
+          List.sort_uniq compare
+            (List.map (fun (a, _) -> Memory.page_index a) (Machine.pending_bytes m))
+        in
+        match (outcome (fun () -> Machine.commit m), outcome (fun () -> Ref_machine.commit r)) with
+        | Ok (), Ok () ->
+          if not (sb_memory_equal m.mem r.mem) then fail op "memory differs after commit"
+        | Error _, Error _ -> (
+          match Machine.commit m with
+          | () -> fail op "commit faulted, then succeeded unchanged"
+          | exception Memory.Page_fault p ->
+            if Memory.has_page m.mem p || not (List.mem p touched) then
+              fail op "commit faulted on page 0x%x, not an absent page it touches" p;
+            if not (sb_memory_equal m.mem r.mem) then fail op "a faulting commit wrote memory")
+        | a, b ->
+          let show = function Ok () -> "ok" | Error e -> e in
+          fail op "%s vs model %s" (show a) (show b)));
+      (* the byte view the snapshot encodes, and the alias table *)
+      let model_bytes =
+        List.sort compare (Hashtbl.fold (fun a v acc -> (a, v) :: acc) r.sbuf [])
+      in
+      if Machine.pending_bytes m <> model_bytes then fail op "pending bytes differ";
+      if Machine.alias_ranges m <> r.aliases then fail op "alias tables differ";
+      if Machine.in_flight_stores m <> Ref_machine.in_flight_stores r then
+        fail op "in-flight counts differ")
+    ops;
+  true
+
+let prop_store_buffer_matches_model =
+  QCheck.Test.make ~count:500 ~name:"store buffer = byte-level model"
+    (QCheck.make
+       ~print:(fun (present, ops) ->
+         Printf.sprintf "pages present 0x%x\n%s" present
+           (String.concat "\n" (List.map show_sb_op ops)))
+       ~shrink:QCheck.Shrink.(pair nil list)
+       QCheck.Gen.(pair (int_bound 63) (list_size (int_range 1 80) gen_sb_op)))
+    run_sb_case
+
+(* Once the buffer and the alias table have grown, no operation on the
+   speculation path allocates. *)
+let test_machine_allocates_nothing () =
+  let mem = Memory.create `Auto_zero in
+  let m = Machine.create mem in
+  let region () =
+    Machine.checkpoint m;
+    for k = 0 to 199 do
+      let a = 0x4000 + (4 * ((k * 37) land 511)) in
+      Machine.store m W32 a k;
+      Machine.store m W8 (a + 4097) k;
+      ignore (Machine.load m W32 ~signed:false a);
+      ignore (Machine.load m W16 ~signed:true (a + 4097));
+      ignore (Machine.load_spec m W32 ~signed:false (0x20000 + (4 * k)))
+    done;
+    Machine.store_f64 m 0x9000 3;
+    Machine.load_f64 m 4 0x9000;
+    Machine.commit m;
+    Machine.checkpoint m;
+    Machine.store m W32 0x5000 1;
+    Machine.rollback m
+  in
+  region ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 50 do
+    region ()
+  done;
+  Alcotest.(check (float 0.)) "minor words over 50 regions" 0. (Gc.minor_words () -. before)
+
 (* --- flagcalc vs shared semantics ---------------------------------------- *)
 
 let prop_flagcalc_add_sub =
@@ -93,7 +307,7 @@ let prop_flagcalc_add_sub =
       let b = Semantics.mask32 (b0 * 40503) in
       let kind : Code.flkind = if is_add then Fl_add else Fl_sub in
       let op : Isa.alu_op = if is_add then Add else Sub in
-      Flagcalc.compute kind ~a ~b ~c:0 = snd (Semantics.alu op ~cf_in:false a b))
+      Flagcalc.compute kind ~a ~b ~c:0 = Semantics.flags_of (Semantics.alu op ~cf_in:false a b))
 
 let prop_flagcalc_shift =
   QCheck.Test.make ~name:"Mkfl shifts match Semantics.shift" ~count:1000
@@ -108,7 +322,7 @@ let prop_flagcalc_shift =
       in
       let incoming = 0b1010 in
       Flagcalc.compute kind ~a:v ~b:count ~c:incoming
-      = snd (Semantics.shift op v ~count ~flags:incoming))
+      = Semantics.flags_of (Semantics.shift op v ~count ~flags:incoming))
 
 (* --- emulator: hand-built regions ---------------------------------------- *)
 
@@ -288,7 +502,7 @@ let test_emulator_isel_mkfl () =
   in
   ignore (run_region m region);
   Alcotest.(check int) "flags via mkfl"
-    (snd (Semantics.alu Sub ~cf_in:false 3 5))
+    (Semantics.flags_of (Semantics.alu Sub ~cf_in:false 3 5))
     (Machine.get m 22);
   Alcotest.(check int) "isel picked true side" 3 (Machine.get m 24)
 
@@ -307,15 +521,11 @@ let prop_emulator_binop_vs_semantics =
         match op with
         | Add -> Semantics.mask32 (a + b)
         | Sub -> Semantics.mask32 (a - b)
-        | Mul ->
-          let lo, _, _ = Semantics.mul_u a b in
-          lo
-        | Mulhu ->
-          let _, hi, _ = Semantics.mul_u a b in
-          hi
+        | Mul -> Semantics.mask32 (a * b)
+        | Mulhu -> Int64.(to_int (shift_right_logical (mul (of_int a) (of_int b)) 32))
         | Mulhs ->
-          let _, hi, _ = Semantics.mul_s a b in
-          hi
+          let p = Int64.(mul (of_int (Semantics.signed a)) (of_int (Semantics.signed b))) in
+          Int64.(to_int (shift_right_logical p 32)) land 0xFFFFFFFF
         | And -> a land b
         | Or -> a lor b
         | Xor -> a lxor b
@@ -371,6 +581,9 @@ let () =
             test_commit_page_fault_keeps_buffer;
           Alcotest.test_case "zero register" `Quick test_zero_register;
           Alcotest.test_case "guest mapping" `Quick test_guest_mapping_roundtrip;
+          QCheck_alcotest.to_alcotest prop_store_buffer_matches_model;
+          Alcotest.test_case "speculation path allocates nothing" `Quick
+            test_machine_allocates_nothing;
         ] );
       ( "flagcalc",
         [

@@ -207,6 +207,20 @@ let test_page_requests_counted () =
   Alcotest.(check bool) "data requests happened" true
     ((Controller.stats ctl).page_requests > 0)
 
+(* A TOL allocation spanning more than two pages maps all of them: with a
+   16 KiB IBTC ([ibtc_bits = 12]) the co-designed component requests no
+   more guest pages than with the default 4 KiB one.  An unmapped middle
+   page would fault on first touch and be served as a data request. *)
+let test_tol_allocation_maps_every_page () =
+  let e = Darco_workloads.Registry.find "471.omnetpp" in
+  let requests cfg =
+    let ctl = Controller.create ~cfg ~seed:42 (e.build ()) in
+    expect_done "471.omnetpp" (Controller.run ctl, ctl);
+    (Controller.stats ctl).page_requests
+  in
+  Alcotest.(check int) "page requests, 12-bit IBTC" (requests Config.default)
+    (requests { Config.default with ibtc_bits = 12 })
+
 let test_create_at_matches () =
   (* starting mid-program yields the same final state as from the start *)
   let program = Tgen.random_program ~seed:31 ~chunks:5 () in
@@ -277,6 +291,8 @@ let () =
         [
           Alcotest.test_case "syscalls + input" `Quick test_syscall_events_and_input;
           Alcotest.test_case "page requests" `Quick test_page_requests_counted;
+          Alcotest.test_case "TOL allocation maps every page" `Quick
+            test_tol_allocation_maps_every_page;
           Alcotest.test_case "create_at" `Quick test_create_at_matches;
           Alcotest.test_case "instruction limit" `Quick test_limit_stops;
         ] );
