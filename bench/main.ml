@@ -328,7 +328,8 @@ let engines_summary : Darco_obs.Jsonx.t option ref = ref None
    (translate -> optimize -> schedule -> regalloc -> codegen) and then
    self-chained, so one engine invocation executes translated code until
    its fuel runs out.  The measurement is pure region execution — the only
-   thing Exec's engine choice changes. *)
+   work that differs between the two executors [Tol] picks from (closure
+   chains, or the walker when a retire subscriber is attached). *)
 let engines () =
   print_endline "=== Execution engines: eval walker vs direct-threaded ===";
   let open Darco_guest in

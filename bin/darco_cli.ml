@@ -78,32 +78,12 @@ end
 
 let no_flag name doc = Arg.(value & flag & info [ name ] ~doc)
 
-let engine_conv =
-  let parse s =
-    match Darco.Exec.engine_of_string s with
-    | Some e -> Ok e
-    | None ->
-      Error (`Msg (Printf.sprintf "unknown engine %S (expected eval or threaded)" s))
-  in
-  Arg.conv (parse, fun fmt e -> Format.pp_print_string fmt (Darco.Exec.engine_name e))
-
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv Darco.Config.default.engine
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Region execution engine: $(b,threaded) (direct-threaded closure \
-           chains, the default) or $(b,eval) (the reference walker).  Both \
-           are bit-identical; $(b,eval) is the deopt/diagnosis fallback.")
-
 let config_term =
   let combine no_asserts no_memspec no_sched no_opt no_chain no_ibtc no_unroll bb_thr
-      sb_thr engine =
+      sb_thr =
     let c = Darco.Config.default in
     {
       c with
-      engine;
       use_asserts = not no_asserts;
       use_mem_speculation = not no_memspec;
       opt_schedule = not no_sched;
@@ -129,8 +109,7 @@ let config_term =
     $ no_flag "no-ibtc" "Disable the indirect-branch translation cache"
     $ no_flag "no-unroll" "Disable loop unrolling"
     $ Arg.(value & opt int Darco.Config.default.bb_threshold & info [ "bb-threshold" ] ~doc:"IM->BBM promotion threshold")
-    $ Arg.(value & opt int Darco.Config.default.sb_threshold & info [ "sb-threshold" ] ~doc:"BBM->SBM promotion threshold")
-    $ engine_arg)
+    $ Arg.(value & opt int Darco.Config.default.sb_threshold & info [ "sb-threshold" ] ~doc:"BBM->SBM promotion threshold"))
 
 (* --- shared run/report plumbing ---------------------------------------- *)
 
@@ -1142,17 +1121,20 @@ let validate_trace_cmd =
           & info [] ~docv:"TRACE.json" ~doc:"Trace file to check"))
 
 let speed_cmd =
-  let run bench scale insns seed engine =
+  let run bench scale insns seed =
     let entry = Darco_workloads.Registry.find bench in
-    let cfg = { Darco.Config.default with engine } in
-    let s = Darco_studies.Speed.measure ~cfg ~insns (entry.build ~scale ()) ~seed in
+    let s = Darco_studies.Speed.measure ?insns (entry.build ~scale ()) ~seed in
     Format.printf "%a@." Darco_studies.Speed.pp s
   in
   Cmd.v (Cmd.info "speed" ~doc:"Measure emulation/simulation throughput")
     Term.(
       const run $ Flag.bench $ Flag.scale
-      $ Arg.(value & opt int 300_000 & info [ "insns" ] ~doc:"Guest instructions")
-      $ Flag.seed $ engine_arg)
+      $ Arg.(
+          value
+          & opt (some int) None
+          & info [ "insns" ]
+              ~doc:"Guest instructions per run (default: the 400,000 of §VI-A)")
+      $ Flag.seed)
 
 let () =
   let info = Cmd.info "darco" ~doc:"DARCO co-designed processor simulation infrastructure" in

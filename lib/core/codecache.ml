@@ -219,8 +219,7 @@ let unpersist ?(bus = Bus.create ()) tolmem stats p =
       by_pc = Hashtbl.create 256;
       by_base = Hashtbl.create 256;
       (* Closure chains are process state, never snapshot state: a restored
-         region recompiles on first execution under whatever engine the
-         restoring process runs. *)
+         region recompiles the first time it runs on the chains. *)
       tcode = [||];
       next_id = p.p_next_id;
       next_base = p.p_next_base;

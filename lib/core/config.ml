@@ -15,8 +15,6 @@ type costs = {
 
 type fault = No_fault | Opt_drop_store | Sched_break_dep
 
-type engine = Eval | Threaded
-
 type t = {
   bb_threshold : int;
   sb_threshold : int;
@@ -40,7 +38,6 @@ type t = {
   inject_fault : fault;
   slice_fuel : int;
   code_cache_capacity : int;
-  engine : engine;
   costs : costs;
 }
 
@@ -82,7 +79,6 @@ let default = {
   inject_fault = No_fault;
   slice_fuel = 200_000;
   code_cache_capacity = 2_000_000;
-  engine = Threaded;
   costs = default_costs;
 }
 

@@ -5,7 +5,11 @@
     The cost model stands in for the fact that the original TOL is itself
     compiled to the host ISA; every software-layer activity charges a
     calibrated number of host instructions to the matching overhead
-    category (see DESIGN.md §1). *)
+    category (see DESIGN.md §1).
+
+    How a translated region executes is not configuration: [Tol] runs its
+    closure chain, or the reference walker when a retire subscriber is
+    attached (DESIGN.md §13). *)
 
 type costs = {
   interp_per_insn : int;      (** decode+dispatch+execute of one guest insn *)
@@ -27,16 +31,6 @@ type costs = {
     superblock store, or a scheduler that breaks memory dependences without
     speculation protection. *)
 type fault = No_fault | Opt_drop_store | Sched_break_dep
-
-(** How translated regions execute.  [Threaded] (the default) runs the
-    direct-threaded closure chains compiled by [Threaded]; [Eval] keeps the
-    reference walker ([Emulator.run] / the IR evaluator) — the path the
-    profiler and divergence checks use.  Both produce bit-identical
-    architectural state and bus event streams; the engine is a pure
-    execution-strategy choice and is deliberately {e not} part of the
-    snapshot wire format (a snapshot restores under whatever engine the
-    restoring process selects). *)
-type engine = Eval | Threaded
 
 type t = {
   (* promotion thresholds *)
@@ -65,7 +59,6 @@ type t = {
   inject_fault : fault;
   slice_fuel : int;        (** guest insns per co-designed run slice *)
   code_cache_capacity : int;  (** host insns before a full flush *)
-  engine : engine;         (** execution engine for translated regions *)
   costs : costs;
 }
 

@@ -7,9 +7,6 @@ val disassemble : Program.t -> ?limit:int -> unit -> (int * Isa.insn) list
 (** Linear-sweep disassembly of a program image from its entry point
     (stops at undecodable bytes or after [limit] instructions). *)
 
-val disassemble_at : Memory.t -> pc:int -> count:int -> (int * Isa.insn) list
-(** Disassemble [count] instructions from a live memory image. *)
-
 val trace :
   ?limit:int ->
   ?input:string ->

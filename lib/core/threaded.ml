@@ -2,9 +2,9 @@ open Darco_guest
 open Darco_host
 open Code
 
-(* --- shared operator specialization ------------------------------------- *)
+(* --- operator specialization -------------------------------------------- *)
 
-(* The walker evaluators pay a constructor [match] on every executed
+(* The walker ([Emulator.run]) pays a constructor [match] on every executed
    instruction; here the match runs once, at compile time, and yields the
    bare arithmetic closure. *)
 let binop_fn (op : Code.binop) : int -> int -> int =
@@ -41,11 +41,11 @@ let fun_fn (op : Code.funop) : Isa.fp_un =
   match op with Fsqrt -> Fsqrt | Fabs -> Fabs | Fneg -> Fchs
 
 (* ========================================================================= *)
-(* Host-level engine: direct-threaded execution of [Code.region]s, the path
-   [Tol.run_slice] dispatches through.  Bit-for-bit equivalent to
-   [Emulator.run] without an [on_retire] hook: same counters, same stop
-   reasons, same exception windows (an operation that faults does so before
-   its retirement is counted, exactly like the walker).                      *)
+(* Direct-threaded execution of [Code.region]s, the path [Tol.run_slice]
+   dispatches through when no retire subscriber is attached.  Bit-for-bit
+   equivalent to [Emulator.run] without an [on_retire] hook: same counters,
+   same stop reasons, same exception windows (an operation that faults does
+   so before its retirement is counted, exactly like the walker).           *)
 (* ========================================================================= *)
 
 exception Host_assert_failed
@@ -543,261 +543,3 @@ let run m ~resolve ~get ?(fuel = max_int) entry_region =
     c.wasted <- c.wasted + c.since_commit;
     Machine.rollback m;
     finish (Emulator.Stop_fault (p, c.region))
-
-(* ========================================================================= *)
-(* IR-level engine: direct-threaded execution of [Regionir.t], the
-   pre-codegen form the reference evaluator walks.  Mirrors [Ir_eval.run]
-   exactly: byte-level gated store buffer, alias-protection table,
-   outcome-as-value asserts.                                                 *)
-(* ========================================================================= *)
-
-type outcome = Exited of Ir.exit_spec * int | Assert_failed | Alias_failed
-
-exception Alias_hit
-
-type ictx = {
-  v : int array;
-  f : float array;
-  sbuf : (int, int) Hashtbl.t;  (* gated store buffer, byte level *)
-  mutable aliases : (int * int) list;
-  cpu : Cpu.t;
-  mem : Memory.t;
-  mutable iout : outcome;
-}
-
-type ir_compiled = { ir_nv : int; ir_nf : int; ir_entry : ictx -> unit }
-
-let store_byte c addr value = Hashtbl.replace c.sbuf addr (value land 0xFF)
-
-let load_byte c addr =
-  match Hashtbl.find_opt c.sbuf addr with
-  | Some b -> b
-  | None -> Memory.read8 c.mem addr
-
-let overlaps a la b lb = a < b + lb && b < a + la
-
-let check_alias c addr len =
-  if List.exists (fun (a, l) -> overlaps a l addr len) c.aliases then
-    raise Alias_hit
-
-let buf_store c w addr value =
-  check_alias c addr (Isa.width_bytes w);
-  for k = 0 to Isa.width_bytes w - 1 do
-    store_byte c (addr + k) (value lsr (8 * k))
-  done
-
-let buf_load c w ~signed addr =
-  let value = ref 0 in
-  for k = Isa.width_bytes w - 1 downto 0 do
-    value := (!value lsl 8) lor load_byte c (addr + k)
-  done;
-  if signed then Semantics.sign_extend w !value else !value
-
-let buf_fstore c addr x =
-  check_alias c addr 8;
-  let bits = Int64.bits_of_float x in
-  for k = 0 to 7 do
-    store_byte c (addr + k) (Int64.to_int (Int64.shift_right_logical bits (8 * k)))
-  done
-
-let buf_fload c addr =
-  let bits = ref 0L in
-  for k = 7 downto 0 do
-    bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (load_byte c (addr + k)))
-  done;
-  Int64.float_of_bits !bits
-
-(* Guest-state puts have no failure modes and no internal control flow, so a
-   maximal run of them (not crossing a branch-target boundary) fuses into a
-   single closure with no step dispatch in between. *)
-let put_family = function
-  | Ir.Iput _ | Ir.Iputf _ | Ir.Iputfl _ -> true
-  | _ -> false
-
-let put_op (insn : Ir.t) : ictx -> unit =
-  match insn with
-  | Ir.Iput (gr, s) -> fun c -> Cpu.set c.cpu gr c.v.(s)
-  | Ir.Iputf (gf, s) -> fun c -> Cpu.setf c.cpu gf c.f.(s)
-  | Ir.Iputfl s -> fun c -> c.cpu.Cpu.flags <- c.v.(s) land Flags.mask
-  | _ -> assert false
-
-let compile_ir (r : Regionir.t) : ir_compiled =
-  let body = r.body in
-  let n = Array.length body in
-  let max_reg acc l = List.fold_left max acc l in
-  let nv =
-    1 + Array.fold_left (fun acc i -> max_reg acc (Ir.defs i @ Ir.uses i)) 0 body
-  in
-  let nf =
-    1 + Array.fold_left (fun acc i -> max_reg acc (Ir.fdefs i @ Ir.fuses i)) 0 body
-  in
-  let labels = Regionir.labels r in
-  let steps : (ictx -> unit) array =
-    Array.make (max n 1) (fun _ -> assert false)
-  in
-  let oob _ = raise (Invalid_argument "index out of bounds") in
-  let target t i = if t > i then steps.(t) else fun c -> steps.(t) c in
-  let continuation i = if i + 1 < n then steps.(i + 1) else oob in
-  for i = n - 1 downto 0 do
-    let k = continuation i in
-    steps.(i) <-
-      (match body.(i) with
-      | Ir.Iget (d, gr) ->
-        fun c ->
-          c.v.(d) <- Cpu.get c.cpu gr;
-          k c
-      | (Ir.Iput _ | Ir.Iputf _ | Ir.Iputfl _) as insn ->
-        (* collect the maximal fusable run starting here *)
-        let rec span j acc =
-          if j < n && put_family body.(j) && (j = i || not labels.(j)) then
-            span (j + 1) (put_op body.(j) :: acc)
-          else (j, List.rev acc)
-        in
-        let stop, ops = span (i + 1) [ put_op insn ] in
-        let kk = if stop < n then steps.(stop) else oob in
-        List.fold_right
-          (fun op rest c ->
-            op c;
-            rest c)
-          ops kk
-      | Ir.Igetf (d, gf) ->
-        fun c ->
-          c.f.(d) <- Cpu.getf c.cpu gf;
-          k c
-      | Ir.Igetfl d ->
-        fun c ->
-          c.v.(d) <- c.cpu.Cpu.flags;
-          k c
-      | Ir.Ili (d, kv) ->
-        let kv = Semantics.mask32 kv in
-        fun c ->
-          c.v.(d) <- kv;
-          k c
-      | Ir.Imov (d, s) ->
-        fun c ->
-          c.v.(d) <- c.v.(s);
-          k c
-      | Ir.Ibin (op, d, a, b) ->
-        let f = binop_fn op in
-        fun c ->
-          c.v.(d) <- f c.v.(a) c.v.(b);
-          k c
-      | Ir.Ibini (op, d, a, kv) ->
-        let f = binop_fn op in
-        let kv = Semantics.mask32 kv in
-        fun c ->
-          c.v.(d) <- f c.v.(a) kv;
-          k c
-      | Ir.Imkfl (kind, d, a, b, cc) ->
-        fun c ->
-          c.v.(d) <- Flagcalc.compute kind ~a:c.v.(a) ~b:c.v.(b) ~c:c.v.(cc);
-          k c
-      | Ir.Iisel (d, cc, a, b) ->
-        fun c ->
-          c.v.(d) <- (if c.v.(cc) <> 0 then c.v.(a) else c.v.(b));
-          k c
-      | Ir.Iload (w, sg, d, a, off) ->
-        fun c ->
-          c.v.(d) <- buf_load c w ~signed:sg (Semantics.mask32 (c.v.(a) + off));
-          k c
-      | Ir.Isload (w, sg, d, a, off) ->
-        let len = Isa.width_bytes w in
-        fun c ->
-          let addr = Semantics.mask32 (c.v.(a) + off) in
-          c.v.(d) <- buf_load c w ~signed:sg addr;
-          c.aliases <- (addr, len) :: c.aliases;
-          k c
-      | Ir.Istore (w, s, a, off) ->
-        fun c ->
-          buf_store c w (Semantics.mask32 (c.v.(a) + off)) c.v.(s);
-          k c
-      | Ir.Ifli (d, x) ->
-        fun c ->
-          c.f.(d) <- x;
-          k c
-      | Ir.Ifmov (d, s) ->
-        fun c ->
-          c.f.(d) <- c.f.(s);
-          k c
-      | Ir.Ifbin (op, d, a, b) ->
-        let g = fbin_fn op in
-        fun c ->
-          c.f.(d) <- Semantics.fp_bin g c.f.(a) c.f.(b);
-          k c
-      | Ir.Ifun (op, d, a) ->
-        let g = fun_fn op in
-        fun c ->
-          c.f.(d) <- Semantics.fp_un g c.f.(a);
-          k c
-      | Ir.Ifload (d, a, off) ->
-        fun c ->
-          c.f.(d) <- buf_fload c (Semantics.mask32 (c.v.(a) + off));
-          k c
-      | Ir.Ifstore (s, a, off) ->
-        fun c ->
-          buf_fstore c (Semantics.mask32 (c.v.(a) + off)) c.f.(s);
-          k c
-      | Ir.Ifcmp (d, a, b) ->
-        fun c ->
-          c.v.(d) <- Semantics.fcmp_flags c.f.(a) c.f.(b);
-          k c
-      | Ir.Icvtif (d, a) ->
-        fun c ->
-          c.f.(d) <- Semantics.i2f c.v.(a);
-          k c
-      | Ir.Icvtfi (d, a) ->
-        fun c ->
-          c.v.(d) <- Semantics.f2i c.f.(a);
-          k c
-      | Ir.Irt_f (fn, d, a) ->
-        let g : Isa.fp_un =
-          match fn with Rt_sin -> Fsin | Rt_cos -> Fcos | _ -> assert false
-        in
-        fun c ->
-          c.f.(d) <- Semantics.fp_un g c.f.(a);
-          k c
-      | Ir.Irt_div { signed; q; r = rr; hi; lo; d } ->
-        let div = if signed then Semantics.div_s else Semantics.div_u in
-        fun c ->
-          let qv, rv = div ~hi:c.v.(hi) ~lo:c.v.(lo) c.v.(d) in
-          c.v.(q) <- qv;
-          c.v.(rr) <- rv;
-          k c
-      | Ir.Ibr (cmp, a, b, t) ->
-        let holds = cmp_fn cmp in
-        let kt = target t i in
-        fun c -> if holds c.v.(a) c.v.(b) then kt c else k c
-      | Ir.Iassert (cmp, a, b) ->
-        let holds = cmp_fn cmp in
-        fun c -> if holds c.v.(a) c.v.(b) then k c else c.iout <- Assert_failed
-      | Ir.Iexit spec ->
-        fun c ->
-          Hashtbl.iter (fun addr byte -> Memory.write8 c.mem addr byte) c.sbuf;
-          let tgt =
-            match spec.target with
-            | Ir.Xdirect pc | Ir.Xsyscall pc | Ir.Xinterp pc -> pc
-            | Ir.Xindirect s -> c.v.(s)
-            | Ir.Xhalt -> -1
-          in
-          c.iout <- Exited (spec, tgt))
-  done;
-  { ir_nv = nv; ir_nf = nf; ir_entry = (if n = 0 then oob else steps.(0)) }
-
-let run_compiled (comp : ir_compiled) cpu mem =
-  let c =
-    {
-      v = Array.make comp.ir_nv 0;
-      f = Array.make comp.ir_nf 0.0;
-      sbuf = Hashtbl.create 16;
-      aliases = [];
-      cpu;
-      mem;
-      iout = Assert_failed;
-    }
-  in
-  try
-    comp.ir_entry c;
-    c.iout
-  with Alias_hit -> Alias_failed
-
-let run_ir r cpu mem = run_compiled (compile_ir r) cpu mem

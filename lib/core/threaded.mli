@@ -1,31 +1,21 @@
-open Darco_guest
 open Darco_host
 
-(** Direct-threaded compilation of translated regions.
+(** Direct-threaded compilation of translated host regions.
 
-    Both evaluators in the system walk instruction arrays with a per-step
-    constructor [match].  This module compiles a region once into a chain
-    of OCaml closures — one per instruction or fused pattern, each ending
-    in a tail call to its successor — so executing the region is a single
+    The reference walker ({!Darco_host.Emulator.run}) dispatches every
+    executed instruction through a constructor [match].  This module
+    compiles a {!Darco_host.Code.region} once into a chain of OCaml
+    closures — one per instruction or fused pattern, each ending in a tail
+    call to its successor — so executing the region is a single
     indirect-call stream with zero dispatch matching.  Operand decisions
     (binop selection, comparison sense, FP operation, runtime-call weight)
     are resolved at compile time and captured in the closure.
 
-    Two compilers live here (DESIGN.md §13):
-
-    {ul
-    {- The {e host-level} compiler over {!Darco_host.Code.region}, the form
-       [Tol] actually dispatches.  {!run} is bit-for-bit equivalent to
-       {!Darco_host.Emulator.run} without an [on_retire] hook: identical
-       counters, stop reasons and exception windows.  When a retire hook is
-       attached (the timing pipeline), execution deopts back to the walker
-       — see [Exec].}
-    {- The {e IR-level} compiler over {!Regionir.t}, mirroring the
-       reference evaluator ([Ir_eval.run]) including its gated store
-       buffer and alias-protection semantics.  This is what engine
-       equivalence is property-tested against.}} *)
-
-(** {1 Host-level engine} *)
+    {!run} is bit-for-bit equivalent to {!Darco_host.Emulator.run} without
+    an [on_retire] hook: identical counters, stop reasons and exception
+    windows.  [Tol] runs regions here unless the bus has a retire
+    subscriber (the timing pipeline), whose per-instruction stream only the
+    walker produces (DESIGN.md §13). *)
 
 type ctx
 (** Per-execution state threaded through the closure chain. *)
@@ -56,23 +46,3 @@ val run :
     result {!Darco_host.Emulator.run} would: same stop, same counters, same
     rollback-on-failure state effects.  [fuel] bounds [host_retired]
     approximately, checked at region transfers. *)
-
-(** {1 IR-level engine} *)
-
-(** Identical to the reference evaluator's outcome; [Exec] re-exports this
-    as the canonical outcome type. *)
-type outcome =
-  | Exited of Ir.exit_spec * int  (** resolved guest target PC *)
-  | Assert_failed
-  | Alias_failed
-
-type ir_compiled
-
-val compile_ir : Regionir.t -> ir_compiled
-
-val run_compiled : ir_compiled -> Cpu.t -> Memory.t -> outcome
-(** Fresh vreg/store-buffer state per call; the compiled chain is
-    reusable. *)
-
-val run_ir : Regionir.t -> Cpu.t -> Memory.t -> outcome
-(** [compile_ir] + [run_compiled] in one step. *)

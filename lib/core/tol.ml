@@ -262,10 +262,14 @@ let run_slice t =
     Machine.copy_guest_in t.machine t.cpu;
     let fuel = (8 * (slice_end - retired t)) + 2_000 in
     let res =
-      Exec.run_region ~engine:t.cfg.engine ~cache:t.codecache t.machine
-        ~resolve ~fuel
-        ?on_retire:(Bus.retire_hook t.bus)
-        region
+      match Bus.retire_hook t.bus with
+      | None ->
+        Threaded.run t.machine ~resolve ~get:(Codecache.compiled t.codecache)
+          ~fuel region
+      | Some on_retire ->
+        (* The retire subscriber (the timing pipeline) consumes a
+           per-instruction stream that only the walker produces. *)
+        Emulator.run t.machine ~resolve ~fuel ~on_retire region
     in
     account t ~pc:region.entry_pc res;
     Machine.copy_guest_out t.machine t.cpu;

@@ -53,9 +53,6 @@ val retired : t -> int
 
 val run_slice : t -> event
 
-val interpret_one : t -> unit
-(** Safety-net interpretation of the single instruction at EIP. *)
-
 val service_complete_syscall : t -> Syscall.effect list -> len:int -> unit
 (** Apply the effects of a syscall the x86 component executed, and advance
     EIP past the syscall instruction. *)

@@ -31,9 +31,6 @@ val lower_cond : ctx -> Isa.cond -> cond_lowering
 (** Fuses with the pending flag thunk when possible; otherwise materializes
     packed flags and extracts bits.  Emits any needed IR. *)
 
-val cond_value : ctx -> Isa.cond -> Ir.vreg
-(** The condition as a 0/1 value (SETcc / CMOV / unroll guards). *)
-
 val add_retired : ctx -> int -> unit
 
 val emit_exit :

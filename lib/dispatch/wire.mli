@@ -63,10 +63,6 @@ val min_version : int
 (** Oldest peer version still accepted by handshakes (see negotiation
     above); peers advertising less are failed and disconnected. *)
 
-val max_frame : int
-(** Upper bound on accepted payload sizes; larger length fields are
-    rejected as corrupt before any allocation. *)
-
 type msg =
   | Hello of { version : int; slots : int }
       (** handshake; the worker's reply advertises its concurrency in
@@ -150,5 +146,6 @@ val recv : ?deadline:float -> Unix.file_descr -> msg
 (** Read one frame, handling partial reads and [EAGAIN] the same way.
     [deadline] is an absolute [Unix.gettimeofday] time applied to every
     blocking step; raises {!Timeout} when it passes, {!Closed} on EOF,
-    {!Darco_sampling.Buf.Corrupt} on a malformed frame (including a [Ckpt]
+    {!Darco_sampling.Buf.Corrupt} on a malformed frame (including a length
+    field above 256 MiB, rejected before any allocation, and a [Ckpt]
     whose bytes do not hash to its claimed digest). *)

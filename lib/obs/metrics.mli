@@ -3,11 +3,9 @@
     overhead fraction and per-category breakdown), grouped by subsystem.
 
     [hists] folds named {!Hist} distributions into the snapshot under a
-    ["hists"] section (absent when the list is empty, keeping historical
-    snapshots byte-stable). *)
-
-val hists_json : (string * Hist.t) list -> Jsonx.t
-(** One object, each histogram under its name ({!Hist.to_json}). *)
+    ["hists"] section, each under its name ({!Hist.to_json}); the section
+    is absent when the list is empty, keeping historical snapshots
+    byte-stable. *)
 
 val to_json : ?hists:(string * Hist.t) list -> Stats.t -> Jsonx.t
 val to_string : ?hists:(string * Hist.t) list -> Stats.t -> string

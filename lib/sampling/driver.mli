@@ -41,11 +41,6 @@ val nearest : checkpoint list -> int -> checkpoint
 (** The latest checkpoint at or before the target instruction count.
     Raises [Invalid_argument] on an empty list. *)
 
-val reference_at : checkpoint list -> int -> Interp_ref.t
-(** An x86 component advanced to exactly the target count: restore the
-    nearest checkpoint, then interpret the remainder.  Bit-identical to
-    booting fresh and running to the target. *)
-
 val controller_at :
   ?cfg:Darco.Config.t ->
   ?bus:Darco_obs.Bus.t ->

@@ -86,7 +86,6 @@ val completed : t -> int  (** windows recorded so far *)
 
 val rounds : t -> int  (** rounds issued so far *)
 
-val candidates_left : t -> int
 val mean : t -> float  (** running mean IPC over completed windows *)
 
 val ci95 : t -> float  (** CI95 half-width of {!mean} (0 under 2 samples) *)

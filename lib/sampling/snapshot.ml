@@ -158,10 +158,6 @@ let config : Config.t B.t =
           inject_fault;
           slice_fuel;
           code_cache_capacity;
-          (* Deliberately not on the wire (format stays v1): the engine is an
-             execution-strategy choice of the restoring process, not simulated
-             state — a snapshot taken under one engine resumes under another. *)
-          engine = Config.default.engine;
           costs;
         })
     |+ (int, fun (c : Config.t) -> c.bb_threshold)

@@ -63,17 +63,13 @@ val of_window_stored :
 val digest : t -> string option
 (** The checkpoint digest of a {!Stored} unit; [None] for {!Inline}. *)
 
-val snapshot_bytes : ?store:Store.t -> t -> string
-(** The unit's starting snapshot bytes: the inline payload, or the store
-    lookup for a digest unit.  Raises [Failure] when a digest unit has no
-    store or the store lacks the checkpoint. *)
-
 val exec : ?store:Store.t -> t -> Darco_obs.Jsonx.t
-(** Decode the starting snapshot and run the detailed window
+(** Decode the starting snapshot (the inline payload, or the [store]
+    lookup for a digest unit) and run the detailed window
     ([Driver.detailed_window] under default configs), returning
     [Driver.window_json] of the result.  Raises {!Buf.Corrupt} if the
-    snapshot bytes are corrupt, [Failure] if a digest cannot be
-    resolved (see {!snapshot_bytes}). *)
+    snapshot bytes are corrupt, [Failure] when a digest unit has no
+    store or the store lacks the checkpoint. *)
 
 (** {1 Wire encoding} *)
 

@@ -7,8 +7,8 @@ type t = {
   minor_words_timing : float;
 }
 
-let run_once ?cfg ~timing ~insns program ~seed =
-  let ctl = Darco.Controller.create ?cfg ~seed program in
+let run_once ~timing ~insns program ~seed =
+  let ctl = Darco.Controller.create ~seed program in
   if timing then begin
     let pipe = Darco_timing.Pipeline.create Darco_timing.Tconfig.default in
     Darco_timing.Pipeline.attach pipe (Darco.Controller.bus ctl)
@@ -22,9 +22,9 @@ let run_once ?cfg ~timing ~insns program ~seed =
   let guest = float_of_int (Darco.Stats.guest_total st) in
   (guest /. dt, float_of_int (Darco.Stats.host_total st) /. dt, words /. guest)
 
-let measure ?cfg ?(insns = 400_000) program ~seed =
-  let g_emu, h_emu, w_emu = run_once ?cfg ~timing:false ~insns program ~seed in
-  let g_tim, h_tim, w_tim = run_once ?cfg ~timing:true ~insns program ~seed in
+let measure ?(insns = 400_000) program ~seed =
+  let g_emu, h_emu, w_emu = run_once ~timing:false ~insns program ~seed in
+  let g_tim, h_tim, w_tim = run_once ~timing:true ~insns program ~seed in
   {
     guest_mips_emulated = g_emu /. 1e6;
     guest_mips_timing = g_tim /. 1e6;

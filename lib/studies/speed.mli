@@ -13,7 +13,7 @@ type t = {
   minor_words_timing : float;    (** the same, with timing enabled *)
 }
 
-val measure : ?cfg:Darco.Config.t -> ?insns:int -> Program.t -> seed:int -> t
+val measure : ?insns:int -> Program.t -> seed:int -> t
 (** Run the program (bounded by [insns] retired guest instructions) twice —
     functional and with the timing simulator attached — and report
     throughputs from wall-clock time, and the minor-heap words each run

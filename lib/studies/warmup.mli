@@ -50,8 +50,6 @@ type report = {
   t_sampled : float;
 }
 
-val default_candidates : candidate list
-
 val run_study :
   ?cfg:Darco.Config.t ->
   ?tcfg:Darco_timing.Tconfig.t ->

@@ -14,19 +14,13 @@
     charge them to every process and overstate a process tree's
     footprint. *)
 
-val rss_kb : int -> int option
-(** The process's current resident set: PSS when [smaps_rollup] is
-    readable, VmRSS otherwise. *)
-
 val peak_kb : int -> int option
 (** The process's high-water resident mark ([VmHWM]); not
     sharing-adjusted (the kernel keeps no PSS high-water mark). *)
 
-val descendants : int -> int list
-(** Live descendant pids of [pid] (children, grandchildren, ...), by
-    scanning [/proc] for [PPid] chains.  Racy by nature: processes may
-    appear or die mid-scan; callers sample repeatedly. *)
-
 val tree_rss_kb : int -> int option
-(** Current resident total of [pid] plus all its live descendants
-    (PSS-preferred, see above).  [None] only when nothing was readable. *)
+(** Current resident total of [pid] plus all its live descendants (PSS
+    when [smaps_rollup] is readable, VmRSS otherwise), found by scanning
+    [/proc] for [PPid] chains.  Racy by nature: processes may appear or
+    die mid-scan; callers sample repeatedly.  [None] only when nothing
+    was readable. *)

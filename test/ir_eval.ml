@@ -1,5 +1,6 @@
 open Darco_guest
 open Darco_host
+open Darco
 
 type outcome = Exited of Ir.exit_spec * int | Assert_failed | Alias_failed
 

@@ -1,4 +1,5 @@
 open Darco_guest
+open Darco
 
 (** A reference evaluator for region IR, independent of register allocation
     and code generation.

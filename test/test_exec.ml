@@ -1,16 +1,17 @@
 open Darco_guest
 open Darco
 module Rng = Darco_util.Rng
-module Code = Darco_host.Code
+module Bus = Darco_obs.Bus
 module Stats = Darco_obs.Stats
 module Snapshot = Darco_sampling.Snapshot
 
-(* Engine equivalence: the Eval (walker) and Threaded (closure-chain)
-   engines behind Exec must be observably identical — same outcomes, same
-   counters, same architectural state — at both the IR level and the host
-   level, and a snapshot taken under one engine must restore and resume
-   under the other (the engine is process configuration, not machine
-   state). *)
+(* Executor equivalence: [Tol] runs a translated region on its closure
+   chain ([Threaded.run]) unless the bus has a retire subscriber, and then
+   on the reference walker ([Emulator.run]).  The two must be observably
+   identical — same stop, same counters, same architectural state, same
+   event stream — on generated host code and on every workload, and a
+   snapshot taken on one must restore and resume on the other (the
+   executor follows the restoring process's bus, not machine state). *)
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                            *)
@@ -44,168 +45,6 @@ let mem_equal a b =
   List.for_all
     (fun idx -> Memory.equal_page a b idx)
     (List.sort_uniq compare (Memory.touched_pages a @ Memory.touched_pages b))
-
-(* ------------------------------------------------------------------ *)
-(* IR level: Exec.run under both engines on random region IR          *)
-(* ------------------------------------------------------------------ *)
-
-(* A random well-formed region: v0 holds the data base, v5 a pinned
-   divisor, v1..v4 are scratch.  Forward-only branches, puts in bursts (to
-   land in the threaded compiler's fusion window), speculative loads and
-   asserts so all three outcomes occur, one exit of each flavour. *)
-let gen_region seed : Regionir.t =
-  let rng = Rng.create (0x5EED + seed) in
-  let dst () = 1 + Rng.int rng 4 in
-  let src () = Rng.int rng 6 in
-  let fr () = Rng.int rng 3 in
-  let disp () = Rng.int rng (Tgen.data_size - 16) in
-  let binop () =
-    Rng.choose rng
-      [|
-        Code.Add; Sub; Mul; Mulhu; Mulhs; And; Or; Xor; Shl; Shr; Sar; Slt;
-        Sltu; Seq; Sne;
-      |]
-  in
-  let cmp () = Rng.choose rng [| Code.Beq; Bne; Blt; Bge; Bltu; Bgeu |] in
-  let width () = Rng.choose rng [| Isa.W8; W16; W32 |] in
-  let flkind () =
-    Rng.choose rng
-      [|
-        Code.Fl_add; Fl_adc; Fl_sub; Fl_sbb; Fl_logic; Fl_shl; Fl_shr;
-        Fl_sar; Fl_rol; Fl_ror; Fl_inc; Fl_dec; Fl_neg; Fl_mulu; Fl_muls;
-      |]
-  in
-  let greg () = Rng.choose rng Tgen.clobber_regs in
-  let gfreg () = Rng.choose rng Isa.all_fregs in
-  let op () : Ir.t list =
-    match Rng.int rng 22 with
-    | 0 -> [ Ir.Ili (dst (), Rng.in_range rng (-4096) 65536) ]
-    | 1 -> [ Ir.Imov (dst (), src ()) ]
-    | 2 -> [ Ir.Ibin (binop (), dst (), src (), src ()) ]
-    | 3 -> [ Ir.Ibini (binop (), dst (), src (), Rng.in_range rng (-64) 4096) ]
-    | 4 -> [ Ir.Iload (width (), Rng.bool rng, dst (), 0, disp ()) ]
-    | 5 -> [ Ir.Isload (width (), Rng.bool rng, dst (), 0, disp ()) ]
-    | 6 -> [ Ir.Istore (width (), src (), 0, disp ()) ]
-    | 7 -> [ Ir.Ifli (fr (), (Rng.float rng *. 64.0) -. 32.0) ]
-    | 8 -> [ Ir.Ifmov (fr (), fr ()) ]
-    | 9 ->
-      [
-        Ir.Ifbin
-          (Rng.choose rng [| Code.Fadd; Fsub; Fmul; Fdiv |], fr (), fr (), fr ());
-      ]
-    | 10 -> [ Ir.Ifun (Rng.choose rng [| Code.Fsqrt; Fabs; Fneg |], fr (), fr ()) ]
-    | 11 -> [ Ir.Ifload (fr (), 0, disp ()) ]
-    | 12 -> [ Ir.Ifstore (fr (), 0, disp ()) ]
-    | 13 -> [ Ir.Ifcmp (dst (), fr (), fr ()) ]
-    | 14 -> [ Ir.Icvtif (fr (), src ()); Ir.Icvtfi (dst (), fr ()) ]
-    | 15 ->
-      [
-        (* Rt_divu/Rt_divs never appear at IR level; division is Irt_div *)
-        Ir.Irt_f (Rng.choose rng [| Code.Rt_sin; Rt_cos |], fr (), fr ());
-      ]
-    | 16 -> [ Ir.Irt_div { signed = Rng.bool rng; q = 1; r = 2; hi = 3; lo = 4; d = 5 } ]
-    | 17 -> [ Ir.Iisel (dst (), src (), src (), src ()) ]
-    | 18 -> [ Ir.Imkfl (flkind (), dst (), src (), src (), src ()) ]
-    | 19 -> [ Ir.Iassert (cmp (), src (), src ()) ]
-    | 20 -> [ Ir.Iget (dst (), greg ()); Ir.Igetf (fr (), gfreg ()); Ir.Igetfl (dst ()) ]
-    | _ ->
-      (* a burst of guest-state puts: the threaded compiler fuses these *)
-      [ Ir.Iput (greg (), src ()); Ir.Iputf (gfreg (), fr ()); Ir.Iputfl (src ()) ]
-  in
-  let prologue =
-    [
-      Ir.Ili (0, Tgen.data_base);
-      Ir.Ili (1, Rng.int rng 0x10000);
-      Ir.Ili (2, Rng.int rng 0x10000);
-      Ir.Ili (3, Rng.int rng 0x10000);
-      Ir.Ili (4, Rng.int rng 0x10000);
-      Ir.Ili (5, 1 + Rng.int rng 1000);
-      Ir.Ifli (0, Rng.float rng *. 8.0);
-      Ir.Ifli (1, (Rng.float rng *. 8.0) -. 4.0);
-      Ir.Ifli (2, 1.0 +. Rng.float rng);
-    ]
-  in
-  let n_groups = 2 + Rng.int rng 10 in
-  let ops = List.concat (List.init n_groups (fun _ -> op ())) in
-  let exit_target =
-    if Rng.chance rng 0.8 then Ir.Xdirect 0xEE00
-    else if Rng.bool rng then Ir.Xindirect (src ())
-    else Ir.Xhalt
-  in
-  let exit_ =
-    Ir.Iexit
-      {
-        target = exit_target;
-        retired = 1 + Rng.int rng 32;
-        prefer_bb = Rng.bool rng;
-        edge = None;
-      }
-  in
-  let body = Array.of_list (prologue @ ops @ [ exit_ ]) in
-  let plen = List.length prologue in
-  let m = Array.length body - 1 in
-  (* sprinkle forward branches over the generated ops (never the prologue,
-     so the scratch vregs stay initialized on every path) *)
-  for _ = 1 to Rng.int rng 3 do
-    if m > plen + 1 then begin
-      let i = plen + Rng.int rng (m - plen - 1) in
-      let t = i + 1 + Rng.int rng (m - i) in
-      body.(i) <- Ir.Ibr (cmp (), src (), src (), t)
-    end
-  done;
-  {
-    Regionir.entry_pc = 0x1000;
-    mode = `Super;
-    body;
-    prof = None;
-    guest_len = 1 + Rng.int rng 32;
-  }
-
-let outcome_str = function
-  | Exec.Exited (_, t) -> Printf.sprintf "Exited -> 0x%x" t
-  | Exec.Assert_failed -> "Assert_failed"
-  | Exec.Alias_failed -> "Alias_failed"
-
-let prop_ir_engines_agree =
-  QCheck.Test.make ~name:"Eval and Threaded agree on random region IR"
-    ~count:400 QCheck.small_int (fun seed ->
-      let region = gen_region seed in
-      Regionir.check_forward_only region;
-      let cpu0, mem0 = random_state seed in
-      let exec engine =
-        let cpu = Cpu.copy cpu0 in
-        let mem = copy_memory mem0 in
-        (Exec.run ~engine region cpu mem, cpu, mem)
-      in
-      let oe, ce, me = exec Exec.Eval in
-      let ot, ct, mt = exec Exec.Threaded in
-      if oe <> ot then
-        QCheck.Test.fail_reportf "outcomes differ: eval %s, threaded %s"
-          (outcome_str oe) (outcome_str ot)
-      else if not (Cpu.equal ce ct) then
-        QCheck.Test.fail_reportf "cpu state differs:\n%s"
-          (String.concat "\n" (Cpu.diff ce ct))
-      else if not (mem_equal me mt) then
-        QCheck.Test.fail_report "memory differs between engines"
-      else true)
-
-(* A compiled chain must be reusable: running it twice from the same
-   initial state gives the same answer (fresh vreg/store-buffer state per
-   run, nothing latched in the closures). *)
-let test_compiled_reuse () =
-  let region = gen_region 1234 in
-  let compiled = Threaded.compile_ir region in
-  let cpu0, mem0 = random_state 1234 in
-  let go () =
-    let cpu = Cpu.copy cpu0 and mem = copy_memory mem0 in
-    let o = Threaded.run_compiled compiled cpu mem in
-    (o, cpu, mem)
-  in
-  let o1, c1, m1 = go () in
-  let o2, c2, m2 = go () in
-  Alcotest.(check bool) "same outcome" true (o1 = o2);
-  Alcotest.(check bool) "same cpu" true (Cpu.equal c1 c2);
-  Alcotest.(check bool) "same memory" true (mem_equal m1 m2)
 
 (* ------------------------------------------------------------------ *)
 (* Host level: Threaded.run vs Emulator.run on generated host code    *)
@@ -383,10 +222,17 @@ let test_host_fusion_cases () =
     cases
 
 (* ------------------------------------------------------------------ *)
-(* Cross-engine snapshot golden test                                  *)
+(* Whole runs: walker = chains                                        *)
 (* ------------------------------------------------------------------ *)
 
-let build name = (Darco_workloads.Registry.find name).build ~scale:1 ()
+(* A retire subscriber that ignores every record is enough to move [Tol]
+   off the closure chains and onto the walker. *)
+let make_bus ~walker =
+  let bus = Bus.create () in
+  if walker then Bus.on_retire bus ignore;
+  bus
+
+let executor ~walker = if walker then "walker" else "chains"
 
 let expect_done what = function
   | `Done -> ()
@@ -422,70 +268,96 @@ let check_final what want got =
   Alcotest.(check string) (what ^ ": program output") want.f_output got.f_output;
   Alcotest.(check (option int)) (what ^ ": exit code") want.f_exit got.f_exit
 
-(* A full run is engine-invariant, a snapshot written under Eval is
-   byte-identical to one written under Threaded at the same offset (the
-   engine is not part of the wire format), and a snapshot captured under
-   Eval restores into a controller that resumes under the default Threaded
-   engine with the same final state. *)
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* One whole program at scale 1, seed 1, with its JSONL event trace. *)
+let traced_run ~walker (entry : Darco_workloads.Registry.entry) =
+  let path = Filename.temp_file "darco_exec" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let bus = make_bus ~walker in
+  let oc = Darco_obs.Trace.attach_file bus path in
+  let ctl = Controller.create ~bus ~seed:1 (entry.build ~scale:1 ()) in
+  let result =
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Controller.run ctl)
+  in
+  expect_done (entry.name ^ " on the " ^ executor ~walker) result;
+  (final_of ctl, read_file path)
+
+let test_walker_equals_chains () =
+  List.iter
+    (fun (entry : Darco_workloads.Registry.entry) ->
+      let chains, chains_trace = traced_run ~walker:false entry in
+      let walker, walker_trace = traced_run ~walker:true entry in
+      check_final entry.name chains walker;
+      Alcotest.(check bool) (entry.name ^ ": trace bytes identical") true
+        (String.equal chains_trace walker_trace))
+    Darco_workloads.Registry.all
+
+(* ------------------------------------------------------------------ *)
+(* Cross-engine snapshot golden test                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A full run is executor-invariant, a snapshot written on the walker is
+   byte-identical to one written on the chains at the same offset (the
+   executor is not part of the wire format), and a snapshot captured on
+   the walker restores onto a fresh bus and resumes on the chains with the
+   same final state. *)
 let test_cross_engine_snapshot () =
-  Alcotest.(check bool) "Threaded is the default engine" true
-    (Config.default.engine = Config.Threaded);
-  let program = build "continuous" in
+  let program = (Darco_workloads.Registry.find "continuous").build ~scale:1 () in
   let seed = 11 in
   let offset = 50_000 in
-  let cfg_of engine = { Config.quick with engine; slice_fuel = 2_000 } in
-  let full engine =
-    let ctl = Controller.create ~cfg:(cfg_of engine) ~seed program in
-    expect_done (Exec.engine_name engine ^ " uninterrupted") (Controller.run ctl);
+  let cfg = { Config.quick with slice_fuel = 2_000 } in
+  let create ~walker =
+    Controller.create ~cfg ~bus:(make_bus ~walker) ~seed program
+  in
+  let on_chains ctl = Option.is_none (Bus.retire_hook (Controller.bus ctl)) in
+  Alcotest.(check bool) "chains are the default" true
+    (on_chains (Controller.create ~seed program));
+  let full ~walker =
+    let ctl = create ~walker in
+    expect_done (executor ~walker ^ " uninterrupted") (Controller.run ctl);
     final_of ctl
   in
-  let want_thr = full Config.Threaded in
-  let want_eval = full Config.Eval in
-  check_final "uninterrupted eval vs threaded" want_thr want_eval;
-  let capture_at engine =
-    let part = Controller.create ~cfg:(cfg_of engine) ~seed program in
+  let want_chains = full ~walker:false in
+  let want_walker = full ~walker:true in
+  check_final "uninterrupted walker vs chains" want_chains want_walker;
+  let capture_at ~walker =
+    let part = create ~walker in
     (match Controller.run ~max_insns:offset part with
     | `Limit -> ()
     | `Done -> Alcotest.fail "offset beyond program end"
     | `Diverged _ -> Alcotest.fail "diverged before offset");
     Snapshot.to_string (Snapshot.capture part)
   in
-  let bytes_eval = capture_at Config.Eval in
-  let bytes_thr = capture_at Config.Threaded in
+  let bytes_walker = capture_at ~walker:true in
+  let bytes_chains = capture_at ~walker:false in
   Alcotest.(check bool) "snapshot bytes engine-invariant" true
-    (String.equal bytes_eval bytes_thr);
-  (* restore uses Config.default, so the Eval-captured snapshot resumes
-     under Threaded: the cross-engine handoff *)
-  let resumed = Snapshot.restore (Snapshot.of_string bytes_eval) in
-  Alcotest.(check bool) "resumes under Threaded" true
-    (resumed.Controller.cfg.engine = Config.Threaded);
-  expect_done "captured under eval, resumed under threaded"
+    (String.equal bytes_walker bytes_chains);
+  (* restore attaches a fresh bus with no retire subscriber, so the
+     walker-captured snapshot resumes on the chains: the cross-engine
+     handoff *)
+  let resumed = Snapshot.restore (Snapshot.of_string bytes_walker) in
+  Alcotest.(check bool) "resumes on the chains" true (on_chains resumed);
+  expect_done "captured on the walker, resumed on the chains"
     (Controller.run resumed);
-  check_final "cross-engine resume" want_thr (final_of resumed)
+  check_final "cross-engine resume" want_chains (final_of resumed)
 
 (* ------------------------------------------------------------------ *)
-
-let test_engine_names () =
-  List.iter
-    (fun e ->
-      Alcotest.(check bool) "name round-trips" true
-        (Exec.engine_of_string (Exec.engine_name e) = Some e))
-    [ Exec.Eval; Exec.Threaded ];
-  Alcotest.(check bool) "unknown rejected" true
-    (Exec.engine_of_string "jit" = None)
 
 let () =
   Alcotest.run "exec"
     [
       ( "engines",
         [
-          QCheck_alcotest.to_alcotest prop_ir_engines_agree;
           QCheck_alcotest.to_alcotest prop_host_engines_agree;
-          Alcotest.test_case "compiled chain is reusable" `Quick
-            test_compiled_reuse;
           Alcotest.test_case "host fusion edge cases" `Quick
             test_host_fusion_cases;
-          Alcotest.test_case "engine names round-trip" `Quick test_engine_names;
+          Alcotest.test_case "walker = chains on 31 workloads" `Slow
+            test_walker_equals_chains;
           Alcotest.test_case "cross-engine snapshot" `Slow
             test_cross_engine_snapshot;
         ] );

@@ -62,8 +62,8 @@ let prop_frontend_differential =
       let region = Darco.Opt.run Darco.Config.default region in
       let region = Darco.Sched.run Darco.Config.default region in
       let ir_cpu = Cpu.copy cpu0 and ir_mem = copy_memory mem0 in
-      (match Darco.Exec.run region ir_cpu ir_mem with
-      | Darco.Exec.Exited _ -> ()
+      (match Ir_eval.run region ir_cpu ir_mem with
+      | Ir_eval.Exited _ -> ()
       | _ -> QCheck.Test.fail_report "ir did not exit");
       (* host code *)
       let alloc = Darco.Regalloc.allocate region in
@@ -111,9 +111,9 @@ let test_branch_block () =
   let mem = Memory.create `Auto_zero in
   let rec chase n =
     if n > 100 then Alcotest.fail "runaway";
-    match Darco.Exec.run region cpu mem with
-    | Darco.Exec.Exited (_, 0x1000) -> chase (n + 1)
-    | Darco.Exec.Exited (_, _) -> ()
+    match Ir_eval.run region cpu mem with
+    | Ir_eval.Exited (_, 0x1000) -> chase (n + 1)
+    | Ir_eval.Exited (_, _) -> ()
     | _ -> Alcotest.fail "unexpected outcome"
   in
   chase 0;

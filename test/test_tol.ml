@@ -65,10 +65,10 @@ let translate_straightline ?(exit_pc = 0xEE00) insns =
 let eval_ir region (cpu0, mem0) =
   let cpu = Cpu.copy cpu0 in
   let mem = copy_memory mem0 in
-  match Exec.run region cpu mem with
-  | Exec.Exited (_, _) -> `State (cpu, mem)
-  | Exec.Assert_failed -> Alcotest.fail "unexpected assert failure in straight-line IR"
-  | Exec.Alias_failed ->
+  match Ir_eval.run region cpu mem with
+  | Ir_eval.Exited (_, _) -> `State (cpu, mem)
+  | Ir_eval.Assert_failed -> Alcotest.fail "unexpected assert failure in straight-line IR"
+  | Ir_eval.Alias_failed ->
     (* hardware alias protection fired; the system rolls back and
        retranslates, so the stage comparison is vacuous *)
     `Rolled_back
@@ -412,11 +412,11 @@ let test_unrolled_loop_correct () =
       let rec chase () =
         incr guard;
         if !guard > 10000 then Alcotest.fail "runaway loop";
-        match Exec.run sb.region cpu mem with
-        | Exec.Exited (_, pc) when pc = head -> chase ()
-        | Exec.Exited (_, _) -> ()
-        | Exec.Assert_failed -> Alcotest.fail "assert failed in unrolled loop"
-        | Exec.Alias_failed -> Alcotest.fail "alias failure in unrolled loop"
+        match Ir_eval.run sb.region cpu mem with
+        | Ir_eval.Exited (_, pc) when pc = head -> chase ()
+        | Ir_eval.Exited (_, _) -> ()
+        | Ir_eval.Assert_failed -> Alcotest.fail "assert failed in unrolled loop"
+        | Ir_eval.Alias_failed -> Alcotest.fail "alias failure in unrolled loop"
       in
       chase ();
       Alcotest.(check int)
