@@ -476,41 +476,43 @@ let engines () =
       Darco_host.Machine.copy_guest_out mb cb;
       assert (Cpu.equal ca cb))
     regions;
-  let open Bechamel in
-  let open Toolkit in
-  let mk name runner =
-    Test.make ~name
-      (Staged.stage
-         (let m = fresh_machine () in
-          fun () -> List.iter (fun r -> ignore (runner m r)) regions))
+  (* Both engines in one interleaved loop: each round times the region set
+     once on each, the order alternating, so a slow stretch of the shared
+     machine lands on both sides of a round's ratio.  The gate reads the
+     median ratio over the rounds. *)
+  let rounds = 21 in
+  let m_eval = fresh_machine () and m_thr = fresh_machine () in
+  let time runner m =
+    let t0 = Unix.gettimeofday () in
+    List.iter (fun r -> ignore (runner m r)) regions;
+    (Unix.gettimeofday () -. t0) *. 1e9
   in
-  let test =
-    Test.make_grouped ~name:"engines"
-      [ mk "eval" run_eval; mk "threaded" run_threaded ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
   (* Earlier sections leave a large, fragmented major heap behind; compact
-     and let bechamel stabilize so the engine comparison measures dispatch,
-     not inherited GC debt. *)
+     so the comparison measures dispatch, not inherited GC debt, and warm
+     both engines once before timing. *)
   Gc.compact ();
-  let bcfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 3.0) ~stabilize:true () in
-  let raw = Benchmark.all bcfg instances test in
-  let results =
-    Analyze.merge ols instances
-      (List.map (fun i -> Analyze.all ols i raw) instances)
+  ignore (time run_eval m_eval);
+  ignore (time run_threaded m_thr);
+  let eval_ns = Array.make rounds 0. and thr_ns = Array.make rounds 0. in
+  for i = 0 to rounds - 1 do
+    if i mod 2 = 0 then begin
+      eval_ns.(i) <- time run_eval m_eval;
+      thr_ns.(i) <- time run_threaded m_thr
+    end
+    else begin
+      thr_ns.(i) <- time run_threaded m_thr;
+      eval_ns.(i) <- time run_eval m_eval
+    end
+  done;
+  (* [q] in [0, 1] of the sorted values, by nearest rank *)
+  let quantile q a =
+    let a = Array.copy a in
+    Array.sort Float.compare a;
+    a.(int_of_float (Float.round (q *. float_of_int (Array.length a - 1))))
   in
-  let ns_per_run name =
-    let tbl = Hashtbl.find results (Measure.label Instance.monotonic_clock) in
-    match Analyze.OLS.estimates (Hashtbl.find tbl ("engines/" ^ name)) with
-    | Some [ est ] -> est
-    | Some _ | None -> nan
-  in
-  let eval_ns = ns_per_run "eval" in
-  let thr_ns = ns_per_run "threaded" in
-  let speedup = eval_ns /. thr_ns in
+  let ratios = Array.init rounds (fun i -> eval_ns.(i) /. thr_ns.(i)) in
+  let speedup = quantile 0.5 ratios in
+  let eval_ns = quantile 0.5 eval_ns and thr_ns = quantile 0.5 thr_ns in
   let total_host = fuel * List.length regions in
   Printf.printf "hot-region set (%s), %d host insns per run:\n"
     (String.concat ", " (List.map fst named))
@@ -521,6 +523,8 @@ let engines () =
     "threaded" (thr_ns /. 1e6)
     (float_of_int total_host /. (thr_ns /. 1e9) /. 1e6)
     speedup;
+  Printf.printf "  median of %d interleaved rounds; ratio quartiles %.2fx-%.2fx\n" rounds
+    (quantile 0.25 ratios) (quantile 0.75 ratios);
   let open Darco_obs in
   engines_summary :=
     Some
@@ -528,9 +532,12 @@ let engines () =
          [
            ("workloads", Jsonx.List (List.map (fun (n, _) -> Jsonx.String n) named));
            ("fuel_per_region", Jsonx.Int fuel);
+           ("rounds", Jsonx.Int rounds);
            ("eval_ns_per_run", Jsonx.Float eval_ns);
            ("threaded_ns_per_run", Jsonx.Float thr_ns);
            ("speedup", Jsonx.Float speedup);
+           ("speedup_q1", Jsonx.Float (quantile 0.25 ratios));
+           ("speedup_q3", Jsonx.Float (quantile 0.75 ratios));
          ]);
   print_newline ()
 

@@ -17,6 +17,9 @@ type t = {
      up from 0), so a chained transfer finds its chain with one array
      load. *)
   mutable tcode : Threaded.compiled option array;
+  (* region id -> the timing descriptor of each instruction, [||] until the
+     region first runs timed; kept and dropped like [tcode] *)
+  mutable descs : int array array;
   mutable next_id : int;
   mutable next_base : int;
   mutable total_insns : int;
@@ -33,6 +36,7 @@ let create ?(bus = Bus.create ()) (cfg : Config.t) tolmem stats =
     by_pc = Hashtbl.create 256;
     by_base = Hashtbl.create 256;
     tcode = [||];
+    descs = [||];
     next_id = 0;
     next_base = code_base;
     total_insns = 0;
@@ -52,6 +56,7 @@ let flush t =
   Hashtbl.reset t.by_pc;
   Hashtbl.reset t.by_base;
   Array.fill t.tcode 0 (Array.length t.tcode) None;
+  Array.fill t.descs 0 (Array.length t.descs) [||];
   t.total_insns <- 0;
   for i = 0 to t.ibtc_entries - 1 do
     ibtc_clear_entry t i
@@ -112,28 +117,47 @@ let find t ?(prefer_bb = false) pc =
 
 let resolve_base t base = Hashtbl.find_opt t.by_base base
 
+(* Only an id this cache could have issued is memoized (a restored region
+   brings its id from the snapshot), so a by-id memo stays within twice
+   [next_id]. *)
+let memoizable t id = id >= 0 && id < t.next_id
+
+let grow memo id absent =
+  if id < Array.length memo then memo
+  else begin
+    let n = ref (max 256 (2 * Array.length memo)) in
+    while !n <= id do
+      n := 2 * !n
+    done;
+    let grown = Array.make !n absent in
+    Array.blit memo 0 grown 0 (Array.length memo);
+    grown
+  end
+
 let compiled t (r : Code.region) =
   let id = r.id in
   match if id >= 0 && id < Array.length t.tcode then Array.unsafe_get t.tcode id else None with
   | Some c -> c
   | None ->
     let c = Threaded.compile r in
-    (* A restored region brings its id from the snapshot: only an id this
-       cache could have issued is memoized, so the array stays within
-       twice [next_id]. *)
-    if id >= 0 && id < t.next_id then begin
-      if id >= Array.length t.tcode then begin
-        let n = ref (max 256 (2 * Array.length t.tcode)) in
-        while !n <= id do
-          n := 2 * !n
-        done;
-        let grown = Array.make !n None in
-        Array.blit t.tcode 0 grown 0 (Array.length t.tcode);
-        t.tcode <- grown
-      end;
+    if memoizable t id then begin
+      t.tcode <- grow t.tcode id None;
       t.tcode.(id) <- Some c
     end;
     c
+
+let descriptors t ~describe (r : Code.region) =
+  let id = r.id in
+  let d = if id >= 0 && id < Array.length t.descs then Array.unsafe_get t.descs id else [||] in
+  if Array.length d > 0 then d
+  else begin
+    let d = Array.map describe r.code in
+    if memoizable t id then begin
+      t.descs <- grow t.descs id [||];
+      t.descs.(id) <- d
+    end;
+    d
+  end
 
 let chain t (e : Code.exit_info) (target : Code.region) =
   e.chain <- Some target;
@@ -159,6 +183,7 @@ let ibtc_fill t ~guest_pc (region : Code.region) =
 let invalidate t (r : Code.region) =
   r.invalidated <- true;
   if r.id >= 0 && r.id < Array.length t.tcode then t.tcode.(r.id) <- None;
+  if r.id >= 0 && r.id < Array.length t.descs then t.descs.(r.id) <- [||];
   List.iter (fun (e : Code.exit_info) -> e.chain <- None) r.incoming;
   r.incoming <- [];
   (match Hashtbl.find_opt t.by_pc r.entry_pc with
@@ -218,9 +243,11 @@ let unpersist ?(bus = Bus.create ()) tolmem stats p =
       bus;
       by_pc = Hashtbl.create 256;
       by_base = Hashtbl.create 256;
-      (* Closure chains are process state, never snapshot state: a restored
-         region recompiles the first time it runs on the chains. *)
+      (* Closure chains and timing descriptors are process state, never
+         snapshot state: a restored region rebuilds them the first time it
+         runs. *)
       tcode = [||];
+      descs = [||];
       next_id = p.p_next_id;
       next_base = p.p_next_base;
       total_insns = p.p_total_insns;

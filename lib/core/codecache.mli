@@ -32,6 +32,14 @@ val compiled : t -> Code.region -> Threaded.compiled
     {!flush}.  Chains are process state: they are rebuilt (not restored)
     after {!unpersist}. *)
 
+val descriptors : t -> describe:(Code.insn -> int) -> Code.region -> int array
+(** The timing descriptor of each of the region's instructions, by index:
+    [describe] (the retire subscriber's, e.g. [Pipeline.describe]) runs
+    once per instruction on the region's first timed execution, and the
+    array is memoized by region id like {!compiled}'s chains.  Dropped on
+    {!invalidate} and {!flush}, never persisted, empty after
+    {!unpersist}. *)
+
 val chain : t -> Code.exit_info -> Code.region -> unit
 val invalidate : t -> Code.region -> unit
 (** Unlinks every chain into the region and purges its IBTC entries. *)

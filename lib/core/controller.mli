@@ -27,8 +27,8 @@ type t = {
 val create :
   ?cfg:Config.t -> ?bus:Darco_obs.Bus.t -> ?input:string -> seed:int -> Program.t -> t
 (** [bus] is the observability spine of the co-designed component: attach
-    event sinks (trace writer, aggregator) and retire subscribers (timing
-    simulator) to it {e before} calling, so initialization events are
+    event sinks (trace writer, aggregator) and the retire subscriber
+    (timing simulator) to it {e before} calling, so initialization events are
     captured too.  Defaults to a fresh bus with no sinks (zero overhead). *)
 
 val create_at :

@@ -43,9 +43,9 @@ let fun_fn (op : Code.funop) : Isa.fp_un =
 (* ========================================================================= *)
 (* Direct-threaded execution of [Code.region]s, the path [Tol.run_slice]
    dispatches through when no retire subscriber is attached.  Bit-for-bit
-   equivalent to [Emulator.run] without an [on_retire] hook: same counters,
-   same stop reasons, same exception windows (an operation that faults does
-   so before its retirement is counted, exactly like the walker).           *)
+   equivalent to [Emulator.run] without a retire sink: same counters, same
+   stop reasons, same exception windows (an operation that faults does so
+   before its retirement is counted, exactly like the walker).              *)
 (* ========================================================================= *)
 
 exception Host_assert_failed

@@ -12,10 +12,12 @@ open Darco_host
     are resolved at compile time and captured in the closure.
 
     {!run} is bit-for-bit equivalent to {!Darco_host.Emulator.run} without
-    an [on_retire] hook: identical counters, stop reasons and exception
-    windows.  [Tol] runs regions here unless the bus has a retire
-    subscriber (the timing pipeline), whose per-instruction stream only the
-    walker produces (DESIGN.md §13). *)
+    a retire sink: identical counters, stop reasons and exception windows.
+    [Tol] runs regions here unless the bus has a retire subscriber (the
+    timing pipeline), which the walker feeds with batches of retired
+    instructions.  Chains record no retire stream: a timed run on chains
+    measured no faster than the batched walker and needed a quarter more
+    peak memory for their closures (DESIGN.md §13). *)
 
 type ctx
 (** Per-execution state threaded through the closure chain. *)

@@ -266,10 +266,18 @@ let run_slice t =
       | None ->
         Threaded.run t.machine ~resolve ~get:(Codecache.compiled t.codecache)
           ~fuel region
-      | Some on_retire ->
-        (* The retire subscriber (the timing pipeline) consumes a
-           per-instruction stream that only the walker produces. *)
-        Emulator.run t.machine ~resolve ~fuel ~on_retire region
+      | Some sub ->
+        (* The retire subscriber (the timing pipeline) consumes the batched
+           per-instruction stream that only the walker produces; timing
+           descriptors are built once per region, beside its chain. *)
+        let retire : Retire.sink =
+          {
+            batch = sub.batch;
+            consume = sub.consume;
+            descriptors = Codecache.descriptors t.codecache ~describe:sub.describe;
+          }
+        in
+        Emulator.run t.machine ~resolve ~fuel ~retire region
     in
     account t ~pc:region.entry_pc res;
     Machine.copy_guest_out t.machine t.cpu;

@@ -13,9 +13,10 @@ open Darco_host
     Observability: every lifecycle step (slice boundaries, translations,
     chain/IBTC activity, rollbacks, deopt rebuilds, page installs,
     syscalls) is published as a typed event on the bus passed to
-    {!create}, and the retired host application stream flows to the bus's
-    retire subscribers (the timing simulator attaches there).  With no
-    sinks and no subscribers the bus costs nothing on the hot path. *)
+    {!create}, and the retired host application stream flows in batches to
+    the bus's retire subscriber (the timing simulator attaches there); the
+    batches are flushed before [run_slice] returns.  With no sinks and no
+    subscriber the bus costs nothing on the hot path. *)
 
 type event =
   | Ev_syscall of int        (** EIP of the pending syscall instruction *)

@@ -160,10 +160,9 @@ let pp_region ppf r =
   Array.iteri (fun i insn -> Format.fprintf ppf "  @%d: %s@ " i (insn_to_string insn)) r.code;
   Format.fprintf ppf "@]"
 
-(* Operand sets, written into a caller-owned scratch array so the timing
-   pipeline's per-instruction path allocates nothing.  r0 is hard-wired
-   zero: it is never a real definition and reading it carries no
-   dependence, so the integer sets skip it. *)
+(* Operand sets, written into a caller-owned scratch array.  r0 is
+   hard-wired zero: it is never a real definition and reading it carries
+   no dependence, so the integer sets skip it. *)
 let max_operands = 3
 
 let[@inline] put1 dst a = if a = 0 then 0 else begin dst.(0) <- a; 1 end

@@ -132,10 +132,9 @@ val defs : insn -> reg array -> int
 val uses : insn -> reg array -> int
 val fdefs : insn -> freg array -> int
 val fuses : insn -> freg array -> int
-(** Register def/use sets (integer and float classes), used by the timing
-    pipeline's scoreboard and by verification tests.  [uses insn dst]
-    writes the set into [dst.(0 .. n-1)] in operand order and returns [n];
-    [dst] must hold at least {!max_operands} elements.  The integer sets
-    leave out r0, which is never a real definition or dependence.  They
-    allocate nothing, so the pipeline can call them once per retired
-    instruction. *)
+(** Register def/use sets (integer and float classes), which the timing
+    pipeline packs into each instruction's descriptor, and used by
+    verification tests.  [uses insn dst] writes the set into
+    [dst.(0 .. n-1)] in operand order and returns [n]; [dst] must hold at
+    least {!max_operands} elements.  The integer sets leave out r0, which
+    is never a real definition or dependence. *)

@@ -10,14 +10,6 @@ val eval_binop : Code.binop -> int -> int -> int
 (** Value semantics of the host ALU (exposed for constant folding in the
     optimizer and for the IR evaluator used in tests). *)
 
-type retire_info = {
-  host_pc : int;
-  insn : Code.insn;
-  mem_access : (int * [ `Load | `Store ]) option;  (** effective address *)
-  branch : (bool * int) option;  (** taken?, target host PC *)
-}
-(** Per-retired-instruction record streamed to the timing simulator. *)
-
 type stop =
   | Stop_exit of Code.exit_info          (** unchained exit: TOL dispatches *)
   | Stop_indirect_miss of int            (** IBTC missed; guest PC *)
@@ -43,10 +35,19 @@ val run :
   Machine.t ->
   resolve:(int -> Code.region option) ->
   ?fuel:int ->
-  ?on_retire:(retire_info -> unit) ->
+  ?retire:Retire.sink ->
   Code.region ->
   result
 (** [run m ~resolve region] enters [region] at instruction 0.  [resolve]
     maps a host code address to the region whose [base] it is (the inline
     IBTC stores region base addresses).  [fuel] bounds [host_retired]
-    approximately (checked at region transfers). *)
+    approximately (checked at region transfers).
+
+    With [retire], every retired application instruction is appended to
+    the sink's batch, with the descriptor [descriptors region] gives it:
+    after the operation's effect, except that an [Assert] is appended
+    before its comparison (a failed one has an entry) and a load or store
+    that faults has none.  The batch is flushed through [consume] before an
+    append would overflow it and at every return (unchained exit, indirect
+    miss, rollback, fault, fuel), so the consumer has seen every entry when
+    [run] returns.  Nothing is allocated per retired instruction. *)

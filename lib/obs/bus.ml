@@ -1,9 +1,13 @@
 type sink = { name : string; handle : at:int -> Event.t -> unit }
-type retire = Darco_host.Emulator.retire_info -> unit
+
+type retire = {
+  batch : Darco_host.Retire.t;
+  consume : Darco_host.Retire.t -> unit;
+  describe : Darco_host.Code.insn -> int;
+}
 
 type t = {
   mutable sinks : sink array;
-  mutable retire_subs : retire list;
   mutable retire_hook : retire option;
   (* guards sink/subscription registration only: emission reads one
      immutable array snapshot and stays lock-free, so the unobserved hot
@@ -11,8 +15,12 @@ type t = {
   lock : Mutex.t;
 }
 
-let create () =
-  { sinks = [||]; retire_subs = []; retire_hook = None; lock = Mutex.create () }
+(* Entries per retire batch: the walker flushes this many at a time.  On
+   suite-timed, 256 and 4,096 entries ran within noise of this, and 4,096
+   cost 0.3 MB more peak RSS. *)
+let batch_capacity = 1024
+
+let create () = { sinks = [||]; retire_hook = None; lock = Mutex.create () }
 
 let active t = Array.length t.sinks > 0
 
@@ -30,13 +38,11 @@ let emit t ~at ev =
     sinks.(i).handle ~at ev
   done
 
-let on_retire t f =
+let on_retire t ?(describe = fun _ -> 0) consume =
   locked t (fun () ->
-      t.retire_subs <- t.retire_subs @ [ f ];
+      if Option.is_some t.retire_hook then
+        invalid_arg "Bus.on_retire: the bus already has a retire subscriber";
       t.retire_hook <-
-        (match t.retire_subs with
-        | [] -> None
-        | [ f ] -> Some f
-        | fs -> Some (fun ri -> List.iter (fun g -> g ri) fs)))
+        Some { batch = Darco_host.Retire.create batch_capacity; consume; describe })
 
 let retire_hook t = t.retire_hook

@@ -20,9 +20,15 @@
 
 type sink = { name : string; handle : at:int -> Event.t -> unit }
 
-type retire = Darco_host.Emulator.retire_info -> unit
-(** A subscriber to the retired host application stream (e.g. the timing
-    simulator's [Pipeline.step]). *)
+type retire = {
+  batch : Darco_host.Retire.t;  (** allocated once, at subscription *)
+  consume : Darco_host.Retire.t -> unit;
+  describe : Darco_host.Code.insn -> int;
+}
+(** The subscriber to the retired host application stream (the timing
+    simulator's [Pipeline.consume]): the batch the walker fills, the
+    consumer it is flushed through, and the function that computes each
+    instruction's descriptor once per region ([Pipeline.describe]). *)
 
 type t
 
@@ -38,9 +44,12 @@ val emit : t -> at:int -> Event.t -> unit
 (** Deliver to every sink in attachment order.  [at] is the
     retired-guest-instruction clock of the publishing component. *)
 
-val on_retire : t -> retire -> unit
-(** Subscribe to per-retired-host-instruction records. *)
+val on_retire :
+  t -> ?describe:(Darco_host.Code.insn -> int) -> (Darco_host.Retire.t -> unit) -> unit
+(** Subscribe a consumer of retired-instruction batches.  [describe]
+    defaults to a constant (for a subscriber that reads no descriptor).  A
+    bus has at most one subscriber: a second subscription raises
+    [Invalid_argument]. *)
 
 val retire_hook : t -> retire option
-(** The composed retire subscription ([None] when nobody subscribed), in
-    the shape the host emulator's [?on_retire] parameter expects. *)
+(** The subscription ([None] when nobody subscribed). *)

@@ -48,6 +48,107 @@ let[@inline] ring_push r v =
    window is not yet full). *)
 let[@inline] ring_cap r = if r.n < Array.length r.buf then 0 else r.buf.(r.pos)
 
+(* --- timing descriptors ------------------------------------------------- *)
+
+(* What [describe] resolves an instruction to: each kind has one latency,
+   occupancy, stream weight, unit pool and operation counter, tabled per
+   configuration by [create], so a descriptor does not depend on the
+   configuration.  Loads and stores are the kinds that read an entry's
+   address, control transfers the one that reads its branch word.  The
+   vector units exist for the SIMD-extension configuration; the current
+   host ISA routes nothing to them. *)
+type kind =
+  | K_load | K_store | K_control | K_simple | K_mul | K_fdiv | K_fp | K_fsqrt
+  | K_fmove | K_fconv | K_rt of Code.rt_fn
+
+let kinds =
+  [| K_load; K_store; K_control; K_simple; K_mul; K_fdiv; K_fp; K_fsqrt; K_fmove; K_fconv;
+     K_rt Rt_sin; K_rt Rt_cos; K_rt Rt_divu; K_rt Rt_divs |]
+
+let index k =
+  let rec go i = if kinds.(i) = k then i else go (i + 1) in
+  go 0
+
+let k_load = index K_load
+let k_store = index K_store
+let k_control = index K_control
+
+(* Exhaustive, with no wildcard: a new [Code.insn] constructor must be
+   given a kind here before the tree compiles (DESIGN.md §8). *)
+let kind_of (insn : Code.insn) =
+  match insn with
+  | Code.Bin ((Mul | Mulhu | Mulhs), _, _, _) -> K_mul
+  | Code.Fbin (Fdiv, _, _, _) -> K_fdiv
+  | Code.Fbin ((Fadd | Fsub | Fmul), _, _, _) -> K_fp
+  | Code.Fun (Fsqrt, _, _) -> K_fsqrt
+  | Code.Fun ((Fabs | Fneg), _, _) | Code.Fmov _ | Code.Fli _ -> K_fmove
+  | Code.Fcmp _ | Code.Cvtif _ | Code.Cvtfi _ -> K_fconv
+  | Code.Callrt_f (fn, _, _) -> K_rt fn
+  | Code.Callrt_div { signed; _ } -> K_rt (if signed then Rt_divs else Rt_divu)
+  | Code.Load _ | Code.Sload _ | Code.Fload _ -> K_load
+  | Code.Store _ | Code.Fstore _ -> K_store
+  | Code.B _ | Code.J _ | Code.Jr _ | Code.Exit _ -> K_control
+  | Code.Nop | Code.Li _ | Code.Bin _ | Code.Bini _ | Code.Mkfl _ | Code.Isel _
+  | Code.Assert _ | Code.Chk | Code.Commit _ ->
+    K_simple
+
+(* Result latency, unit occupancy and stream weight. *)
+let cost (cfg : Tconfig.t) = function
+  | K_load -> (0, 1, 1)
+  | K_store | K_control | K_simple | K_fmove -> (1, 1, 1)
+  | K_mul -> (cfg.complex_mul_latency, 1, 1)
+  | K_fdiv -> (cfg.fp_div_latency, cfg.fp_div_latency, 1)
+  | K_fp -> (cfg.fp_latency, 1, 1)
+  | K_fsqrt -> (cfg.fp_div_latency + 3, cfg.fp_div_latency, 1)
+  | K_fconv -> (2, 1, 1)
+  | K_rt fn ->
+    let c = Code.rt_cost fn in
+    (c, c, c)
+
+(* The operation counter a kind bumps, as an index into [t.op_count]: the
+   power model counts multiplies apart from the other complex-unit work. *)
+let c_int = 0
+let c_mul = 1
+let c_fp = 2
+
+let counter = function
+  | K_control | K_simple -> c_int
+  | K_mul -> c_mul
+  | K_fdiv | K_fp | K_fsqrt | K_fmove | K_fconv | K_rt _ -> c_fp
+  | K_load | K_store -> 3
+
+(* Descriptor layout (56 bits): the kind, then each operand set as a 2-bit
+   count followed by its registers — integer uses (3 x 6 bits), FP uses
+   (2 x 5), integer defs (2 x 6), FP defs (1 x 5).  [describe] writes it
+   and [consume] reads it with shifts and masks; no other module looks
+   inside. *)
+let kind_mask = 0xF
+let uses_at = 4
+let fuses_at = 24
+let defs_at = 36
+let fdefs_at = 50
+
+let describe insn =
+  let ops = Array.make Code.max_operands 0 in
+  let set operands ~at ~reg_bits =
+    let n = operands insn ops in
+    let packed = ref n in
+    for i = 0 to n - 1 do
+      let r = ops.(i) in
+      if r < 0 || r lsr reg_bits <> 0 then
+        invalid_arg (Format.asprintf "Pipeline.describe: register %d in %a" r Code.pp_insn insn);
+      packed := !packed lor (r lsl (2 + (i * reg_bits)))
+    done;
+    !packed lsl at
+  in
+  index (kind_of insn)
+  lor set Code.uses ~at:uses_at ~reg_bits:6
+  lor set Code.fuses ~at:fuses_at ~reg_bits:5
+  lor set Code.defs ~at:defs_at ~reg_bits:6
+  lor set Code.fdefs ~at:fdefs_at ~reg_bits:5
+
+(* --- the model ----------------------------------------------------------- *)
+
 type t = {
   cfg : Tconfig.t;
   (* memory hierarchy *)
@@ -69,6 +170,13 @@ type t = {
   wport_free : int array;
   iq_ring : ring;
   inflight_ring : ring;
+  (* per-kind tables, from the configuration *)
+  latency : int array;
+  occupancy : int array;
+  weight : int array;
+  counter : int array;
+  units : int array array;  (* aliases the [*_free] arrays above *)
+  line_bits : int;  (* log2 of the I-cache line *)
   (* front-end state *)
   mutable fetch_cycle : int;
   mutable fetch_count : int;
@@ -80,33 +188,60 @@ type t = {
   mutable horizon : int;   (* latest completion cycle *)
   (* counters *)
   mutable insns : int;
-  mutable int_ops : int;
-  mutable mul_ops : int;
-  mutable fp_ops : int;
+  op_count : int array;  (* integer, multiply, FP and uncounted operations *)
   mutable mem_reads : int;
   mutable mem_writes : int;
   mutable branches : int;
   mutable rf_reads : int;
   mutable rf_writes : int;
-  (* scratch for the instruction in flight through [step]: its operand
-     registers, and the latency, occupancy and weight [classify] found *)
-  ops : int array;
-  mutable cur_latency : int;
-  mutable cur_occupancy : int;
-  mutable cur_weight : int;
   (* optional load-latency distribution (total dTLB + dL1 chain per load);
      [None] costs one pointer test per load and is never persisted — a
      restored pipeline starts with observation off *)
   mutable lat_hist : Darco_obs.Hist.t option;
 }
 
+let pow2 n = n >= 1 && n land (n - 1) = 0
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+(* The structures index with masks and shifts: a set count, line size,
+   BTB or prefetch table that is not a power of two would alias entries
+   it never filled, and an empty one would fail on its first access. *)
+let check_geometry (c : Tconfig.t) =
+  let refuse fmt = Printf.ksprintf invalid_arg ("Pipeline: " ^^ fmt) in
+  let cache name (g : Tconfig.cache_geom) =
+    if not (pow2 g.sets) then refuse "%s sets (%d) must be a power of two" name g.sets;
+    if not (pow2 g.line) then refuse "%s line (%d) must be a power of two" name g.line;
+    if g.ways < 1 then refuse "%s ways (%d) must be at least 1" name g.ways
+  and tlb name (g : Tconfig.tlb_geom) =
+    if g.entries < 1 then refuse "%s entries (%d) must be at least 1" name g.entries
+  in
+  cache "L2" c.l2;
+  cache "IL1" c.il1;
+  cache "DL1" c.dl1;
+  tlb "L2 TLB" c.l2tlb;
+  tlb "I-TLB" c.itlb;
+  tlb "D-TLB" c.dtlb;
+  if not (pow2 c.btb_entries) then
+    refuse "BTB entries (%d) must be a power of two" c.btb_entries;
+  if not (pow2 c.prefetch_table) then
+    refuse "prefetch table (%d) must be a power of two" c.prefetch_table;
+  if c.gshare_bits < 0 || c.gshare_bits >= Sys.int_size - 1 then
+    refuse "gshare bits (%d) out of range" c.gshare_bits
+
 let create (cfg : Tconfig.t) =
+  check_geometry cfg;
   let memory _addr ~is_write:_ = cfg.mem_latency in
   let l2 = Cache.create ~name:"L2" cfg.l2 ~parent:memory in
   let l2_parent addr ~is_write = Cache.access l2 addr ~is_write in
   let il1 = Cache.create ~name:"IL1" cfg.il1 ~parent:l2_parent in
   let dl1 = Cache.create ~name:"DL1" cfg.dl1 ~parent:l2_parent in
   let l2tlb = Tlb.second_level cfg in
+  let simple_free = Array.make (Int.max 1 cfg.n_simple) 0 in
+  let complex_free = Array.make (Int.max 1 cfg.n_complex) 0 in
+  let rport_free = Array.make (Int.max 1 cfg.mem_read_ports) 0 in
+  let wport_free = Array.make (Int.max 1 cfg.mem_write_ports) 0 in
+  let table f = Array.map f kinds in
+  let costs = table (cost cfg) in
   {
     cfg;
     l2;
@@ -119,13 +254,24 @@ let create (cfg : Tconfig.t) =
     bp = Predictor.create cfg;
     int_ready = Array.make 64 0;
     fp_ready = Array.make 32 0;
-    simple_free = Array.make (Int.max 1 cfg.n_simple) 0;
-    complex_free = Array.make (Int.max 1 cfg.n_complex) 0;
+    simple_free;
+    complex_free;
     vector_free = Array.make (Int.max 1 cfg.n_vector) 0;
-    rport_free = Array.make (Int.max 1 cfg.mem_read_ports) 0;
-    wport_free = Array.make (Int.max 1 cfg.mem_write_ports) 0;
+    rport_free;
+    wport_free;
     iq_ring = ring_make cfg.iq_size;
     inflight_ring = ring_make cfg.phys_regs;
+    latency = Array.map (fun (l, _, _) -> l) costs;
+    occupancy = Array.map (fun (_, o, _) -> o) costs;
+    weight = Array.map (fun (_, _, w) -> w) costs;
+    counter = table counter;
+    units =
+      table (function
+        | K_load -> rport_free
+        | K_store -> wport_free
+        | K_control | K_simple -> simple_free
+        | K_mul | K_fdiv | K_fp | K_fsqrt | K_fmove | K_fconv | K_rt _ -> complex_free);
+    line_bits = log2 cfg.il1.line;
     fetch_cycle = 0;
     fetch_count = 0;
     last_fetch_line = -1;
@@ -134,64 +280,14 @@ let create (cfg : Tconfig.t) =
     issued_in_cycle = 0;
     horizon = 0;
     insns = 0;
-    int_ops = 0;
-    mul_ops = 0;
-    fp_ops = 0;
+    op_count = Array.make 4 0;
     mem_reads = 0;
     mem_writes = 0;
     branches = 0;
     rf_reads = 0;
     rf_writes = 0;
-    ops = Array.make Code.max_operands 0;
-    cur_latency = 0;
-    cur_occupancy = 0;
-    cur_weight = 0;
     lat_hist = None;
   }
-
-(* The vector class exists for the SIMD-extension configuration; the
-   current host ISA routes nothing to it.  Multiplies and the other
-   complex operations share the complex units; the power model counts
-   them apart. *)
-type cls = Simple | Mul | Complex | Vector | Mem_read | Mem_write [@@warning "-37"]
-
-let classified t cls ~latency ~occupancy ~weight =
-  t.cur_latency <- latency;
-  t.cur_occupancy <- occupancy;
-  t.cur_weight <- weight;
-  cls
-
-(* Unit class of [insn]; its result latency, unit occupancy and stream
-   weight land in [t]'s scratch fields, so no tuple is built. *)
-let[@inline] classify t (insn : Code.insn) =
-  let cfg = t.cfg in
-  match insn with
-  | Code.Bin ((Mul | Mulhu | Mulhs), _, _, _) ->
-    classified t Mul ~latency:cfg.complex_mul_latency ~occupancy:1 ~weight:1
-  | Code.Fbin (Fdiv, _, _, _) ->
-    classified t Complex ~latency:cfg.fp_div_latency ~occupancy:cfg.fp_div_latency ~weight:1
-  | Code.Fbin ((Fadd | Fsub | Fmul), _, _, _) ->
-    classified t Complex ~latency:cfg.fp_latency ~occupancy:1 ~weight:1
-  | Code.Fun (Fsqrt, _, _) ->
-    classified t Complex ~latency:(cfg.fp_div_latency + 3) ~occupancy:cfg.fp_div_latency
-      ~weight:1
-  | Code.Fun ((Fabs | Fneg), _, _) | Code.Fmov _ | Code.Fli _ ->
-    classified t Complex ~latency:1 ~occupancy:1 ~weight:1
-  | Code.Fcmp _ | Code.Cvtif _ | Code.Cvtfi _ ->
-    classified t Complex ~latency:2 ~occupancy:1 ~weight:1
-  | Code.Callrt_f (fn, _, _) ->
-    let c = Code.rt_cost fn in
-    classified t Complex ~latency:c ~occupancy:c ~weight:c
-  | Code.Callrt_div { signed; _ } ->
-    let c = Code.rt_cost (if signed then Rt_divs else Rt_divu) in
-    classified t Complex ~latency:c ~occupancy:c ~weight:c
-  | Code.Load _ | Code.Sload _ | Code.Fload _ ->
-    classified t Mem_read ~latency:0 ~occupancy:1 ~weight:1
-  | Code.Store _ | Code.Fstore _ -> classified t Mem_write ~latency:1 ~occupancy:1 ~weight:1
-  | Code.Nop | Code.Li _ | Code.Bin _ | Code.Bini _ | Code.Mkfl _ | Code.Isel _
-  | Code.B _ | Code.J _ | Code.Jr _ | Code.Assert _ | Code.Chk | Code.Commit _
-  | Code.Exit _ ->
-    classified t Simple ~latency:1 ~occupancy:1 ~weight:1
 
 (* Claim the unit that frees first (the lowest index on a tie) no earlier
    than cycle [at], busy for [occupancy] cycles; returns the issue cycle. *)
@@ -204,15 +300,16 @@ let[@inline] acquire_unit free_cycles at occupancy =
   free_cycles.(!best) <- start + occupancy;
   start
 
-let line_of (cfg : Tconfig.t) pc = pc / cfg.il1.line
-
-(* The per-instruction path.  It allocates nothing and calls no
-   polymorphic comparison: this build has no flambda, so [max] and [min]
-   on ints are C calls unless typed, hence [Int.max].  DESIGN.md §8 ("The
-   timing pipeline's hot path") has the rules. *)
-let step t (ri : Emulator.retire_info) =
+(* One retired instruction.  It allocates nothing, matches on no
+   [Code.insn] and calls no polymorphic comparison: this build has no
+   flambda, so [max] and [min] on ints are C calls unless typed, hence
+   [Int.max].  Register numbers come out of the descriptor masked to the
+   scoreboard's size, so reading the scoreboard needs no bounds check.
+   DESIGN.md §8 ("The timing pipeline's hot path") has
+   the rules. *)
+let[@inline] retire_one t pc d addr br =
   let cfg = t.cfg in
-  let insn = ri.insn in
+  let kind = d land kind_mask in
   (* ---- front end ---- *)
   if t.redirect_at > t.fetch_cycle then begin
     t.fetch_cycle <- t.redirect_at;
@@ -223,11 +320,11 @@ let step t (ri : Emulator.retire_info) =
     t.fetch_cycle <- t.fetch_cycle + 1;
     t.fetch_count <- 0
   end;
-  let line = line_of cfg ri.host_pc in
+  let line = pc lsr t.line_bits in
   if line <> t.last_fetch_line then begin
     t.last_fetch_line <- line;
-    let tlb_extra = Tlb.access t.itlb ri.host_pc in
-    let ic = Cache.access t.il1 ri.host_pc ~is_write:false in
+    let tlb_extra = Tlb.access t.itlb pc in
+    let ic = Cache.access t.il1 pc ~is_write:false in
     (* only the portion beyond a first-cycle hit stalls fetch *)
     t.fetch_cycle <- t.fetch_cycle + tlb_extra + (ic - cfg.il1.latency)
   end;
@@ -236,32 +333,33 @@ let step t (ri : Emulator.retire_info) =
   t.fetch_count <- t.fetch_count + 1;
   let at_decode = t.fetch_cycle + cfg.decode_depth in
   (* ---- issue ---- *)
-  let cls = classify t insn in
-  let ops = t.ops in
-  let n_uses = Code.uses insn ops in
-  let src_ready = ref 0 in
-  for i = 0 to n_uses - 1 do
-    src_ready := Int.max !src_ready t.int_ready.(ops.(i))
-  done;
-  let n_fuses = Code.fuses insn ops in
-  for i = 0 to n_fuses - 1 do
-    src_ready := Int.max !src_ready t.fp_ready.(ops.(i))
-  done;
+  let int_ready = t.int_ready and fp_ready = t.fp_ready in
+  let n_uses = (d lsr uses_at) land 3 in
+  let u = d lsr (uses_at + 2) in
+  let src_ready =
+    if n_uses = 0 then 0
+    else
+      let s = Array.unsafe_get int_ready (u land 63) in
+      if n_uses = 1 then s
+      else
+        let s = Int.max s (Array.unsafe_get int_ready ((u lsr 6) land 63)) in
+        if n_uses = 2 then s else Int.max s (Array.unsafe_get int_ready ((u lsr 12) land 63))
+  in
+  let n_fuses = (d lsr fuses_at) land 3 in
+  let f = d lsr (fuses_at + 2) in
+  let src_ready =
+    if n_fuses = 0 then src_ready
+    else
+      let s = Int.max src_ready (Array.unsafe_get fp_ready (f land 31)) in
+      if n_fuses = 1 then s else Int.max s (Array.unsafe_get fp_ready ((f lsr 5) land 31))
+  in
   let in_order_at =
     if t.issued_in_cycle >= cfg.issue_width then t.last_issue + 1 else t.last_issue
   in
   let earliest =
-    Int.max (Int.max at_decode !src_ready) (Int.max in_order_at (ring_cap t.inflight_ring))
+    Int.max (Int.max at_decode src_ready) (Int.max in_order_at (ring_cap t.inflight_ring))
   in
-  let units =
-    match cls with
-    | Simple -> t.simple_free
-    | Mul | Complex -> t.complex_free
-    | Vector -> t.vector_free
-    | Mem_read -> t.rport_free
-    | Mem_write -> t.wport_free
-  in
-  let issue = acquire_unit units earliest t.cur_occupancy in
+  let issue = acquire_unit t.units.(kind) earliest t.occupancy.(kind) in
   if issue > t.last_issue then begin
     t.last_issue <- issue;
     t.issued_in_cycle <- 1
@@ -269,53 +367,65 @@ let step t (ri : Emulator.retire_info) =
   else t.issued_in_cycle <- t.issued_in_cycle + 1;
   (* ---- execute ---- *)
   let result_latency =
-    match ri.mem_access with
-    | Some (addr, `Load) ->
+    if kind = k_load then begin
       t.mem_reads <- t.mem_reads + 1;
       let tlb_extra = Tlb.access t.dtlb addr in
       let lat = Cache.access t.dl1 addr ~is_write:false in
-      Prefetch.observe t.pf ~pc:ri.host_pc ~addr;
+      Prefetch.observe t.pf ~pc ~addr;
       (match t.lat_hist with
       | None -> ()
       | Some h -> Darco_obs.Hist.add h (tlb_extra + lat));
       tlb_extra + lat
-    | Some (addr, `Store) ->
+    end
+    else if kind = k_store then begin
       t.mem_writes <- t.mem_writes + 1;
       let tlb_extra = Tlb.access t.dtlb addr in
       ignore (Cache.access t.dl1 addr ~is_write:true);
       tlb_extra + 1
-    | None -> t.cur_latency
+    end
+    else t.latency.(kind)
   in
   let done_at = issue + Int.max 1 result_latency in
-  let n_defs = Code.defs insn ops in
-  for i = 0 to n_defs - 1 do
-    t.int_ready.(ops.(i)) <- done_at
-  done;
-  let n_fdefs = Code.fdefs insn ops in
-  for i = 0 to n_fdefs - 1 do
-    t.fp_ready.(ops.(i)) <- done_at
-  done;
+  let n_defs = (d lsr defs_at) land 3 in
+  if n_defs > 0 then begin
+    let w = d lsr (defs_at + 2) in
+    Array.unsafe_set int_ready (w land 63) done_at;
+    if n_defs > 1 then Array.unsafe_set int_ready ((w lsr 6) land 63) done_at
+  end;
+  let n_fdefs = (d lsr fdefs_at) land 3 in
+  if n_fdefs > 0 then Array.unsafe_set fp_ready ((d lsr (fdefs_at + 2)) land 31) done_at;
   t.rf_reads <- t.rf_reads + n_uses + n_fuses;
   t.rf_writes <- t.rf_writes + n_defs + n_fdefs;
   (* ---- control ---- *)
-  (match ri.branch with
-  | Some (taken, target) -> (
+  if kind = k_control then begin
     t.branches <- t.branches + 1;
     let resolve = issue + 1 in
-    match Predictor.observe t.bp ~pc:ri.host_pc ~taken ~target with
+    match
+      Predictor.observe t.bp ~pc ~taken:(Retire.taken br) ~target:(Retire.target br)
+    with
     | `Correct -> ()
-    | `Mispredict -> t.redirect_at <- Int.max t.redirect_at (resolve + cfg.mispredict_penalty))
-  | None -> ());
+    | `Mispredict -> t.redirect_at <- Int.max t.redirect_at (resolve + cfg.mispredict_penalty)
+  end;
   (* ---- bookkeeping ---- *)
   ring_push t.iq_ring issue;
   ring_push t.inflight_ring done_at;
   t.horizon <- Int.max t.horizon done_at;
-  t.insns <- t.insns + t.cur_weight;
-  match cls with
-  | Simple -> t.int_ops <- t.int_ops + 1
-  | Mul -> t.mul_ops <- t.mul_ops + 1
-  | Complex -> t.fp_ops <- t.fp_ops + 1
-  | Vector | Mem_read | Mem_write -> ()
+  t.insns <- t.insns + t.weight.(kind);
+  let c = t.counter.(kind) in
+  t.op_count.(c) <- t.op_count.(c) + 1
+
+(* Entry reads need no bounds check below [n], checked once per batch. *)
+let consume t (b : Retire.t) =
+  let pc = b.pc and desc = b.desc and addr = b.addr and branch = b.branch in
+  let n =
+    Int.min
+      (Int.min b.length (Array.length pc))
+      (Int.min (Int.min (Array.length desc) (Array.length addr)) (Array.length branch))
+  in
+  for i = 0 to n - 1 do
+    retire_one t (Array.unsafe_get pc i) (Array.unsafe_get desc i) (Array.unsafe_get addr i)
+      (Array.unsafe_get branch i)
+  done
 
 let cycles t = Int.max t.horizon t.last_issue
 let instructions t = t.insns
@@ -340,9 +450,9 @@ let events t =
   {
     e_cycles = cycles t;
     e_insns = t.insns;
-    e_int_ops = t.int_ops;
-    e_mul_ops = t.mul_ops;
-    e_fp_ops = t.fp_ops;
+    e_int_ops = t.op_count.(c_int);
+    e_mul_ops = t.op_count.(c_mul);
+    e_fp_ops = t.op_count.(c_fp);
     e_mem_reads = t.mem_reads;
     e_mem_writes = t.mem_writes;
     e_branches = t.branches;
@@ -403,7 +513,7 @@ let pp_summary ppf s =
     (100. *. s.dtlb_miss_rate)
     s.prefetches
 
-let attach t bus = Darco_obs.Bus.on_retire bus (step t)
+let attach t bus = Darco_obs.Bus.on_retire bus ~describe (consume t)
 
 let observe_latencies t =
   match t.lat_hist with
@@ -480,9 +590,9 @@ let persist t =
     p_issued_in_cycle = t.issued_in_cycle;
     p_horizon = t.horizon;
     p_insns = t.insns;
-    p_int_ops = t.int_ops;
-    p_mul_ops = t.mul_ops;
-    p_fp_ops = t.fp_ops;
+    p_int_ops = t.op_count.(c_int);
+    p_mul_ops = t.op_count.(c_mul);
+    p_fp_ops = t.op_count.(c_fp);
     p_mem_reads = t.mem_reads;
     p_mem_writes = t.mem_writes;
     p_branches = t.branches;
@@ -496,8 +606,9 @@ let blit_same name src dst =
   Array.blit src 0 dst 0 (Array.length dst)
 
 (* Every persisted structure against the size [create p_cfg] would
-   allocate for it, checked before anything is allocated: a corrupt
-   geometry must not cost gigabytes before it is refused. *)
+   allocate for it, checked (after [check_geometry]) before anything is
+   allocated: a corrupt geometry must not cost gigabytes before it is
+   refused. *)
 let sized p =
   let c = p.p_cfg and len = Array.length in
   let cache (g : Tconfig.cache_geom) (q : Cache.persisted) =
@@ -511,8 +622,6 @@ let sized p =
   && tlb c.itlb p.p_itlb
   && tlb c.dtlb p.p_dtlb
   && len p.p_pf.p_table = c.prefetch_table
-  && c.gshare_bits >= 0
-  && c.gshare_bits < Sys.int_size - 1
   && len p.p_bp.p_pht = 1 lsl c.gshare_bits
   && len p.p_bp.p_btb_tag = c.btb_entries
   && len p.p_bp.p_btb_target = c.btb_entries
@@ -525,6 +634,7 @@ let sized p =
   && units c.phys_regs (fst p.p_inflight_ring)
 
 let restore p =
+  check_geometry p.p_cfg;
   if not (sized p) then
     invalid_arg "Pipeline.restore: state does not match its configuration";
   let t = create p.p_cfg in
@@ -559,9 +669,9 @@ let restore p =
   t.issued_in_cycle <- p.p_issued_in_cycle;
   t.horizon <- p.p_horizon;
   t.insns <- p.p_insns;
-  t.int_ops <- p.p_int_ops;
-  t.mul_ops <- p.p_mul_ops;
-  t.fp_ops <- p.p_fp_ops;
+  t.op_count.(c_int) <- p.p_int_ops;
+  t.op_count.(c_mul) <- p.p_mul_ops;
+  t.op_count.(c_fp) <- p.p_fp_ops;
   t.mem_reads <- p.p_mem_reads;
   t.mem_writes <- p.p_mem_writes;
   t.branches <- p.p_branches;

@@ -5,8 +5,11 @@ open Darco_host
     issue, simple/complex/vector units, memory ports, D-TLB + 2-level data
     cache with a stride prefetcher), separated by an instruction queue.
 
-    Trace-driven: feed it the retired host instruction stream via {!step},
-    or subscribe it to a run's observability bus with {!attach}. *)
+    Trace-driven: feed it batches of the retired host instruction stream
+    via {!consume}, or subscribe it to a run's observability bus with
+    {!attach}.  Each entry carries a descriptor that {!describe} computed
+    once for its instruction: the model never looks at the instruction
+    itself while it retires. *)
 
 type t
 
@@ -43,11 +46,26 @@ type events = {
 }
 
 val create : Tconfig.t -> t
-val step : t -> Emulator.retire_info -> unit
+(** Raises [Invalid_argument] for a geometry the structures cannot index:
+    cache sets or line sizes, BTB or prefetch-table sizes that are not
+    powers of two, caches with no ways, TLBs with no entries. *)
+
+val describe : Code.insn -> int
+(** The instruction's static timing descriptor: its timing class and its
+    integer and FP use and def sets, packed into one int.  It does not
+    depend on the configuration (the per-class latencies, occupancies and
+    units are tabled by {!create}); only this module reads it.  Raises
+    [Invalid_argument] on a register number outside the register files. *)
+
+val consume : t -> Retire.t -> unit
+(** Retire the batch's entries in order.  Each entry's [desc] must come
+    from {!describe}; its address is read for loads and stores, its branch
+    word for control transfers.  Allocates nothing (with the latency
+    histogram off) and leaves the batch as it is. *)
 
 val attach : t -> Darco_obs.Bus.t -> unit
-(** Subscribe {!step} to the bus's retired-instruction stream (attach
-    before the run starts). *)
+(** Subscribe {!consume} and {!describe} to the bus's retired-instruction
+    stream (attach before the run starts; a bus takes one subscriber). *)
 
 val observe_latencies : t -> Darco_obs.Hist.t
 (** Install (or return the already-installed) load-latency histogram: from
@@ -116,6 +134,6 @@ val persist : t -> persisted
 
 val restore : persisted -> t
 (** Build a pipeline whose observable behaviour continues exactly where
-    [persist] left off.  Raises [Invalid_argument] if the persisted arrays
-    do not match the geometry implied by [p_cfg], checked before any
-    structure is allocated. *)
+    [persist] left off.  Raises [Invalid_argument] if [p_cfg] is a geometry
+    {!create} refuses or the persisted arrays do not match it, both checked
+    before any structure is allocated. *)

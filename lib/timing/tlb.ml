@@ -8,6 +8,7 @@ type t = {
   parent : int -> int;
   stats : stats;
   mutable tick : int;
+  mutable last : int;  (* the entry the previous hit found *)
 }
 
 let page_bits = 12
@@ -19,13 +20,16 @@ let create (geom : Tconfig.tlb_geom) ~parent =
     parent;
     stats = { accesses = 0; misses = 0 };
     tick = 0;
+    last = 0;
   }
 
 let walker (cfg : Tconfig.t) _vpn = cfg.tlb_walk_latency
 
 (* At most one valid entry maps a page: entries are filled only on a miss,
    and [apply] refuses persisted state that breaks the rule.  So a lookup
-   may stop at the first match, and returns its index, -1 on a miss. *)
+   may stop at the first match, and returns its index, -1 on a miss; and
+   when the previous hit's entry still maps the page, it is the match,
+   with no scan (consecutive accesses mostly share a page). *)
 let rec find entries vpn i =
   if i >= Array.length entries then -1
   else
@@ -46,8 +50,10 @@ let access t addr =
   let vpn = addr lsr page_bits in
   t.stats.accesses <- t.stats.accesses + 1;
   t.tick <- t.tick + 1;
-  let i = find t.entries vpn 0 in
+  let l = t.entries.(t.last) in
+  let i = if l.valid && l.vpn = vpn then t.last else find t.entries vpn 0 in
   if i >= 0 then begin
+    t.last <- i;
     t.entries.(i).lru <- t.tick;
     t.latency
   end

@@ -10,6 +10,19 @@
 open Darco_host
 module T = Darco_timing
 
+(* --- the per-instruction retire record ------------------------------------ *)
+
+(* One retired host instruction as a record, the shape the walker streamed
+   before it appended to [Retire] batches.  The reference model steps on
+   records; [add] packs the same instruction into a batch entry for
+   [Darco_timing.Pipeline.consume]. *)
+type retire_info = {
+  host_pc : int;
+  insn : Code.insn;
+  mem_access : (int * [ `Load | `Store ]) option;  (* effective address *)
+  branch : (bool * int) option;  (* taken?, target host PC *)
+}
+
 (* --- operand sets, as lists ---------------------------------------------- *)
 
 module Operands = struct
@@ -502,7 +515,7 @@ let acquire_unit free_cycles at occupancy =
 
 let line_of (cfg : T.Tconfig.t) pc = pc / cfg.il1.line
 
-let step t (ri : Emulator.retire_info) =
+let step t (ri : retire_info) =
   let cfg = t.cfg in
   if t.redirect_at > t.fetch_cycle then begin
     t.fetch_cycle <- t.redirect_at;
@@ -663,3 +676,35 @@ let persist t : T.Pipeline.persisted =
     p_rf_reads = t.rf_reads;
     p_rf_writes = t.rf_writes;
   }
+
+(* --- batches for the production pipeline ------------------------------------ *)
+
+(* Append one entry to a batch that has room, as the walker does. *)
+let append (b : Retire.t) ~pc ~desc ~addr ~branch =
+  let n = b.length in
+  b.pc.(n) <- pc;
+  b.desc.(n) <- desc;
+  b.addr.(n) <- addr;
+  b.branch.(n) <- branch;
+  b.length <- n + 1
+
+let add batch r =
+  append batch ~pc:r.host_pc ~desc:(T.Pipeline.describe r.insn)
+    ~addr:(match r.mem_access with Some (a, _) -> a | None -> 0)
+    ~branch:
+      (match r.branch with
+      | Some (taken, target) -> Retire.branch_word ~taken ~target
+      | None -> 0)
+
+(* Feed records to a production pipeline in batches of [size] entries. *)
+let consume_all ?(size = 256) p records =
+  let b = Retire.create size in
+  List.iter
+    (fun r ->
+      if b.length = size then begin
+        T.Pipeline.consume p b;
+        b.length <- 0
+      end;
+      add b r)
+    records;
+  T.Pipeline.consume p b

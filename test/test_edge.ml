@@ -212,16 +212,17 @@ let test_timing_config_monotonicity () =
   let feed cfg =
     let p = Darco_timing.Pipeline.create cfg in
     let rng = Darco_util.Rng.create 3 in
+    let b = Darco_host.Retire.create 2001 in
     for i = 0 to 2000 do
-      Darco_timing.Pipeline.step p
-        {
-          Darco_host.Emulator.host_pc = 0xC0000000 + (4 * i);
-          insn = Darco_host.Code.Bini (Add, 20 + (i mod 6), 21 + (i mod 3), 1);
-          mem_access =
-            (if i mod 4 = 0 then Some (Darco_util.Rng.int rng 0x8000, `Load) else None);
-          branch = None;
-        }
+      let insn : Darco_host.Code.insn =
+        if i mod 4 = 0 then Load (W32, false, 20 + (i mod 6), 21 + (i mod 3), 0)
+        else Bini (Add, 20 + (i mod 6), 21 + (i mod 3), 1)
+      in
+      let addr = if i mod 4 = 0 then Darco_util.Rng.int rng 0x8000 else 0 in
+      Ref_pipeline.append b ~pc:(0xC0000000 + (4 * i))
+        ~desc:(Darco_timing.Pipeline.describe insn) ~addr ~branch:0
     done;
+    Darco_timing.Pipeline.consume p b;
     Darco_timing.Pipeline.cycles p
   in
   let base = Darco_timing.Tconfig.default in

@@ -539,6 +539,160 @@ let prop_emulator_binop_vs_semantics =
       in
       v = expected)
 
+(* --- emulator: the batched retire stream ------------------------------------ *)
+
+(* A sink of [capacity] entries that keeps every entry it is flushed, in
+   order.  Each instruction's descriptor is [1000 * region id + index], so
+   an entry names the instruction it came from. *)
+let recording_sink ?(capacity = 64) () =
+  let got = ref [] and flushes = ref 0 in
+  let consume (b : Retire.t) =
+    Alcotest.(check bool) "a flush carries entries" true (b.length > 0);
+    incr flushes;
+    for i = 0 to b.length - 1 do
+      got := (b.pc.(i), b.desc.(i), b.addr.(i), b.branch.(i)) :: !got
+    done
+  in
+  let sink : Retire.sink =
+    {
+      batch = Retire.create capacity;
+      consume;
+      descriptors = (fun r -> Array.init (Array.length r.code) (fun i -> (1000 * r.id) + i));
+    }
+  in
+  (sink, (fun () -> List.rev !got), flushes)
+
+(* The entry instruction [i] of [r] must produce. *)
+let entry ?(addr = 0) ?branch (r : Code.region) i =
+  let branch =
+    match branch with
+    | Some (taken, target) -> Retire.branch_word ~taken ~target
+    | None -> 0
+  in
+  (Code.host_pc r i, (1000 * r.id) + i, addr, branch)
+
+let entry_t = Alcotest.(list (pair (pair int int) (pair int int)))
+let as_pairs = List.map (fun (pc, d, a, b) -> ((pc, d), (a, b)))
+
+let check_entries what (sink : Retire.sink) got want =
+  Alcotest.(check int) (what ^ ": batch empty on return") 0 sink.batch.length;
+  Alcotest.check entry_t (what ^ ": entries") (as_pairs want) (as_pairs (got ()))
+
+let test_retire_chained_exit () =
+  let m, _ = fresh_machine () in
+  let exit_b = exit_info ~kind:(Code.Exit_direct 0x2000) () in
+  let b =
+    mk_region ~id:2 [| Code.Chk; Code.Bini (Add, 20, 20, 1); Code.Commit 1; Code.Exit exit_b |]
+  in
+  let exit_a = exit_info ~kind:(Code.Exit_direct 0x1000) () in
+  let a = mk_region ~id:1 [| Code.Chk; Code.Commit 1; Code.Exit exit_a |] in
+  exit_a.chain <- Some b;
+  let sink, got, _ = recording_sink () in
+  let res = Emulator.run m ~resolve:(fun _ -> None) ~retire:sink a in
+  (match res.stop with Emulator.Stop_exit _ -> () | _ -> Alcotest.fail "expected exit");
+  check_entries "chained exit" sink got
+    [
+      entry a 0; entry a 1; entry a 2 ~branch:(true, b.base);
+      entry b 0; entry b 1; entry b 2; entry b 3 ~branch:(true, 0xE000_0000);
+    ]
+
+let test_retire_indirect_miss () =
+  let m, _ = fresh_machine () in
+  Machine.set m 20 0xDEAD0000;
+  Machine.set m 21 0x7777;
+  let r = mk_region ~id:3 [| Code.Chk; Code.Commit 1; Code.Jr (20, 21) |] in
+  let sink, got, _ = recording_sink () in
+  let res = Emulator.run m ~resolve:(fun _ -> None) ~retire:sink r in
+  (match res.stop with
+  | Emulator.Stop_indirect_miss _ -> ()
+  | _ -> Alcotest.fail "expected indirect miss");
+  check_entries "indirect miss" sink got
+    [ entry r 0; entry r 1; entry r 2 ~branch:(true, 0xDEAD0000) ]
+
+let test_retire_assert_rollback () =
+  let m, _ = fresh_machine () in
+  let r =
+    mk_region ~id:4
+      [|
+        Code.Chk; Code.Li (21, 1); Code.Assert (Beq, 21, 0); Code.Commit 1;
+        Code.Exit (exit_info ());
+      |]
+  in
+  let sink, got, _ = recording_sink () in
+  let res = Emulator.run m ~resolve:(fun _ -> None) ~retire:sink r in
+  (match res.stop with
+  | Emulator.Stop_rollback (`Assert, _) -> ()
+  | _ -> Alcotest.fail "expected assert rollback");
+  (* the failed Assert retired before its comparison *)
+  check_entries "assert rollback" sink got [ entry r 0; entry r 1; entry r 2 ]
+
+let test_retire_alias_rollback () =
+  let m, _ = fresh_machine () in
+  Machine.set m 20 0x3000;
+  let r =
+    mk_region ~id:5
+      [|
+        Code.Chk; Code.Sload (W32, false, 21, 20, 0); Code.Store (W8, 22, 20, 2);
+        Code.Commit 1; Code.Exit (exit_info ());
+      |]
+  in
+  let sink, got, _ = recording_sink () in
+  let res = Emulator.run m ~resolve:(fun _ -> None) ~retire:sink r in
+  (match res.stop with
+  | Emulator.Stop_rollback (`Alias, _) -> ()
+  | _ -> Alcotest.fail "expected alias rollback");
+  (* the store that hit the speculated load has no entry *)
+  check_entries "alias rollback" sink got [ entry r 0; entry r 1 ~addr:0x3000 ]
+
+let test_retire_page_fault () =
+  let m = Machine.create (Memory.create `Fault) in
+  Machine.set m 20 0x5000;
+  let r =
+    mk_region ~id:6
+      [|
+        Code.Chk; Code.Bini (Add, 22, 20, 4); Code.Load (W32, false, 21, 20, 8);
+        Code.Commit 1; Code.Exit (exit_info ());
+      |]
+  in
+  let sink, got, _ = recording_sink () in
+  let res = Emulator.run m ~resolve:(fun _ -> None) ~retire:sink r in
+  (match res.stop with
+  | Emulator.Stop_fault (5, _) -> ()
+  | _ -> Alcotest.fail "expected a fault on page 5");
+  check_entries "page fault" sink got [ entry r 0; entry r 1 ]
+
+(* Fuel stops a self-chained region after 17 passes (51 entries); an
+   8-entry batch is flushed 7 times without losing one. *)
+let test_retire_fuel_flushes_without_loss () =
+  let m, _ = fresh_machine () in
+  let e = exit_info ~kind:(Code.Exit_direct 0x3000) () in
+  let r = mk_region ~id:7 ~entry_pc:0x3000 [| Code.Chk; Code.Commit 1; Code.Exit e |] in
+  e.chain <- Some r;
+  let sink, got, flushes = recording_sink ~capacity:8 () in
+  let res = Emulator.run m ~resolve:(fun _ -> None) ~fuel:50 ~retire:sink r in
+  (match res.stop with
+  | Emulator.Stop_fuel 0x3000 -> ()
+  | _ -> Alcotest.fail "expected a fuel stop");
+  Alcotest.(check int) "host retired" 51 res.host_retired;
+  check_entries "fuel" sink got
+    (List.concat
+       (List.init 17 (fun _ -> [ entry r 0; entry r 1; entry r 2 ~branch:(true, r.base) ])));
+  Alcotest.(check int) "flushes" 7 !flushes
+
+(* A malformed region that loops on itself trips the walker's runaway
+   bound; every entry retired before it is still delivered, in order. *)
+let test_retire_cyclic_region_loses_nothing () =
+  let m, _ = fresh_machine () in
+  let r = mk_region ~id:8 [| Code.Chk; Code.J 0 |] in
+  let sink, got, _ = recording_sink ~capacity:64 () in
+  (match Emulator.run m ~resolve:(fun _ -> None) ~retire:sink r with
+  | _ -> Alcotest.fail "a cyclic region ran to a stop"
+  | exception Assert_failure _ -> ());
+  let steps = (100 * Array.length r.code) + 10_000 in
+  check_entries "cyclic region" sink got
+    (List.init steps (fun k ->
+         if k mod 2 = 0 then entry r 0 else entry r 1 ~branch:(true, r.base)))
+
 (* An operand set as a list, through the scratch-array form. *)
 let operands f insn =
   let dst = Array.make Code.max_operands (-1) in
@@ -603,5 +757,17 @@ let () =
           Alcotest.test_case "isel + mkfl" `Quick test_emulator_isel_mkfl;
           QCheck_alcotest.to_alcotest prop_emulator_binop_vs_semantics;
           Alcotest.test_case "def/use sets" `Quick test_defs_uses_consistency;
+        ] );
+      ( "retire",
+        [
+          Alcotest.test_case "chained exit" `Quick test_retire_chained_exit;
+          Alcotest.test_case "indirect miss" `Quick test_retire_indirect_miss;
+          Alcotest.test_case "assert rollback" `Quick test_retire_assert_rollback;
+          Alcotest.test_case "alias rollback" `Quick test_retire_alias_rollback;
+          Alcotest.test_case "page fault" `Quick test_retire_page_fault;
+          Alcotest.test_case "fuel, flushed without loss" `Quick
+            test_retire_fuel_flushes_without_loss;
+          Alcotest.test_case "cyclic region loses nothing" `Quick
+            test_retire_cyclic_region_loses_nothing;
         ] );
     ]

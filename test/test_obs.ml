@@ -190,6 +190,21 @@ let test_no_sink_identical () =
     (Stats.guest_total so);
   Alcotest.(check bool) "identical counters" true (Stats.equal sq so)
 
+(* --- one retire subscriber per bus --------------------------------------- *)
+
+let test_one_retire_subscriber () =
+  let bus = Bus.create () in
+  Alcotest.(check bool) "none yet" true (Option.is_none (Bus.retire_hook bus));
+  Bus.on_retire bus ignore;
+  (match Bus.retire_hook bus with
+  | Some sub ->
+    Alcotest.(check int) "default descriptor" 0 (sub.describe Darco_host.Code.Nop);
+    Alcotest.(check int) "batch starts empty" 0 sub.batch.length
+  | None -> Alcotest.fail "subscription lost");
+  match Bus.on_retire bus ~describe:(fun _ -> 1) ignore with
+  | () -> Alcotest.fail "a second subscriber was accepted"
+  | exception Invalid_argument _ -> ()
+
 (* --- metrics snapshot parses back with consistent totals ---------------- *)
 
 let test_metrics_json () =
@@ -930,6 +945,7 @@ let () =
         [
           Alcotest.test_case "trace JSONL parses back" `Quick test_trace_jsonl;
           Alcotest.test_case "no-sink run identical" `Quick test_no_sink_identical;
+          Alcotest.test_case "one retire subscriber per bus" `Quick test_one_retire_subscriber;
           Alcotest.test_case "metrics snapshot" `Quick test_metrics_json;
           Alcotest.test_case "metrics hists section" `Quick test_metrics_hists;
         ] );

@@ -4,15 +4,12 @@ module Code = Darco_host.Code
 
 let run_stream n insn_of =
   let p = Pipeline.create Tconfig.default in
+  let b = Darco_host.Retire.create n in
   for i = 0 to n - 1 do
-    Pipeline.step p
-      {
-        Darco_host.Emulator.host_pc = 0xC0000000 + (4 * i);
-        insn = insn_of i;
-        mem_access = None;
-        branch = None;
-      }
+    Ref_pipeline.append b ~pc:(0xC0000000 + (4 * i)) ~desc:(Pipeline.describe (insn_of i))
+      ~addr:0 ~branch:0
   done;
+  Pipeline.consume p b;
   Pipeline.events p
 
 let test_report_consistency () =

@@ -1,6 +1,6 @@
 open Darco_timing
 module Code = Darco_host.Code
-module Emulator = Darco_host.Emulator
+module Retire = Darco_host.Retire
 
 (* --- cache --------------------------------------------------------------- *)
 
@@ -118,12 +118,12 @@ let test_prefetcher_ignores_random () =
 
 (* --- pipeline --------------------------------------------------------------- *)
 
-let ri ?(pc = 0xC0000000) ?mem ?branch insn : Emulator.retire_info =
+let ri ?(pc = 0xC0000000) ?mem ?branch insn : Ref_pipeline.retire_info =
   { host_pc = pc; insn; mem_access = mem; branch }
 
 let feed cfg stream =
   let p = Pipeline.create cfg in
-  List.iter (Pipeline.step p) stream;
+  Ref_pipeline.consume_all p stream;
   p
 
 let nop_stream n = List.init n (fun i -> ri ~pc:(0xC0000000 + (4 * i)) (Code.Li (20, i)))
@@ -195,6 +195,7 @@ let prop_pipeline_monotone_cycles =
     QCheck.small_int (fun seed ->
       let rng = Darco_util.Rng.create seed in
       let p = Pipeline.create Tconfig.default in
+      let b = Retire.create 1 in
       let ok = ref true in
       let last = ref 0 in
       for i = 0 to 300 do
@@ -212,7 +213,9 @@ let prop_pipeline_monotone_cycles =
           | Code.Store _ -> Some (Darco_util.Rng.int rng 0x40000, `Store)
           | _ -> None
         in
-        Pipeline.step p (ri ?mem ~pc:(0xC0000000 + (4 * i)) insn);
+        b.length <- 0;
+        Ref_pipeline.add b (ri ?mem ~pc:(0xC0000000 + (4 * i)) insn);
+        Pipeline.consume p b;
         let c = Pipeline.cycles p in
         if c < !last then ok := false;
         last := c
@@ -397,19 +400,21 @@ let gen_stream ~len st =
         | Jr _ -> go_to (Random.State.int st nblocks)
         | Exit _ when Random.State.bool st -> go_to (Random.State.int st nblocks)
         | Exit _ ->
+          (* unchained, as the walker records it: the TOL dispatches next *)
           b := Random.State.int st nblocks;
           i := 0;
-          None
+          Some (true, 0xE000_0000)
         | _ ->
           fall_through ();
           None
       in
-      ({ host_pc = pc; insn; mem_access = mem; branch } : Emulator.retire_info))
+      ({ host_pc = pc; insn; mem_access = mem; branch } : Ref_pipeline.retire_info))
 
 let configs = [ ("default", Tconfig.default); ("narrow", Tconfig.narrow); ("wide", Tconfig.wide) ]
 
-(* Both pipelines over one stream; the production one is also persisted
-   and restored at a random point, which must not change anything. *)
+(* One stream, record by record into the reference and in batches cut at
+   random sizes into the production pipeline, which is also persisted and
+   restored at a random batch boundary: neither may change anything. *)
 let prop_matches_reference (name, cfg) =
   QCheck.Test.make ~count:40
     ~name:(Printf.sprintf "pipeline equals the reference model (%s)" name)
@@ -417,15 +422,23 @@ let prop_matches_reference (name, cfg) =
     (fun seed ->
       let st = Random.State.make [| seed |] in
       let stream = gen_stream ~len:(500 + Random.State.int st 3500) st in
-      let split = Random.State.int st (Array.length stream) in
+      let n = Array.length stream in
+      let split = Random.State.int st n in
       let r = Ref_pipeline.create cfg in
+      Array.iter (Ref_pipeline.step r) stream;
       let p = ref (Pipeline.create cfg) in
-      Array.iteri
-        (fun k ri ->
-          if k = split then p := Pipeline.restore (Pipeline.persist !p);
-          Ref_pipeline.step r ri;
-          Pipeline.step !p ri)
-        stream;
+      let b = Retire.create n in
+      let k = ref 0 in
+      while !k < n do
+        let stop = Int.min n (!k + 1 + Random.State.int st 300) in
+        b.length <- 0;
+        for j = !k to stop - 1 do
+          Ref_pipeline.add b stream.(j)
+        done;
+        if !k <= split && split < stop then p := Pipeline.restore (Pipeline.persist !p);
+        Pipeline.consume !p b;
+        k := stop
+      done;
       let p = !p in
       Pipeline.persist p = Ref_pipeline.persist r
       && Pipeline.summary p = Ref_pipeline.summary r
@@ -439,11 +452,11 @@ let test_streams_cover_constructors () =
     (fun (name, cfg) ->
       let p = Pipeline.create cfg in
       for seed = 0 to 39 do
+        let stream = gen_stream ~len:4000 (Random.State.make [| seed |]) in
         Array.iter
-          (fun (r : Emulator.retire_info) ->
-            seen.(constructor_index r.insn) <- true;
-            Pipeline.step p r)
-          (gen_stream ~len:4000 (Random.State.make [| seed |]))
+          (fun (r : Ref_pipeline.retire_info) -> seen.(constructor_index r.insn) <- true)
+          stream;
+        Ref_pipeline.consume_all ~size:1000 p (Array.to_list stream)
       done;
       let s = Pipeline.summary p and e = Pipeline.events p in
       let q = Pipeline.persist p in
@@ -468,20 +481,40 @@ let test_streams_cover_constructors () =
     (fun i s -> if not s then Alcotest.failf "constructor %d never retired" i)
     seen
 
-(* The per-instruction path allocates nothing once the pipeline exists
-   (latency histogram off). *)
-let test_step_allocates_nothing () =
+(* Consuming a batch allocates nothing once the pipeline exists (latency
+   histogram off). *)
+let test_consume_allocates_nothing () =
   List.iter
     (fun (name, cfg) ->
       let stream = gen_stream ~len:20_000 (Random.State.make [| 11 |]) in
+      let b = Retire.create (Array.length stream) in
+      Array.iter (Ref_pipeline.add b) stream;
       let p = Pipeline.create cfg in
       let before = Gc.minor_words () in
-      for k = 0 to Array.length stream - 1 do
-        Pipeline.step p stream.(k)
-      done;
+      Pipeline.consume p b;
       let words = Gc.minor_words () -. before in
-      Alcotest.(check (float 0.)) (name ^ ": minor words over 20k steps") 0. words)
+      Alcotest.(check (float 0.)) (name ^ ": minor words over a 20k-entry batch") 0. words)
     configs
+
+(* A warm timed window, end to end: the walker appends to the batch and
+   the pipeline consumes it, and neither allocates per retired
+   instruction.  The window starts where the first 200k-instruction slice
+   stops; what remains (about 0.07 words) is per-slice and per-region
+   work that a functional run pays too. *)
+let test_warm_timed_window_allocation () =
+  let ctl =
+    Darco.Controller.create ~seed:42
+      ((Darco_workloads.Registry.find "401.bzip2").build ())
+  in
+  Pipeline.attach (Pipeline.create Tconfig.default) (Darco.Controller.bus ctl);
+  let retired () = Darco.Stats.guest_total (Darco.Controller.stats ctl) in
+  ignore (Darco.Controller.run ~max_insns:100_000 ctl);
+  let from = retired () in
+  let before = Gc.minor_words () in
+  ignore (Darco.Controller.run ~max_insns:(from + 200_000) ctl);
+  let per_insn = (Gc.minor_words () -. before) /. float_of_int (retired () - from) in
+  if not (per_insn <= 0.1) then
+    Alcotest.failf "%.3f minor words per guest instruction (bound 0.1)" per_insn
 
 (* --- restore refuses states the fast paths assume away ---------------------- *)
 
@@ -532,6 +565,63 @@ let test_restore_checks_geometry_first () =
     (Printf.sprintf "refused before allocating (%.0f bytes allocated)" allocated)
     true (allocated < 1e6)
 
+(* --- geometries the structures cannot index ------------------------------------ *)
+
+(* Sets and BTB/prefetch tables are indexed by mask, lines by shift, and
+   victims are searched from entry 0: each of these would alias entries or
+   fail on the first access, so [create] refuses it. *)
+let bad_geometries =
+  let d = Tconfig.default in
+  let cache name get set =
+    let g : Tconfig.cache_geom = get d in
+    [
+      (name ^ " 48 sets", set d { g with sets = 48 });
+      (name ^ " 0 sets", set d { g with sets = 0 });
+      (name ^ " 48-byte line", set d { g with line = 48 });
+      (name ^ " 0-byte line", set d { g with line = 0 });
+      (name ^ " 0 ways", set d { g with ways = 0 });
+    ]
+  and tlb name get set =
+    let g : Tconfig.tlb_geom = get d in
+    [ (name ^ " 0 entries", set d { g with entries = 0 }) ]
+  in
+  cache "IL1" (fun c -> c.Tconfig.il1) (fun c g -> { c with il1 = g })
+  @ cache "DL1" (fun c -> c.Tconfig.dl1) (fun c g -> { c with dl1 = g })
+  @ cache "L2" (fun c -> c.Tconfig.l2) (fun c g -> { c with l2 = g })
+  @ tlb "I-TLB" (fun c -> c.Tconfig.itlb) (fun c g -> { c with itlb = g })
+  @ tlb "D-TLB" (fun c -> c.Tconfig.dtlb) (fun c g -> { c with dtlb = g })
+  @ tlb "L2 TLB" (fun c -> c.Tconfig.l2tlb) (fun c g -> { c with l2tlb = g })
+  @ [
+      ("0 BTB entries", { d with btb_entries = 0 });
+      ("48 BTB entries", { d with btb_entries = 48 });
+      ("0 prefetch-table entries", { d with prefetch_table = 0 });
+      ("48 prefetch-table entries", { d with prefetch_table = 48 });
+    ]
+
+let test_create_refuses_bad_geometry () =
+  List.iter (fun (_, cfg) -> ignore (Pipeline.create cfg)) configs;
+  List.iter
+    (fun (what, cfg) -> expect_invalid what (fun () -> Pipeline.create cfg))
+    bad_geometries
+
+(* Persisted states whose arrays match their (bad) configuration: the size
+   check alone would accept them. *)
+let test_restore_refuses_bad_geometry () =
+  let good = Pipeline.persist (feed Tconfig.default (nop_stream 100)) in
+  let cfg = good.p_cfg in
+  let dl1 = { cfg.dl1 with sets = 48 } in
+  let lines = Array.init 48 (fun _ -> Array.make dl1.ways (0, false, false, 0)) in
+  expect_invalid "48-set DL1" (fun () ->
+      Pipeline.restore
+        { good with p_cfg = { cfg with dl1 }; p_dl1 = { good.p_dl1 with p_lines = lines } });
+  expect_invalid "0 BTB entries" (fun () ->
+      Pipeline.restore
+        {
+          good with
+          p_cfg = { cfg with btb_entries = 0 };
+          p_bp = { good.p_bp with p_btb_tag = [||]; p_btb_target = [||] };
+        })
+
 let () =
   Alcotest.run "timing"
     [
@@ -569,7 +659,10 @@ let () =
         @ [
             Alcotest.test_case "streams cover every constructor and path" `Quick
               test_streams_cover_constructors;
-            Alcotest.test_case "step allocates nothing" `Quick test_step_allocates_nothing;
+            Alcotest.test_case "consume allocates nothing" `Quick
+              test_consume_allocates_nothing;
+            Alcotest.test_case "warm timed window of 401.bzip2 allocates little" `Quick
+              test_warm_timed_window_allocation;
           ] );
       ( "restore",
         [
@@ -578,5 +671,12 @@ let () =
             test_restore_rejects_duplicate_tlb_page;
           Alcotest.test_case "geometry checked before allocation" `Quick
             test_restore_checks_geometry_first;
+          Alcotest.test_case "refuses geometries the structures cannot index" `Quick
+            test_restore_refuses_bad_geometry;
+        ] );
+      ( "geometry",
+        [
+          Alcotest.test_case "create refuses what the structures cannot index" `Quick
+            test_create_refuses_bad_geometry;
         ] );
     ]

@@ -514,6 +514,38 @@ let test_superblock_shadows_bb () =
   Alcotest.(check bool) "bb on request" true
     (match Codecache.find cc ~prefer_bb:true 0x1000 with Some x -> x == bb | None -> false)
 
+(* Timing descriptors are built once per region, on the first timed
+   execution, and dropped with the region; a restored cache starts with
+   none. *)
+let test_codecache_descriptors () =
+  let cc, stats = fresh_cache () in
+  let calls = ref 0 in
+  let describe _ =
+    incr calls;
+    !calls
+  in
+  let a = Codecache.insert cc Config.default (simple_region_ir 0x1000) in
+  let n = Array.length a.code in
+  let d = Codecache.descriptors cc ~describe a in
+  Alcotest.(check (array int)) "one per instruction, in order" (Array.init n (fun i -> i + 1)) d;
+  Alcotest.(check bool) "memoized" true (Codecache.descriptors cc ~describe a == d);
+  Alcotest.(check int) "described once" n !calls;
+  Codecache.invalidate cc a;
+  ignore (Codecache.descriptors cc ~describe a);
+  Alcotest.(check int) "dropped by invalidate" (2 * n) !calls;
+  let b = Codecache.insert cc Config.default (simple_region_ir 0x2000) in
+  ignore (Codecache.descriptors cc ~describe b);
+  let restored = Codecache.unpersist (Tolmem.create (Memory.create `Fault)) stats (Codecache.persist cc) in
+  calls := 0;
+  (match Codecache.find restored 0x2000 with
+  | Some r -> ignore (Codecache.descriptors restored ~describe r)
+  | None -> Alcotest.fail "restored region missing");
+  Alcotest.(check int) "empty after unpersist" n !calls;
+  Codecache.flush cc;
+  calls := 0;
+  ignore (Codecache.descriptors cc ~describe b);
+  Alcotest.(check int) "dropped by flush" n !calls
+
 let () =
   Alcotest.run "tol"
     [
@@ -543,5 +575,7 @@ let () =
           Alcotest.test_case "capacity flush" `Quick test_codecache_capacity_flush;
           Alcotest.test_case "ibtc purge" `Quick test_ibtc_fill_and_purge;
           Alcotest.test_case "superblock shadows bb" `Quick test_superblock_shadows_bb;
+          Alcotest.test_case "timing descriptors memoized per region" `Quick
+            test_codecache_descriptors;
         ] );
     ]
