@@ -926,12 +926,15 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
         !clients)
   @@ fun () ->
   while continue () do
+    plan_step ();
     let cfds =
       List.filter_map (fun c -> if c.c_alive then Some c.c_fd else None)
         !clients
     in
+    (* queued work must not wait for the tick: poll the clients and go
+       straight on to the next round *)
     let rd, _, _ =
-      try Unix.select (lsock :: cfds) [] [] 0.25
+      try Unix.select (lsock :: cfds) [] [] (if have_work () then 0.0 else 0.25)
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
     if List.mem lsock rd then accept_client ();
@@ -951,6 +954,5 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
       next_dump := Unix.gettimeofday () +. metrics_interval;
       (try dump_metrics path with Sys_error _ -> ())
     | _ -> ());
-    plan_step ();
     if have_work () then round ()
   done

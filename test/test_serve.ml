@@ -766,6 +766,64 @@ let test_serve_concurrent_sharing () =
            | _ -> false)
         >= 4))
 
+(* --- queued work goes out as soon as a slot frees ----------------------- *)
+
+(* Six windows through one one-slot worker at [credit 2]: each time a unit
+   settles, the next queued one must leave at once.  A daemon that sleeps
+   on a timer while units wait shows the timer's period in the gap from a
+   [Dispatch_done] to the next [Dispatch_sent]; the windows themselves
+   take a few milliseconds. *)
+let test_serve_no_idle_gap () =
+  with_temp_dir @@ fun dir ->
+  with_worker @@ fun waddr ->
+  let spec =
+    Campaign.normalize
+      { spec1 with offsets = List.init 6 (fun i -> 4_000 + (i * 5_000)) }
+  in
+  let pipe = Unix.pipe () in
+  let pid =
+    fork_client pipe (fun addr ->
+        match Client.submit addr spec with
+        | Ok (st, _) ->
+          write_file
+            (Filename.concat dir "six.stats")
+            (Printf.sprintf "%d %d %d %d" st.Client.done_ st.Client.total
+               st.Client.hits st.Client.dispatched)
+        | Error e -> write_file (Filename.concat dir "six.err") e)
+  in
+  let bus = Darco_obs.Bus.create () in
+  let stamps = ref [] in
+  Darco_obs.Bus.attach bus ~name:"stamps" (fun ~at ev ->
+      match ev with
+      | Event.Dispatch_sent _ -> stamps := (`Sent, at) :: !stamps
+      | Event.Dispatch_done _ -> stamps := (`Done, at) :: !stamps
+      | _ -> ());
+  Serve.serve ~bus ~quiet:true ~workers:(fun () -> [ waddr ]) ~credit:2
+    ~max_submissions:1
+    ~ready:(announce [ snd pipe ])
+    ~library:(Filename.concat dir "lib") ~host:"127.0.0.1" ~port:0 ();
+  wait pid;
+  Alcotest.(check (list int)) "six windows dispatched" [ 6; 6; 0; 6 ]
+    (let a, b, c, d = parse_stats (must_read dir "six.stats") in
+     [ a; b; c; d ]);
+  (* every settled unit followed by another send, in stamp order *)
+  let rec gaps acc = function
+    | (`Done, d) :: rest -> (
+      match List.find_opt (fun (k, _) -> k = `Sent) rest with
+      | Some (_, s) -> gaps ((s - d) :: acc) rest
+      | None -> List.rev acc)
+    | _ :: rest -> gaps acc rest
+    | [] -> List.rev acc
+  in
+  let gaps = gaps [] (List.rev !stamps) in
+  Alcotest.(check int) "a gap after every window but the last" 5
+    (List.length gaps);
+  List.iter
+    (fun g ->
+      if g >= 50_000 then
+        Alcotest.failf "%d us from a dispatch_done to the next dispatch_sent" g)
+    gaps
+
 (* --- live telemetry end to end ----------------------------------------- *)
 
 module Top = Darco_serve.Top
@@ -955,6 +1013,8 @@ let () =
             test_serve_concurrent_sharing;
           Alcotest.test_case "adaptive campaign exits early" `Quick
             test_serve_adaptive_campaign;
+          Alcotest.test_case "no idle gap between queued units" `Quick
+            test_serve_no_idle_gap;
         ] );
       ( "telemetry",
         [
