@@ -76,7 +76,25 @@ let backoff_base = 0.2
    young units are almost certainly just still computing. *)
 let steal_fraction = 0.25
 
-type inflight = { if_attempt : int; if_deadline : float; if_sent_at : float }
+(* One unit, from [add] until it settles.  Its id is unique within the
+   session: it is the unit's wire id, so a stale frame (e.g. the loser of
+   a steal race finishing late) can never alias a later unit, and the
+   correlation id of its dispatcher spans. *)
+type job = {
+  j_id : int;
+  j_work : Work.t;
+  j_k : Sweep.outcome -> unit;
+  mutable j_attempt : int;
+  mutable j_settled : bool;
+  (* the dispatcher-side span open for the unit: "queued" covers arrival
+     to dispatch (and backoff waits), "inflight" dispatch to settle on the
+     primary holder; stolen duplicates open none (the [Steal] instant
+     marks them) *)
+  mutable j_span : string option;
+  mutable j_lost_with : string;  (* why its last worker was lost *)
+}
+
+type inflight = { if_job : job; if_deadline : float; if_sent_at : float }
 
 (* One queued outbound frame: its exact wire bytes, how much has reached
    the kernel, and what to do once the last byte is written (or the
@@ -94,11 +112,11 @@ type worker_state = {
   w_addr : string;
   (* position in the caller's worker list; used to derive a stable
      correlation id for per-worker spans (checkpoint pushes) that cannot
-     collide with unit indices *)
+     collide with unit ids *)
   w_ix : int;
   mutable w_fd : Unix.file_descr option;
   w_slots : int;
-  (* unit index -> its in-flight record; up to [w_slots] entries *)
+  (* unit id -> its in-flight record; up to [w_slots] entries *)
   w_inflight : (int, inflight) Hashtbl.t;
   (* checkpoint digests this worker has been assigned or pushed — any
      later unit sharing one rides the worker's cached copy *)
@@ -195,15 +213,13 @@ let connect_worker ~bus ~timeout ~ix (a : addr) =
       | exception B.Corrupt m -> fail (Some fd) ("malformed handshake: " ^ m)
     end)
 
-(* A persistent dispatch session: worker connections made once, then any
-   number of rounds of units run through them.  What persists between
-   rounds is exactly what is expensive to rebuild — the TCP connections,
-   each worker's [w_seen] checkpoint cache (a later round whose units
-   share a digest with an earlier one rides the copies already pushed),
-   and half-drained outbound frames.  Wire unit ids are offset by
-   [se_base] so every round's ids are globally unique within the session:
-   a stale frame from an earlier round (e.g. the loser of a steal race
-   finishing late) can never alias a current unit. *)
+(* A dispatch session: the one incremental core behind every remote
+   dispatch.  [add] queues a unit with its completion callback and [step]
+   takes one select step, so a caller can interleave its own sockets (the
+   campaign daemon's clients) with the workers'.  What persists between
+   calls is exactly what is expensive to rebuild — the TCP connections,
+   each worker's [w_seen] checkpoint cache and half-drained outbound
+   frames — along with the in-flight units, their deadlines and retries. *)
 type session = {
   se_bus : Bus.t option;
   se_store : Store.t option;
@@ -212,540 +228,522 @@ type session = {
   se_keepalive_misses : int;
   se_timeout : float;
   se_retries : int;
-  se_addrs : addr list;
-  se_ws : worker_state list;
-  mutable se_base : int;
+  se_workers : unit -> addr list;
+  (* what [se_workers] last answered; [None] before the first dispatch *)
+  mutable se_addrs : addr list option;
+  (* the workers connected since then, lost ones included *)
+  mutable se_ws : worker_state list;
+  mutable se_next_id : int;
+  (* units waiting for a slot, with the earliest time each may go, in
+     arrival order *)
+  mutable se_queue : (job * float) list;
+  mutable se_settled : int;  (* units settled so far *)
+  mutable se_straggler_pct : int;
 }
 
 let open_session ?bus ?(fallback_jobs = 4) ?store ?(keepalive_idle = 5.0)
     ?(keepalive_misses = 3) ?(timeout = 60.0) ?(retries = 2) workers =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let ws =
-    List.filter_map
-      (fun (ix, a) -> connect_worker ~bus ~timeout ~ix a)
-      (List.mapi (fun ix a -> (ix, a)) workers)
-  in
-  {
-    se_bus = bus;
-    se_store = store;
-    se_fallback_jobs = fallback_jobs;
-    se_keepalive_idle = keepalive_idle;
-    se_keepalive_misses = keepalive_misses;
-    se_timeout = timeout;
-    se_retries = retries;
-    se_addrs = workers;
-    se_ws = ws;
-    se_base = 0;
-  }
+  { se_bus = bus; se_store = store; se_fallback_jobs = fallback_jobs;
+    se_keepalive_idle = keepalive_idle; se_keepalive_misses = keepalive_misses;
+    se_timeout = timeout; se_retries = retries; se_workers = workers;
+    se_addrs = None; se_ws = []; se_next_id = 0; se_queue = [];
+    se_settled = 0; se_straggler_pct = 0 }
 
-let close_session se =
-  List.iter
-    (fun w ->
-      (* frames still queued (e.g. a push for a unit that was stolen and
-         finished elsewhere) will never drain: fail their completions so
-         their spans close *)
-      Queue.iter (fun e -> e.ob_done false) w.w_outbox;
-      Queue.clear w.w_outbox;
-      Option.iter close_quietly w.w_fd;
-      w.w_fd <- None)
-    se.se_ws
+(* Frames still queued will never arrive: fail their completions so their
+   spans close. *)
+let disconnect w =
+  Option.iter close_quietly w.w_fd;
+  w.w_fd <- None;
+  Queue.iter (fun e -> e.ob_done false) w.w_outbox;
+  Queue.clear w.w_outbox
 
-let session_run se works =
-  let bus = se.se_bus and store = se.se_store in
-  let timeout = se.se_timeout and retries = se.se_retries in
-  let fallback_jobs = se.se_fallback_jobs in
-  let keepalive_idle = se.se_keepalive_idle in
-  let keepalive_misses = se.se_keepalive_misses in
-  let units = Array.of_list works in
-  let n = Array.length units in
-  let base = se.se_base in
-  se.se_base <- base + n;
-  let outcomes = Array.make n (Sweep.Failed "not dispatched") in
-  let finished = Array.make n false in
-  let done_count = ref 0 in
-  let ws = se.se_ws in
-  let live () = List.filter (fun w -> w.w_fd <> None) ws in
-  (* Per-unit span state: which dispatcher-side span is currently open for
-     unit [i].  "queued" covers arrival-to-dispatch (and backoff waits),
-     "inflight" covers dispatch-to-settle on the primary holder; stolen
-     duplicates do not reopen spans (the [Steal] instant marks them). *)
-  let open_span = Array.make n `None in
-  let close_span i ~ok =
-    (match open_span.(i) with
-    | `None -> ()
-    | `Queued ->
-      span bus (Span.end_ ~ok ~span:"queued" ~corr:i ~host:dispatcher_host ())
-    | `Inflight ->
-      span bus (Span.end_ ~ok ~span:"inflight" ~corr:i ~host:dispatcher_host ()));
-    open_span.(i) <- `None
+let close_session se = List.iter disconnect se.se_ws
+
+let live se = List.filter (fun w -> w.w_fd <> None) se.se_ws
+
+(* An idle session (nothing queued or in flight) with fewer live
+   connections than addresses reconnects at its next dispatch: nothing in
+   flight can be held up by it. *)
+let wants_refresh se =
+  se.se_queue = []
+  && List.for_all (fun w -> Hashtbl.length w.w_inflight = 0) se.se_ws
+  &&
+  match se.se_addrs with
+  | None -> true
+  | Some addrs -> List.length (live se) < List.length addrs
+
+(* Ask for the addresses again and connect every one without a live
+   connection; live ones keep their units and pushed checkpoints.  Over a
+   loopback fleet the answer comes from [fleet_revive], which first
+   restarts any worker that died. *)
+let refresh se =
+  let addrs = se.se_workers () in
+  se.se_addrs <- Some addrs;
+  let lv = live se in
+  let connect ix a =
+    if List.exists (fun w -> w.w_addr = addr_to_string a) lv then None
+    else connect_worker ~bus:se.se_bus ~timeout:se.se_timeout ~ix a
   in
-  let open_queued i ~detail =
-    span bus (Span.begin_ ~detail ~span:"queued" ~corr:i ~host:dispatcher_host ());
-    open_span.(i) <- `Queued
-  in
-  Array.iteri (fun i (u : Work.t) -> open_queued i ~detail:u.Work.label) units;
-  (* how many live workers currently hold unit [i] (can exceed 1 after a
-     steal speculatively duplicated it) *)
-  let copies i =
-    List.length
-      (List.filter (fun w -> w.w_fd <> None && Hashtbl.mem w.w_inflight i) ws)
-  in
-  let gauge w =
-    emit bus
-      (Event.Dispatch_inflight
-         { worker = w.w_addr; in_flight = Hashtbl.length w.w_inflight })
-  in
-  (* Write as much queued output as the socket will take without blocking.
-     Returns false when the connection proved dead (the caller loses the
-     worker; never called on a healthy empty queue in that state). *)
-  let flush_outbox w =
-    match w.w_fd with
-    | None -> true
-    | Some fd ->
-      let ok = ref true and progress = ref true in
-      while !ok && !progress && not (Queue.is_empty w.w_outbox) do
-        let e = Queue.peek w.w_outbox in
-        let len = String.length e.ob_bytes in
-        match Unix.write_substring fd e.ob_bytes e.ob_off (len - e.ob_off) with
-        | k ->
-          e.ob_off <- e.ob_off + k;
-          if e.ob_off = len then begin
-            ignore (Queue.pop w.w_outbox);
-            e.ob_done true
-          end
-          else progress := false
-        | exception
-            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-          ->
-          progress := false
-        | exception Unix.Unix_error _ -> ok := false
-      done;
-      !ok
-  in
-  let enqueue_frame w msg ~done_ =
-    Queue.push
-      { ob_bytes = Wire.encode msg; ob_off = 0; ob_done = done_ }
-      w.w_outbox
-  in
-  let settle i outcome =
-    if not finished.(i) then begin
-      close_span i ~ok:(match outcome with Sweep.Ok _ -> true | _ -> false);
-      outcomes.(i) <- outcome;
-      finished.(i) <- true;
-      incr done_count;
-      (* withdraw every other copy so a late duplicate result is ignored *)
-      List.iter
-        (fun w ->
-          if Hashtbl.mem w.w_inflight i then begin
-            Hashtbl.remove w.w_inflight i;
-            gauge w
-          end)
-        ws
-    end
-  in
-  (* (unit index, attempt, earliest re-dispatch time), input order *)
-  let pending = ref (List.init n (fun i -> (i, 0, 0.0))) in
-  (* why each requeued unit's last worker was lost *)
-  let lost_with = Array.make n "" in
-  let requeue (i, attempt) reason =
-    let label = units.(i).Work.label in
-    lost_with.(i) <- reason;
-    if attempt >= retries then
-      settle i
-        (Sweep.Failed
-           (Printf.sprintf "gave up after %d attempts (last: %s)" (attempt + 1)
-              reason))
-    else begin
-      let delay = backoff_base *. (2.0 ** float_of_int attempt) in
-      emit bus
-        (Event.Dispatch_retry { unit_label = label; attempt = attempt + 1; delay });
-      close_span i ~ok:false;
-      open_queued i ~detail:label;
-      pending := !pending @ [ (i, attempt + 1, Unix.gettimeofday () +. delay) ]
-    end
-  in
-  let lose_worker w reason =
-    emit bus (Event.Worker_lost { worker = w.w_addr; reason });
-    Option.iter close_quietly w.w_fd;
-    w.w_fd <- None;
-    (* frames still queued will never arrive; let their completions fail *)
-    Queue.iter (fun e -> e.ob_done false) w.w_outbox;
-    Queue.clear w.w_outbox;
-    let inflight = Hashtbl.fold (fun i inf acc -> (i, inf) :: acc) w.w_inflight [] in
-    Hashtbl.reset w.w_inflight;
-    (* a unit duplicated onto another live worker is still in flight there;
-       only units with no surviving copy go back on the queue *)
-    List.iter
-      (fun (i, (inf : inflight)) ->
-        if (not finished.(i)) && copies i = 0 then requeue (i, inf.if_attempt) reason)
-      inflight
-  in
-  (* opportunistic flush; a hard write error costs the whole worker *)
-  let kick w = if not (flush_outbox w) then lose_worker w "send failed" in
-  (* Assign unit [i] to [w].  The frame goes through the outbox; the unit
-     is in flight from the moment it is queued (its deadline covers a
-     wedged socket), and a write failure loses the worker, whose table —
-     stolen copies and all — requeues correctly. *)
-  let send_unit w ~stolen i attempt =
-    let u = units.(i) in
-    let now = Unix.gettimeofday () in
-    let enc = Work.to_string u in
-    emit bus
-      (Event.Dispatch_sent
-         {
-           unit_label = u.Work.label;
-           worker = w.w_addr;
-           attempt;
-           bytes = String.length enc;
-         });
-    if not stolen then begin
-      close_span i ~ok:true;
-      span bus
-        (Span.begin_
-           ~detail:(Printf.sprintf "%s attempt %d" w.w_addr attempt)
-           ~span:"inflight" ~corr:i ~host:dispatcher_host ());
-      open_span.(i) <- `Inflight
-    end;
-    (match Work.digest u with
-    | None -> ()
-    | Some d ->
-      if Hashtbl.mem w.w_seen d then
-        emit bus (Event.Ckpt_hit { worker = w.w_addr; digest = d })
-      else Hashtbl.replace w.w_seen d ());
-    enqueue_frame w (Wire.Work { id = base + i; unit_ = enc }) ~done_:(fun _ -> ());
-    Hashtbl.replace w.w_inflight i
-      { if_attempt = attempt; if_deadline = now +. timeout; if_sent_at = now };
-    gauge w;
-    kick w
-  in
-  (* Worker span logs ride back inside [Result] frames; replay them on the
-     bus with their original stamps so the merged trace carries both
-     machines' timelines.  A malformed log is a telemetry defect, never a
-     reason to reject the (CRC-verified, parseable) result itself. *)
-  let replay_spans encoded =
-    match bus with
-    | Some b when Bus.active b -> (
-      match Span.decode_list encoded with
-      | sps -> List.iter (fun sp -> Span.emit b sp) sps
-      | exception Jsonx.Parse_error _ -> ())
-    | _ -> ()
-  in
-  let handle_msg w = function
-    | Wire.Result { id; text; spans = spanlog } ->
-      (* a result for a unit no longer in flight here is a late duplicate
-         of something already settled (or withdrawn), or a stray from an
-         earlier round of this session (negative after the base shift);
-         drop it *)
-      let id = id - base in
-      if id >= 0 && id < n && Hashtbl.mem w.w_inflight id then begin
-        match Jsonx.parse text with
-        | json ->
-          replay_spans spanlog;
-          emit bus
-            (Event.Dispatch_done
-               { unit_label = units.(id).Work.label; worker = w.w_addr; ok = true });
-          settle id (Sweep.Ok json)
-        | exception Jsonx.Parse_error m ->
-          (* the frame passed its CRC, so this is the worker misbehaving,
-             not the network: drop it (the unit requeues from its table) *)
-          lose_worker w ("unparseable result: " ^ m)
-      end
-    | Wire.Fail { id; reason } when id >= 0 ->
-      let id = id - base in
-      if id >= 0 && id < n && Hashtbl.mem w.w_inflight id then begin
-        emit bus
-          (Event.Dispatch_done
-             { unit_label = units.(id).Work.label; worker = w.w_addr; ok = false });
-        (* the unit itself failed over a healthy connection — execution is
-           deterministic, so retrying (or waiting out a duplicate) would
-           not help *)
-        settle id (Sweep.Failed reason)
-      end
-    | Wire.Fail { reason; _ } -> lose_worker w ("worker reported: " ^ reason)
-    | Wire.Need { digest } -> (
-      match store with
-      | None ->
-        lose_worker w "worker requested a checkpoint but the dispatcher has no store"
-      | Some s -> (
-        match Store.find s digest with
-        | Some bytes ->
-          (* one span per push, on a per-worker correlation track well away
-             from unit indices; the span closes when the last byte drains,
-             so its width is the real transfer time overlapped with
-             everything else the loop did meanwhile *)
-          let corr = 1_000_000 + w.w_ix in
-          span bus
-            (Span.begin_ ~detail:digest ~span:"ckpt_push" ~corr
-               ~host:dispatcher_host ());
-          Hashtbl.replace w.w_seen digest ();
-          enqueue_frame w
-            (Wire.Ckpt { digest; bytes })
-            ~done_:(fun ok ->
-              span bus
-                (Span.end_ ~ok ~span:"ckpt_push" ~corr ~host:dispatcher_host ());
-              if ok then
-                emit bus
-                  (Event.Ckpt_push
-                     { worker = w.w_addr; digest; bytes = String.length bytes }));
-          kick w
-        | None ->
-          lose_worker w (Printf.sprintf "worker requested unknown checkpoint %s" digest)
-        | exception B.Corrupt m -> lose_worker w ("checkpoint store: " ^ m)))
-    | Wire.Pong -> () (* keepalive reply; receipt already reset the probe state *)
-    | Wire.Hello _ | Wire.Ping | Wire.Work _ | Wire.Ckpt _ | Wire.Submit _
-    | Wire.Status _ | Wire.Artifact _ | Wire.Done _ | Wire.Metrics _
-    | Wire.Health _ ->
-      lose_worker w "protocol violation"
-  in
-  let drain w fd =
-    let deadline =
-      Hashtbl.fold
-        (fun _ (inf : inflight) acc -> min acc inf.if_deadline)
-        w.w_inflight
-        (Unix.gettimeofday () +. timeout)
-    in
-    match Wire.recv ~deadline fd with
-    | msg ->
-      (* any complete frame proves the worker alive *)
-      w.w_last_recv <- Unix.gettimeofday ();
-      w.w_pings <- 0;
-      handle_msg w msg
-    | exception Wire.Closed -> lose_worker w "connection closed"
-    | exception Wire.Timeout -> lose_worker w "work unit timed out"
-    | exception B.Corrupt m -> lose_worker w ("malformed frame: " ^ m)
-  in
-  (* Probe idle connections: a PING goes out once nothing has arrived for
-     [keepalive_idle] seconds, repeating at that interval; after
-     [keepalive_misses] unanswered probes the worker is declared dead and
-     its units reassigned — much sooner than the per-unit deadline when a
-     worker is SIGSTOPped or its host vanished. *)
-  let keepalive_check now =
+  se.se_ws <- lv @ List.filter_map Fun.id (List.mapi connect addrs)
+
+let open_span se j name ~detail =
+  span se.se_bus
+    (Span.begin_ ~detail ~span:name ~corr:j.j_id ~host:dispatcher_host ());
+  j.j_span <- Some name
+
+let close_span se j ~ok =
+  Option.iter
+    (fun name ->
+      span se.se_bus
+        (Span.end_ ~ok ~span:name ~corr:j.j_id ~host:dispatcher_host ()))
+    j.j_span;
+  j.j_span <- None
+
+let enqueue se j at =
+  open_span se j "queued" ~detail:j.j_work.Work.label;
+  se.se_queue <- se.se_queue @ [ (j, at) ]
+
+let add se work k =
+  if wants_refresh se then refresh se;
+  let id = se.se_next_id in
+  se.se_next_id <- id + 1;
+  enqueue se
+    { j_id = id; j_work = work; j_k = k; j_attempt = 0; j_settled = false;
+      j_span = None; j_lost_with = "" }
+    0.0
+
+let free_slots se =
+  let queued = List.length se.se_queue in
+  if wants_refresh se then 1
+  else
+    match live se with
+    | [] -> se.se_fallback_jobs - queued
+    | lv ->
+      List.fold_left
+        (fun acc w -> acc + w.w_slots - Hashtbl.length w.w_inflight)
+        (-queued) lv
+
+let gauge se w =
+  emit se.se_bus
+    (Event.Dispatch_inflight
+       { worker = w.w_addr; in_flight = Hashtbl.length w.w_inflight })
+
+let settle se j outcome =
+  if not j.j_settled then begin
+    j.j_settled <- true;
+    se.se_settled <- se.se_settled + 1;
+    close_span se j ~ok:(match outcome with Sweep.Ok _ -> true | _ -> false);
+    (* withdraw every other copy so a late duplicate result is ignored *)
     List.iter
       (fun w ->
-        if w.w_fd <> None && now -. w.w_last_recv >= keepalive_idle
-           && now >= w.w_next_ping
-        then begin
-          if w.w_pings >= keepalive_misses then
-            lose_worker w
-              (Printf.sprintf "missed %d keepalive pongs" w.w_pings)
-          else begin
-            w.w_pings <- w.w_pings + 1;
-            w.w_next_ping <- now +. keepalive_idle;
-            enqueue_frame w Wire.Ping ~done_:(fun _ -> ());
-            kick w
-          end
+        if Hashtbl.mem w.w_inflight j.j_id then begin
+          Hashtbl.remove w.w_inflight j.j_id;
+          gauge se w
         end)
-      ws
-  in
-  (* Straggler gauge: age of the oldest in-flight unit over the median
-     in-flight age, in percent, attributed to the worker holding it.
-     Needs two units in flight to mean anything; emitted only when the
-     rounded percentage moves so an idle fleet adds nothing to the
-     trace. *)
-  let last_straggler_pct = ref 0 in
-  let straggler_check now =
-    if (match bus with Some b -> Bus.active b | None -> false) then begin
-      let ages = ref [] in
-      List.iter
-        (fun w ->
-          if w.w_fd <> None then
-            Hashtbl.iter
-              (fun _ inf -> ages := (now -. inf.if_sent_at, w.w_addr) :: !ages)
-              w.w_inflight)
-        ws;
-      let ages = List.sort (fun (a, _) (b, _) -> compare b a) !ages in
-      match ages with
-      | (slowest, worker) :: _ :: _ ->
-        let n = List.length ages in
-        let median, _ = List.nth ages (n / 2) in
-        let pct =
-          if median <= 1e-6 then 100
-          else int_of_float (Float.round (100.0 *. slowest /. median))
-        in
-        if pct <> !last_straggler_pct then begin
-          last_straggler_pct := pct;
-          emit bus (Event.Straggler { worker; ratio_pct = pct })
-        end
-      | _ -> ()
-    end
-  in
-  (* No worker left: the units no worker ever received run on domains in
-     this process.  A unit lost along with a worker may be what killed
-     it, and a domain shares this process, so it fails instead. *)
-  let fallback reason =
-    let todo =
-      List.filter_map
-        (fun (i, attempt, _) ->
-          if finished.(i) then None
-          else if attempt > 0 then begin
-            settle i
-              (Sweep.Failed
-                 (Printf.sprintf "worker lost while running it (%s)" lost_with.(i)));
-            None
-          end
-          else Some i)
-        !pending
-    in
-    pending := [];
-    if todo <> [] then begin
-      emit bus (Event.Dispatch_fallback { reason });
-      (* close the dispatcher-side spans before handing over: the domains
-         backend opens its own "running" spans for these units *)
-      List.iter (fun i -> close_span i ~ok:true) todo;
-      let results =
-        Sweep.run
-          (Sweep.Backend.domains ?bus ?store ~jobs:fallback_jobs ())
-          (List.map (fun i -> units.(i)) todo)
-      in
-      List.iter2 (fun i (r : Sweep.result) -> settle i r.outcome) todo results
-    end
-  in
-  if live () = [] then
-    fallback
-      (Printf.sprintf "no reachable workers among [%s]"
-         (String.concat ", " (List.map addr_to_string se.se_addrs)))
-  else begin
-    while !done_count < n do
-      let now = Unix.gettimeofday () in
-      (* hand eligible units to free slots, input order first *)
-      List.iter
-        (fun w ->
-          let continue = ref true in
-          while
-            !continue && w.w_fd <> None
-            && Hashtbl.length w.w_inflight < w.w_slots
-          do
-            let rec pick acc = function
-              | [] -> None
-              | (i, attempt, at) :: tl when at <= now && not finished.(i) ->
-                pending := List.rev_append acc tl;
-                Some (i, attempt)
-              | u :: tl -> pick (u :: acc) tl
-            in
-            match pick [] !pending with
-            | None -> continue := false
-            | Some (i, attempt) -> send_unit w ~stolen:false i attempt
-          done)
-        ws;
-      (* the queue is drained: idle slots steal (duplicate) the oldest
-         singly-held in-flight unit from another worker — a fast worker
-         finishes it while a slow or wedged one is still grinding, and
-         whichever result lands first settles the unit *)
-      let now = Unix.gettimeofday () in
-      if not (List.exists (fun (i, _, _) -> not finished.(i)) !pending) then
-        List.iter
-          (fun thief ->
-            if
-              thief.w_fd <> None
-              && Hashtbl.length thief.w_inflight < thief.w_slots
-            then begin
-              let best = ref None in
-              List.iter
-                (fun victim ->
-                  if victim != thief && victim.w_fd <> None then
-                    Hashtbl.iter
-                      (fun i (inf : inflight) ->
-                        if
-                          (not finished.(i))
-                          && copies i = 1
-                          && now -. inf.if_sent_at >= steal_fraction *. timeout
-                        then
-                          match !best with
-                          | Some (_, _, (b : inflight))
-                            when b.if_sent_at <= inf.if_sent_at ->
-                            ()
-                          | _ -> best := Some (victim, i, inf))
-                      victim.w_inflight)
-                ws;
-              match !best with
-              | None -> ()
-              | Some (victim, i, { if_attempt = attempt; _ }) ->
-                emit bus
-                  (Event.Steal
-                     {
-                       unit_label = units.(i).Work.label;
-                       from_worker = victim.w_addr;
-                       to_worker = thief.w_addr;
-                     });
-                send_unit thief ~stolen:true i attempt
-            end)
-          ws;
-      if !done_count >= n then ()
-      else if live () = [] then fallback "all workers lost"
-      else begin
-        let lv = live () in
-        let now = Unix.gettimeofday () in
-        (* earliest moment anything can change: an in-flight deadline
-           expiring or a backed-off unit becoming eligible *)
-        let next_wake =
-          List.fold_left
-            (fun acc w ->
-              Hashtbl.fold
-                (fun _ (inf : inflight) acc -> min acc inf.if_deadline)
-                w.w_inflight acc)
-            (now +. 0.25) lv
-        in
-        let next_wake =
-          List.fold_left
-            (fun acc (i, _, at) -> if finished.(i) then acc else min acc at)
-            next_wake !pending
-        in
-        let fds = List.filter_map (fun w -> w.w_fd) lv in
-        (* watch for writability only where output is actually queued *)
-        let wfds =
-          List.filter_map
-            (fun w -> if Queue.is_empty w.w_outbox then None else w.w_fd)
-            lv
-        in
-        let ready, writable =
-          match Unix.select fds wfds [] (max 0.01 (next_wake -. now)) with
-          | r, wr, _ -> (r, wr)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
-        in
-        List.iter
-          (fun w ->
-            match w.w_fd with
-            | Some fd when List.memq fd writable -> kick w
-            | _ -> ())
-          lv;
-        List.iter
-          (fun w ->
-            match w.w_fd with
-            | Some fd when List.memq fd ready -> drain w fd
-            | _ -> ())
-          lv;
-        let now = Unix.gettimeofday () in
-        List.iter
-          (fun w ->
-            if w.w_fd <> None then begin
-              let expired =
-                Hashtbl.fold
-                  (fun i (inf : inflight) acc ->
-                    if inf.if_deadline <= now then Some i else acc)
-                  w.w_inflight None
-              in
-              match expired with
-              | Some i ->
-                lose_worker w
-                  (Printf.sprintf "unit %s timed out" units.(i).Work.label)
-              | None -> ()
-            end)
-          ws;
-        (* the select above wakes at least every 0.25s, which paces these
-           probes (and the straggler gauge) without a dedicated timer *)
-        let now = Unix.gettimeofday () in
-        keepalive_check now;
-        straggler_check now
-      end
-    done
-  end;
-  List.mapi
-    (fun i (u : Work.t) -> { Sweep.label = u.Work.label; outcome = outcomes.(i) })
-    (Array.to_list units)
+      se.se_ws;
+    j.j_k outcome
+  end
 
-(* [Sweep.run] is a session of exactly one round ([se_base] stays 0, so
-   the wire ids — and with them every span and trace record — are those
-   of a one-shot dispatch). *)
+let requeue se j reason =
+  j.j_lost_with <- reason;
+  if j.j_attempt >= se.se_retries then
+    settle se j
+      (Sweep.Failed
+         (Printf.sprintf "gave up after %d attempts (last: %s)"
+            (j.j_attempt + 1) reason))
+  else begin
+    let delay = backoff_base *. (2.0 ** float_of_int j.j_attempt) in
+    j.j_attempt <- j.j_attempt + 1;
+    emit se.se_bus
+      (Event.Dispatch_retry
+         { unit_label = j.j_work.Work.label; attempt = j.j_attempt; delay });
+    close_span se j ~ok:false;
+    enqueue se j (Unix.gettimeofday () +. delay)
+  end
+
+(* how many live workers currently hold [j] (can exceed 1 after a steal
+   speculatively duplicated it) *)
+let copies se j =
+  List.length
+    (List.filter (fun w -> w.w_fd <> None && Hashtbl.mem w.w_inflight j.j_id) se.se_ws)
+
+let lose_worker se w reason =
+  emit se.se_bus (Event.Worker_lost { worker = w.w_addr; reason });
+  disconnect w;
+  let inflight = Hashtbl.fold (fun _ inf acc -> inf.if_job :: acc) w.w_inflight [] in
+  Hashtbl.reset w.w_inflight;
+  (* a unit duplicated onto another live worker is still in flight there;
+     only units with no surviving copy go back on the queue *)
+  List.iter
+    (fun j -> if (not j.j_settled) && copies se j = 0 then requeue se j reason)
+    inflight
+
+(* Write as much queued output as the socket will take without blocking;
+   a hard write error costs the whole worker. *)
+let kick se w =
+  match w.w_fd with
+  | None -> ()
+  | Some fd ->
+    let ok = ref true and progress = ref true in
+    while !ok && !progress && not (Queue.is_empty w.w_outbox) do
+      let e = Queue.peek w.w_outbox in
+      let len = String.length e.ob_bytes in
+      match Unix.write_substring fd e.ob_bytes e.ob_off (len - e.ob_off) with
+      | k ->
+        e.ob_off <- e.ob_off + k;
+        if e.ob_off = len then begin
+          ignore (Queue.pop w.w_outbox);
+          e.ob_done true
+        end
+        else progress := false
+      | exception
+          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        ->
+        progress := false
+      | exception Unix.Unix_error _ -> ok := false
+    done;
+    if not !ok then lose_worker se w "send failed"
+
+let enqueue_frame w msg ~done_ =
+  Queue.push { ob_bytes = Wire.encode msg; ob_off = 0; ob_done = done_ } w.w_outbox
+
+(* Assign [j] to [w].  The frame goes through the outbox; the unit is in
+   flight from the moment it is queued (its deadline covers a wedged
+   socket), and a write failure loses the worker, whose table — stolen
+   copies and all — requeues correctly. *)
+let send_unit se w ~stolen j =
+  let u = j.j_work in
+  let now = Unix.gettimeofday () in
+  let enc = Work.to_string u in
+  emit se.se_bus
+    (Event.Dispatch_sent
+       { unit_label = u.Work.label; worker = w.w_addr; attempt = j.j_attempt;
+         bytes = String.length enc });
+  if not stolen then begin
+    close_span se j ~ok:true;
+    open_span se j "inflight"
+      ~detail:(Printf.sprintf "%s attempt %d" w.w_addr j.j_attempt)
+  end;
+  (match Work.digest u with
+  | None -> ()
+  | Some d ->
+    if Hashtbl.mem w.w_seen d then
+      emit se.se_bus (Event.Ckpt_hit { worker = w.w_addr; digest = d })
+    else Hashtbl.replace w.w_seen d ());
+  enqueue_frame w (Wire.Work { id = j.j_id; unit_ = enc }) ~done_:ignore;
+  Hashtbl.replace w.w_inflight j.j_id
+    { if_job = j; if_deadline = now +. se.se_timeout; if_sent_at = now };
+  gauge se w;
+  kick se w
+
+(* Worker span logs ride back inside [Result] frames; replay them on the
+   bus with their original stamps so the merged trace carries both
+   machines' timelines.  A malformed log is a telemetry defect, never a
+   reason to reject the (CRC-verified, parseable) result itself. *)
+let replay_spans se encoded =
+  match se.se_bus with
+  | Some b when Bus.active b -> (
+    match Span.decode_list encoded with
+    | sps -> List.iter (fun sp -> Span.emit b sp) sps
+    | exception Jsonx.Parse_error _ -> ())
+  | _ -> ()
+
+let handle_msg se w msg =
+  (* a reply for a unit no longer in flight here is a late duplicate of
+     something already settled (or withdrawn): dropped *)
+  let finish id ok outcome =
+    Option.iter
+      (fun inf ->
+        emit se.se_bus
+          (Event.Dispatch_done
+             { unit_label = inf.if_job.j_work.Work.label; worker = w.w_addr; ok });
+        settle se inf.if_job outcome)
+      (Hashtbl.find_opt w.w_inflight id)
+  in
+  match msg with
+  | Wire.Result { id; text; spans = spanlog } -> (
+    if Hashtbl.mem w.w_inflight id then
+      match Jsonx.parse text with
+      | json ->
+        replay_spans se spanlog;
+        finish id true (Sweep.Ok json)
+      | exception Jsonx.Parse_error m ->
+        (* the frame passed its CRC, so this is the worker misbehaving, not
+           the network: drop it (the unit requeues from its table) *)
+        lose_worker se w ("unparseable result: " ^ m))
+  | Wire.Fail { id; reason } when id >= 0 ->
+    (* the unit itself failed over a healthy connection — execution is
+       deterministic, so retrying (or waiting out a duplicate) would not
+       help *)
+    finish id false (Sweep.Failed reason)
+  | Wire.Fail { reason; _ } -> lose_worker se w ("worker reported: " ^ reason)
+  | Wire.Need { digest } -> (
+    match se.se_store with
+    | None ->
+      lose_worker se w
+        "worker requested a checkpoint but the dispatcher has no store"
+    | Some s -> (
+      match Store.find s digest with
+      | Some bytes ->
+        (* one span per push, on a per-worker correlation track well away
+           from unit ids; the span closes when the last byte drains, so
+           its width is the real transfer time overlapped with everything
+           else the loop did meanwhile *)
+        let corr = 1_000_000 + w.w_ix in
+        span se.se_bus
+          (Span.begin_ ~detail:digest ~span:"ckpt_push" ~corr
+             ~host:dispatcher_host ());
+        Hashtbl.replace w.w_seen digest ();
+        enqueue_frame w
+          (Wire.Ckpt { digest; bytes })
+          ~done_:(fun ok ->
+            span se.se_bus
+              (Span.end_ ~ok ~span:"ckpt_push" ~corr ~host:dispatcher_host ());
+            if ok then
+              emit se.se_bus
+                (Event.Ckpt_push
+                   { worker = w.w_addr; digest; bytes = String.length bytes }));
+        kick se w
+      | None ->
+        lose_worker se w
+          (Printf.sprintf "worker requested unknown checkpoint %s" digest)
+      | exception B.Corrupt m -> lose_worker se w ("checkpoint store: " ^ m)))
+  | Wire.Pong -> () (* keepalive reply; receipt already reset the probe state *)
+  | Wire.Hello _ | Wire.Ping | Wire.Work _ | Wire.Ckpt _ | Wire.Submit _
+  | Wire.Status _ | Wire.Artifact _ | Wire.Done _ | Wire.Metrics _
+  | Wire.Health _ ->
+    lose_worker se w "protocol violation"
+
+let drain se w fd =
+  let deadline =
+    Hashtbl.fold
+      (fun _ inf acc -> Float.min acc inf.if_deadline)
+      w.w_inflight
+      (Unix.gettimeofday () +. se.se_timeout)
+  in
+  match Wire.recv ~deadline fd with
+  | msg ->
+    (* any complete frame proves the worker alive *)
+    w.w_last_recv <- Unix.gettimeofday ();
+    w.w_pings <- 0;
+    handle_msg se w msg
+  | exception Wire.Closed -> lose_worker se w "connection closed"
+  | exception Wire.Timeout -> lose_worker se w "work unit timed out"
+  | exception B.Corrupt m -> lose_worker se w ("malformed frame: " ^ m)
+
+(* When the next keepalive probe of [w] is due: once nothing has arrived
+   for [keepalive_idle] seconds, and then at that interval. *)
+let ping_due se w =
+  Float.max (w.w_last_recv +. se.se_keepalive_idle) w.w_next_ping
+
+(* Probe idle connections; after [keepalive_misses] unanswered probes the
+   worker is declared dead and its units reassigned — much sooner than the
+   per-unit deadline when a worker is SIGSTOPped or its host vanished. *)
+let keepalive_check se now =
+  List.iter
+    (fun w ->
+      if ping_due se w <= now then begin
+        if w.w_pings >= se.se_keepalive_misses then
+          lose_worker se w (Printf.sprintf "missed %d keepalive pongs" w.w_pings)
+        else begin
+          w.w_pings <- w.w_pings + 1;
+          w.w_next_ping <- now +. se.se_keepalive_idle;
+          enqueue_frame w Wire.Ping ~done_:ignore;
+          kick se w
+        end
+      end)
+    (live se)
+
+(* Straggler gauge: age of the oldest in-flight unit over the median
+   in-flight age, in percent, attributed to the worker holding it.  Needs
+   two units in flight to mean anything; emitted only when the rounded
+   percentage moves so an idle fleet adds nothing to the trace. *)
+let straggler_check se now =
+  if match se.se_bus with Some b -> Bus.active b | None -> false then begin
+    let ages = ref [] in
+    List.iter
+      (fun w ->
+        Hashtbl.iter
+          (fun _ inf -> ages := (now -. inf.if_sent_at, w.w_addr) :: !ages)
+          w.w_inflight)
+      (live se);
+    let ages = List.sort (fun (a, _) (b, _) -> compare b a) !ages in
+    match ages with
+    | (slowest, worker) :: _ :: _ ->
+      let median, _ = List.nth ages (List.length ages / 2) in
+      let pct =
+        if median <= 1e-6 then 100
+        else int_of_float (Float.round (100.0 *. slowest /. median))
+      in
+      if pct <> se.se_straggler_pct then begin
+        se.se_straggler_pct <- pct;
+        emit se.se_bus (Event.Straggler { worker; ratio_pct = pct })
+      end
+    | _ -> ()
+  end
+
+(* No worker left: the queued units no worker ever received run on domains
+   in this process.  A unit lost along with a worker may be what killed
+   it, and a domain shares this process, so it fails instead. *)
+let fallback se reason =
+  let queue = List.map fst se.se_queue in
+  se.se_queue <- [];
+  let lost, todo = List.partition (fun j -> j.j_attempt > 0) queue in
+  List.iter
+    (fun j ->
+      settle se j
+        (Sweep.Failed
+           (Printf.sprintf "worker lost while running it (%s)" j.j_lost_with)))
+    lost;
+  if todo <> [] then begin
+    emit se.se_bus (Event.Dispatch_fallback { reason });
+    (* close the dispatcher-side spans before handing over: the domains
+       backend opens its own "running" spans for these units *)
+    List.iter (fun j -> close_span se j ~ok:true) todo;
+    let results =
+      Sweep.run
+        (Sweep.Backend.domains ?bus:se.se_bus ?store:se.se_store
+           ~jobs:se.se_fallback_jobs ())
+        (List.map (fun j -> j.j_work) todo)
+    in
+    List.iter2 (fun j (r : Sweep.result) -> settle se j r.outcome) todo results
+  end
+
+(* Send every unit that can go now: eligible queued units into free slots,
+   arrival order first, then — with the queue drained — idle slots steal
+   (duplicate) the oldest singly-held in-flight unit from another worker:
+   a fast worker finishes it while a slow or wedged one is still grinding,
+   and whichever result lands first settles the unit.  With no worker
+   left, the queue falls back. *)
+let pump se =
+  (* the last worker died under queued units: ask for the fleet again
+     before giving up on it *)
+  if se.se_queue <> [] && live se = [] && se.se_ws <> [] then refresh se;
+  if se.se_queue <> [] && live se = [] then
+    fallback se
+      (if se.se_ws <> [] then "all workers lost"
+       else
+         Printf.sprintf "no reachable workers among [%s]"
+           (String.concat ", "
+              (List.map addr_to_string (Option.value ~default:[] se.se_addrs))))
+  else begin
+    let now = Unix.gettimeofday () in
+    let free w = w.w_fd <> None && Hashtbl.length w.w_inflight < w.w_slots in
+    List.iter
+      (fun w ->
+        let rec fill () =
+          match List.find_opt (fun (_, at) -> at <= now) se.se_queue with
+          | Some ((j, _) as e) when free w ->
+            se.se_queue <- List.filter (( != ) e) se.se_queue;
+            send_unit se w ~stolen:false j;
+            fill ()
+          | _ -> ()
+        in
+        fill ())
+      se.se_ws;
+    let now = Unix.gettimeofday () in
+    if se.se_queue = [] then
+      List.iter
+        (fun thief ->
+          let best = ref None in
+          if free thief then
+            List.iter
+              (fun victim ->
+                if victim != thief && victim.w_fd <> None then
+                  Hashtbl.iter
+                    (fun _ inf ->
+                      if
+                        copies se inf.if_job = 1
+                        && now -. inf.if_sent_at >= steal_fraction *. se.se_timeout
+                        && match !best with
+                           | Some (_, b) -> inf.if_sent_at < b.if_sent_at
+                           | None -> true
+                      then best := Some (victim, inf))
+                    victim.w_inflight)
+              se.se_ws;
+          Option.iter
+            (fun (victim, inf) ->
+              emit se.se_bus
+                (Event.Steal
+                   { unit_label = inf.if_job.j_work.Work.label;
+                     from_worker = victim.w_addr; to_worker = thief.w_addr });
+              send_unit se thief ~stolen:true inf.if_job)
+            !best)
+        se.se_ws
+  end
+
+(* The earliest moment a worker-side timer fires: an in-flight deadline, a
+   backed-off retry becoming eligible, a keepalive probe, or an in-flight
+   unit growing old enough to steal.  Other times already past are left
+   out: [pump] has just sent everything that could go. *)
+let next_timer se now =
+  let t = ref infinity in
+  let at x = if x > now then t := Float.min !t x in
+  List.iter
+    (fun w ->
+      at (ping_due se w);
+      Hashtbl.iter
+        (fun _ inf ->
+          t := Float.min !t inf.if_deadline;
+          at (inf.if_sent_at +. (steal_fraction *. se.se_timeout)))
+        w.w_inflight)
+    (live se);
+  List.iter (fun (_, eligible) -> at eligible) se.se_queue;
+  !t
+
+let step se ?timeout fds =
+  let settled = se.se_settled in
+  pump se;
+  let lv = live se in
+  let now = Unix.gettimeofday () in
+  let wake = next_timer se now in
+  let wake = match timeout with Some s -> Float.min wake (now +. s) | None -> wake in
+  (* units settled by the pump itself (a fallback, a worker lost on send)
+     hand control back at once: their callbacks may have been the caller's
+     last wait *)
+  let wait =
+    if se.se_settled <> settled then 0.0
+    else if wake = infinity then -1.0
+    else Float.max 0.0 (wake -. now)
+  in
+  let fd_of w = w.w_fd in
+  (* watch for writability only where output is actually queued *)
+  let wfds = List.filter_map fd_of (List.filter (fun w -> not (Queue.is_empty w.w_outbox)) lv) in
+  let ready, writable =
+    match Unix.select (List.filter_map fd_of lv @ fds) wfds [] wait with
+    | r, wr, _ -> (r, wr)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
+  in
+  let on fds f w = match w.w_fd with Some fd when List.memq fd fds -> f fd | _ -> () in
+  List.iter (fun w -> on writable (fun _ -> kick se w) w) lv;
+  List.iter (fun w -> on ready (drain se w) w) lv;
+  let now = Unix.gettimeofday () in
+  List.iter
+    (fun w ->
+      Hashtbl.fold
+        (fun _ inf acc -> if inf.if_deadline <= now then Some inf.if_job else acc)
+        w.w_inflight None
+      |> Option.iter (fun j ->
+             lose_worker se w (Printf.sprintf "unit %s timed out" j.j_work.Work.label)))
+    (live se);
+  keepalive_check se now;
+  straggler_check se now;
+  List.filter (fun fd -> List.memq fd ready) fds
+
+(* A round of a sweep: add every unit, then step until all settle. *)
+let session_run se works =
+  let left = ref (List.length works) in
+  let outcomes = List.map (fun _ -> ref (Sweep.Failed "not dispatched")) works in
+  List.iter2 (fun w o -> add se w (fun r -> o := r; decr left)) works outcomes;
+  while !left > 0 do
+    ignore (step se [])
+  done;
+  List.map2 (fun (u : Work.t) o -> { Sweep.label = u.Work.label; outcome = !o }) works outcomes
+
+(* [Sweep.run] is a session of exactly one round: its units take ids from
+   0, so the wire ids — and with them every span and trace record — are
+   those of a one-shot dispatch. *)
 let remote ?bus ?fallback_jobs ?store ?keepalive_idle ?keepalive_misses
     ?(timeout = 60.0) ?(retries = 2) workers : Sweep.Backend.t =
   {
@@ -756,7 +754,7 @@ let remote ?bus ?fallback_jobs ?store ?keepalive_idle ?keepalive_misses
       (fun () ->
         let se =
           open_session ?bus ?fallback_jobs ?store ?keepalive_idle
-            ?keepalive_misses ~timeout ~retries workers
+            ?keepalive_misses ~timeout ~retries (fun () -> workers)
         in
         { s_dispatch = session_run se; s_close = (fun () -> close_session se) });
   }
@@ -912,17 +910,13 @@ let backend ?bus ?fallback_jobs ?store ~exe spec : Sweep.Backend.t =
       session =
         (fun () ->
           (* one fleet per session: it lives exactly as long as the
-             dispatcher's connections to it *)
+             dispatcher's connections to it (opening one connects nothing,
+             so it cannot fail) *)
           let fleet = start_fleet ~exe jobs in
           let workers = List.map fst (fleet_members fleet) in
-          let remote = remote ?bus ?fallback_jobs ?store ~timeout ~retries workers in
-          match remote.session () with
-          | s ->
-            let s_close () =
-              Fun.protect ~finally:(fun () -> stop_fleet fleet) s.s_close
-            in
-            { s with s_close }
-          | exception e ->
-            stop_fleet fleet;
-            raise e);
+          let s =
+            (remote ?bus ?fallback_jobs ?store ~timeout ~retries workers).session ()
+          in
+          let s_close () = Fun.protect ~finally:(fun () -> stop_fleet fleet) s.s_close in
+          { s with s_close });
     }

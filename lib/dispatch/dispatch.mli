@@ -1,11 +1,13 @@
-(** Distributed sample dispatch (the [Local] and [Remote] sweep backends).
+(** Distributed sample dispatch (the [Local] and [Remote] sweep backends,
+    and the campaign daemon's dispatch).
 
-    A dispatcher holds one TCP connection per worker daemon
-    ({!Worker.serve}, [darco worker --listen HOST:PORT -j N]) and drives a
-    sweep to completion in the presence of cluster reality.  The workers
-    are either remote daemons or a fleet of loopback worker processes the
-    dispatcher starts for the sweep ({!with_fleet}); the two differ only
-    in who starts the workers.
+    A dispatch {!session} holds one TCP connection per worker daemon
+    ({!Worker.serve}, [darco worker --listen HOST:PORT -j N]) and settles
+    the units added to it in the presence of cluster reality; the caller
+    drives it one select step at a time, over the worker sockets plus its
+    own.  The workers are either remote daemons or a fleet of loopback
+    worker processes ({!with_fleet}); the two differ only in who starts
+    the workers.
 
     - each worker advertises its concurrency ([-j], the [slots] field of
       its {!Wire.Hello} reply) and the dispatcher keeps up to that many
@@ -115,7 +117,51 @@ val remote :
     [store] resolves digest-addressed units — both the [Need] requests
     coming back from workers and the fallback path.
     [keepalive_idle] (default 5s) and [keepalive_misses] (default 3)
-    parameterize the idle-connection probing. *)
+    parameterize the idle-connection probing.  A backend session is one
+    {!session}; each round adds its units and steps until they settle. *)
+
+type session
+(** Connections, queued and in-flight units, deadlines, retries, steals,
+    keepalives and each worker's pushed-checkpoint cache, kept from one
+    call to the next. *)
+
+val open_session :
+  ?bus:Darco_obs.Bus.t ->
+  ?fallback_jobs:int ->
+  ?store:Darco_sampling.Store.t ->
+  ?keepalive_idle:float ->
+  ?keepalive_misses:int ->
+  ?timeout:float ->
+  ?retries:int ->
+  (unit -> addr list) ->
+  session
+(** Parameters as for {!remote}.  Nothing connects until the first {!add}
+    asks [workers]; it is asked again only when a worker is missing —
+    by an {!add} to an idle session, or when the last worker is lost
+    under queued units. *)
+
+val add :
+  session ->
+  Darco_sampling.Work.t ->
+  (Darco_sampling.Sweep.outcome -> unit) ->
+  unit
+(** Queue a unit; its callback runs once, within a {!step}, when it
+    settles. *)
+
+val free_slots : session -> int
+(** Units that would start at once if added now: free worker slots less
+    queued units (the fallback pool's size with no worker), or 1 for an
+    idle session about to reconnect. *)
+
+val step :
+  session -> ?timeout:float -> Unix.file_descr list -> Unix.file_descr list
+(** Send every unit that can go now, then block in one [select] over the
+    worker sockets and [fds] until something arrives or the earliest timer
+    fires: an in-flight deadline, a backed-off retry, a keepalive probe,
+    a steal falling due, or [timeout] seconds (default: none).  Returns
+    the readable members of [fds]. *)
+
+val close_session : session -> unit
 
 type fleet
 (** Loopback worker processes: [darco worker -j 1 --quiet] on 127.0.0.1
@@ -142,6 +188,6 @@ val fleet_revive : fleet -> addr list
 (** Restart every worker whose process has exited or no longer accepts
     connections — on its old port when that is still free, else on a
     fresh one — wait until the new ones accept (as {!with_fleet}), and
-    return every worker's address.  [darco serve] calls it before each
-    scheduling round, so a worker lost to a crashing unit costs one
-    round's worth of it, not the daemon's capacity. *)
+    return every worker's address.  [darco serve] passes it as its
+    session's [workers], so a worker lost to a crashing unit is replaced
+    before the next dispatch that finds it missing. *)

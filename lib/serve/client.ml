@@ -92,23 +92,19 @@ let status ?(timeout = 30.0) addr =
   | _ -> Error "unexpected frame from server"
 
 (* v5 telemetry: one round trip each; the reply carries one JSON string. *)
-let scrape ?(timeout = 30.0) addr =
+let telemetry ~health ?(timeout = 30.0) addr =
   let deadline = Unix.gettimeofday () +. timeout in
   with_server ~need:5 ~deadline addr @@ fun fd ->
-  Wire.send ~deadline fd (Wire.Metrics { json = "" });
+  Wire.send ~deadline fd
+    (if health then Wire.Health { json = "" } else Wire.Metrics { json = "" });
   match Wire.recv ~deadline fd with
-  | Wire.Metrics { json } -> Ok json
+  | Wire.Health { json } when health -> Ok json
+  | Wire.Metrics { json } when not health -> Ok json
   | Wire.Fail { reason; _ } -> Error reason
   | _ -> Error "unexpected frame from server"
 
-let health ?(timeout = 30.0) addr =
-  let deadline = Unix.gettimeofday () +. timeout in
-  with_server ~need:5 ~deadline addr @@ fun fd ->
-  Wire.send ~deadline fd (Wire.Health { json = "" });
-  match Wire.recv ~deadline fd with
-  | Wire.Health { json } -> Ok json
-  | Wire.Fail { reason; _ } -> Error reason
-  | _ -> Error "unexpected frame from server"
+let scrape = telemetry ~health:false
+let health = telemetry ~health:true
 
 let fetch ?(timeout = 60.0) addr spec ~offset =
   let deadline = Unix.gettimeofday () +. timeout in

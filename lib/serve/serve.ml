@@ -32,14 +32,6 @@ type client = {
   mutable c_alive : bool;
 }
 
-(* Per-worker liveness for the HLTH document, folded from bus events
-   (the dispatcher emits Worker_up/Worker_lost/Dispatch_inflight). *)
-type whealth = {
-  mutable wh_state : string;
-  mutable wh_inflight : int;
-  mutable wh_reason : string;
-}
-
 type slot =
   | Waiting
   | Settled of Sweep.outcome
@@ -54,14 +46,17 @@ type submission = {
   sb_works : Work.t array;
   sb_keys : Library.key array;
   sb_slots : slot array;
-  sb_todo : int Queue.t;  (** slot indices awaiting a dispatch round *)
+  sb_todo : int Queue.t;  (** slot indices awaiting a worker slot *)
   mutable sb_done : int;
   mutable sb_hits : int;
   mutable sb_dispatched : int;
   mutable sb_plan : Darco_sampling.Plan.t option;
       (** present when the campaign carries a [ci_target]: the planner
           admits windows round by round and stops the sweep early *)
+  mutable sb_measured : (int * float) list;
+      (** (offset, IPC) settled since the planner last looked *)
   mutable sb_inflight : int;  (** windows registered on a pend, unsettled *)
+  mutable sb_running : int;  (** units it handed to the dispatcher, unsettled *)
   mutable sb_skipped : int;
 }
 
@@ -90,28 +85,22 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
   let ibus = match bus with Some b -> b | None -> Bus.create () in
   let bus = Some ibus in
   let reg = Reg.attach ibus in
-  let worker_health : (string, whealth) Hashtbl.t = Hashtbl.create 8 in
+  (* per-worker (state, in flight, loss reason) for the HLTH document,
+     folded from the dispatcher's events *)
+  let worker_health = Hashtbl.create 8 in
   Bus.attach ibus ~name:"serve-health" (fun ~at:_ ev ->
-      let wh worker =
-        match Hashtbl.find_opt worker_health worker with
-        | Some w -> w
-        | None ->
-          let w = { wh_state = "up"; wh_inflight = 0; wh_reason = "" } in
-          Hashtbl.replace worker_health worker w;
-          w
+      let get w =
+        Option.value ~default:("up", 0, "") (Hashtbl.find_opt worker_health w)
       in
       match ev with
       | Event.Worker_up { worker } ->
-        let w = wh worker in
-        w.wh_state <- "up";
-        w.wh_reason <- ""
+        let _, n, _ = get worker in
+        Hashtbl.replace worker_health worker ("up", n, "")
       | Event.Worker_lost { worker; reason } ->
-        let w = wh worker in
-        w.wh_state <- "lost";
-        w.wh_reason <- reason;
-        w.wh_inflight <- 0
+        Hashtbl.replace worker_health worker ("lost", 0, reason)
       | Event.Dispatch_inflight { worker; in_flight } ->
-        (wh worker).wh_inflight <- in_flight
+        let state, _, reason = get worker in
+        Hashtbl.replace worker_health worker (state, in_flight, reason)
       | _ -> ());
   let log fmt =
     Printf.ksprintf
@@ -125,12 +114,12 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
   in
   let lib = Library.create ?bus ?max_bytes ~dir:library () in
   let store = Library.store lib in
-  (* the worker addresses are asked for afresh each round: a loopback
-     fleet restarts a worker that died since the last one *)
-  let backend () =
-    Darco_dispatch.remote ?bus ~fallback_jobs:jobs ~store ?keepalive_idle
-      ?keepalive_misses ~timeout:dispatch_timeout ~retries:dispatch_retries
-      (workers ())
+  (* one dispatch session for the daemon's lifetime; it asks [workers]
+     again only when a worker is missing *)
+  let se =
+    Darco_dispatch.open_session ?bus ~fallback_jobs:jobs ~store
+      ?keepalive_idle ?keepalive_misses ~timeout:dispatch_timeout
+      ~retries:dispatch_retries workers
   in
   (* --- service state --------------------------------------------------- *)
   let clients = ref [] in
@@ -188,8 +177,17 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
   (* v5 clients learn the daemon's uptime and build from every STAT; to
      older clients the fields stay default so the frame bytes are
      exactly the v4 encoding *)
-  let status_extra c =
-    if c.c_ver >= 5 then (uptime_s (), Version.string) else (0, "")
+  let send_status c ~id ~state ~done_ ~total ~hits ~dispatched =
+    let uptime_s, version =
+      if c.c_ver >= 5 then (uptime_s (), Version.string) else (0, "")
+    in
+    send_to c
+      (Wire.Status { id; state; done_; total; hits; dispatched; uptime_s; version })
+  in
+  let sub_status sub state =
+    send_status sub.sb_client ~id:sub.sb_id ~state ~done_:sub.sb_done
+      ~total:(Array.length sub.sb_slots) ~hits:sub.sb_hits
+      ~dispatched:sub.sb_dispatched
   in
   let outcome_of_text text =
     match Jsonx.parse text with
@@ -205,7 +203,13 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
       | Some (Jsonx.Int i) -> Some (float_of_int i)
       | _ -> None)
   in
+  (* the planner takes each batch of measurements in one sorted fold *)
+  let fold_measured sub =
+    Option.iter (fun pl -> Plan.record pl sub.sb_measured) sub.sb_plan;
+    sub.sb_measured <- []
+  in
   let finalize sub =
+    fold_measured sub;
     let spec = sub.sb_spec in
     let rows = ref [] in
     Array.iteri
@@ -244,19 +248,7 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
         ~window:spec.Campaign.window ~warmup:spec.Campaign.warmup
         ?plan:plan_summary rows
     in
-    let uptime_s, version = status_extra sub.sb_client in
-    send_to sub.sb_client
-      (Wire.Status
-         {
-           id = sub.sb_id;
-           state = "done";
-           done_ = sub.sb_done;
-           total = Array.length sub.sb_slots;
-           hits = sub.sb_hits;
-           dispatched = sub.sb_dispatched;
-           uptime_s;
-           version;
-         });
+    sub_status sub "done";
     send_to sub.sb_client
       (Wire.Done { id = sub.sb_id; json = Jsonx.to_string rep.Report.doc });
     span bus
@@ -280,13 +272,13 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
       sub.sb_done <- sub.sb_done + 1;
       if inflight then sub.sb_inflight <- sub.sb_inflight - 1;
       (* a planned submission folds every measurement — admission hit or
-         dispatched window — into its planner's running CI *)
-      Option.iter
-        (fun pl ->
-          match ipc_of_outcome outcome with
-          | Some ipc -> Plan.record pl [ (sub.sb_offsets.(i), ipc) ]
-          | None -> ())
-        sub.sb_plan;
+         dispatched window — into its planner's CI, a round at a time
+         ([plan_step]), so the fold does not depend on which worker
+         finished first *)
+      (match ipc_of_outcome outcome with
+      | Some ipc when Option.is_some sub.sb_plan ->
+        sub.sb_measured <- (sub.sb_offsets.(i), ipc) :: sub.sb_measured
+      | _ -> ());
       maybe_finalize sub
   in
   (* Early exit for a planned submission: every unmeasured window is
@@ -322,6 +314,20 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
           sub.sb_skipped <- sub.sb_skipped + 1)
       sub.sb_slots;
     maybe_finalize sub
+  in
+  (* Put window [i] of [sub] on the pend computing it: join one already
+     pending, or open one and queue it on [sub]. *)
+  let register sub i =
+    let k = sub.sb_keys.(i) in
+    match Hashtbl.find_opt pending (Library.key_id k) with
+    | Some p ->
+      p.p_waiters <- (sub, i) :: p.p_waiters;
+      `Join
+    | None ->
+      Hashtbl.replace pending (Library.key_id k)
+        { p_key = k; p_work = sub.sb_works.(i); p_waiters = [ (sub, i) ] };
+      Queue.push i sub.sb_todo;
+      `New
   in
   (* The sweep's checkpoint set: restored from the library when a prior
      campaign stored it (skipping the functional fast-forward entirely),
@@ -438,7 +444,9 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
             sb_hits = 0;
             sb_dispatched = 0;
             sb_plan = None;
+            sb_measured = [];
             sb_inflight = 0;
+            sb_running = 0;
             sb_skipped = 0;
           }
         in
@@ -455,21 +463,12 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
                 try Library.find_window lib k with B.Corrupt _ -> None
               with
               | Some text -> `Hit text
-              | None -> (
-                let kid = Library.key_id k in
-                match Hashtbl.find_opt pending kid with
-                | Some p ->
-                  p.p_waiters <- (sub, i) :: p.p_waiters;
-                  if planned then sub.sb_inflight <- sub.sb_inflight + 1;
-                  `Join
-                | None ->
-                  if planned then `Cand
-                  else begin
-                    Hashtbl.replace pending kid
-                      { p_key = k; p_work = works.(i); p_waiters = [ (sub, i) ] };
-                    Queue.push i sub.sb_todo;
-                    `New
-                  end))
+              | None when planned && not (Hashtbl.mem pending (Library.key_id k))
+                ->
+                `Cand
+              | None ->
+                if planned then sub.sb_inflight <- sub.sb_inflight + 1;
+                register sub i)
         in
         Array.iter
           (function
@@ -504,19 +503,7 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
                    round_size = credit;
                  }
                  ~candidates:(List.rev !candidates) ~phase_of));
-        let uptime_s, version = status_extra c in
-        send_to c
-          (Wire.Status
-             {
-               id;
-               state = "running";
-               done_ = 0;
-               total = n;
-               hits = sub.sb_hits;
-               dispatched = sub.sb_dispatched;
-               uptime_s;
-               version;
-             });
+        sub_status sub "running";
         Array.iteri
           (fun i action ->
             match action with
@@ -531,42 +518,17 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
       end
   in
   let handle_status c id =
-    let uptime_s, version = status_extra c in
     if id = -1 then
-      send_to c
-        (Wire.Status
-           {
-             id = -1;
-             state = "serving";
-             done_ = !completed;
-             total = !submitted;
-             hits = !hits_total;
-             dispatched = !dispatched_total;
-             uptime_s;
-             version;
-           })
+      send_status c ~id ~state:"serving" ~done_:!completed ~total:!submitted
+        ~hits:!hits_total ~dispatched:!dispatched_total
     else
       match
         List.find_opt (fun s -> s.sb_id = id && s.sb_client == c) !subs
       with
-      | Some s ->
-        send_to c
-          (Wire.Status
-             {
-               id;
-               state = "running";
-               done_ = s.sb_done;
-               total = Array.length s.sb_slots;
-               hits = s.sb_hits;
-               dispatched = s.sb_dispatched;
-               uptime_s;
-               version;
-             })
+      | Some s -> sub_status s "running"
       | None ->
-        send_to c
-          (Wire.Status
-             { id; state = "unknown"; done_ = 0; total = 0; hits = 0;
-               dispatched = 0; uptime_s; version })
+        send_status c ~id ~state:"unknown" ~done_:0 ~total:0 ~hits:0
+          ~dispatched:0
   in
   (* A fetch resolves one window from the library without submitting: it
      needs the campaign's checkpoint set (to know which snapshot the
@@ -624,20 +586,16 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
      function of service state. *)
   let health_json () =
     let workers_json =
-      Hashtbl.fold
-        (fun addr wh acc ->
-          ( addr,
-            Jsonx.Obj
-              [
-                ("addr", Jsonx.String addr);
-                ("state", Jsonx.String wh.wh_state);
-                ("in_flight", Jsonx.Int wh.wh_inflight);
-                ("reason", Jsonx.String wh.wh_reason);
-              ] )
-          :: acc)
-        worker_health []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.map snd
+      Hashtbl.fold (fun addr wh acc -> (addr, wh) :: acc) worker_health []
+      |> List.sort compare
+      |> List.map (fun (addr, (state, in_flight, reason)) ->
+             Jsonx.Obj
+               [
+                 ("addr", Jsonx.String addr);
+                 ("state", Jsonx.String state);
+                 ("in_flight", Jsonx.Int in_flight);
+                 ("reason", Jsonx.String reason);
+               ])
     in
     let campaigns =
       List.map
@@ -753,72 +711,83 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
       send_to c (Wire.Fail { id = -1; reason = "protocol violation" });
       c.c_alive <- false
   in
-  (* --- fair-share scheduling ------------------------------------------- *)
-  (* One round: up to [credit] units from every active submission, oldest
-     first, run through the backend as a single sweep.  Work lands in the
-     library before waiters are notified, so a crash between the two
-     loses nothing a resubmission could not recover. *)
-  let gather () =
-    let batch = ref [] in
+  (* --- fair-share dispatch --------------------------------------------- *)
+  (* A settled unit's result lands in the library before its waiters are
+     notified, so a crash between the two loses nothing a resubmission
+     could not recover. *)
+  let deliver kid p outcome =
+    Hashtbl.remove pending kid;
+    let text =
+      match outcome with
+      | Sweep.Ok json ->
+        let s = Jsonx.to_string json in
+        Library.put_window lib p.p_key s;
+        emit bus
+          (Event.Artifact_store
+             { key = Library.render p.p_key; bytes = String.length s });
+        s
+      | Sweep.Failed _ -> ""
+    in
+    List.iter
+      (fun (sub, i) ->
+        send_to sub.sb_client
+          (Wire.Artifact
+             { id = sub.sb_id; key = Library.render p.p_key; json = text });
+        settle_slot ~inflight:true sub i outcome)
+      (List.rev p.p_waiters)
+  in
+  (* Hand [sub]'s next queued unit to the dispatcher, its checkpoint pinned
+     until the unit settles: the LRU may not evict an image under a unit
+     in flight (pins nest). *)
+  let rec dispatch sub =
+    match Queue.take_opt sub.sb_todo with
+    | None -> false
+    | Some i -> (
+      let kid = Library.key_id sub.sb_keys.(i) in
+      match Hashtbl.find_opt pending kid with
+      | None -> dispatch sub
+      | Some p ->
+        let digest = Work.digest p.p_work in
+        Option.iter (Store.pin store) digest;
+        sub.sb_running <- sub.sb_running + 1;
+        Darco_dispatch.add se p.p_work (fun outcome ->
+            Option.iter (Store.unpin store) digest;
+            sub.sb_running <- sub.sb_running - 1;
+            deliver kid p outcome);
+        true)
+  in
+  (* Each free worker slot goes to the next submission in round-robin
+     order (oldest first, starting after the one served last) that has
+     queued units and fewer than [credit] of them in flight. *)
+  let last_served = ref (-1) in
+  let admit_units () =
+    let took = ref [] in
+    let ready s = s.sb_running < credit && not (Queue.is_empty s.sb_todo) in
+    let rec fill () =
+      if Darco_dispatch.free_slots se > 0 then begin
+        let later, earlier =
+          List.partition (fun s -> s.sb_seq > !last_served) !subs
+        in
+        match List.find_opt ready (later @ earlier) with
+        | None -> ()
+        | Some sub ->
+          last_served := sub.sb_seq;
+          if dispatch sub then took := sub :: !took;
+          fill ()
+      end
+    in
+    fill ();
     List.iter
       (fun sub ->
-        let took = ref 0 in
-        while !took < credit && not (Queue.is_empty sub.sb_todo) do
-          let i = Queue.pop sub.sb_todo in
-          match Hashtbl.find_opt pending (Library.key_id sub.sb_keys.(i)) with
-          | Some p ->
-            batch := (Library.key_id sub.sb_keys.(i), p) :: !batch;
-            incr took
-          | None -> ()
-        done;
-        if !took > 0 then
-          emit bus (Event.Admit { submission = sub.sb_seq; units = !took; credit }))
-      !subs;
-    List.rev !batch
+        match List.length (List.filter (( == ) sub) !took) with
+        | 0 -> ()
+        | units -> emit bus (Event.Admit { submission = sub.sb_seq; units; credit }))
+      !subs
   in
-  let round () =
-    match gather () with
-    | [] -> ()
-    | batch ->
-      (* the round's checkpoints may not be evicted while units referencing
-         them are in flight *)
-      let digests =
-        List.sort_uniq compare
-          (List.filter_map (fun (_, p) -> Work.digest p.p_work) batch)
-      in
-      List.iter (Store.pin store) digests;
-      let results =
-        Fun.protect
-          ~finally:(fun () -> List.iter (Store.unpin store) digests)
-          (fun () -> Sweep.run (backend ()) (List.map (fun (_, p) -> p.p_work) batch))
-      in
-      List.iter2
-        (fun (kid, p) (r : Sweep.result) ->
-          Hashtbl.remove pending kid;
-          let text =
-            match r.Sweep.outcome with
-            | Sweep.Ok json ->
-              let s = Jsonx.to_string json in
-              Library.put_window lib p.p_key s;
-              emit bus
-                (Event.Artifact_store
-                   { key = Library.render p.p_key; bytes = String.length s });
-              s
-            | Sweep.Failed _ -> ""
-          in
-          List.iter
-            (fun (sub, i) ->
-              send_to sub.sb_client
-                (Wire.Artifact
-                   { id = sub.sb_id; key = Library.render p.p_key; json = text });
-              settle_slot ~inflight:true sub i r.Sweep.outcome)
-            (List.rev p.p_waiters))
-        batch results
-  in
-  (* Planned submissions advance between dispatch rounds: once a
-     submission has nothing in flight, its planner either picks the next
-     round's windows (queuing the ones nobody else is already running)
-     or stops, skipping everything unmeasured. *)
+  (* Planned submissions advance a round at a time: once a submission has
+     nothing in flight, its planner folds in the round's measurements and
+     either picks the next round's windows (queuing the ones nobody else
+     is already running) or stops, skipping everything unmeasured. *)
   let plan_step () =
     List.iter
       (fun sub ->
@@ -826,33 +795,20 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
         | None -> ()
         | Some pl ->
           if sub.sb_inflight = 0 && Queue.is_empty sub.sb_todo then begin
+            fold_measured sub;
             match Plan.next pl with
             | [] -> cancel sub
             | chosen ->
               List.iter
                 (fun off ->
-                  let slot = ref (-1) in
-                  Array.iteri
-                    (fun i o -> if o = off then slot := i)
-                    sub.sb_offsets;
-                  let i = !slot in
+                  let i = Option.get (Array.find_index (( = ) off) sub.sb_offsets) in
                   match sub.sb_slots.(i) with
                   | Settled _ | Skipped -> ()
                   | Waiting ->
-                    let k = sub.sb_keys.(i) in
-                    let kid = Library.key_id k in
-                    (match Hashtbl.find_opt pending kid with
-                    | Some p -> p.p_waiters <- (sub, i) :: p.p_waiters
-                    | None ->
-                      Hashtbl.replace pending kid
-                        {
-                          p_key = k;
-                          p_work = sub.sb_works.(i);
-                          p_waiters = [ (sub, i) ];
-                        };
-                      Queue.push i sub.sb_todo;
+                    if register sub i = `New then begin
                       sub.sb_dispatched <- sub.sb_dispatched + 1;
-                      incr dispatched_total);
+                      incr dispatched_total
+                    end;
                     sub.sb_inflight <- sub.sb_inflight + 1)
                 chosen
           end)
@@ -867,8 +823,9 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
     (Unix.ADDR_INET (Darco_dispatch.Worker.resolve host, port));
   Unix.listen lsock 16;
   Option.iter (fun f -> f (Unix.getsockname lsock)) ready;
-  log "serving on %s:%d (library %s, backend %s)" host port library
-    (backend ()).Sweep.Backend.name;
+  if not quiet then
+    log "serving on %s:%d (library %s, workers %s)" host port library
+      (String.concat "," (List.map Darco_dispatch.addr_to_string (workers ())));
   let accept_client () =
     match Unix.accept ~cloexec:true lsock with
     | exception Unix.Unix_error _ -> ()
@@ -910,9 +867,6 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
   let continue () =
     match max_submissions with Some m -> !completed < m | None -> true
   in
-  let have_work () =
-    List.exists (fun s -> not (Queue.is_empty s.sb_todo)) !subs
-  in
   Fun.protect
     ~finally:(fun () ->
       (* a final dump so short-lived (--max-submissions) daemons leave a
@@ -923,19 +877,26 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
       (try Unix.close lsock with Unix.Unix_error _ -> ());
       List.iter
         (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ())
-        !clients)
+        !clients;
+      Darco_dispatch.close_session se)
   @@ fun () ->
   while continue () do
     plan_step ();
+    admit_units ();
     let cfds =
       List.filter_map (fun c -> if c.c_alive then Some c.c_fd else None)
         !clients
     in
-    (* queued work must not wait for the tick: poll the clients and go
-       straight on to the next round *)
-    let rd, _, _ =
-      try Unix.select (lsock :: cfds) [] [] (if have_work () then 0.0 else 0.25)
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+    (* one select over the listener, the clients and the workers: it wakes
+       for a frame, a worker-side timer or the next metrics dump, never on
+       a tick *)
+    let rd =
+      Darco_dispatch.step se
+        ?timeout:
+          (Option.map
+             (fun _ -> Float.max 0.0 (!next_dump -. Unix.gettimeofday ()))
+             metrics_file)
+        (lsock :: cfds)
     in
     if List.mem lsock rd then accept_client ();
     List.iter
@@ -950,9 +911,8 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
         !clients;
     (match metrics_file with
     | Some path when Unix.gettimeofday () >= !next_dump ->
-      (* the select tick paces this; write-then-rename keeps it atomic *)
+      (* the step's timeout paces this; write-then-rename keeps it atomic *)
       next_dump := Unix.gettimeofday () +. metrics_interval;
       (try dump_metrics path with Sys_error _ -> ())
-    | _ -> ());
-    if have_work () then round ()
+    | _ -> ())
   done

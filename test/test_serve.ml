@@ -93,13 +93,13 @@ let announce writers sa =
 (* Same worker-daemon spawner as test_dispatch: ephemeral port reported
    through a pipe once the daemon is actually listening.  [exec] lets a
    test slow the worker down to hold a campaign observably in flight. *)
-let spawn_worker ?exec () =
+let spawn_worker ?exec ?store_dir () =
   let r, w = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
     Unix.close r;
     (try
-       Worker.serve ~quiet:true ?exec
+       Worker.serve ~quiet:true ?exec ?store_dir
          ~ready:(fun sa ->
            let port = match sa with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
            let line = Bytes.of_string (string_of_int port ^ "\n") in
@@ -741,8 +741,10 @@ let test_serve_concurrent_sharing () =
       let pid1 = fork_client pipe1 (client "one" 0.0) in
       let pid2 = fork_client pipe2 (client "two" 0.75) in
       let bus, events = collecting_bus () in
-      (* credit 1 keeps scheduling rounds short, so the second submission
-         is admitted while the first is still in flight *)
+      (* the staggered client submits 0.75 s later and finds each window
+         either still in flight (a join) or in the library (a hit); either
+         way it dispatches nothing.  The join path itself is pinned by the
+         in-flight test below. *)
       Serve.serve ~bus ~quiet:true ~workers:(fun () -> [ a1; a2 ]) ~credit:1
         ~max_submissions:2
         ~ready:(announce [ snd pipe1; snd pipe2 ])
@@ -824,6 +826,144 @@ let test_serve_no_idle_gap () =
         Alcotest.failf "%d us from a dispatch_done to the next dispatch_sent" g)
     gaps
 
+(* --- clients are served, and joined, while a unit runs ------------------ *)
+
+(* A one-slot worker that holds each unit [hold] seconds before running
+   it.  Its store spills to a directory, so the unit resolves its
+   checkpoint from the copy the daemon pushed. *)
+let slow_worker dir hold =
+  let store_dir = Filename.concat dir "wstore" in
+  Unix.mkdir store_dir 0o755;
+  spawn_worker ~store_dir
+    ~exec:(fun w ->
+      Unix.sleepf hold;
+      Work.exec ~store:(Store.create ~dir:store_dir ()) w)
+    ()
+
+let geti k j = Option.value ~default:(-1) (Option.bind (J.member k j) J.to_int)
+let gets k j = Option.value ~default:"" (Option.bind (J.member k j) J.to_str)
+let getl k j = match J.member k j with Some (J.List l) -> l | _ -> []
+
+(* Wait until HLTH shows the campaign with a unit in flight, ask STAT, and
+   look again: the answer counts once no window settled in between (the
+   same [done] on both looks).  Then submit the same campaign, which must
+   join the windows still pending. *)
+let in_flight_probe dir addr =
+  let save name s = write_file (Filename.concat dir name) s in
+  let look () =
+    match Client.health addr with
+    | Error _ -> None
+    | Ok doc -> (
+      let j = J.parse doc in
+      match
+        List.find_opt
+          (fun c -> gets "benchmark" c = "continuous")
+          (getl "campaigns" j)
+      with
+      | Some c
+        when List.exists (fun w -> geti "in_flight" w >= 1) (getl "workers" j) ->
+        Some (geti "done" c)
+      | _ -> None)
+  in
+  let rec ask tries =
+    if tries = 0 then save "stat.err" "never saw a unit in flight"
+    else
+      match look () with
+      | None ->
+        Unix.sleepf 0.01;
+        ask (tries - 1)
+      | Some before -> (
+        let asked = Unix.gettimeofday () in
+        match Client.status addr with
+        | Error e -> save "stat.err" e
+        | Ok _ -> (
+          let answered = Unix.gettimeofday () in
+          match look () with
+          | Some after when after = before ->
+            save "stat_at" (Printf.sprintf "%.6f %.6f" asked answered)
+          | _ -> ask (tries - 1)))
+  in
+  ask 300;
+  match Client.submit addr spec1 with
+  | Ok (st, doc) ->
+    save "join.stats"
+      (Printf.sprintf "%d %d %d %d" st.Client.done_ st.Client.total
+         st.Client.hits st.Client.dispatched);
+    save "join.json" doc
+  | Error e -> save "join.err" e
+
+let test_serve_in_flight () =
+  with_temp_dir @@ fun dir ->
+  let wp, waddr = slow_worker dir 0.3 in
+  Fun.protect ~finally:(fun () -> reap wp) @@ fun () ->
+  let pipe1 = Unix.pipe () and pipe2 = Unix.pipe () in
+  let first =
+    fork_client pipe1 (fun addr ->
+        match Client.submit addr spec1 with
+        | Ok (st, doc) ->
+          write_file
+            (Filename.concat dir "first.stats")
+            (Printf.sprintf "%d %d %d %d" st.Client.done_ st.Client.total
+               st.Client.hits st.Client.dispatched);
+          write_file (Filename.concat dir "first.json") doc
+        | Error e -> write_file (Filename.concat dir "first.err") e)
+  in
+  let probe = fork_client pipe2 (in_flight_probe dir) in
+  let bus, events = collecting_bus () in
+  (* wall times on this side of the wire, comparable with the probe's *)
+  let wall = ref [] in
+  Darco_obs.Bus.attach bus ~name:"wall" (fun ~at:_ ev ->
+      match ev with
+      | Event.Dispatch_sent { unit_label; _ } ->
+        wall := (`Sent, unit_label, Unix.gettimeofday ()) :: !wall
+      | Event.Dispatch_done { unit_label; _ } ->
+        wall := (`Done, unit_label, Unix.gettimeofday ()) :: !wall
+      | _ -> ());
+  Serve.serve ~bus ~quiet:true ~workers:(fun () -> [ waddr ]) ~max_submissions:2
+    ~ready:(announce [ snd pipe1; snd pipe2 ])
+    ~library:(Filename.concat dir "lib") ~host:"127.0.0.1" ~port:0 ();
+  wait first;
+  wait probe;
+  let stats name =
+    let a, b, c, d = parse_stats (must_read dir (name ^ ".stats")) in
+    [ a; b; c; d ]
+  in
+  Alcotest.(check (list int)) "first client dispatched every window"
+    [ 3; 3; 0; 3 ] (stats "first");
+  (* STAT was answered before the unit in flight when it was asked
+     settled *)
+  let asked, answered =
+    Scanf.sscanf (must_read dir "stat_at") "%f %f" (fun a b -> (a, b))
+  in
+  let wall = List.rev !wall in
+  let unit_ =
+    List.fold_left
+      (fun acc (k, l, t) -> if k = `Sent && t <= asked then Some l else acc)
+      None wall
+  in
+  (match unit_ with
+  | None -> Alcotest.fail "no unit was sent before STAT was asked"
+  | Some l -> (
+    match List.find_opt (fun (k, l', _) -> k = `Done && l' = l) wall with
+    | Some (_, _, done_at) ->
+      if answered >= done_at then
+        Alcotest.failf "STAT answered %.1f ms after %s settled"
+          ((answered -. done_at) *. 1e3) l
+    | None -> Alcotest.failf "%s never settled" l));
+  (* the second client joined the windows in flight *)
+  Alcotest.(check (list int)) "the joining client dispatched nothing"
+    [ 3; 3; 3; 0 ] (stats "join");
+  Alcotest.(check int) "one dispatch per window" 3
+    (count events (function Event.Dispatch_sent _ -> true | _ -> false));
+  Alcotest.(check int) "joins are not library hits" 0
+    (count events (function
+      | Event.Artifact_hit { key } -> not (has_prefix "ckpts:" key)
+      | _ -> false));
+  Alcotest.(check string) "first document byte-identical to serial"
+    (Lazy.force expected_doc) (must_read dir "first.json");
+  Alcotest.(check string) "joined document byte-identical"
+    (must_read dir "first.json") (must_read dir "join.json")
+
 (* --- live telemetry end to end ----------------------------------------- *)
 
 module Top = Darco_serve.Top
@@ -834,10 +974,6 @@ let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
-
-let geti k j = Option.value ~default:(-1) (Option.bind (J.member k j) J.to_int)
-let gets k j = Option.value ~default:"" (Option.bind (J.member k j) J.to_str)
-let getl k j = match J.member k j with Some (J.List l) -> l | _ -> []
 
 (* A campaign long enough to still be in flight when the probe looks:
    ten wide windows, dispatched one per round ([credit 1]). *)
@@ -1015,6 +1151,8 @@ let () =
             test_serve_adaptive_campaign;
           Alcotest.test_case "no idle gap between queued units" `Quick
             test_serve_no_idle_gap;
+          Alcotest.test_case "clients served and joined while a unit runs"
+            `Quick test_serve_in_flight;
         ] );
       ( "telemetry",
         [
