@@ -62,7 +62,7 @@ let cond_code c =
   find 0
 
 let width_code = function W8 -> 0 | W16 -> 1 | W32 -> 2
-let width_of_code = function 0 -> W8 | 1 -> W16 | 2 -> W32 | _ -> assert false
+let width_of_code ~at = function 0 -> W8 | 1 -> W16 | 2 -> W32 | _ -> raise (Bad_encoding at)
 let scale_code = function S1 -> 0 | S2 -> 1 | S4 -> 2 | S8 -> 3
 let scale_of_code = function 0 -> S1 | 1 -> S2 | 2 -> S4 | _ -> S8
 let str_code = function Movs -> 0 | Stos -> 1 | Lods -> 2 | Scas -> 3 | Cmps -> 4
@@ -371,12 +371,12 @@ let decode ~fetch ~pc =
     else if opcode = op_movx then begin
       let sub = next cur in
       let r = read_reg cur in
-      Movx (width_of_code (sub land 3), sub land 4 <> 0, r, read_mem cur)
+      Movx (width_of_code ~at:pc (sub land 3), sub land 4 <> 0, r, read_mem cur)
     end
     else if opcode = op_movw then begin
       let sub = next cur in
       let r = read_reg cur in
-      Movw (width_of_code (sub land 3), read_mem cur, r)
+      Movw (width_of_code ~at:pc (sub land 3), read_mem cur, r)
     end
     else if opcode = op_lea then
       let r = read_reg cur in
@@ -445,7 +445,7 @@ let decode ~fetch ~pc =
     else if opcode = op_str then begin
       let sub = next cur in
       if sub land 7 > 4 || (sub lsr 3) land 3 > 2 then raise (Bad_encoding pc);
-      Str (str_of_code (sub land 7), width_of_code ((sub lsr 3) land 3), rep_of_code (sub lsr 5))
+      Str (str_of_code (sub land 7), width_of_code ~at:pc ((sub lsr 3) land 3), rep_of_code (sub lsr 5))
     end
     else if opcode = op_fld then
       let f = read_freg cur in

@@ -235,6 +235,31 @@ let test_codec_bad_encoding () =
   Alcotest.check_raises "invalid opcode" (Codec.Bad_encoding 0) (fun () ->
       ignore (Codec.decode ~fetch:(fun _ -> 0xFF) ~pc:0))
 
+(* Decoding is total: any bytes, fetched with zero padding past their
+   end, decode or raise [Bad_encoding] — never another exception.  The
+   first byte is drawn from just past the opcode space so most cases reach
+   an operand decoder. *)
+let decode_bytes s =
+  Codec.decode ~pc:0 ~fetch:(fun i ->
+      if i < String.length s then Char.code s.[i] else 0)
+
+let prop_decode_total =
+  QCheck.Test.make ~name:"decode returns or raises Bad_encoding" ~count:4000
+    QCheck.(pair (int_bound 0x29) (string_of_size (Gen.int_range 0 15)))
+    (fun (op, rest) ->
+      match decode_bytes (String.make 1 (Char.chr op) ^ rest) with
+      | _ -> true
+      | exception Codec.Bad_encoding _ -> true)
+
+(* The shortest input that once escaped as [Assert_failure]: MOVX with
+   width field 3 *)
+let test_codec_width3_fixture () =
+  let ic = open_in_bin (Filename.concat "fixtures" "gx86_movx_width3.bin") in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.check_raises "MOVX width 3" (Codec.Bad_encoding 0) (fun () ->
+      ignore (decode_bytes s))
+
 let test_codec_variable_length () =
   let short = Codec.length (Mov (Reg EAX, Reg ECX)) in
   let long = Codec.length (Mov (Mem { base = Some EAX; index = Some (ECX, S4); disp = 100000 }, Imm 7)) in
@@ -816,6 +841,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
           Alcotest.test_case "control transfers" `Quick test_codec_control;
           Alcotest.test_case "bad encoding" `Quick test_codec_bad_encoding;
+          Alcotest.test_case "width-3 fixture" `Quick test_codec_width3_fixture;
+          QCheck_alcotest.to_alcotest prop_decode_total;
           Alcotest.test_case "variable length" `Quick test_codec_variable_length;
         ] );
       ( "memory",
