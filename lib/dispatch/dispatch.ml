@@ -213,13 +213,10 @@ let connect_worker ~bus ~timeout ~ix (a : addr) =
       | exception B.Corrupt m -> fail (Some fd) ("malformed handshake: " ^ m)
     end)
 
-(* A dispatch session: the one incremental core behind every remote
-   dispatch.  [add] queues a unit with its completion callback and [step]
-   takes one select step, so a caller can interleave its own sockets (the
-   campaign daemon's clients) with the workers'.  What persists between
-   calls is exactly what is expensive to rebuild — the TCP connections,
+(* The one incremental core behind every remote dispatch.  What persists
+   between calls is what is expensive to rebuild — the TCP connections,
    each worker's [w_seen] checkpoint cache and half-drained outbound
-   frames — along with the in-flight units, their deadlines and retries. *)
+   frames — along with the units in flight, their deadlines and retries. *)
 type session = {
   se_bus : Bus.t option;
   se_store : Store.t option;

@@ -121,9 +121,8 @@ val remote :
     {!session}; each round adds its units and steps until they settle. *)
 
 type session
-(** Connections, queued and in-flight units, deadlines, retries, steals,
-    keepalives and each worker's pushed-checkpoint cache, kept from one
-    call to the next. *)
+(** Connections, units, deadlines, retries, steals, keepalives and each
+    worker's pushed-checkpoint cache, kept from one call to the next. *)
 
 val open_session :
   ?bus:Darco_obs.Bus.t ->
@@ -158,8 +157,8 @@ val step :
 (** Send every unit that can go now, then block in one [select] over the
     worker sockets and [fds] until something arrives or the earliest timer
     fires: an in-flight deadline, a backed-off retry, a keepalive probe,
-    a steal falling due, or [timeout] seconds (default: none).  Returns
-    the readable members of [fds]. *)
+    a steal falling due, or [timeout] seconds (default: none); not at all
+    when sending settled units (a fallback).  Returns the readable [fds]. *)
 
 val close_session : session -> unit
 

@@ -127,8 +127,8 @@ type t =
       (** a client submitted a sweep: [submission] is the server-assigned
           sequence number, [units] the number of requested windows *)
   | Admit of { submission : int; units : int; credit : int }
-      (** fair-share admission: [units] work units of [submission]
-          admitted into a dispatch round under a per-round [credit] cap *)
+      (** fair-share admission: [units] work units of [submission] handed
+          to free worker slots at once, with at most [credit] in flight *)
   | Artifact_hit of { key : string }
       (** a requested artifact (window result, or a ["ckpts:"]-prefixed
           checkpoint set) was served from the library — no work dispatched *)
