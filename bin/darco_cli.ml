@@ -876,8 +876,8 @@ let serve_cmd =
       quiet trace =
     let addr = parse_addr listen in
     (* without --workers, one loopback fleet serves the daemon's whole
-       lifetime, restarting a dead worker before the next dispatch that
-       finds it missing, and is stopped when the daemon returns *)
+       lifetime, restarting a dead worker when the daemon next dispatches
+       from idle, and is stopped when the daemon returns *)
     let with_workers f =
       match workers with
       | Some s ->
@@ -926,7 +926,7 @@ let serve_cmd =
       const run
       $ Arg.(value & opt string "127.0.0.1:9300" & info [ "listen" ] ~docv:"HOST:PORT" ~doc:"Bind and serve on $(docv)")
       $ Arg.(required & opt (some string) None & info [ "library" ] ~docv:"DIR" ~doc:"Artifact library directory (created if missing)")
-      $ Arg.(value & opt (some string) None & info [ "workers" ] ~docv:"HOST:PORT,..." ~doc:"Dispatch work units to these worker daemons (default: start --jobs loopback $(b,darco worker) processes for the daemon's lifetime, restarting one that died before the next dispatch finds it missing)")
+      $ Arg.(value & opt (some string) None & info [ "workers" ] ~docv:"HOST:PORT,..." ~doc:"Dispatch work units to these worker daemons (default: start --jobs loopback $(b,darco worker) processes for the daemon's lifetime, restarting a dead one when the daemon next dispatches from idle)")
       $ Arg.(value & opt int 4 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Loopback worker processes to start without --workers; also the domain count of the fallback when no worker is reachable")
       $ Arg.(value & opt int 4 & info [ "credit" ] ~docv:"N" ~doc:"Fair-share allowance: work units of one submission in flight at once; also the adaptive planner's round size")
       $ Arg.(value & opt float 60.0 & info [ "dispatch-timeout" ] ~docv:"SECONDS" ~doc:"Per-work-unit deadline on the worker fleet")

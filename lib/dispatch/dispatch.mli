@@ -189,4 +189,4 @@ val fleet_revive : fleet -> addr list
     fresh one — wait until the new ones accept (as {!with_fleet}), and
     return every worker's address.  [darco serve] passes it as its
     session's [workers], so a worker lost to a crashing unit is replaced
-    before the next dispatch that finds it missing. *)
+    at the next dispatch from idle, not lost for the daemon's life. *)
