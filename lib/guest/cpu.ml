@@ -9,8 +9,8 @@ type t = {
 let create () =
   { regs = Array.make 8 0; fregs = Array.make 8 0.0; flags = 0; eip = 0; halted = false }
 
-let get t r = t.regs.(Isa.reg_index r)
-let set t r v = t.regs.(Isa.reg_index r) <- Semantics.mask32 v
+let[@inline] get t r = t.regs.(Isa.reg_index r)
+let[@inline] set t r v = t.regs.(Isa.reg_index r) <- Semantics.mask32 v
 let getf t f = t.fregs.(Isa.freg_index f)
 let setf t f v = t.fregs.(Isa.freg_index f) <- v
 

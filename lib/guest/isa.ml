@@ -66,13 +66,13 @@ let all_fregs = [| F0; F1; F2; F3; F4; F5; F6; F7 |]
 
 let all_conds = [| E; NE; L; LE; G; GE; B; BE; A; AE; S; NS; O; NO |]
 
-let reg_index = function
+let[@inline] reg_index = function
   | EAX -> 0 | ECX -> 1 | EDX -> 2 | EBX -> 3
   | ESP -> 4 | EBP -> 5 | ESI -> 6 | EDI -> 7
 
 let reg_of_index i = all_regs.(i)
 
-let freg_index = function
+let[@inline] freg_index = function
   | F0 -> 0 | F1 -> 1 | F2 -> 2 | F3 -> 3
   | F4 -> 4 | F5 -> 5 | F6 -> 6 | F7 -> 7
 

@@ -1,4 +1,4 @@
-let mask32 v = v land 0xFFFFFFFF
+let[@inline] mask32 v = v land 0xFFFFFFFF
 let bit31 v = v land 0x80000000 <> 0
 let signed v = if bit31 v then v - 0x100000000 else v
 

@@ -74,32 +74,14 @@ let fetch ic mem pc =
 
 let is_interp_only = function Str (_, _, (Rep | Repe | Repne)) -> true | _ -> false
 
-(* [Cpu]'s register accessors, restated here: under separate compilation
-   every call into another module is a real call, and these run several
-   times per instruction. *)
-let[@inline] mask32 v = v land 0xFFFFFFFF
-
-let[@inline] ri (r : reg) =
-  match r with
-  | EAX -> 0 | ECX -> 1 | EDX -> 2 | EBX -> 3
-  | ESP -> 4 | EBP -> 5 | ESI -> 6 | EDI -> 7
-
-let[@inline] fi (f : freg) =
-  match f with
-  | F0 -> 0 | F1 -> 1 | F2 -> 2 | F3 -> 3
-  | F4 -> 4 | F5 -> 5 | F6 -> 6 | F7 -> 7
-
-let[@inline] get (cpu : Cpu.t) r = cpu.regs.(ri r)
-let[@inline] set (cpu : Cpu.t) r v = cpu.regs.(ri r) <- mask32 v
-
 let mem_addr cpu { base; index; disp } =
-  let b = match base with None -> 0 | Some r -> get cpu r in
-  let i = match index with None -> 0 | Some (r, s) -> get cpu r * scale_factor s in
-  mask32 (b + i + disp)
+  let b = match base with None -> 0 | Some r -> Cpu.get cpu r in
+  let i = match index with None -> 0 | Some (r, s) -> Cpu.get cpu r * scale_factor s in
+  Semantics.mask32 (b + i + disp)
 
 let read_operand cpu mem = function
-  | Reg r -> get cpu r
-  | Imm n -> mask32 n
+  | Reg r -> Cpu.get cpu r
+  | Imm n -> Semantics.mask32 n
   | Mem m -> Memory.read mem W32 (mem_addr cpu m)
 
 (* Touch every page a write of [w] at [addr] will reach, so the write cannot
@@ -111,7 +93,7 @@ let probe_write mem w addr =
 
 let write_operand cpu mem op v =
   match op with
-  | Reg r -> set cpu r v
+  | Reg r -> Cpu.set cpu r v
   | Mem m -> Memory.write mem W32 (mem_addr cpu m) v
   | Imm _ -> invalid_arg "write_operand: immediate destination"
 
@@ -120,7 +102,7 @@ let write_operand cpu mem op v =
    probed the pages this write touches. *)
 let write_back cpu mem op v =
   match op with
-  | Reg r -> set cpu r v
+  | Reg r -> Cpu.set cpu r v
   | Mem m -> Memory.write mem W32 (mem_addr cpu m) v
   | Imm _ -> invalid_arg "rmw: immediate destination"
 
@@ -130,47 +112,47 @@ let[@inline] retire_rmw (cpu : Cpu.t) mem d p =
   write_back cpu mem d (Semantics.result_of p)
 
 let push cpu mem v =
-  let sp = mask32 (get cpu ESP - 4) in
+  let sp = Semantics.mask32 (Cpu.get cpu ESP - 4) in
   probe_write mem W32 sp;
   Memory.write mem W32 sp v;
-  set cpu ESP sp
+  Cpu.set cpu ESP sp
 
 let pop cpu mem =
-  let sp = get cpu ESP in
+  let sp = Cpu.get cpu ESP in
   let v = Memory.read mem W32 sp in
-  set cpu ESP (sp + 4);
+  Cpu.set cpu ESP (sp + 4);
   v
 
 (* One iteration of a string instruction; [w] bytes, pointers ascend. *)
 let string_once (cpu : Cpu.t) mem kind w =
   let sz = width_bytes w in
-  let esi = get cpu ESI and edi = get cpu EDI in
+  let esi = Cpu.get cpu ESI and edi = Cpu.get cpu EDI in
   match kind with
   | Movs ->
     let v = Memory.read mem w esi in
     probe_write mem w edi;
     Memory.write mem w edi v;
-    set cpu ESI (esi + sz);
-    set cpu EDI (edi + sz)
+    Cpu.set cpu ESI (esi + sz);
+    Cpu.set cpu EDI (edi + sz)
   | Stos ->
     probe_write mem w edi;
-    Memory.write mem w edi (Semantics.truncate_width w (get cpu EAX));
-    set cpu EDI (edi + sz)
+    Memory.write mem w edi (Semantics.truncate_width w (Cpu.get cpu EAX));
+    Cpu.set cpu EDI (edi + sz)
   | Lods ->
     let v = Memory.read mem w esi in
-    set cpu EAX v;
-    set cpu ESI (esi + sz)
+    Cpu.set cpu EAX v;
+    Cpu.set cpu ESI (esi + sz)
   | Scas ->
     let v = Memory.read mem w edi in
-    let a = Semantics.truncate_width w (get cpu EAX) in
+    let a = Semantics.truncate_width w (Cpu.get cpu EAX) in
     cpu.flags <- Semantics.flags_of (Semantics.alu Sub ~cf_in:false a v);
-    set cpu EDI (edi + sz)
+    Cpu.set cpu EDI (edi + sz)
   | Cmps ->
     let a = Memory.read mem w esi in
     let b = Memory.read mem w edi in
     cpu.flags <- Semantics.flags_of (Semantics.alu Sub ~cf_in:false a b);
-    set cpu ESI (esi + sz);
-    set cpu EDI (edi + sz)
+    Cpu.set cpu ESI (esi + sz);
+    Cpu.set cpu EDI (edi + sz)
 
 let exec_string (cpu : Cpu.t) mem kind w rep =
   match rep with
@@ -178,7 +160,7 @@ let exec_string (cpu : Cpu.t) mem kind w rep =
   | Rep | Repe | Repne ->
     let first = ref true in
     while
-      get cpu ECX <> 0
+      Cpu.get cpu ECX <> 0
       && (!first
          ||
          match rep with
@@ -188,11 +170,11 @@ let exec_string (cpu : Cpu.t) mem kind w rep =
     do
       first := false;
       string_once cpu mem kind w;
-      set cpu ECX (get cpu ECX - 1)
+      Cpu.set cpu ECX (Cpu.get cpu ECX - 1)
     done
 
 let[@inline] next (cpu : Cpu.t) len =
-  cpu.eip <- mask32 (cpu.eip + len);
+  cpu.eip <- Semantics.mask32 (cpu.eip + len);
   Next
 
 let[@inline] jump (cpu : Cpu.t) target =
@@ -211,15 +193,15 @@ let exec (cpu : Cpu.t) mem insn len =
     next cpu len
   | Movx (w, signed, r, m) ->
     let v = Memory.read mem w (mem_addr cpu m) in
-    set cpu r (if signed then Semantics.sign_extend w v else v);
+    Cpu.set cpu r (if signed then Semantics.sign_extend w v else v);
     next cpu len
   | Movw (w, m, r) ->
     let addr = mem_addr cpu m in
     probe_write mem w addr;
-    Memory.write mem w addr (Semantics.truncate_width w (get cpu r));
+    Memory.write mem w addr (Semantics.truncate_width w (Cpu.get cpu r));
     next cpu len
   | Lea (r, m) ->
-    set cpu r (mem_addr cpu m);
+    Cpu.set cpu r (mem_addr cpu m);
     next cpu len
   | Alu (op, d, s) ->
     let b = read_operand cpu mem s in
@@ -258,33 +240,37 @@ let exec (cpu : Cpu.t) mem insn len =
     retire_rmw cpu mem d (Semantics.shift op a ~count ~flags:cpu.flags);
     next cpu len
   | Mul s ->
-    let a = get cpu EAX and b = read_operand cpu mem s in
+    let a = Cpu.get cpu EAX and b = read_operand cpu mem s in
     let p = Semantics.mul_u a b in
-    set cpu EAX (Semantics.result_of p);
-    set cpu EDX (Semantics.mulhi_u a b);
+    Cpu.set cpu EAX (Semantics.result_of p);
+    Cpu.set cpu EDX (Semantics.mulhi_u a b);
     cpu.flags <- Semantics.flags_of p;
     next cpu len
   | Imul s ->
-    let a = get cpu EAX and b = read_operand cpu mem s in
+    let a = Cpu.get cpu EAX and b = read_operand cpu mem s in
     let p = Semantics.mul_s a b in
-    set cpu EAX (Semantics.result_of p);
-    set cpu EDX (Semantics.mulhi_s a b);
+    Cpu.set cpu EAX (Semantics.result_of p);
+    Cpu.set cpu EDX (Semantics.mulhi_s a b);
     cpu.flags <- Semantics.flags_of p;
     next cpu len
   | Imul2 (r, s) ->
-    let p = Semantics.mul_s (get cpu r) (read_operand cpu mem s) in
-    set cpu r (Semantics.result_of p);
+    let p = Semantics.mul_s (Cpu.get cpu r) (read_operand cpu mem s) in
+    Cpu.set cpu r (Semantics.result_of p);
     cpu.flags <- Semantics.flags_of p;
     next cpu len
   | Div s ->
-    let q, r = Semantics.div_u ~hi:(get cpu EDX) ~lo:(get cpu EAX) (read_operand cpu mem s) in
-    set cpu EAX q;
-    set cpu EDX r;
+    let q, r =
+      Semantics.div_u ~hi:(Cpu.get cpu EDX) ~lo:(Cpu.get cpu EAX) (read_operand cpu mem s)
+    in
+    Cpu.set cpu EAX q;
+    Cpu.set cpu EDX r;
     next cpu len
   | Idiv s ->
-    let q, r = Semantics.div_s ~hi:(get cpu EDX) ~lo:(get cpu EAX) (read_operand cpu mem s) in
-    set cpu EAX q;
-    set cpu EDX r;
+    let q, r =
+      Semantics.div_s ~hi:(Cpu.get cpu EDX) ~lo:(Cpu.get cpu EAX) (read_operand cpu mem s)
+    in
+    Cpu.set cpu EAX q;
+    Cpu.set cpu EDX r;
     next cpu len
   | Push s ->
     let v = read_operand cpu mem s in
@@ -292,30 +278,30 @@ let exec (cpu : Cpu.t) mem insn len =
     next cpu len
   | Pop r ->
     let v = pop cpu mem in
-    set cpu r v;
+    Cpu.set cpu r v;
     next cpu len
   | Jmp t -> jump cpu t
   | JmpInd s -> jump cpu (read_operand cpu mem s)
   | Jcc (c, t) ->
     if Flags.eval_cond c cpu.flags then jump cpu t
     else begin
-      cpu.eip <- mask32 (cpu.eip + len);
+      cpu.eip <- Semantics.mask32 (cpu.eip + len);
       Branch
     end
   | Call t ->
-    push cpu mem (mask32 (cpu.eip + Codec.length insn));
+    push cpu mem (Semantics.mask32 (cpu.eip + Codec.length insn));
     jump cpu t
   | CallInd s ->
     let target = read_operand cpu mem s in
-    push cpu mem (mask32 (cpu.eip + Codec.length insn));
+    push cpu mem (Semantics.mask32 (cpu.eip + Codec.length insn));
     jump cpu target
   | Ret -> jump cpu (pop cpu mem)
   | Cmov (c, r, s) ->
     let v = read_operand cpu mem s in
-    if Flags.eval_cond c cpu.flags then set cpu r v;
+    if Flags.eval_cond c cpu.flags then Cpu.set cpu r v;
     next cpu len
   | Setcc (c, r) ->
-    set cpu r (if Flags.eval_cond c cpu.flags then 1 else 0);
+    Cpu.set cpu r (if Flags.eval_cond c cpu.flags then 1 else 0);
     next cpu len
   | Str (kind, w, rep) ->
     exec_string cpu mem kind w rep;
@@ -324,38 +310,38 @@ let exec (cpu : Cpu.t) mem insn len =
     let addr = mem_addr cpu m in
     let lo = Memory.read mem W32 addr in
     let hi = Memory.read mem W32 (addr + 4) in
-    cpu.fregs.(fi f) <- f64_of_words lo hi;
+    cpu.fregs.(freg_index f) <- f64_of_words lo hi;
     next cpu len
   | Fst (m, f) ->
     let addr = mem_addr cpu m in
     ignore (Memory.read8 mem addr);
     ignore (Memory.read8 mem (addr + 7));
-    let bits = Int64.bits_of_float cpu.fregs.(fi f) in
+    let bits = Int64.bits_of_float cpu.fregs.(freg_index f) in
     Memory.write mem W32 addr (Int64.to_int (Int64.logand bits 0xFFFFFFFFL));
     Memory.write mem W32 (addr + 4) (Int64.to_int (Int64.shift_right_logical bits 32));
     next cpu len
   | Fmov (d, s) ->
-    cpu.fregs.(fi d) <- cpu.fregs.(fi s);
+    cpu.fregs.(freg_index d) <- cpu.fregs.(freg_index s);
     next cpu len
   | Fldi (f, v) ->
-    cpu.fregs.(fi f) <- v;
+    cpu.fregs.(freg_index f) <- v;
     next cpu len
   | Fbin (op, d, s) ->
     let fr = cpu.fregs in
-    fr.(fi d) <- Semantics.fp_bin op fr.(fi d) fr.(fi s);
+    fr.(freg_index d) <- Semantics.fp_bin op fr.(freg_index d) fr.(freg_index s);
     next cpu len
   | Fun_ (op, f) ->
     let fr = cpu.fregs in
-    fr.(fi f) <- Semantics.fp_un op fr.(fi f);
+    fr.(freg_index f) <- Semantics.fp_un op fr.(freg_index f);
     next cpu len
   | Fcmp (a, b) ->
-    cpu.flags <- Semantics.fcmp_flags cpu.fregs.(fi a) cpu.fregs.(fi b);
+    cpu.flags <- Semantics.fcmp_flags cpu.fregs.(freg_index a) cpu.fregs.(freg_index b);
     next cpu len
   | Fild (f, r) ->
-    cpu.fregs.(fi f) <- Semantics.i2f (get cpu r);
+    cpu.fregs.(freg_index f) <- Semantics.i2f (Cpu.get cpu r);
     next cpu len
   | Fist (r, f) ->
-    set cpu r (Semantics.f2i cpu.fregs.(fi f));
+    Cpu.set cpu r (Semantics.f2i cpu.fregs.(freg_index f));
     next cpu len
   | Syscall -> Syscall
   | Halt ->
