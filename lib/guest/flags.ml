@@ -4,7 +4,7 @@ let sf_bit = 4
 let of_bit = 8
 let mask = 15
 
-let make ~cf ~zf ~sf ~of_ =
+let[@inline] make ~cf ~zf ~sf ~of_ =
   (if cf then cf_bit else 0)
   lor (if zf then zf_bit else 0)
   lor (if sf then sf_bit else 0)

@@ -18,29 +18,22 @@ let[@inline] pack res f = res lor (f lsl 32)
 let result_of p = p land 0xFFFFFFFF
 let flags_of p = p lsr 32
 
-(* [Flags.make] inlined: building a flag word costs no call. *)
-let[@inline] make_flags ~cf ~zf ~sf ~of_ =
-  (if cf then Flags.cf_bit else 0)
-  lor (if zf then Flags.zf_bit else 0)
-  lor (if sf then Flags.sf_bit else 0)
-  lor if of_ then Flags.of_bit else 0
-
 let[@inline] logic res =
-  pack res (make_flags ~cf:false ~zf:(res = 0) ~sf:(bit31 res) ~of_:false)
+  pack res (Flags.make ~cf:false ~zf:(res = 0) ~sf:(bit31 res) ~of_:false)
 
 let[@inline] add_like a b cf_in =
   let full = a + b + cf_in in
   let res = mask32 full in
   let cf = full > 0xFFFFFFFF in
   let of_ = bit31 a = bit31 b && bit31 res <> bit31 a in
-  pack res (make_flags ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
+  pack res (Flags.make ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
 
 let[@inline] sub_like a b cf_in =
   let full = a - b - cf_in in
   let res = mask32 full in
   let cf = full < 0 in
   let of_ = bit31 a <> bit31 b && bit31 res <> bit31 a in
-  pack res (make_flags ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
+  pack res (Flags.make ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
 
 let alu (op : Isa.alu_op) ~cf_in a b =
   let carry = if cf_in then 1 else 0 in
@@ -88,14 +81,14 @@ let shift (op : Isa.shift_op) v ~count ~flags =
         let res = rotr32 v c in
         (res, bit31 res, false)
     in
-    pack res (make_flags ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
+    pack res (Flags.make ~cf ~zf:(res = 0) ~sf:(bit31 res) ~of_)
   end
 
 let mul_u a b =
   let p = Int64.mul (Int64.of_int a) (Int64.of_int b) in
   let lo = mask32 (Int64.to_int p) in
   let wide = Int64.shift_right_logical p 32 <> 0L in
-  pack lo (make_flags ~cf:wide ~zf:(lo = 0) ~sf:(bit31 lo) ~of_:wide)
+  pack lo (Flags.make ~cf:wide ~zf:(lo = 0) ~sf:(bit31 lo) ~of_:wide)
 
 let mulhi_u a b =
   let p = Int64.mul (Int64.of_int a) (Int64.of_int b) in
@@ -105,7 +98,7 @@ let mul_s a b =
   let p = Int64.mul (Int64.of_int (signed a)) (Int64.of_int (signed b)) in
   let lo = mask32 (Int64.to_int p) in
   let wide = p <> Int64.of_int (signed lo) in
-  pack lo (make_flags ~cf:wide ~zf:(lo = 0) ~sf:(bit31 lo) ~of_:wide)
+  pack lo (Flags.make ~cf:wide ~zf:(lo = 0) ~sf:(bit31 lo) ~of_:wide)
 
 let mulhi_s a b =
   let p = Int64.mul (Int64.of_int (signed a)) (Int64.of_int (signed b)) in
@@ -146,10 +139,10 @@ let fp_un (op : Isa.fp_un) a =
 
 let fcmp_flags a b =
   if Float.is_nan a || Float.is_nan b then
-    make_flags ~cf:true ~zf:true ~sf:false ~of_:false
-  else if a < b then make_flags ~cf:true ~zf:false ~sf:false ~of_:false
-  else if a = b then make_flags ~cf:false ~zf:true ~sf:false ~of_:false
-  else make_flags ~cf:false ~zf:false ~sf:false ~of_:false
+    Flags.make ~cf:true ~zf:true ~sf:false ~of_:false
+  else if a < b then Flags.make ~cf:true ~zf:false ~sf:false ~of_:false
+  else if a = b then Flags.make ~cf:false ~zf:true ~sf:false ~of_:false
+  else Flags.make ~cf:false ~zf:false ~sf:false ~of_:false
 
 let f2i x =
   if Float.is_nan x || x >= 2147483648.0 || x < -2147483648.0 then 0x80000000
