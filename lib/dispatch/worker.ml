@@ -21,17 +21,45 @@ let resolve host =
     | exception Not_found ->
       invalid_arg (Printf.sprintf "cannot resolve host %S" host))
 
+(* A dispatcher that dials while another is being served is answered at
+   once with a connection-level [Fail].  Its socket is closed only when it
+   hangs up, what it sent read and dropped meanwhile: closing with unread
+   bytes would reset the connection, which could destroy the reply.
+   [listen] is non-blocking, so an accept that finds the connection
+   already gone returns [None] rather than waiting for the next one. *)
+let refuse_caller ~quiet listen =
+  match Unix.accept listen with
+  | cfd, _ ->
+    log quiet "refusing a second dispatcher while serving one";
+    (try
+       Wire.send cfd
+         (Wire.Fail { id = -1; reason = "worker busy: serving another dispatcher" })
+     with Wire.Closed | Unix.Unix_error _ -> ());
+    Some cfd
+  | exception Unix.Unix_error _ -> None
+
+(* Read from a refused caller that select found readable (so the read
+   cannot block); true until it hangs up. *)
+let drain_caller cfd =
+  let open_ = try Unix.read cfd (Bytes.create 256) 0 256 > 0 with Unix.Unix_error _ -> false in
+  if not open_ then (try Unix.close cfd with Unix.Unix_error _ -> ());
+  open_
+
 (* One connection: a select loop multiplexing incoming frames with up to
    [jobs] unit executions on the daemon's domain pool, whose completions
    wake the loop through the pool's pipe.  The pool outlives connections.
+   The loop also watches [listen]: a second dispatcher is accepted and
+   refused at once, so it fails over instead of waiting out its handshake
+   timeout.
    Units whose checkpoint is missing from the store park until the
    dispatcher ships it ([Need] is sent once per digest, no matter how
    many units wait on it).  A malformed frame means the byte stream can
    no longer be trusted, so after a [Fail] courtesy reply the connection
    is dropped — the daemon itself lives on.  An exception in a unit fails
    only that unit. *)
-let serve_connection ~quiet ~ident ~pool ~exec ~jobs ~store fd =
+let serve_connection ~quiet ~ident ~pool ~exec ~jobs ~store ~listen fd =
   let runq = Queue.create () in
+  let callers = ref [] in
   let parked : (string, (int * Work.t) Queue.t) Hashtbl.t = Hashtbl.create 4 in
   let closed = ref false in
   let send msg = try Wire.send fd msg with Wire.Closed -> closed := true in
@@ -148,12 +176,13 @@ let serve_connection ~quiet ~ident ~pool ~exec ~jobs ~store fd =
     while (not (Queue.is_empty runq)) && Dpool.pending pool < jobs do
       spawn (Queue.pop runq)
     done;
-    let readable =
-      match Unix.select [ fd; Dpool.wake_fd pool ] [] [] (-1.0) with
-      | r, _, _ -> List.mem fd r
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+    let ready =
+      let watched = fd :: Dpool.wake_fd pool :: listen :: !callers in
+      match Unix.select watched [] [] (-1.0) with
+      | r, _, _ -> r
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
     in
-    if readable then begin
+    if List.mem fd ready then begin
       match Wire.recv fd with
       | msg -> handle msg
       | exception Wire.Closed -> closed := true
@@ -162,12 +191,21 @@ let serve_connection ~quiet ~ident ~pool ~exec ~jobs ~store fd =
         (try Wire.send fd (Wire.Fail { id = -1; reason = "malformed frame: " ^ m })
          with Wire.Closed -> ());
         closed := true
+    end
+    else begin
+      (* callers only while the served connection is quiet: a dispatcher
+         that closes and redials shows its unread frames and EOF here
+         first, so its new connection waits in the backlog and is served *)
+      if List.mem listen ready then
+        Option.iter (fun c -> callers := c :: !callers) (refuse_caller ~quiet listen);
+      callers := List.filter (fun c -> (not (List.mem c ready)) || drain_caller c) !callers
     end;
     reap ()
   done;
+  List.iter (fun c -> try Unix.close c with Unix.Unix_error _ -> ()) !callers;
   (* the dispatcher is gone: domains cannot be killed, so let in-flight
      units run out and discard their results, leaving the pool clean for
-     the next connection *)
+     the next connection, which waits in the backlog meanwhile *)
   while Dpool.pending pool > 0 do
     ignore (Dpool.await pool)
   done;
@@ -200,7 +238,11 @@ let serve ?(quiet = false) ?exec ?ready ?(jobs = 1) ?store_dir ~host ~port () =
     (if Dpool.size pool < jobs then
        Printf.sprintf ", %d domain%s" (Dpool.size pool) (plural (Dpool.size pool))
      else "");
+  (* non-blocking, for [accept_caller]: this loop waits in [select] *)
+  Unix.set_nonblock sock;
   let rec accept_loop () =
+    (try ignore (Unix.select [ sock ] [] [] (-1.0))
+     with Unix.Unix_error (Unix.EINTR, _, _) -> ());
     match Unix.accept sock with
     | fd, peer ->
       Wire.no_delay fd;
@@ -209,8 +251,11 @@ let serve ?(quiet = false) ?exec ?ready ?(jobs = 1) ?store_dir ~host ~port () =
         | Unix.ADDR_INET (a, p) ->
           Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
         | Unix.ADDR_UNIX p -> p);
-      serve_connection ~quiet ~ident ~pool ~exec ~jobs ~store fd;
+      serve_connection ~quiet ~ident ~pool ~exec ~jobs ~store ~listen:sock fd;
       accept_loop ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
+    | exception
+        Unix.Unix_error
+          ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _) ->
+      accept_loop ()
   in
   accept_loop ()

@@ -690,6 +690,11 @@ let test_v5_roundtrip () =
   Alcotest.(check bool) "the Status tail really rides the frame" true
     (String.length (Wire.encode tailed) > String.length (Wire.encode plain))
 
+let dial (addr : Darco_dispatch.addr) =
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.connect fd (ADDR_INET (Worker.resolve addr.host, addr.port));
+  fd
+
 (* --- 10. version negotiation: a v3 client against today's server keeps
    working at v3; a v2 client is refused with a reason --- *)
 let test_version_negotiation () =
@@ -698,11 +703,7 @@ let test_version_negotiation () =
     ~finally:(fun () -> reap pid)
     (fun () ->
       let deadline () = Unix.gettimeofday () +. 10.0 in
-      let dial () =
-        let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-        Unix.connect fd (ADDR_INET (Worker.resolve addr.host, addr.port));
-        fd
-      in
+      let dial () = dial addr in
       (* a v3 peer: the server answers at the common version and serves *)
       let fd = dial () in
       Wire.send fd (Wire.Hello { version = 3; slots = 0 });
@@ -725,6 +726,42 @@ let test_version_negotiation () =
           (String.length reason > 0)
       | _ -> Alcotest.fail "expected a v2 peer to be refused");
       Unix.close fd)
+
+(* --- 10b. a worker serving one dispatcher refuses a second at once,
+   naming the busy state, instead of leaving it to wait out its handshake
+   timeout; once the first leaves, the next dial is served --- *)
+let test_busy_worker_refuses () =
+  let pid, addr = spawn_worker () in
+  Fun.protect
+    ~finally:(fun () -> reap pid)
+    (fun () ->
+      let hello fd =
+        Wire.send fd (Wire.Hello { version = Wire.protocol_version; slots = 0 })
+      in
+      let served what fd =
+        hello fd;
+        match Wire.recv ~deadline:(Unix.gettimeofday () +. 10.0) fd with
+        | Wire.Hello _ -> ()
+        | _ -> Alcotest.fail (what ^ " was not served")
+      in
+      let first = dial addr in
+      served "the first dial" first;
+      let second = dial addr in
+      hello second;
+      (match Wire.recv ~deadline:(Unix.gettimeofday () +. 1.0) second with
+      | Wire.Fail { id; reason } ->
+        Alcotest.(check int) "connection-level refusal" (-1) id;
+        Alcotest.(check bool)
+          (Printf.sprintf "reason %S names the busy state" reason)
+          true (contains reason "busy")
+      | _ -> Alcotest.fail "expected a busy refusal"
+      | exception Wire.Timeout -> Alcotest.fail "no refusal within 1 s"
+      | exception Wire.Closed -> Alcotest.fail "closed without a refusal");
+      Unix.close second;
+      Unix.close first;
+      let third = dial addr in
+      served "a dial after the first left" third;
+      Unix.close third)
 
 (* --- 11. keepalive: a worker that stops responding mid-sweep (SIGSTOP —
    the socket stays open, so only missed pongs can expose it) is declared
@@ -966,6 +1003,8 @@ let () =
           Alcotest.test_case "v5 frames roundtrip" `Quick test_v5_roundtrip;
           Alcotest.test_case "version negotiation" `Quick
             test_version_negotiation;
+          Alcotest.test_case "busy worker refuses a second dispatcher" `Quick
+            test_busy_worker_refuses;
           Alcotest.test_case "worker announces its bound port" `Quick
             test_worker_announces_bound_port;
         ] );
