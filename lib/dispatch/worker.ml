@@ -22,8 +22,8 @@ let resolve host =
       invalid_arg (Printf.sprintf "cannot resolve host %S" host))
 
 (* A dispatcher that dials while another is being served is answered at
-   once with a connection-level [Fail].  Its socket is closed only when it
-   hangs up, what it sent read and dropped meanwhile: closing with unread
+   once with a connection-level [Fail].  Its socket stays open, and what
+   it sends is read and dropped, until it hangs up: closing with unread
    bytes would reset the connection, which could destroy the reply.
    [listen] is non-blocking, so an accept that finds the connection
    already gone returns [None] rather than waiting for the next one. *)
@@ -238,7 +238,7 @@ let serve ?(quiet = false) ?exec ?ready ?(jobs = 1) ?store_dir ~host ~port () =
     (if Dpool.size pool < jobs then
        Printf.sprintf ", %d domain%s" (Dpool.size pool) (plural (Dpool.size pool))
      else "");
-  (* non-blocking, for [accept_caller]: this loop waits in [select] *)
+  (* non-blocking, for [refuse_caller]: this loop waits in [select] *)
   Unix.set_nonblock sock;
   let rec accept_loop () =
     (try ignore (Unix.select [ sock ] [] [] (-1.0))

@@ -21,16 +21,11 @@
 
     A malformed frame gets a connection-level [Fail] reply and drops that
     connection (the stream can no longer be trusted) while the daemon
-    keeps accepting.
-
-    One dispatcher is served at a time.  A second that dials meanwhile is
-    accepted and answered at once with a connection-level [Fail]
-    ("worker busy: serving another dispatcher"), so it fails over instead
-    of waiting out its handshake timeout; what it sends is read only as
-    it arrives, so the served connection never waits on it, and it is
-    closed when it hangs up.  A dispatcher that dials after the served
-    one has closed waits in the backlog while that one's in-flight units
-    run out, and is then served.  Never returns normally. *)
+    keeps accepting.  One dispatcher is served at a time: a second that
+    dials meanwhile is answered at once with a connection-level [Fail]
+    ("worker busy: serving another dispatcher"), never stalling the served
+    one, and one that dials after the served one has closed waits in the
+    backlog until its in-flight units run out.  Never returns normally. *)
 
 val resolve : string -> Unix.inet_addr
 (** Dotted-quad or hostname to address.

@@ -20,9 +20,9 @@ type t = {
   branch : int array;
   mutable length : int;  (** entries [0 .. length - 1] are filled *)
 }
-(** The walker writes entries in place and bumps [length]: a call per
-    retired instruction would cost more than the write, because the dev
-    build compiles with [-opaque] and inlines nothing across modules. *)
+(** The walker writes entries in place and bumps [length] itself: an
+    inlined push computes the entry before its full-batch test and keeps
+    it live across the flush call, measured 3% slower on timed runs. *)
 
 val create : int -> t
 (** [create capacity]: an empty batch, four arrays of [capacity] entries.
