@@ -312,6 +312,114 @@ let test_regalloc_spills_correctly () =
       (Cpu.get cpu EAX)
   | `Rolled_back -> Alcotest.fail "unexpected rollback" 
 
+(* The array-based allocator against the list-based one it replaced
+   (test/ref_regalloc.ml): the same locations for every register, and the
+   same slot count. *)
+let allocates_like_reference region =
+  Regalloc.allocate region = Ref_regalloc.allocate region
+
+(* Live at once, at the busiest index: a register is live from its first
+   mention to its last. *)
+let max_live body ~defs ~uses =
+  let first = Hashtbl.create 64 and last = Hashtbl.create 64 in
+  Array.iteri
+    (fun i insn ->
+      List.iter
+        (fun v ->
+          if not (Hashtbl.mem first v) then Hashtbl.replace first v i;
+          Hashtbl.replace last v i)
+        (defs insn @ uses insn))
+    body;
+  let live = Array.make (Array.length body) 0 in
+  Hashtbl.iter
+    (fun v s ->
+      for i = s to Hashtbl.find last v do
+        live.(i) <- live.(i) + 1
+      done)
+    first;
+  Array.fold_left Int.max 0 live
+
+(* A region of random instructions over more int and FP registers than the
+   pools hold (40 and 20).  Most operands come from a window that slides
+   along the body, so intervals start and end throughout it (expiry, FIFO
+   reuse); the rest come from anywhere, so many stay live at once (spills
+   and victim steals).  A register may be used before any def, or twice in
+   one instruction. *)
+let pressure_region st =
+  let len = 160 + Random.State.int st 160 in
+  let nv = 50 + Random.State.int st 100 and nf = 25 + Random.State.int st 30 in
+  let width = 4 + Random.State.int st 40 in
+  let pick n i =
+    if Random.State.bool st then Random.State.int st n
+    else Int.min (n - 1) ((i * n / len) + Random.State.int st width)
+  in
+  let insn i =
+    let v () = pick nv i and f () = pick nf i in
+    match Random.State.int st 9 with
+    | 0 -> Ir.Ili (v (), i)
+    | 1 -> Ir.Ibin (Add, v (), v (), v ())
+    | 2 -> Ir.Iisel (v (), v (), v (), v ())
+    | 3 -> Ir.Istore (W32, v (), v (), 0)
+    | 4 -> Ir.Irt_div { signed = false; q = v (); r = v (); hi = v (); lo = v (); d = v () }
+    | 5 -> Ir.Ifbin (Fadd, f (), f (), f ())
+    | 6 -> Ir.Ifcmp (v (), f (), f ())
+    | 7 -> Ir.Icvtif (f (), v ())
+    | _ -> Ir.Ifstore (f (), v (), 0)
+  in
+  region_of (Array.append (Array.init len insn) [| Ir.Iexit plain_exit |])
+
+let prop_regalloc_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"allocator equals the reference under pressure"
+    QCheck.(make ~print:string_of_int Gen.nat)
+    (fun seed ->
+      let r = pressure_region (Random.State.make [| seed |]) in
+      (* a few short or narrow draws stay inside a pool; they prove nothing *)
+      QCheck.assume
+        (max_live r.body ~defs:Ir.defs ~uses:Ir.uses > 40
+        && max_live r.body ~defs:Ir.fdefs ~uses:Ir.fuses > 20);
+      allocates_like_reference r)
+
+(* Every BB and superblock head the 31 workloads translate in a
+   200k-instruction run, rebuilt from the end-of-run profile as perfbench's
+   translator replay does, allocates as the reference does. *)
+let test_regalloc_matches_reference_on_workloads () =
+  let compared = ref 0 and skipped = ref 0 in
+  List.iter
+    (fun (w : Darco_workloads.Registry.entry) ->
+      let bus = Darco_obs.Bus.create () in
+      let heads = ref [] in
+      Darco_obs.Bus.attach bus ~name:"heads" (fun ~at:_ -> function
+        | Darco_obs.Event.Bb_translated { pc; _ } -> heads := (`Bb, pc) :: !heads
+        | Darco_obs.Event.Sb_translated { pc; _ } -> heads := (`Sb, pc) :: !heads
+        | _ -> ());
+      let ctl = Controller.create ~bus ~seed:3 (w.build ()) in
+      ignore (Controller.run ~max_insns:200_000 ctl);
+      let co = ctl.co in
+      let build (kind, pc) =
+        match kind with
+        | `Bb -> Regiongen.translate_bb co.cfg co.profile co.icache co.mem pc
+        | `Sb ->
+          (Regiongen.build_superblock co.cfg co.profile co.icache co.mem ~head_pc:pc
+             ~use_asserts:co.cfg.use_asserts ~use_mem_speculation:co.cfg.use_mem_speculation)
+            .region
+      in
+      List.iter
+        (fun ((kind, pc) as head) ->
+          match build head with
+          | exception _ -> incr skipped
+          | r ->
+            if not (allocates_like_reference r) then
+              Alcotest.failf "%s: %s head %#x allocated unlike the reference" w.name
+                (match kind with `Bb -> "BB" | `Sb -> "superblock")
+                pc;
+            incr compared)
+        !heads)
+    Darco_workloads.Registry.all;
+  Alcotest.(check bool)
+    (Printf.sprintf "regions compared (%d, %d not rebuilt)" !compared !skipped)
+    true
+    (!compared > 1000 && !skipped * 20 < !compared)
+
 (* ------------------------------------------------------------------ *)
 (* Branch fusion / condition lowering                                 *)
 (* ------------------------------------------------------------------ *)
@@ -564,7 +672,13 @@ let () =
           Alcotest.test_case "branch fusion" `Quick test_branch_fusion_avoids_mkfl;
           Alcotest.test_case "dead flags dropped" `Quick test_dead_flags_not_materialized;
         ] );
-      ("regalloc", [ Alcotest.test_case "spill correctness" `Quick test_regalloc_spills_correctly ]);
+      ( "regalloc",
+        [
+          Alcotest.test_case "spill correctness" `Quick test_regalloc_spills_correctly;
+          QCheck_alcotest.to_alcotest prop_regalloc_matches_reference;
+          Alcotest.test_case "workload regions allocate as the reference" `Quick
+            test_regalloc_matches_reference_on_workloads;
+        ] );
       ("gbb", [ Alcotest.test_case "terminators" `Quick test_gbb_terminators ]);
       ("superblock", [ Alcotest.test_case "unrolled loop" `Quick test_unrolled_loop_correct ]);
       ( "codecache",
