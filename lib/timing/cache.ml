@@ -5,12 +5,17 @@ type stats = {
   mutable prefetch_fills : int;
 }
 
-type line = { mutable tag : int; mutable valid : bool; mutable dirty : bool; mutable lru : int }
-
+(* Each line's state lives in flat arrays of [sets * ways] entries,
+   indexed [set * ways + way]: [create] makes a fixed handful of
+   allocations whatever the geometry, and a lookup reads no record. *)
 type t = {
   name : string;
   geom : Tconfig.cache_geom;
-  sets : line array array;
+  ways : int;
+  tags : int array;
+  lru : int array;
+  valid : Bytes.t;  (* '\001' for a valid line *)
+  dirty : Bytes.t;  (* '\001' for a dirty line *)
   parent : int -> is_write:bool -> int;
   stats : stats;
   mutable tick : int;
@@ -24,12 +29,15 @@ let log2 n =
   go 0 1
 
 let create ~name (geom : Tconfig.cache_geom) ~parent =
+  let n = geom.sets * geom.ways in
   {
     name;
     geom;
-    sets =
-      Array.init geom.sets (fun _ ->
-          Array.init geom.ways (fun _ -> { tag = 0; valid = false; dirty = false; lru = 0 }));
+    ways = geom.ways;
+    tags = Array.make n 0;
+    lru = Array.make n 0;
+    valid = Bytes.make n '\000';
+    dirty = Bytes.make n '\000';
     parent;
     stats = { accesses = 0; misses = 0; writebacks = 0; prefetch_fills = 0 };
     tick = 0;
@@ -38,67 +46,66 @@ let create ~name (geom : Tconfig.cache_geom) ~parent =
     set_mask = geom.sets - 1;
   }
 
-(* The per-access path allocates nothing: set and tag are computed apart
-   rather than as a pair, and a lookup returns a way index, -1 on a miss. *)
-let set_of t addr = t.sets.((addr lsr t.line_bits) land t.set_mask)
-let tag_of t addr = (addr lsr t.line_bits) lsr t.set_bits
+(* The per-access path allocates nothing: a lookup returns the index of
+   the first valid way whose tag matches, -1 on a miss. *)
+let[@inline] base_of t addr = ((addr lsr t.line_bits) land t.set_mask) * t.ways
+let[@inline] tag_of t addr = (addr lsr t.line_bits) lsr t.set_bits
 
-let rec find_way set tag i =
-  if i >= Array.length set then -1
-  else
-    let l = set.(i) in
-    if l.valid && l.tag = tag then i else find_way set tag (i + 1)
+let find t addr =
+  let base = base_of t addr and tag = tag_of t addr in
+  let stop = base + t.ways in
+  let i = ref base in
+  while !i < stop && not (t.tags.(!i) = tag && Bytes.get t.valid !i <> '\000') do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
-(* Least recently used way; the first on a tie. *)
-let victim set =
-  let best = ref set.(0) in
-  for i = 1 to Array.length set - 1 do
-    let l = set.(i) in
-    if l.lru < !best.lru then best := l
+(* Least recently used way of the set at [base]; the first on a tie. *)
+let victim t base =
+  let best = ref base in
+  for i = base + 1 to base + t.ways - 1 do
+    if t.lru.(i) < t.lru.(!best) then best := i
   done;
   !best
 
-let fill t set tag ~dirty =
-  let l = victim set in
-  if l.valid && l.dirty then begin
+let fill t addr ~dirty =
+  let l = victim t (base_of t addr) in
+  if Bytes.get t.valid l <> '\000' && Bytes.get t.dirty l <> '\000' then begin
     t.stats.writebacks <- t.stats.writebacks + 1;
     (* Dirty evictions write back to the parent; the latency is off the
        load's critical path and is not charged. *)
     ignore (t.parent 0 ~is_write:true)
   end;
-  l.valid <- true;
-  l.dirty <- dirty;
-  l.tag <- tag;
+  Bytes.set t.valid l '\001';
+  Bytes.set t.dirty l (if dirty then '\001' else '\000');
+  t.tags.(l) <- tag_of t addr;
   t.tick <- t.tick + 1;
-  l.lru <- t.tick
+  t.lru.(l) <- t.tick
 
 let access t addr ~is_write =
   t.stats.accesses <- t.stats.accesses + 1;
-  let set = set_of t addr and tag = tag_of t addr in
-  let w = find_way set tag 0 in
+  let w = find t addr in
   if w >= 0 then begin
-    let l = set.(w) in
     t.tick <- t.tick + 1;
-    l.lru <- t.tick;
-    if is_write then l.dirty <- true;
+    t.lru.(w) <- t.tick;
+    if is_write then Bytes.set t.dirty w '\001';
     t.geom.latency
   end
   else begin
     t.stats.misses <- t.stats.misses + 1;
     let below = t.parent addr ~is_write:false in
-    fill t set tag ~dirty:is_write;
+    fill t addr ~dirty:is_write;
     t.geom.latency + below
   end
 
 let prefetch t addr =
-  let set = set_of t addr and tag = tag_of t addr in
-  if find_way set tag 0 < 0 then begin
+  if find t addr < 0 then begin
     t.stats.prefetch_fills <- t.stats.prefetch_fills + 1;
     ignore (t.parent addr ~is_write:false);
-    fill t set tag ~dirty:false
+    fill t addr ~dirty:false
   end
 
-let contains t addr = find_way (set_of t addr) (tag_of t addr) 0 >= 0
+let contains t addr = find t addr >= 0
 
 let stats t = t.stats
 let name t = t.name
@@ -115,7 +122,10 @@ type persisted = {
 let persist t =
   {
     p_lines =
-      Array.map (Array.map (fun l -> (l.tag, l.valid, l.dirty, l.lru))) t.sets;
+      Array.init t.geom.sets (fun s ->
+          Array.init t.ways (fun w ->
+              let i = (s * t.ways) + w in
+              (t.tags.(i), Bytes.get t.valid i <> '\000', Bytes.get t.dirty i <> '\000', t.lru.(i))));
     p_tick = t.tick;
     p_accesses = t.stats.accesses;
     p_misses = t.stats.misses;
@@ -123,20 +133,22 @@ let persist t =
     p_prefetch_fills = t.stats.prefetch_fills;
   }
 
+(* Every set is checked before any is written: a ragged state must leave
+   the cache as it was. *)
 let apply t p =
   if
-    Array.length p.p_lines <> Array.length t.sets
-    || (Array.length t.sets > 0 && Array.length p.p_lines.(0) <> Array.length t.sets.(0))
+    Array.length p.p_lines <> t.geom.sets
+    || not (Array.for_all (fun ways -> Array.length ways = t.ways) p.p_lines)
   then invalid_arg (t.name ^ ": persisted cache geometry mismatch");
   Array.iteri
-    (fun si ways ->
+    (fun s ways ->
       Array.iteri
-        (fun wi (tag, valid, dirty, lru) ->
-          let l = t.sets.(si).(wi) in
-          l.tag <- tag;
-          l.valid <- valid;
-          l.dirty <- dirty;
-          l.lru <- lru)
+        (fun w (tag, valid, dirty, lru) ->
+          let i = (s * t.ways) + w in
+          t.tags.(i) <- tag;
+          Bytes.set t.valid i (if valid then '\001' else '\000');
+          Bytes.set t.dirty i (if dirty then '\001' else '\000');
+          t.lru.(i) <- lru)
         ways)
     p.p_lines;
   t.tick <- p.p_tick;

@@ -43,4 +43,5 @@ val persist : t -> persisted
 
 val apply : t -> persisted -> unit
 (** Overwrite a freshly-created cache of the same geometry with persisted
-    contents.  Raises [Invalid_argument] on a geometry mismatch. *)
+    contents.  Raises [Invalid_argument], and changes nothing, when the
+    set count or the way count of any set differs. *)

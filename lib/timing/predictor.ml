@@ -91,6 +91,7 @@ let apply t p =
   if
     Array.length p.p_pht <> Array.length t.pht
     || Array.length p.p_btb_tag <> Array.length t.btb_tag
+    || Array.length p.p_btb_target <> Array.length t.btb_target
   then invalid_arg "Predictor.apply: persisted predictor geometry mismatch";
   Array.blit p.p_pht 0 t.pht 0 (Array.length t.pht);
   Array.blit p.p_btb_tag 0 t.btb_tag 0 (Array.length t.btb_tag);

@@ -38,4 +38,5 @@ val persist : t -> persisted
 
 val apply : t -> persisted -> unit
 (** Overwrite a freshly-created predictor of the same geometry.  Raises
-    [Invalid_argument] on a geometry mismatch. *)
+    [Invalid_argument], and changes nothing, when the pattern table, the
+    BTB tags or the BTB targets differ in size. *)

@@ -565,6 +565,47 @@ let test_restore_checks_geometry_first () =
     (Printf.sprintf "refused before allocating (%.0f bytes allocated)" allocated)
     true (allocated < 1e6)
 
+(* A persisted cache whose sets differ in way count, or a predictor whose
+   BTB targets differ in number from its tags, is refused whole: [apply]
+   raises before it writes anything. *)
+let test_ragged_apply_changes_nothing () =
+  let warm addrs =
+    let c = mk_cache () in
+    List.iter (fun a -> ignore (Cache.access c a ~is_write:(a land 0x40 <> 0))) addrs;
+    c
+  in
+  let c = warm [ 0x1000; 0x1040; 0x1080; 0x10c0; 0x2000; 0x2080 ] in
+  let before = Cache.persist c in
+  let p = Cache.persist (warm [ 0x5000; 0x5040; 0x5080; 0x50c0; 0x6000; 0x60c0 ]) in
+  let set2 ways = { p with p_lines = Array.mapi (fun s l -> if s = 2 then ways l else l) p.p_lines } in
+  List.iter
+    (fun (what, q) ->
+      expect_invalid what (fun () -> Cache.apply c q);
+      if Cache.persist c <> before then Alcotest.failf "%s: the cache changed" what)
+    [
+      ("set 2 with one way", set2 (fun l -> [| l.(0) |]));
+      ("set 2 with three ways", set2 (fun l -> Array.append l [| l.(0) |]));
+    ];
+  let trained () =
+    let b = Predictor.create Tconfig.default in
+    for i = 0 to 63 do
+      ignore (Predictor.observe b ~pc:(0x1000 + (4 * i)) ~taken:true ~target:(0x9000 + i))
+    done;
+    b
+  in
+  let b = Predictor.create Tconfig.default in
+  let before = Predictor.persist b in
+  let q = Predictor.persist (trained ()) in
+  let n = Array.length q.p_btb_target in
+  List.iter
+    (fun (what, targets) ->
+      expect_invalid what (fun () -> Predictor.apply b { q with p_btb_target = targets });
+      if Predictor.persist b <> before then Alcotest.failf "%s: the predictor changed" what)
+    [
+      ("one BTB target short", Array.sub q.p_btb_target 0 (n - 1));
+      ("one BTB target over", Array.append q.p_btb_target [| 0 |]);
+    ]
+
 (* --- geometries the structures cannot index ------------------------------------ *)
 
 (* Sets and BTB/prefetch tables are indexed by mask, lines by shift, and
@@ -673,6 +714,8 @@ let () =
             test_restore_checks_geometry_first;
           Alcotest.test_case "refuses geometries the structures cannot index" `Quick
             test_restore_refuses_bad_geometry;
+          Alcotest.test_case "ragged persisted state changes nothing" `Quick
+            test_ragged_apply_changes_nothing;
         ] );
       ( "geometry",
         [
