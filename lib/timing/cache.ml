@@ -29,6 +29,7 @@ let log2 n =
   go 0 1
 
 let create ~name (geom : Tconfig.cache_geom) ~parent =
+  if geom.sets < 1 || geom.ways < 1 then invalid_arg (name ^ ": a cache needs a set and a way");
   let n = geom.sets * geom.ways in
   {
     name;
@@ -82,7 +83,9 @@ let fill t addr ~dirty =
   t.tick <- t.tick + 1;
   t.lru.(l) <- t.tick
 
-let access t addr ~is_write =
+(* A whole access, looked up from scratch: the out-of-line half of
+   [access]. *)
+let[@inline never] access_slow t addr ~is_write =
   t.stats.accesses <- t.stats.accesses + 1;
   let w = find t addr in
   if w >= 0 then begin
@@ -97,6 +100,33 @@ let access t addr ~is_write =
     fill t addr ~dirty:is_write;
     t.geom.latency + below
   end
+
+(* The hit path, inlined into the caller (DESIGN.md §8): probe the set's
+   ways, and on a hit count it, stamp the way and mark a write dirty.
+   Anything else is [access_slow]'s.  A set index is masked below the set
+   count, which [create] checked is at least 1, so the probe stays inside
+   the arrays and reads them without bounds checks. *)
+let[@inline] access t addr ~is_write =
+  let base = base_of t addr and tag = tag_of t addr in
+  let stop = base + t.ways in
+  let tags = t.tags and valid = t.valid in
+  let i = ref base in
+  while
+    !i < stop
+    && not (Array.unsafe_get tags !i = tag && Bytes.unsafe_get valid !i <> '\000')
+  do
+    incr i
+  done;
+  if !i < stop then begin
+    let w = !i in
+    t.stats.accesses <- t.stats.accesses + 1;
+    let tick = t.tick + 1 in
+    t.tick <- tick;
+    Array.unsafe_set t.lru w tick;
+    if is_write then Bytes.unsafe_set t.dirty w '\001';
+    t.geom.latency
+  end
+  else access_slow t addr ~is_write
 
 let prefetch t addr =
   if find t addr < 0 then begin

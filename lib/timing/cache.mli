@@ -13,6 +13,7 @@ type stats = {
 
 val create :
   name:string -> Tconfig.cache_geom -> parent:(int -> is_write:bool -> int) -> t
+(** Raises [Invalid_argument] when the geometry has no set or no way. *)
 
 val access : t -> int -> is_write:bool -> int
 (** [access t addr ~is_write] returns the total latency (own + recursive

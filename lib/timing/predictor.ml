@@ -26,12 +26,12 @@ let create (cfg : Tconfig.t) =
     stats = { branches = 0; mispredicts = 0; btb_misses = 0 };
   }
 
-let pht_index t pc = (pc lsr 2) lxor t.ghr land t.ghr_mask
-let btb_index t pc = (pc lsr 2) land t.btb_mask
+let[@inline] pht_index t pc = (pc lsr 2) lxor t.ghr land t.ghr_mask
+let[@inline] btb_index t pc = (pc lsr 2) land t.btb_mask
 
-let predicted_taken t ~pc = t.pht.(pht_index t pc) >= 2
+let[@inline] predicted_taken t ~pc = t.pht.(pht_index t pc) >= 2
 
-let btb_hit t ~pc ~target =
+let[@inline] btb_hit t ~pc ~target =
   let i = btb_index t pc in
   t.btb_tag.(i) = pc && t.btb_target.(i) = target
 
@@ -39,7 +39,7 @@ let predict t ~pc =
   let i = btb_index t pc in
   (predicted_taken t ~pc, if t.btb_tag.(i) = pc then Some t.btb_target.(i) else None)
 
-let update t ~pc ~taken ~target =
+let[@inline] update t ~pc ~taken ~target =
   let i = pht_index t pc in
   t.pht.(i) <- (if taken then Int.min 3 (t.pht.(i) + 1) else Int.max 0 (t.pht.(i) - 1));
   t.ghr <- ((t.ghr lsl 1) lor if taken then 1 else 0) land t.ghr_mask;
@@ -49,8 +49,9 @@ let update t ~pc ~taken ~target =
     t.btb_target.(bi) <- target
   end
 
-(* The per-branch path: {!predict}'s pair is never built. *)
-let observe t ~pc ~taken ~target =
+(* The per-branch path: {!predict}'s pair is never built.  Inlined into
+   the caller (DESIGN.md §8). *)
+let[@inline] observe t ~pc ~taken ~target =
   t.stats.branches <- t.stats.branches + 1;
   let correct =
     if predicted_taken t ~pc <> taken then false

@@ -46,7 +46,9 @@ let victim t =
   done;
   !best
 
-let access t addr =
+(* A whole access, looked up from scratch: the out-of-line half of
+   [access]. *)
+let[@inline never] access_slow t addr =
   let vpn = addr lsr page_bits in
   t.stats.accesses <- t.stats.accesses + 1;
   t.tick <- t.tick + 1;
@@ -66,6 +68,19 @@ let access t addr =
     v.lru <- t.tick;
     t.latency + below
   end
+
+(* The hit on the previous hit's entry, inlined into the caller
+   (DESIGN.md §8); anything else is [access_slow]'s. *)
+let[@inline] access t addr =
+  let l = t.entries.(t.last) in
+  if l.valid && l.vpn = addr lsr page_bits then begin
+    t.stats.accesses <- t.stats.accesses + 1;
+    let tick = t.tick + 1 in
+    t.tick <- tick;
+    l.lru <- tick;
+    t.latency
+  end
+  else access_slow t addr
 
 let second_level (cfg : Tconfig.t) =
   create cfg.l2tlb ~parent:(fun vpn -> walker cfg vpn)
