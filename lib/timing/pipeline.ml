@@ -34,19 +34,10 @@ type events = {
 (* Ring buffer of recent cycles, for the IQ-occupancy and physical-register
    in-flight caps.  [n] counts every push and is what a snapshot keeps;
    [pos] is [n mod capacity], kept alongside so that a push does no
-   division. *)
+   division.  [consume] pushes and reads the rings itself. *)
 type ring = { buf : int array; mutable n : int; mutable pos : int }
 
 let ring_make size = { buf = Array.make (Int.max 1 size) 0; n = 0; pos = 0 }
-
-let[@inline] ring_push r v =
-  r.buf.(r.pos) <- v;
-  r.n <- r.n + 1;
-  r.pos <- (if r.pos + 1 = Array.length r.buf then 0 else r.pos + 1)
-
-(* Cycle at which the element [cap] positions back completes (0 when the
-   window is not yet full). *)
-let[@inline] ring_cap r = if r.n < Array.length r.buf then 0 else r.buf.(r.pos)
 
 (* --- timing descriptors ------------------------------------------------- *)
 
@@ -300,132 +291,165 @@ let[@inline] acquire_unit free_cycles at occupancy =
   free_cycles.(!best) <- start + occupancy;
   start
 
-(* One retired instruction.  It allocates nothing, matches on no
-   [Code.insn] and calls no polymorphic comparison: this build has no
-   flambda, so [max] and [min] on ints are C calls unless typed, hence
-   [Int.max].  Register numbers come out of the descriptor masked to the
-   scoreboard's size, so reading the scoreboard needs no bounds check.
-   DESIGN.md §8 ("The timing pipeline's hot path") has
-   the rules. *)
-let[@inline] retire_one t pc d addr br =
-  let cfg = t.cfg in
-  let kind = d land kind_mask in
-  (* ---- front end ---- *)
-  if t.redirect_at > t.fetch_cycle then begin
-    t.fetch_cycle <- t.redirect_at;
-    t.fetch_count <- 0;
-    t.last_fetch_line <- -1
-  end;
-  if t.fetch_count >= cfg.fetch_width then begin
-    t.fetch_cycle <- t.fetch_cycle + 1;
-    t.fetch_count <- 0
-  end;
-  let line = pc lsr t.line_bits in
-  if line <> t.last_fetch_line then begin
-    t.last_fetch_line <- line;
-    let tlb_extra = Tlb.access t.itlb pc in
-    let ic = Cache.access t.il1 pc ~is_write:false in
-    (* only the portion beyond a first-cycle hit stalls fetch *)
-    t.fetch_cycle <- t.fetch_cycle + tlb_extra + (ic - cfg.il1.latency)
-  end;
-  (* instruction-queue backpressure *)
-  t.fetch_cycle <- Int.max t.fetch_cycle (ring_cap t.iq_ring);
-  t.fetch_count <- t.fetch_count + 1;
-  let at_decode = t.fetch_cycle + cfg.decode_depth in
-  (* ---- issue ---- *)
-  let int_ready = t.int_ready and fp_ready = t.fp_ready in
-  let n_uses = (d lsr uses_at) land 3 in
-  let u = d lsr (uses_at + 2) in
-  let src_ready =
-    if n_uses = 0 then 0
-    else
-      let s = Array.unsafe_get int_ready (u land 63) in
-      if n_uses = 1 then s
-      else
-        let s = Int.max s (Array.unsafe_get int_ready ((u lsr 6) land 63)) in
-        if n_uses = 2 then s else Int.max s (Array.unsafe_get int_ready ((u lsr 12) land 63))
-  in
-  let n_fuses = (d lsr fuses_at) land 3 in
-  let f = d lsr (fuses_at + 2) in
-  let src_ready =
-    if n_fuses = 0 then src_ready
-    else
-      let s = Int.max src_ready (Array.unsafe_get fp_ready (f land 31)) in
-      if n_fuses = 1 then s else Int.max s (Array.unsafe_get fp_ready ((f lsr 5) land 31))
-  in
-  let in_order_at =
-    if t.issued_in_cycle >= cfg.issue_width then t.last_issue + 1 else t.last_issue
-  in
-  let earliest =
-    Int.max (Int.max at_decode src_ready) (Int.max in_order_at (ring_cap t.inflight_ring))
-  in
-  let issue = acquire_unit t.units.(kind) earliest t.occupancy.(kind) in
-  if issue > t.last_issue then begin
-    t.last_issue <- issue;
-    t.issued_in_cycle <- 1
-  end
-  else t.issued_in_cycle <- t.issued_in_cycle + 1;
-  (* ---- execute ---- *)
-  let result_latency =
-    if kind = k_load then begin
-      t.mem_reads <- t.mem_reads + 1;
-      let tlb_extra = Tlb.access t.dtlb addr in
-      let lat = Cache.access t.dl1 addr ~is_write:false in
-      Prefetch.observe t.pf ~pc ~addr;
-      (match t.lat_hist with
-      | None -> ()
-      | Some h -> Darco_obs.Hist.add h (tlb_extra + lat));
-      tlb_extra + lat
-    end
-    else if kind = k_store then begin
-      t.mem_writes <- t.mem_writes + 1;
-      let tlb_extra = Tlb.access t.dtlb addr in
-      ignore (Cache.access t.dl1 addr ~is_write:true);
-      tlb_extra + 1
-    end
-    else t.latency.(kind)
-  in
-  let done_at = issue + Int.max 1 result_latency in
-  let n_defs = (d lsr defs_at) land 3 in
-  if n_defs > 0 then begin
-    let w = d lsr (defs_at + 2) in
-    Array.unsafe_set int_ready (w land 63) done_at;
-    if n_defs > 1 then Array.unsafe_set int_ready ((w lsr 6) land 63) done_at
-  end;
-  let n_fdefs = (d lsr fdefs_at) land 3 in
-  if n_fdefs > 0 then Array.unsafe_set fp_ready ((d lsr (fdefs_at + 2)) land 31) done_at;
-  t.rf_reads <- t.rf_reads + n_uses + n_fuses;
-  t.rf_writes <- t.rf_writes + n_defs + n_fdefs;
-  (* ---- control ---- *)
-  if kind = k_control then begin
-    t.branches <- t.branches + 1;
-    let resolve = issue + 1 in
-    match
-      Predictor.observe t.bp ~pc ~taken:(Retire.taken br) ~target:(Retire.target br)
-    with
-    | `Correct -> ()
-    | `Mispredict -> t.redirect_at <- Int.max t.redirect_at (resolve + cfg.mispredict_penalty)
-  end;
-  (* ---- bookkeeping ---- *)
-  ring_push t.iq_ring issue;
-  ring_push t.inflight_ring done_at;
-  t.horizon <- Int.max t.horizon done_at;
-  t.insns <- t.insns + t.weight.(kind);
-  let c = t.counter.(kind) in
-  t.op_count.(c) <- t.op_count.(c) + 1
-
-(* Entry reads need no bounds check below [n], checked once per batch. *)
+(* One batch of retired instructions.  Per instruction it allocates
+   nothing, matches on no [Code.insn] and calls no polymorphic comparison:
+   this build has no flambda, so [max] and [min] on ints are C calls unless
+   typed, hence [Int.max].  Register numbers come out of the descriptor
+   masked to the scoreboard's size, so reading the scoreboard needs no
+   bounds check, and entry reads need none below [n], checked once per
+   batch.  The scalar state lives in locals for the batch and is written
+   back once at its end; nothing in the loop raises, so none of it can be
+   lost.  DESIGN.md §8 ("The timing pipeline's hot path") has the rules. *)
 let consume t (b : Retire.t) =
-  let pc = b.pc and desc = b.desc and addr = b.addr and branch = b.branch in
+  let pcs = b.pc and descs = b.desc and addrs = b.addr and branches = b.branch in
   let n =
     Int.min
-      (Int.min b.length (Array.length pc))
-      (Int.min (Int.min (Array.length desc) (Array.length addr)) (Array.length branch))
+      (Int.min b.length (Array.length pcs))
+      (Int.min (Int.min (Array.length descs) (Array.length addrs)) (Array.length branches))
   in
+  let cfg = t.cfg in
+  let fetch_width = cfg.fetch_width and decode_depth = cfg.decode_depth in
+  let issue_width = cfg.issue_width and il1_latency = cfg.il1.latency in
+  let int_ready = t.int_ready and fp_ready = t.fp_ready in
+  let iq = t.iq_ring.buf and inflight = t.inflight_ring.buf in
+  let fetch_cycle = ref t.fetch_cycle and fetch_count = ref t.fetch_count in
+  let last_fetch_line = ref t.last_fetch_line and redirect_at = ref t.redirect_at in
+  let last_issue = ref t.last_issue and issued_in_cycle = ref t.issued_in_cycle in
+  let horizon = ref t.horizon and insns = ref t.insns in
+  let rf_reads = ref t.rf_reads and rf_writes = ref t.rf_writes in
+  let iq_n = ref t.iq_ring.n and iq_pos = ref t.iq_ring.pos in
+  let inflight_n = ref t.inflight_ring.n and inflight_pos = ref t.inflight_ring.pos in
   for i = 0 to n - 1 do
-    retire_one t (Array.unsafe_get pc i) (Array.unsafe_get desc i) (Array.unsafe_get addr i)
-      (Array.unsafe_get branch i)
-  done
+    let pc = Array.unsafe_get pcs i and d = Array.unsafe_get descs i in
+    let kind = d land kind_mask in
+    (* ---- front end ---- *)
+    if !redirect_at > !fetch_cycle then begin
+      fetch_cycle := !redirect_at;
+      fetch_count := 0;
+      last_fetch_line := -1
+    end;
+    if !fetch_count >= fetch_width then begin
+      incr fetch_cycle;
+      fetch_count := 0
+    end;
+    let line = pc lsr t.line_bits in
+    if line <> !last_fetch_line then begin
+      last_fetch_line := line;
+      let tlb_extra = Tlb.access t.itlb pc in
+      let ic = Cache.access t.il1 pc ~is_write:false in
+      (* only the portion beyond a first-cycle hit stalls fetch *)
+      fetch_cycle := !fetch_cycle + tlb_extra + (ic - il1_latency)
+    end;
+    (* instruction-queue backpressure: the cycle the entry [iq_size] back
+       issued, once the ring is full *)
+    if !iq_n >= Array.length iq then fetch_cycle := Int.max !fetch_cycle iq.(!iq_pos);
+    incr fetch_count;
+    let at_decode = !fetch_cycle + decode_depth in
+    (* ---- issue ---- *)
+    let n_uses = (d lsr uses_at) land 3 in
+    let u = d lsr (uses_at + 2) in
+    let src_ready =
+      if n_uses = 0 then 0
+      else
+        let s = Array.unsafe_get int_ready (u land 63) in
+        if n_uses = 1 then s
+        else
+          let s = Int.max s (Array.unsafe_get int_ready ((u lsr 6) land 63)) in
+          if n_uses = 2 then s else Int.max s (Array.unsafe_get int_ready ((u lsr 12) land 63))
+    in
+    let n_fuses = (d lsr fuses_at) land 3 in
+    let f = d lsr (fuses_at + 2) in
+    let src_ready =
+      if n_fuses = 0 then src_ready
+      else
+        let s = Int.max src_ready (Array.unsafe_get fp_ready (f land 31)) in
+        if n_fuses = 1 then s else Int.max s (Array.unsafe_get fp_ready ((f lsr 5) land 31))
+    in
+    let in_order_at =
+      if !issued_in_cycle >= issue_width then !last_issue + 1 else !last_issue
+    in
+    let inflight_cap =
+      if !inflight_n < Array.length inflight then 0 else inflight.(!inflight_pos)
+    in
+    let earliest =
+      Int.max (Int.max at_decode src_ready) (Int.max in_order_at inflight_cap)
+    in
+    let issue = acquire_unit t.units.(kind) earliest t.occupancy.(kind) in
+    if issue > !last_issue then begin
+      last_issue := issue;
+      issued_in_cycle := 1
+    end
+    else incr issued_in_cycle;
+    (* ---- execute ---- *)
+    let result_latency =
+      if kind = k_load then begin
+        let addr = Array.unsafe_get addrs i in
+        t.mem_reads <- t.mem_reads + 1;
+        let tlb_extra = Tlb.access t.dtlb addr in
+        let lat = Cache.access t.dl1 addr ~is_write:false in
+        Prefetch.observe t.pf ~pc ~addr;
+        (match t.lat_hist with
+        | None -> ()
+        | Some h -> Darco_obs.Hist.add h (tlb_extra + lat));
+        tlb_extra + lat
+      end
+      else if kind = k_store then begin
+        let addr = Array.unsafe_get addrs i in
+        t.mem_writes <- t.mem_writes + 1;
+        let tlb_extra = Tlb.access t.dtlb addr in
+        ignore (Cache.access t.dl1 addr ~is_write:true);
+        tlb_extra + 1
+      end
+      else t.latency.(kind)
+    in
+    let done_at = issue + Int.max 1 result_latency in
+    let n_defs = (d lsr defs_at) land 3 in
+    if n_defs > 0 then begin
+      let w = d lsr (defs_at + 2) in
+      Array.unsafe_set int_ready (w land 63) done_at;
+      if n_defs > 1 then Array.unsafe_set int_ready ((w lsr 6) land 63) done_at
+    end;
+    let n_fdefs = (d lsr fdefs_at) land 3 in
+    if n_fdefs > 0 then Array.unsafe_set fp_ready ((d lsr (fdefs_at + 2)) land 31) done_at;
+    rf_reads := !rf_reads + n_uses + n_fuses;
+    rf_writes := !rf_writes + n_defs + n_fdefs;
+    (* ---- control ---- *)
+    if kind = k_control then begin
+      let br = Array.unsafe_get branches i in
+      t.branches <- t.branches + 1;
+      let resolve = issue + 1 in
+      match
+        Predictor.observe t.bp ~pc ~taken:(Retire.taken br) ~target:(Retire.target br)
+      with
+      | `Correct -> ()
+      | `Mispredict -> redirect_at := Int.max !redirect_at (resolve + cfg.mispredict_penalty)
+    end;
+    (* ---- bookkeeping ---- *)
+    iq.(!iq_pos) <- issue;
+    incr iq_n;
+    iq_pos := (if !iq_pos + 1 = Array.length iq then 0 else !iq_pos + 1);
+    inflight.(!inflight_pos) <- done_at;
+    incr inflight_n;
+    inflight_pos := (if !inflight_pos + 1 = Array.length inflight then 0 else !inflight_pos + 1);
+    horizon := Int.max !horizon done_at;
+    insns := !insns + t.weight.(kind);
+    let c = t.counter.(kind) in
+    t.op_count.(c) <- t.op_count.(c) + 1
+  done;
+  t.fetch_cycle <- !fetch_cycle;
+  t.fetch_count <- !fetch_count;
+  t.last_fetch_line <- !last_fetch_line;
+  t.redirect_at <- !redirect_at;
+  t.last_issue <- !last_issue;
+  t.issued_in_cycle <- !issued_in_cycle;
+  t.horizon <- !horizon;
+  t.insns <- !insns;
+  t.rf_reads <- !rf_reads;
+  t.rf_writes <- !rf_writes;
+  t.iq_ring.n <- !iq_n;
+  t.iq_ring.pos <- !iq_pos;
+  t.inflight_ring.n <- !inflight_n;
+  t.inflight_ring.pos <- !inflight_pos
 
 let cycles t = Int.max t.horizon t.last_issue
 let instructions t = t.insns
