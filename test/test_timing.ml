@@ -410,7 +410,30 @@ let gen_stream ~len st =
       in
       ({ host_pc = pc; insn; mem_access = mem; branch } : Ref_pipeline.retire_info))
 
-let configs = [ ("default", Tconfig.default); ("narrow", Tconfig.narrow); ("wide", Tconfig.wide) ]
+(* Valid geometries unlike the default's, for the flat cache index
+   arithmetic where a set has one way or a cache one set. *)
+let odd_geometry =
+  let d = Tconfig.default in
+  {
+    d with
+    il1 = { d.il1 with sets = 1; ways = 8; line = 16 };
+    dl1 = { d.dl1 with sets = 16; ways = 1; line = 32 };
+    l2 = { d.l2 with sets = 64; ways = 2; line = 128 };
+    itlb = { d.itlb with entries = 2 };
+    dtlb = { d.dtlb with entries = 3 };
+    l2tlb = { d.l2tlb with entries = 8 };
+    btb_entries = 8;
+    prefetch_table = 4;
+    gshare_bits = 4;
+  }
+
+let configs =
+  [
+    ("default", Tconfig.default);
+    ("narrow", Tconfig.narrow);
+    ("wide", Tconfig.wide);
+    ("odd geometry", odd_geometry);
+  ]
 
 (* One stream, record by record into the reference and in batches cut at
    random sizes into the production pipeline, which is also persisted and
