@@ -78,6 +78,40 @@ let render (r : Sweep.result) =
 let expected =
   lazy (List.map render (Sweep.run (Sweep.Backend.serial ()) (Lazy.force works)))
 
+(* Run a cluster test's body in a forked child.  A process that has made
+   a domain can never fork again, so a sweep that falls back on domains,
+   on purpose or by mistake, must not do so in the process that spawns
+   the later tests' workers.  The child reports an Alcotest failure or an
+   exception through a pipe and exits; the parent fails with its message.
+   The shared sweep is forced first, so that each child inherits it. *)
+let isolated body () =
+  ignore (Lazy.force checkpoints, Lazy.force works, Lazy.force expected);
+  flush_all ();
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    let code =
+      match body () with
+      | () -> 0
+      | exception e ->
+        let msg = Printexc.to_string e in
+        ignore (Unix.write_substring w msg 0 (String.length msg));
+        1
+    in
+    flush_all ();
+    Unix._exit code
+  | pid -> (
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    let msg = In_channel.input_all ic in
+    close_in ic;
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED 0 -> ()
+    | Unix.WEXITED _ -> Alcotest.fail msg
+    | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+      Alcotest.failf "the test's process stopped on signal %d" n)
+
 let collecting_bus () =
   let events = ref [] in
   let bus = Darco_obs.Bus.create () in
@@ -324,8 +358,7 @@ let test_worker_died_mid_unit () =
         (saw events (function Event.Dispatch_retry _ -> true | _ -> false)))
 
 (* --- 5. no reachable worker: graceful degradation to the domains
-   backend, same results.  The fallback spawns domains in this process,
-   after which it may never fork again, so this test runs last --- *)
+   backend, same results --- *)
 let test_unreachable_falls_back () =
   (* an ephemeral port with provably nobody behind it *)
   let sock = Unix.socket PF_INET SOCK_STREAM 0 in
@@ -351,8 +384,7 @@ let test_unreachable_falls_back () =
    killed it, so it fails rather than run in this process, and only the
    units no worker received fall back to domains.  The worker kills
    itself on every unit; run in the dispatcher, the same unit would
-   succeed.  The fallback spawns domains, so this test runs after every
-   test that forks --- *)
+   succeed --- *)
 let test_lost_unit_not_run_here () =
   let suicide _ =
     Unix.kill (Unix.getpid ()) Sys.sigkill;
@@ -1008,8 +1040,6 @@ let () =
           Alcotest.test_case "worker announces its bound port" `Quick
             test_worker_announces_bound_port;
         ] );
-      (* before "cluster", whose last tests spawn domains: this one may be
-         the first to force the shared sweep, which forks workers *)
       ( "registry",
         [
           Alcotest.test_case "rebuilt from the event stream" `Quick
@@ -1017,28 +1047,26 @@ let () =
         ] );
       ( "cluster",
         [
-          Alcotest.test_case "loopback end-to-end" `Quick test_loopback_e2e;
+          Alcotest.test_case "loopback end-to-end" `Quick (isolated test_loopback_e2e);
           Alcotest.test_case "sweep observability: stamps, spans, chrome"
-            `Quick test_sweep_observability;
+            `Quick (isolated test_sweep_observability);
           Alcotest.test_case "checkpoint shipped at most once" `Quick
-            test_ckpt_shipped_once;
+            (isolated test_ckpt_shipped_once);
           Alcotest.test_case "slow worker is stolen from" `Quick
-            test_steal_from_slow_worker;
+            (isolated test_steal_from_slow_worker);
           Alcotest.test_case "worker dies mid-unit" `Quick
-            test_worker_died_mid_unit;
+            (isolated test_worker_died_mid_unit);
           Alcotest.test_case "keepalive exposes a stopped worker" `Quick
-            test_keepalive_detects_stopped_worker;
+            (isolated test_keepalive_detects_stopped_worker);
           Alcotest.test_case "local fleet matches serial, is reaped" `Quick
-            test_fleet_matches_serial;
+            (isolated test_fleet_matches_serial);
           Alcotest.test_case "killed fleet worker loses nothing" `Quick
-            test_fleet_worker_killed;
+            (isolated test_fleet_worker_killed);
           Alcotest.test_case "dead fleet worker revived" `Quick
-            test_fleet_revive;
-          (* last: their fallbacks spawn domains, after which no test may
-             fork *)
+            (isolated test_fleet_revive);
           Alcotest.test_case "lost unit is not run in the dispatcher" `Quick
-            test_lost_unit_not_run_here;
+            (isolated test_lost_unit_not_run_here);
           Alcotest.test_case "unreachable worker falls back" `Quick
-            test_unreachable_falls_back;
+            (isolated test_unreachable_falls_back);
         ] );
     ]
