@@ -83,27 +83,18 @@ let fill t addr ~dirty =
   t.tick <- t.tick + 1;
   t.lru.(l) <- t.tick
 
-(* A whole access, looked up from scratch: the out-of-line half of
-   [access]. *)
-let[@inline never] access_slow t addr ~is_write =
+(* The out-of-line half of [access]: only a probe that found no way for
+   the address reaches it, so it counts a miss without looking again. *)
+let[@inline never] miss t addr ~is_write =
   t.stats.accesses <- t.stats.accesses + 1;
-  let w = find t addr in
-  if w >= 0 then begin
-    t.tick <- t.tick + 1;
-    t.lru.(w) <- t.tick;
-    if is_write then Bytes.set t.dirty w '\001';
-    t.geom.latency
-  end
-  else begin
-    t.stats.misses <- t.stats.misses + 1;
-    let below = t.parent addr ~is_write:false in
-    fill t addr ~dirty:is_write;
-    t.geom.latency + below
-  end
+  t.stats.misses <- t.stats.misses + 1;
+  let below = t.parent addr ~is_write:false in
+  fill t addr ~dirty:is_write;
+  t.geom.latency + below
 
 (* The hit path, inlined into the caller (DESIGN.md §8): probe the set's
    ways, and on a hit count it, stamp the way and mark a write dirty.
-   Anything else is [access_slow]'s.  A set index is masked below the set
+   A miss is [miss]'s.  A set index is masked below the set
    count, which [create] checked is at least 1, so the probe stays inside
    the arrays and reads them without bounds checks. *)
 let[@inline] access t addr ~is_write =
@@ -126,7 +117,7 @@ let[@inline] access t addr ~is_write =
     if is_write then Bytes.unsafe_set t.dirty w '\001';
     t.geom.latency
   end
-  else access_slow t addr ~is_write
+  else miss t addr ~is_write
 
 let prefetch t addr =
   if find t addr < 0 then begin

@@ -46,14 +46,13 @@ let victim t =
   done;
   !best
 
-(* A whole access, looked up from scratch: the out-of-line half of
-   [access]. *)
+(* The out-of-line half of [access]: the previous hit's entry does not
+   map the page, so search every entry. *)
 let[@inline never] access_slow t addr =
   let vpn = addr lsr page_bits in
   t.stats.accesses <- t.stats.accesses + 1;
   t.tick <- t.tick + 1;
-  let l = t.entries.(t.last) in
-  let i = if l.valid && l.vpn = vpn then t.last else find t.entries vpn 0 in
+  let i = find t.entries vpn 0 in
   if i >= 0 then begin
     t.last <- i;
     t.entries.(i).lru <- t.tick;
