@@ -341,8 +341,9 @@ let consume t (b : Retire.t) =
       fetch_cycle := !fetch_cycle + tlb_extra + (ic - il1_latency)
     end;
     (* instruction-queue backpressure: the cycle the entry [iq_size] back
-       issued, once the ring is full *)
-    if !iq_n >= Array.length iq then fetch_cycle := Int.max !fetch_cycle iq.(!iq_pos);
+       issued, 0 while the ring is not yet full *)
+    fetch_cycle :=
+      Int.max !fetch_cycle (if !iq_n < Array.length iq then 0 else iq.(!iq_pos));
     incr fetch_count;
     let at_decode = !fetch_cycle + decode_depth in
     (* ---- issue ---- *)
