@@ -319,228 +319,6 @@ let speed () =
     "  (paper, on 2017 hardware: guest 3.4 MIPS emulated / 370 KIPS timed;\n\
     \   host 20 MIPS emulated / 2 MIPS timed)\n"
 
-(* --- execution engines: the reference walker vs direct-threaded chains --- *)
-
-let engines_summary : Darco_obs.Jsonx.t option ref = ref None
-
-(* A synthetic hot-region set: straight-line loop bodies modeled on the
-   suite's hot loops, pushed through the real translation pipeline
-   (translate -> optimize -> schedule -> regalloc -> codegen) and then
-   self-chained, so one engine invocation executes translated code until
-   its fuel runs out.  The measurement is pure region execution — the only
-   work that differs between the two executors [Tol] picks from (closure
-   chains, or the walker when a retire subscriber is attached). *)
-let engines () =
-  print_endline "=== Execution engines: eval walker vs direct-threaded ===";
-  let open Darco_guest in
-  let open Isa in
-  let data_base = 0x3000 in
-  let mem_at disp : Isa.mem = { base = Some EBX; index = None; disp } in
-  (* Bodies are register-dominated, like real hot superblocks after loop
-     unrolling, redundant-load elimination and CSE have done their job: long
-     dependence chains of ALU/FP work with a memory access at either end. *)
-  let unroll k body = List.concat (List.init k (fun _ -> body)) in
-  let int_chase : Isa.insn list =
-    Mov (Reg EAX, Mem (mem_at 0))
-    :: unroll 8
-         [
-           Alu (Add, Reg EAX, Imm 3);
-           Alu (Xor, Reg ECX, Reg EAX);
-           Alu (Add, Reg EDX, Reg EAX);
-           Inc (Reg ESI);
-           Alu (Sub, Reg EDI, Imm 1);
-           Alu (And, Reg EAX, Imm 0xFFFF);
-           Lea (EDX, mem_at 4);
-           Alu (Add, Reg ECX, Reg EDX);
-           Shift (Shr, Reg ECX, Imm 2);
-           Alu (Xor, Reg EDX, Reg ESI);
-           Alu (Add, Reg EAX, Reg ECX);
-           Alu (Or, Reg ESI, Imm 1);
-           Alu (Sub, Reg EAX, Reg EDX);
-         ]
-    @ [
-        Cmp (Reg ESI, Reg EDI);
-        Setcc (NE, ECX);
-        Alu (Add, Reg EDI, Reg ECX);
-        Mov (Mem (mem_at 128), Reg EAX);
-      ]
-  in
-  let fp_stream : Isa.insn list =
-    Fld (F0, mem_at 512)
-    :: unroll 8
-         [
-           Fbin (Fmul, F0, F1);
-           Fbin (Fadd, F2, F0);
-           Fbin (Fmul, F3, F2);
-           Fbin (Fadd, F4, F3);
-           Fbin (Fsub, F1, F4);
-           Fbin (Fmul, F2, F1);
-           Fbin (Fadd, F3, F2);
-           Fmov (F5, F3);
-           Fbin (Fadd, F5, F0);
-         ]
-    @ [ Inc (Reg ESI); Alu (Add, Reg EAX, Imm 1); Fst (mem_at 536, F5) ]
-  in
-  let alu_mix : Isa.insn list =
-    unroll 6
-      [
-        Mov (Reg EAX, Imm 0x1234);
-        Shift (Shl, Reg EAX, Imm 3);
-        Alu (Or, Reg EAX, Imm 7);
-        Imul2 (ECX, Reg EAX);
-        Test (Reg EAX, Reg EAX);
-        Setcc (NE, EDX);
-        Alu (Adc, Reg EDI, Imm 0);
-        Not (Reg EDX);
-        Dec (Reg ECX);
-        Shift (Sar, Reg ECX, Imm 1);
-        Alu (Xor, Reg EAX, Reg ECX);
-        Alu (Add, Reg ESI, Reg EAX);
-        Shift (Rol, Reg ESI, Imm 5);
-        Alu (Sub, Reg EDX, Reg ESI);
-        Cmov (NE, EDI, Reg EDX);
-        Alu (Add, Reg EAX, Reg EDI);
-      ]
-  in
-  let cfg = Darco.Config.default in
-  let lower id insns : Darco_host.Code.region =
-    let ctx = Darco.Translate.create ~entry_pc:0x1000 in
-    List.iter (fun i -> Darco.Translate.translate_insn ctx i ~pc:0x1000 ~len:1) insns;
-    Darco.Translate.emit_exit ctx (Darco.Ir.Xdirect 0x1000);
-    let region = Darco.Translate.finalize ctx ~mode:`Super ~prof:None in
-    let region = Darco.Sched.run cfg (Darco.Opt.run cfg region) in
-    let alloc = Darco.Regalloc.allocate region in
-    let code, _ =
-      Darco.Codegen.lower cfg region ~alloc
-        ~spill_base:(Loader.tol_base + 0x1000) ~ibtc_base:Loader.tol_base
-    in
-    let hw : Darco_host.Code.region =
-      {
-        id;
-        entry_pc = 0x1000;
-        mode = `Super;
-        base = 0xC0000000 + (id * 0x10000);
-        code;
-        incoming = [];
-        invalidated = false;
-      }
-    in
-    (* self-chain the exit: the region is its own hot successor *)
-    Array.iter
-      (function Darco_host.Code.Exit e -> e.chain <- Some hw | _ -> ())
-      code;
-    hw
-  in
-  let named = [ ("int-chase", int_chase); ("fp-stream", fp_stream); ("alu-mix", alu_mix) ] in
-  let regions = List.mapi (fun i (_, insns) -> lower i insns) named in
-  let fresh_machine () =
-    let mem = Memory.create `Auto_zero in
-    let cpu = Cpu.create () in
-    Cpu.set cpu EBX data_base;
-    Cpu.set cpu EBP (data_base + 512);
-    Cpu.set cpu ESP Loader.stack_top;
-    for i = 0 to 255 do
-      Memory.write32 mem (data_base + (4 * i)) (i * 2654435761)
-    done;
-    let m = Darco_host.Machine.create mem in
-    Darco_host.Machine.copy_guest_in m cpu;
-    m
-  in
-  let resolve _ = None in
-  let fuel = 120_000 in
-  let get =
-    let tbl = Hashtbl.create 8 in
-    fun (r : Darco_host.Code.region) ->
-      match Hashtbl.find_opt tbl r.id with
-      | Some c -> c
-      | None ->
-        let c = Darco.Threaded.compile r in
-        Hashtbl.add tbl r.id c;
-        c
-  in
-  let run_eval m r = Darco_host.Emulator.run m ~resolve ~fuel r in
-  let run_threaded m r = Darco.Threaded.run m ~resolve ~get ~fuel r in
-  (* both engines must agree exactly before anything is timed *)
-  List.iter
-    (fun r ->
-      let ma = fresh_machine () and mb = fresh_machine () in
-      let ra = run_eval ma r and rb = run_threaded mb r in
-      let open Darco_host.Emulator in
-      assert (ra.stop = rb.stop);
-      assert (ra.host_retired = rb.host_retired);
-      assert (ra.guest_super = rb.guest_super && ra.guest_bb = rb.guest_bb);
-      assert (ra.chains_followed = rb.chains_followed);
-      assert (ra.wasted_host = rb.wasted_host);
-      let ca = Cpu.create () and cb = Cpu.create () in
-      Darco_host.Machine.copy_guest_out ma ca;
-      Darco_host.Machine.copy_guest_out mb cb;
-      assert (Cpu.equal ca cb))
-    regions;
-  (* Both engines in one interleaved loop: each round times the region set
-     once on each, the order alternating, so a slow stretch of the shared
-     machine lands on both sides of a round's ratio.  The gate reads the
-     median ratio over the rounds. *)
-  let rounds = 21 in
-  let m_eval = fresh_machine () and m_thr = fresh_machine () in
-  let time runner m =
-    let t0 = Unix.gettimeofday () in
-    List.iter (fun r -> ignore (runner m r)) regions;
-    (Unix.gettimeofday () -. t0) *. 1e9
-  in
-  (* Earlier sections leave a large, fragmented major heap behind; compact
-     so the comparison measures dispatch, not inherited GC debt, and warm
-     both engines once before timing. *)
-  Gc.compact ();
-  ignore (time run_eval m_eval);
-  ignore (time run_threaded m_thr);
-  let eval_ns = Array.make rounds 0. and thr_ns = Array.make rounds 0. in
-  for i = 0 to rounds - 1 do
-    if i mod 2 = 0 then begin
-      eval_ns.(i) <- time run_eval m_eval;
-      thr_ns.(i) <- time run_threaded m_thr
-    end
-    else begin
-      thr_ns.(i) <- time run_threaded m_thr;
-      eval_ns.(i) <- time run_eval m_eval
-    end
-  done;
-  (* [q] in [0, 1] of the sorted values, by nearest rank *)
-  let quantile q a =
-    let a = Array.copy a in
-    Array.sort Float.compare a;
-    a.(int_of_float (Float.round (q *. float_of_int (Array.length a - 1))))
-  in
-  let ratios = Array.init rounds (fun i -> eval_ns.(i) /. thr_ns.(i)) in
-  let speedup = quantile 0.5 ratios in
-  let eval_ns = quantile 0.5 eval_ns and thr_ns = quantile 0.5 thr_ns in
-  let total_host = fuel * List.length regions in
-  Printf.printf "hot-region set (%s), %d host insns per run:\n"
-    (String.concat ", " (List.map fst named))
-    total_host;
-  Printf.printf "  %-10s %8.2f ms/run  %6.1f host MIPS\n" "eval" (eval_ns /. 1e6)
-    (float_of_int total_host /. (eval_ns /. 1e9) /. 1e6);
-  Printf.printf "  %-10s %8.2f ms/run  %6.1f host MIPS  (speedup %.2fx)\n"
-    "threaded" (thr_ns /. 1e6)
-    (float_of_int total_host /. (thr_ns /. 1e9) /. 1e6)
-    speedup;
-  Printf.printf "  median of %d interleaved rounds; ratio quartiles %.2fx-%.2fx\n" rounds
-    (quantile 0.25 ratios) (quantile 0.75 ratios);
-  let open Darco_obs in
-  engines_summary :=
-    Some
-      (Jsonx.Obj
-         [
-           ("workloads", Jsonx.List (List.map (fun (n, _) -> Jsonx.String n) named));
-           ("fuel_per_region", Jsonx.Int fuel);
-           ("rounds", Jsonx.Int rounds);
-           ("eval_ns_per_run", Jsonx.Float eval_ns);
-           ("threaded_ns_per_run", Jsonx.Float thr_ns);
-           ("speedup", Jsonx.Float speedup);
-           ("speedup_q1", Jsonx.Float (quantile 0.25 ratios));
-           ("speedup_q3", Jsonx.Float (quantile 0.75 ratios));
-         ]);
-  print_newline ()
-
 (* --- §VI-E: warm-up methodology case study --- *)
 
 let warmup () =
@@ -1176,7 +954,6 @@ let all () =
   fig6 ();
   fig7 ();
   speed ();
-  engines ();
   warmup ();
   profile ();
   ablation_features ();
@@ -1216,8 +993,6 @@ let write_results path =
         ("speed", match !speed_summary with Some j -> j | None -> Jsonx.Null);
         ( "sampling",
           match !sampling_summary with Some j -> j | None -> Jsonx.Null );
-        ( "engines",
-          match !engines_summary with Some j -> j | None -> Jsonx.Null );
         ( "hot_regions",
           match !profile_summary with Some j -> j | None -> Jsonx.Null );
         ( "parallel",
@@ -1246,7 +1021,6 @@ let () =
         | "fig6" -> fig6 ()
         | "fig7" -> fig7 ()
         | "speed" -> speed ()
-        | "engines" -> engines ()
         | "warmup" -> warmup ()
         | "profile" -> profile ()
         | "ablation" ->

@@ -69,8 +69,8 @@ let () =
   let m = Darco_host.Machine.create (Memory.create `Auto_zero) in
   Darco_host.Machine.copy_guest_in m cpu;
   let rec chase () =
-    match (Darco_host.Emulator.run m ~resolve:(fun _ -> None) hw).stop with
-    | Darco_host.Emulator.Stop_exit e -> (
+    match (Darco.Threaded.run m ~resolve:(fun _ -> None) ~get:Darco.Threaded.compile hw).stop with
+    | Darco.Threaded.Stop_exit e -> (
       match e.kind with
       | Darco_host.Code.Exit_direct 0x1000 -> chase ()
       | _ -> ())

@@ -26,18 +26,11 @@ val resolve_base : t -> int -> Code.region option
 (** Region whose host base address is the given value (for [Jr]). *)
 
 val compiled : t -> Code.region -> Threaded.compiled
-(** The region's direct-threaded closure chain, compiled on first request
-    and memoized in an array indexed by region id (ids are dense), so a
-    chained transfer costs one array load; dropped on {!invalidate} and
-    {!flush}.  Chains are process state: they are rebuilt (not restored)
-    after {!unpersist}. *)
-
-val descriptors : t -> describe:(Code.insn -> int) -> Code.region -> int array
-(** The timing descriptor of each of the region's instructions, by index:
-    [describe] (the retire subscriber's, e.g. [Pipeline.describe]) runs
-    once per instruction on the region's first timed execution, and the
-    array is memoized by region id like {!compiled}'s chains.  Dropped on
-    {!invalidate} and {!flush}, never persisted, empty after
+(** The region's packed form, compiled on first request and memoized in an
+    array indexed by region id (ids are dense), so a chained transfer costs
+    one array load.  The form also keeps the region's timing descriptors
+    once it has run with a retire sink.  Dropped on {!invalidate} and
+    {!flush}; process state, never persisted: rebuilt (not restored) after
     {!unpersist}. *)
 
 val chain : t -> Code.exit_info -> Code.region -> unit

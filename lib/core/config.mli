@@ -7,9 +7,9 @@
     calibrated number of host instructions to the matching overhead
     category (see DESIGN.md §1).
 
-    How a translated region executes is not configuration: [Tol] runs its
-    closure chain, or the reference walker when a retire subscriber is
-    attached (DESIGN.md §13). *)
+    How a translated region executes is not configuration: [Tol] runs every
+    region on one executor, with or without a retire subscriber (DESIGN.md
+    §13). *)
 
 type costs = {
   interp_per_insn : int;      (** decode+dispatch+execute of one guest insn *)

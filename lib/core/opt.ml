@@ -60,13 +60,13 @@ let forward (cfg : Config.t) (r : Regionir.t) =
         match insn with
         | Ir.Ibin (op, d, a, b) -> (
           match (const_of a, const_of b) with
-          | Some ca, Some cb -> Ir.Ili (d, Emulator.eval_binop op ca cb)
+          | Some ca, Some cb -> Ir.Ili (d, Code.eval_binop op ca cb)
           | _, Some cb -> Ir.Ibini (op, d, a, cb)
           | Some ca, None when commutative op -> Ir.Ibini (op, d, b, ca)
           | _ -> insn)
         | Ir.Ibini (op, d, a, k) -> (
           match const_of a with
-          | Some ca -> Ir.Ili (d, Emulator.eval_binop op ca k)
+          | Some ca -> Ir.Ili (d, Code.eval_binop op ca k)
           | None -> insn)
         | Ir.Imkfl (kind, d, a, b, c) -> (
           match (const_of a, const_of b, const_of c) with

@@ -1,545 +1,444 @@
 open Darco_guest
 open Darco_host
-open Code
 
-(* --- operator specialization -------------------------------------------- *)
+type stop =
+  | Stop_exit of Code.exit_info
+  | Stop_indirect_miss of int
+  | Stop_rollback of [ `Assert | `Alias ] * Code.region
+  | Stop_fault of int * Code.region
+  | Stop_fuel of int
 
-(* The walker ([Emulator.run]) pays a constructor [match] on every executed
-   instruction; here the match runs once, at compile time, and yields the
-   bare arithmetic closure. *)
-let binop_fn (op : Code.binop) : int -> int -> int =
-  match op with
-  | Add -> fun a b -> Semantics.mask32 (a + b)
-  | Sub -> fun a b -> Semantics.mask32 (a - b)
-  | Mul -> fun a b -> Semantics.result_of (Semantics.mul_u a b)
-  | Mulhu -> Semantics.mulhi_u
-  | Mulhs -> Semantics.mulhi_s
-  | And -> ( land )
-  | Or -> ( lor )
-  | Xor -> ( lxor )
-  | Shl -> fun a b -> Semantics.mask32 (a lsl (b land 31))
-  | Shr -> fun a b -> a lsr (b land 31)
-  | Sar -> fun a b -> Semantics.mask32 (Semantics.signed a asr (b land 31))
-  | Slt -> fun a b -> if Semantics.signed a < Semantics.signed b then 1 else 0
-  | Sltu -> fun a b -> if a < b then 1 else 0
-  | Seq -> fun a b -> if a = b then 1 else 0
-  | Sne -> fun a b -> if a <> b then 1 else 0
-
-let cmp_fn (c : Code.cmp) : int -> int -> bool =
-  match c with
-  | Beq -> ( = )
-  | Bne -> ( <> )
-  | Blt -> fun a b -> Semantics.signed a < Semantics.signed b
-  | Bge -> fun a b -> Semantics.signed a >= Semantics.signed b
-  | Bltu -> ( < )
-  | Bgeu -> ( >= )
-
-let fbin_fn (op : Code.fbinop) : Isa.fp_bin =
-  match op with Fadd -> Fadd | Fsub -> Fsub | Fmul -> Fmul | Fdiv -> Fdiv
-
-let fun_fn (op : Code.funop) : Isa.fp_un =
-  match op with Fsqrt -> Fsqrt | Fabs -> Fabs | Fneg -> Fchs
-
-(* ========================================================================= *)
-(* Direct-threaded execution of [Code.region]s, the path [Tol.run_slice]
-   dispatches through when no retire subscriber is attached.  Bit-for-bit
-   equivalent to [Emulator.run] without a retire sink: same counters, same
-   stop reasons, same exception windows (an operation that faults does so
-   before its retirement is counted, exactly like the walker).              *)
-(* ========================================================================= *)
-
-exception Host_assert_failed
-
-type ctx = {
-  m : Machine.t;
-  resolve : int -> Code.region option;
-  get : Code.region -> compiled;
-  fuel : int;
-  mutable host_retired : int;
-  mutable host_bb : int;
-  mutable host_super : int;
-  mutable guest_bb : int;
-  mutable guest_super : int;
-  mutable chains : int;
-  mutable wasted : int;
-  mutable since_commit : int;
-  mutable region : Code.region;  (* for rollback/fault attribution *)
-  mutable steps_here : int;
-  mutable step_limit : int;
-  mutable stop_ : Emulator.stop option;
+type result = {
+  stop : stop;
+  host_retired : int;
+  host_bb : int;
+  host_super : int;
+  guest_bb : int;
+  guest_super : int;
+  chains_followed : int;
+  wasted_host : int;
 }
 
-and compiled = {
-  c_region : Code.region;
-  c_limit : int;  (* runaway bound: regions are acyclic by construction *)
-  c_entry : ctx -> unit;
+(* --- the packed form ------------------------------------------------------ *)
+
+(* One operation per instruction, with the operator, comparison, width and
+   signedness folded in, so one jump table dispatches it.  [Op_boxed]
+   instructions (an FP immediate, the runtime services) run from the boxed
+   [Code.insn]. *)
+type op =
+  | Op_nop | Op_li
+  | Op_add | Op_sub | Op_mul | Op_mulhu | Op_mulhs | Op_and | Op_or | Op_xor
+  | Op_shl | Op_shr | Op_sar | Op_slt | Op_sltu | Op_seq | Op_sne
+  | Op_addi | Op_subi | Op_muli | Op_mulhui | Op_mulhsi | Op_andi | Op_ori
+  | Op_xori | Op_shli | Op_shri | Op_sari | Op_slti | Op_sltui | Op_seqi | Op_snei
+  | Op_ld8 | Op_ld8s | Op_ld16 | Op_ld16s | Op_ld32 | Op_ld32s
+  | Op_sld8 | Op_sld8s | Op_sld16 | Op_sld16s | Op_sld32 | Op_sld32s
+  | Op_st8 | Op_st16 | Op_st32
+  | Op_fmov | Op_fadd | Op_fsub | Op_fmul | Op_fdiv | Op_fsqrt | Op_fabs | Op_fneg
+  | Op_fload | Op_fstore | Op_fcmp | Op_cvtif | Op_cvtfi
+  | Op_mkfl | Op_isel | Op_boxed
+  | Op_beq | Op_bne | Op_blt | Op_bge | Op_bltu | Op_bgeu | Op_j
+  | Op_jr | Op_assert | Op_chk | Op_commit | Op_exit
+
+type compiled = {
+  code : Code.insn array;
+  ops : op array;
+  regs : int array;
+      (* up to four register fields of 7 bits, first operand lowest; a
+         register outside [0, 127] is stored as 127, which no register file
+         has, so its access fails the bounds check it failed before *)
+  imm : int array;
+      (* the immediate (masked to 32 bits), displacement, branch target,
+         commit count, [Mkfl] kind or [Assert] comparison, by index *)
+  limit : int;  (* runaway bound: regions are acyclic by construction *)
+  mutable descs : int array;  (* timing descriptors, by [describe] below *)
+  mutable describe : Code.insn -> int;
 }
 
-let bump_bb c w =
-  c.host_retired <- c.host_retired + w;
-  c.host_bb <- c.host_bb + w;
-  c.since_commit <- c.since_commit + w
+let flkinds : Code.flkind array =
+  [| Fl_add; Fl_adc; Fl_sub; Fl_sbb; Fl_logic; Fl_shl; Fl_shr; Fl_sar; Fl_rol; Fl_ror;
+     Fl_inc; Fl_dec; Fl_neg; Fl_mulu; Fl_muls |]
 
-let bump_super c w =
-  c.host_retired <- c.host_retired + w;
-  c.host_super <- c.host_super + w;
-  c.since_commit <- c.since_commit + w
+let cmps : Code.cmp array = [| Beq; Bne; Blt; Bge; Bltu; Bgeu |]
 
-let guard c =
-  c.steps_here <- c.steps_here + 1;
-  assert (c.steps_here <= c.step_limit)
+let rec index_of a x i = if a.(i) = x then i else index_of a x (i + 1)
 
-(* Fuel is checked only at region transfers, before the chain counter moves
-   (a fuel stop charges no chain) — the same order as [Emulator.run]. *)
-let transfer c (r' : Code.region) =
-  if c.host_retired >= c.fuel then c.stop_ <- Some (Emulator.Stop_fuel r'.entry_pc)
-  else begin
-    c.chains <- c.chains + 1;
-    let comp = c.get r' in
-    c.region <- r';
-    c.steps_here <- 0;
-    c.step_limit <- comp.c_limit;
-    comp.c_entry c
-  end
+let undescribed (_ : Code.insn) = 0
 
-let compile (region : Code.region) : compiled =
+let compile (region : Code.region) =
   let code = region.code in
   let n = Array.length code in
-  let bump = match region.mode with `Bb -> bump_bb | `Super -> bump_super in
-  let commit_guest =
-    match region.mode with
-    | `Bb -> fun c k -> c.guest_bb <- c.guest_bb + k
-    | `Super -> fun c k -> c.guest_super <- c.guest_super + k
+  let ops = Array.make n Op_nop and regs = Array.make n 0 and imm = Array.make n 0 in
+  let field r = if r >= 0 && r < 128 then r else 127 in
+  let pack ?(b = 0) ?(c = 0) ?(d = 0) a =
+    field a lor (field b lsl 7) lor (field c lsl 14) lor (field d lsl 21)
   in
-  (* Branch targets: a [Commit; Exit] pair may only fuse when the exit is
-     not itself a jump target. *)
-  let marks = Array.make (max n 1) false in
-  Array.iter
-    (function B (_, _, _, t) | J t -> marks.(t) <- true | _ -> ())
-    code;
-  (* Runs of non-faulting operations fuse into one closure: the step guard
-     and the retirement counters are batched over the whole run.  No
-     exception can fire inside such a run and control cannot leave it, so
-     the intermediate counter values the walker would expose are
-     unobservable — the state after the run is bit-identical.  Loads and
-     stores (page faults, alias violations), Chk/Commit (they reset
-     [since_commit] mid-stream) and control all end a fusion window. *)
-  let bare (insn : Code.insn) : (Machine.t -> unit) option =
-    match insn with
-    | Nop -> Some (fun _ -> ())
-    | Li (rd, v) -> Some (fun m -> Machine.set m rd v)
-    | Bin (op, rd, ra, rb) ->
-      let f = binop_fn op in
-      Some (fun m -> Machine.set m rd (f (Machine.get m ra) (Machine.get m rb)))
-    | Bini (op, rd, ra, imm) ->
-      let f = binop_fn op in
-      let imm = Semantics.mask32 imm in
-      Some (fun m -> Machine.set m rd (f (Machine.get m ra) imm))
-    | Fli (fd, v) -> Some (fun m -> m.Machine.f.(fd) <- v)
-    | Fmov (fd, fs) ->
-      Some
-        (fun m ->
-          let f = m.Machine.f in
-          f.(fd) <- f.(fs))
-    | Fbin (op, fd, fa, fb) ->
-      let g = fbin_fn op in
-      Some
-        (fun m ->
-          let f = m.Machine.f in
-          f.(fd) <- Semantics.fp_bin g f.(fa) f.(fb))
-    | Fun (op, fd, fa) ->
-      let g = fun_fn op in
-      Some
-        (fun m ->
-          let f = m.Machine.f in
-          f.(fd) <- Semantics.fp_un g f.(fa))
-    | Fcmp (rd, fa, fb) ->
-      Some
-        (fun m ->
-          Machine.set m rd
-            (Semantics.fcmp_flags m.Machine.f.(fa) m.Machine.f.(fb)))
-    | Cvtif (fd, ra) ->
-      Some (fun m -> m.Machine.f.(fd) <- Semantics.i2f (Machine.get m ra))
-    | Cvtfi (rd, fa) ->
-      Some (fun m -> Machine.set m rd (Semantics.f2i m.Machine.f.(fa)))
-    | Mkfl (kind, rd, ra, rb, rc) ->
-      Some
-        (fun m ->
-          Machine.set m rd
-            (Flagcalc.compute kind ~a:(Machine.get m ra) ~b:(Machine.get m rb)
-               ~c:(Machine.get m rc)))
-    | Isel (rd, rc, ra, rb) ->
-      Some
-        (fun m ->
-          Machine.set m rd
-            (if Machine.get m rc <> 0 then Machine.get m ra
-             else Machine.get m rb))
-    | Callrt_f (fn, fd, fs) ->
-      let g : Isa.fp_un =
-        match fn with Rt_sin -> Fsin | Rt_cos -> Fcos | _ -> assert false
+  let binop (op : Code.binop) ~imm:i =
+    match op with
+    | Add -> if i then Op_addi else Op_add
+    | Sub -> if i then Op_subi else Op_sub
+    | Mul -> if i then Op_muli else Op_mul
+    | Mulhu -> if i then Op_mulhui else Op_mulhu
+    | Mulhs -> if i then Op_mulhsi else Op_mulhs
+    | And -> if i then Op_andi else Op_and
+    | Or -> if i then Op_ori else Op_or
+    | Xor -> if i then Op_xori else Op_xor
+    | Shl -> if i then Op_shli else Op_shl
+    | Shr -> if i then Op_shri else Op_shr
+    | Sar -> if i then Op_sari else Op_sar
+    | Slt -> if i then Op_slti else Op_slt
+    | Sltu -> if i then Op_sltui else Op_sltu
+    | Seq -> if i then Op_seqi else Op_seq
+    | Sne -> if i then Op_snei else Op_sne
+  in
+  let loads =
+    [| Op_ld8; Op_ld8s; Op_ld16; Op_ld16s; Op_ld32; Op_ld32s;
+       Op_sld8; Op_sld8s; Op_sld16; Op_sld16s; Op_sld32; Op_sld32s |]
+  in
+  let load (w : Isa.width) signed ~spec =
+    loads.((match w with W8 -> 0 | W16 -> 2 | W32 -> 4) + Bool.to_int signed + if spec then 6 else 0)
+  in
+  Array.iteri
+    (fun i (insn : Code.insn) ->
+      let set op r v =
+        ops.(i) <- op;
+        regs.(i) <- r;
+        imm.(i) <- v
       in
-      Some
-        (fun m ->
-          let f = m.Machine.f in
-          f.(fd) <- Semantics.fp_un g f.(fs))
-    | Callrt_div { signed; q; r = rr; hi; lo; d } ->
-      let div = if signed then Semantics.div_s else Semantics.div_u in
-      Some
-        (fun m ->
-          let qv, rv =
-            div ~hi:(Machine.get m hi) ~lo:(Machine.get m lo) (Machine.get m d)
-          in
-          Machine.set m q qv;
-          Machine.set m rr rv)
-    | Load _ | Sload _ | Store _ | Fload _ | Fstore _ | B _ | J _ | Jr _
-    | Assert _ | Chk | Commit _ | Exit _ ->
-      None
-  in
-  let weight (insn : Code.insn) =
-    match insn with
-    | Callrt_f (fn, _, _) -> rt_cost fn
-    | Callrt_div { signed; _ } -> rt_cost (if signed then Rt_divs else Rt_divu)
-    | _ -> 1
-  in
-  let bares = Array.map bare code in
-  (* run_end.(i): last index of the maximal fusable run starting at i *)
-  let run_end = Array.make (max n 1) (-1) in
-  for i = n - 1 downto 0 do
-    if bares.(i) <> None then
-      run_end.(i) <-
-        (if i + 1 < n && bares.(i + 1) <> None && not marks.(i + 1) then
-           run_end.(i + 1)
-         else i)
-  done;
-  let steps : (ctx -> unit) array =
-    Array.make (max n 1) (fun _ -> assert false)
-  in
-  (* Falling off the end of a region is malformed; the walker dies on the
-     out-of-bounds fetch and so do we. *)
-  let oob _ = raise (Invalid_argument "index out of bounds") in
-  (* Built back to front so a fallthrough or forward branch captures its
-     continuation closure directly; a (malformed) backward target falls back
-     to an indirection through the array. *)
-  let target t i = if t > i then steps.(t) else fun c -> steps.(t) c in
-  let continuation i = if i + 1 < n then steps.(i + 1) else oob in
-  let exit_step (e : Code.exit_info) c =
-    bump c 1;
-    match e.chain with
-    | Some r' when not r'.invalidated -> transfer c r'
-    | Some _ | None -> c.stop_ <- Some (Emulator.Stop_exit e)
-  in
-  for i = n - 1 downto 0 do
-    let k = continuation i in
-    steps.(i) <-
-      (match code.(i) with
-      | Nop ->
-        fun c ->
-          guard c;
-          bump c 1;
-          k c
-      | Li (rd, v) ->
-        fun c ->
-          guard c;
-          Machine.set c.m rd v;
-          bump c 1;
-          k c
-      | Bin (op, rd, ra, rb) ->
-        let f = binop_fn op in
-        fun c ->
-          guard c;
-          let m = c.m in
-          Machine.set m rd (f (Machine.get m ra) (Machine.get m rb));
-          bump c 1;
-          k c
-      | Bini (op, rd, ra, imm) ->
-        let f = binop_fn op in
-        let imm = Semantics.mask32 imm in
-        fun c ->
-          guard c;
-          let m = c.m in
-          Machine.set m rd (f (Machine.get m ra) imm);
-          bump c 1;
-          k c
-      | Load (w, signed, rd, ra, d) ->
-        fun c ->
-          guard c;
-          let m = c.m in
-          let addr = Semantics.mask32 (Machine.get m ra + d) in
-          Machine.set m rd (Machine.load m w ~signed addr);
-          bump c 1;
-          k c
-      | Sload (w, signed, rd, ra, d) ->
-        fun c ->
-          guard c;
-          let m = c.m in
-          let addr = Semantics.mask32 (Machine.get m ra + d) in
-          Machine.set m rd (Machine.load_spec m w ~signed addr);
-          bump c 1;
-          k c
+      match insn with
+      | Nop -> set Op_nop 0 0
+      | Li (rd, v) -> set Op_li (pack rd) v
+      | Bin (op, rd, ra, rb) -> set (binop op ~imm:false) (pack rd ~b:ra ~c:rb) 0
+      | Bini (op, rd, ra, v) ->
+        set (binop op ~imm:true) (pack rd ~b:ra) (Semantics.mask32 v)
+      | Load (w, s, rd, ra, d) -> set (load w s ~spec:false) (pack rd ~b:ra) d
+      | Sload (w, s, rd, ra, d) -> set (load w s ~spec:true) (pack rd ~b:ra) d
       | Store (w, rv, ra, d) ->
-        fun c ->
-          guard c;
-          let m = c.m in
-          let addr = Semantics.mask32 (Machine.get m ra + d) in
-          Machine.store m w addr (Machine.get m rv);
-          bump c 1;
-          k c
-      | Fli (fd, v) ->
-        fun c ->
-          guard c;
-          c.m.f.(fd) <- v;
-          bump c 1;
-          k c
-      | Fmov (fd, fs) ->
-        fun c ->
-          guard c;
-          let f = c.m.f in
-          f.(fd) <- f.(fs);
-          bump c 1;
-          k c
+        set (match w with W8 -> Op_st8 | W16 -> Op_st16 | W32 -> Op_st32) (pack rv ~b:ra) d
+      | Fmov (fd, fs) -> set Op_fmov (pack fd ~b:fs) 0
       | Fbin (op, fd, fa, fb) ->
-        let g = fbin_fn op in
-        fun c ->
-          guard c;
-          let f = c.m.f in
-          f.(fd) <- Semantics.fp_bin g f.(fa) f.(fb);
-          bump c 1;
-          k c
+        set
+          (match op with Fadd -> Op_fadd | Fsub -> Op_fsub | Fmul -> Op_fmul | Fdiv -> Op_fdiv)
+          (pack fd ~b:fa ~c:fb) 0
       | Fun (op, fd, fa) ->
-        let g = fun_fn op in
-        fun c ->
-          guard c;
-          let f = c.m.f in
-          f.(fd) <- Semantics.fp_un g f.(fa);
-          bump c 1;
-          k c
-      | Fload (fd, ra, d) ->
-        fun c ->
-          guard c;
-          let m = c.m in
-          let addr = Semantics.mask32 (Machine.get m ra + d) in
-          Machine.load_f64 m fd addr;
-          bump c 1;
-          k c
-      | Fstore (fv, ra, d) ->
-        fun c ->
-          guard c;
-          let m = c.m in
-          let addr = Semantics.mask32 (Machine.get m ra + d) in
-          Machine.store_f64 m addr fv;
-          bump c 1;
-          k c
-      | Fcmp (rd, fa, fb) ->
-        fun c ->
-          guard c;
-          let m = c.m in
-          Machine.set m rd (Semantics.fcmp_flags m.f.(fa) m.f.(fb));
-          bump c 1;
-          k c
-      | Cvtif (fd, ra) ->
-        fun c ->
-          guard c;
-          let m = c.m in
-          m.f.(fd) <- Semantics.i2f (Machine.get m ra);
-          bump c 1;
-          k c
-      | Cvtfi (rd, fa) ->
-        fun c ->
-          guard c;
-          let m = c.m in
-          Machine.set m rd (Semantics.f2i m.f.(fa));
-          bump c 1;
-          k c
-      | Mkfl (kind, rd, ra, rb, rc) ->
-        fun c ->
-          guard c;
-          let m = c.m in
-          Machine.set m rd
-            (Flagcalc.compute kind ~a:(Machine.get m ra) ~b:(Machine.get m rb)
-               ~c:(Machine.get m rc));
-          bump c 1;
-          k c
-      | Isel (rd, rc, ra, rb) ->
-        fun c ->
-          guard c;
-          let m = c.m in
-          Machine.set m rd
-            (if Machine.get m rc <> 0 then Machine.get m ra else Machine.get m rb);
-          bump c 1;
-          k c
-      | Callrt_f (fn, fd, fs) ->
-        let g : Isa.fp_un =
-          match fn with Rt_sin -> Fsin | Rt_cos -> Fcos | _ -> assert false
-        in
-        let w = rt_cost fn in
-        fun c ->
-          guard c;
-          let f = c.m.f in
-          f.(fd) <- Semantics.fp_un g f.(fs);
-          bump c w;
-          k c
-      | Callrt_div { signed; q; r = rr; hi; lo; d } ->
-        let w = rt_cost (if signed then Rt_divs else Rt_divu) in
-        let div = if signed then Semantics.div_s else Semantics.div_u in
-        fun c ->
-          guard c;
-          let m = c.m in
-          let hi_v = Machine.get m hi
-          and lo_v = Machine.get m lo
-          and d_v = Machine.get m d in
-          let qv, rv = div ~hi:hi_v ~lo:lo_v d_v in
-          Machine.set m q qv;
-          Machine.set m rr rv;
-          bump c w;
-          k c
-      | B (cmp, ra, rb, t) ->
-        let holds = cmp_fn cmp in
-        let kt = target t i in
-        fun c ->
-          guard c;
-          let m = c.m in
-          let taken = holds (Machine.get m ra) (Machine.get m rb) in
-          bump c 1;
-          if taken then kt c else k c
-      | J t ->
-        let kt = target t i in
-        fun c ->
-          guard c;
-          bump c 1;
-          kt c
-      | Jr (ra, rg) ->
-        fun c ->
-          guard c;
-          let m = c.m in
-          let tgt = Machine.get m ra in
-          bump c 1;
-          (match c.resolve tgt with
-          | Some r' when not r'.invalidated -> transfer c r'
-          | Some _ | None ->
-            c.stop_ <- Some (Emulator.Stop_indirect_miss (Machine.get m rg)))
-      | Assert (cmp, ra, rb) ->
-        let holds = cmp_fn cmp in
-        fun c ->
-          guard c;
-          bump c 1;
-          let m = c.m in
-          if holds (Machine.get m ra) (Machine.get m rb) then k c
-          else raise Host_assert_failed
-      | Chk ->
-        fun c ->
-          guard c;
-          Machine.checkpoint c.m;
-          c.since_commit <- 0;
-          bump c 1;
-          k c
-      | Commit cnt -> (
-        (* Fusion: a [Commit; Exit] pair — every region epilogue — runs as
-           one closure when the exit is not itself a branch target. *)
-        match if i + 1 < n && not marks.(i + 1) then code.(i + 1) else Nop with
-        | Exit e ->
-          fun c ->
-            guard c;
-            Machine.commit c.m;
-            commit_guest c cnt;
-            c.since_commit <- 0;
-            bump c 1;
-            guard c;
-            exit_step e c
-        | _ ->
-          fun c ->
-            guard c;
-            Machine.commit c.m;
-            commit_guest c cnt;
-            c.since_commit <- 0;
-            bump c 1;
-            k c)
-      | Exit e ->
-        fun c ->
-          guard c;
-          exit_step e c);
-    (* If [i] heads a fusable run of two or more ops, replace the per-op
-       closure with one that batches guard + retirement over the run.  A
-       run head is the first bareable op after a non-bareable one (or after
-       a branch target); mid-run indices keep their individual closures so
-       a (malformed) backward branch into the middle still behaves. *)
-    let j = run_end.(i) in
-    if j > i && (i = 0 || marks.(i) || bares.(i - 1) = None) then begin
-      let len = j - i + 1 in
-      let total = ref 0 in
-      for x = i to j do
-        total := !total + weight code.(x)
-      done;
-      let total = !total in
-      let kj = if j + 1 < n then steps.(j + 1) else oob in
-      let ops =
-        Array.init len (fun x ->
-            match bares.(i + x) with Some f -> f | None -> assert false)
-      in
-      steps.(i) <-
-        (fun c ->
-          c.steps_here <- c.steps_here + len;
-          assert (c.steps_here <= c.step_limit);
-          bump c total;
-          let m = c.m in
-          for x = 0 to len - 1 do
-            (Array.unsafe_get ops x) m
-          done;
-          kj c)
-    end
-  done;
+        set (match op with Fsqrt -> Op_fsqrt | Fabs -> Op_fabs | Fneg -> Op_fneg) (pack fd ~b:fa) 0
+      | Fload (fd, ra, d) -> set Op_fload (pack fd ~b:ra) d
+      | Fstore (fv, ra, d) -> set Op_fstore (pack fv ~b:ra) d
+      | Fcmp (rd, fa, fb) -> set Op_fcmp (pack rd ~b:fa ~c:fb) 0
+      | Cvtif (fd, ra) -> set Op_cvtif (pack fd ~b:ra) 0
+      | Cvtfi (rd, fa) -> set Op_cvtfi (pack rd ~b:fa) 0
+      | Mkfl (k, rd, ra, rb, rc) ->
+        set Op_mkfl (pack rd ~b:ra ~c:rb ~d:rc) (index_of flkinds k 0)
+      | Isel (rd, rc, ra, rb) -> set Op_isel (pack rd ~b:rc ~c:ra ~d:rb) 0
+      | Fli _ | Callrt_f _ | Callrt_div _ -> set Op_boxed 0 0
+      | B (c, ra, rb, t) ->
+        set
+          (match c with
+          | Beq -> Op_beq | Bne -> Op_bne | Blt -> Op_blt | Bge -> Op_bge
+          | Bltu -> Op_bltu | Bgeu -> Op_bgeu)
+          (pack ra ~b:rb) t
+      | J t -> set Op_j 0 t
+      | Jr (ra, rg) -> set Op_jr (pack ra ~b:rg) 0
+      | Assert (c, ra, rb) -> set Op_assert (pack ra ~b:rb) (index_of cmps c 0)
+      | Chk -> set Op_chk 0 0
+      | Commit k -> set Op_commit 0 k
+      | Exit _ -> set Op_exit 0 0)
+    code;
   {
-    c_region = region;
-    c_limit = (100 * n) + 10_000;
-    c_entry = (if n = 0 then oob else steps.(0));
+    code;
+    ops;
+    regs;
+    imm;
+    limit = (100 * n) + 10_000;
+    descs = [||];
+    describe = undescribed;
   }
 
-let run m ~resolve ~get ?(fuel = max_int) entry_region =
-  let comp = get entry_region in
-  let c =
-    {
-      m;
-      resolve;
-      get;
-      fuel;
-      host_retired = 0;
-      host_bb = 0;
-      host_super = 0;
-      guest_bb = 0;
-      guest_super = 0;
-      chains = 0;
-      wasted = 0;
-      since_commit = 0;
-      region = entry_region;
-      steps_here = 0;
-      step_limit = comp.c_limit;
-      stop_ = None;
-    }
-  in
-  let finish stop =
-    {
-      Emulator.stop;
-      host_retired = c.host_retired;
-      host_bb = c.host_bb;
-      host_super = c.host_super;
-      guest_bb = c.guest_bb;
-      guest_super = c.guest_super;
-      chains_followed = c.chains;
-      wasted_host = c.wasted;
-    }
-  in
-  try
-    comp.c_entry c;
-    match c.stop_ with Some s -> finish s | None -> assert false
-  with
-  | Host_assert_failed ->
-    c.wasted <- c.wasted + c.since_commit;
-    Machine.rollback m;
-    finish (Emulator.Stop_rollback (`Assert, c.region))
+(* --- operand access ------------------------------------------------------- *)
+
+let[@inline] f0 w = w land 0x7F
+let[@inline] f1 w = (w lsr 7) land 0x7F
+let[@inline] f2 w = (w lsr 14) land 0x7F
+let[@inline] f3 w = (w lsr 21) land 0x7F
+let[@inline] get m f = Machine.get m f
+let[@inline] set m f v = Machine.set m f v
+let[@inline] ea m w d = Semantics.mask32 (Machine.get m (f1 w) + d)
+
+let[@inline] load ~spec m width ~signed w d =
+  let a = ea m w d in
+  let v = if spec then Machine.load_spec m width ~signed a else Machine.load m width ~signed a in
+  set m (f0 w) v;
+  a
+
+let[@inline] store m width w d =
+  let a = ea m w d in
+  Machine.store m width a (Machine.get m (f0 w));
+  a
+
+let[@inline] slt a b = if Semantics.signed a < Semantics.signed b then 1 else 0
+
+(* An intra-region branch to index [t] of [r], as the retire stream
+   records it. *)
+let[@inline] branch_word (r : Code.region) t taken =
+  Retire.branch_word ~taken ~target:(Code.host_pc r t)
+
+(* The instructions the packed form leaves boxed; returns the weight the
+   instruction retires with (a runtime service counts its routine's host
+   instructions). *)
+let boxed (m : Machine.t) (insn : Code.insn) =
+  match insn with
+  | Fli (fd, v) ->
+    m.f.(fd) <- v;
+    1
+  | Callrt_f (fn, fd, fs) ->
+    let g : Isa.fp_un = match fn with Rt_sin -> Fsin | Rt_cos -> Fcos | _ -> assert false in
+    m.f.(fd) <- Semantics.fp_un g m.f.(fs);
+    Code.rt_cost fn
+  | Callrt_div { signed; q; r = rr; hi; lo; d } ->
+    let hi_v = Machine.get m hi and lo_v = Machine.get m lo and d_v = Machine.get m d in
+    let fn : Code.rt_fn = if signed then Rt_divs else Rt_divu in
+    let qv, rv =
+      if signed then Semantics.div_s ~hi:hi_v ~lo:lo_v d_v
+      else Semantics.div_u ~hi:hi_v ~lo:lo_v d_v
+    in
+    Machine.set m q qv;
+    Machine.set m rr rv;
+    Code.rt_cost fn
+  | _ -> invalid_arg "Threaded.boxed: a packed instruction"
+
+let exit_at c i =
+  match c.code.(i) with Exit e -> e | _ -> invalid_arg "Threaded.exit_at: not an exit"
+
+(* A region's descriptors as the sink's [describe] gives them, computed on
+   its first run with that sink. *)
+let descriptors c (s : Retire.sink) =
+  if c.describe != s.describe then begin
+    c.descs <- Array.map s.describe c.code;
+    c.describe <- s.describe
+  end;
+  c.descs
+
+let flush = function Some s -> Retire.flush s | None -> ()
+
+(* --- the loop --------------------------------------------------------------- *)
+
+let run m ~resolve ~get:packed ?(fuel = max_int) ?retire entry =
+  let region = ref entry and c = ref (packed entry) in
+  let descs = ref (match retire with Some s -> descriptors !c s | None -> [||]) in
+  let i = ref 0 and steps = ref 0 and retired = ref 0 in
+  (* [retired] when [!region] was entered and at the last Chk or Commit:
+     the host count in [`Bb] regions and the work a rollback wastes are
+     differences from them *)
+  let entered = ref 0 and committed = ref 0 and host_bb = ref 0 in
+  let guest_bb = ref 0 and guest_super = ref 0 in
+  let chains = ref 0 and wasted = ref 0 in
+  (* per instruction: its effective address, its branch word, and the
+     index to run next (below 0 for an operation that acts after it
+     retires) *)
+  let addr = ref 0 and br = ref 0 and next = ref 0 in
+  let stop = ref (Stop_fuel 0) and running = ref true in
+  (try
+     while !running do
+       let k = !c and i0 = !i in
+       incr steps;
+       assert (!steps <= k.limit);
+       let op = k.ops.(i0) and w = k.regs.(i0) in
+       addr := 0;
+       br := 0;
+       next := i0 + 1;
+       (match op with
+       | Op_nop -> ()
+       | Op_li -> set m (f0 w) k.imm.(i0)
+       | Op_add -> set m (f0 w) (get m (f1 w) + get m (f2 w))
+       | Op_sub -> set m (f0 w) (get m (f1 w) - get m (f2 w))
+       | Op_mul -> set m (f0 w) (Semantics.result_of (Semantics.mul_u (get m (f1 w)) (get m (f2 w))))
+       | Op_mulhu -> set m (f0 w) (Semantics.mulhi_u (get m (f1 w)) (get m (f2 w)))
+       | Op_mulhs -> set m (f0 w) (Semantics.mulhi_s (get m (f1 w)) (get m (f2 w)))
+       | Op_and -> set m (f0 w) (get m (f1 w) land get m (f2 w))
+       | Op_or -> set m (f0 w) (get m (f1 w) lor get m (f2 w))
+       | Op_xor -> set m (f0 w) (get m (f1 w) lxor get m (f2 w))
+       | Op_shl -> set m (f0 w) (get m (f1 w) lsl (get m (f2 w) land 31))
+       | Op_shr -> set m (f0 w) (get m (f1 w) lsr (get m (f2 w) land 31))
+       | Op_sar -> set m (f0 w) (Semantics.signed (get m (f1 w)) asr (get m (f2 w) land 31))
+       | Op_slt -> set m (f0 w) (slt (get m (f1 w)) (get m (f2 w)))
+       | Op_sltu -> set m (f0 w) (Bool.to_int (get m (f1 w) < get m (f2 w)))
+       | Op_seq -> set m (f0 w) (Bool.to_int (get m (f1 w) = get m (f2 w)))
+       | Op_sne -> set m (f0 w) (Bool.to_int (get m (f1 w) <> get m (f2 w)))
+       | Op_addi -> set m (f0 w) (get m (f1 w) + k.imm.(i0))
+       | Op_subi -> set m (f0 w) (get m (f1 w) - k.imm.(i0))
+       | Op_muli -> set m (f0 w) (Semantics.result_of (Semantics.mul_u (get m (f1 w)) k.imm.(i0)))
+       | Op_mulhui -> set m (f0 w) (Semantics.mulhi_u (get m (f1 w)) k.imm.(i0))
+       | Op_mulhsi -> set m (f0 w) (Semantics.mulhi_s (get m (f1 w)) k.imm.(i0))
+       | Op_andi -> set m (f0 w) (get m (f1 w) land k.imm.(i0))
+       | Op_ori -> set m (f0 w) (get m (f1 w) lor k.imm.(i0))
+       | Op_xori -> set m (f0 w) (get m (f1 w) lxor k.imm.(i0))
+       | Op_shli -> set m (f0 w) (get m (f1 w) lsl (k.imm.(i0) land 31))
+       | Op_shri -> set m (f0 w) (get m (f1 w) lsr (k.imm.(i0) land 31))
+       | Op_sari -> set m (f0 w) (Semantics.signed (get m (f1 w)) asr (k.imm.(i0) land 31))
+       | Op_slti -> set m (f0 w) (slt (get m (f1 w)) k.imm.(i0))
+       | Op_sltui -> set m (f0 w) (Bool.to_int (get m (f1 w) < k.imm.(i0)))
+       | Op_seqi -> set m (f0 w) (Bool.to_int (get m (f1 w) = k.imm.(i0)))
+       | Op_snei -> set m (f0 w) (Bool.to_int (get m (f1 w) <> k.imm.(i0)))
+       | Op_ld8 -> addr := load ~spec:false m W8 ~signed:false w k.imm.(i0)
+       | Op_ld8s -> addr := load ~spec:false m W8 ~signed:true w k.imm.(i0)
+       | Op_ld16 -> addr := load ~spec:false m W16 ~signed:false w k.imm.(i0)
+       | Op_ld16s -> addr := load ~spec:false m W16 ~signed:true w k.imm.(i0)
+       | Op_ld32 -> addr := load ~spec:false m W32 ~signed:false w k.imm.(i0)
+       | Op_ld32s -> addr := load ~spec:false m W32 ~signed:true w k.imm.(i0)
+       | Op_sld8 -> addr := load ~spec:true m W8 ~signed:false w k.imm.(i0)
+       | Op_sld8s -> addr := load ~spec:true m W8 ~signed:true w k.imm.(i0)
+       | Op_sld16 -> addr := load ~spec:true m W16 ~signed:false w k.imm.(i0)
+       | Op_sld16s -> addr := load ~spec:true m W16 ~signed:true w k.imm.(i0)
+       | Op_sld32 -> addr := load ~spec:true m W32 ~signed:false w k.imm.(i0)
+       | Op_sld32s -> addr := load ~spec:true m W32 ~signed:true w k.imm.(i0)
+       | Op_st8 -> addr := store m W8 w k.imm.(i0)
+       | Op_st16 -> addr := store m W16 w k.imm.(i0)
+       | Op_st32 -> addr := store m W32 w k.imm.(i0)
+       | Op_fmov -> m.f.(f0 w) <- m.f.(f1 w)
+       | Op_fadd -> m.f.(f0 w) <- m.f.(f1 w) +. m.f.(f2 w)
+       | Op_fsub -> m.f.(f0 w) <- m.f.(f1 w) -. m.f.(f2 w)
+       | Op_fmul -> m.f.(f0 w) <- m.f.(f1 w) *. m.f.(f2 w)
+       | Op_fdiv -> m.f.(f0 w) <- m.f.(f1 w) /. m.f.(f2 w)
+       | Op_fsqrt -> m.f.(f0 w) <- Float.sqrt m.f.(f1 w)
+       | Op_fabs -> m.f.(f0 w) <- Float.abs m.f.(f1 w)
+       | Op_fneg -> m.f.(f0 w) <- Float.neg m.f.(f1 w)
+       | Op_fload ->
+         let a = ea m w k.imm.(i0) in
+         Machine.load_f64 m (f0 w) a;
+         addr := a
+       | Op_fstore ->
+         let a = ea m w k.imm.(i0) in
+         Machine.store_f64 m a (f0 w);
+         addr := a
+       | Op_fcmp -> set m (f0 w) (Semantics.fcmp_flags m.f.(f1 w) m.f.(f2 w))
+       | Op_cvtif -> m.f.(f0 w) <- Semantics.i2f (get m (f1 w))
+       | Op_cvtfi -> set m (f0 w) (Semantics.f2i m.f.(f1 w))
+       | Op_mkfl ->
+         set m (f0 w)
+           (Flagcalc.compute flkinds.(k.imm.(i0)) ~a:(get m (f1 w)) ~b:(get m (f2 w))
+              ~c:(get m (f3 w)))
+       | Op_isel -> set m (f0 w) (if get m (f1 w) <> 0 then get m (f2 w) else get m (f3 w))
+       | Op_boxed ->
+         (* the weight beyond the one every instruction retires with *)
+         retired := !retired + boxed m k.code.(i0) - 1
+       | Op_beq ->
+         let taken = get m (f0 w) = get m (f1 w) in
+         if taken then next := k.imm.(i0);
+         br := branch_word !region k.imm.(i0) taken
+       | Op_bne ->
+         let taken = get m (f0 w) <> get m (f1 w) in
+         if taken then next := k.imm.(i0);
+         br := branch_word !region k.imm.(i0) taken
+       | Op_blt ->
+         let taken = Semantics.signed (get m (f0 w)) < Semantics.signed (get m (f1 w)) in
+         if taken then next := k.imm.(i0);
+         br := branch_word !region k.imm.(i0) taken
+       | Op_bge ->
+         let taken = Semantics.signed (get m (f0 w)) >= Semantics.signed (get m (f1 w)) in
+         if taken then next := k.imm.(i0);
+         br := branch_word !region k.imm.(i0) taken
+       | Op_bltu ->
+         let taken = get m (f0 w) < get m (f1 w) in
+         if taken then next := k.imm.(i0);
+         br := branch_word !region k.imm.(i0) taken
+       | Op_bgeu ->
+         let taken = get m (f0 w) >= get m (f1 w) in
+         if taken then next := k.imm.(i0);
+         br := branch_word !region k.imm.(i0) taken
+       | Op_j ->
+         br := branch_word !region k.imm.(i0) true;
+         next := k.imm.(i0)
+       | Op_jr ->
+         br := Retire.branch_word ~taken:true ~target:(get m (f0 w));
+         next := -1
+       | Op_assert -> next := -1
+       | Op_chk ->
+         Machine.checkpoint m;
+         committed := !retired
+       | Op_commit ->
+         Machine.commit m;
+         (match !region.mode with
+         | `Bb -> guest_bb := !guest_bb + k.imm.(i0)
+         | `Super -> guest_super := !guest_super + k.imm.(i0));
+         committed := !retired
+       | Op_exit ->
+         let target =
+           match (exit_at k i0).chain with Some r' -> r'.base | None -> 0xE000_0000
+         in
+         br := Retire.branch_word ~taken:true ~target;
+         next := -1);
+       incr retired;
+       (match retire with
+       | None -> ()
+       | Some s ->
+         let b = s.batch in
+         if b.length = Array.length b.pc then Retire.flush s;
+         let n = b.length in
+         b.pc.(n) <- !region.base + (4 * i0);
+         b.desc.(n) <- !descs.(i0);
+         b.addr.(n) <- !addr;
+         b.branch.(n) <- !br;
+         b.length <- n + 1);
+       if !next >= 0 then i := !next
+       else
+         (* an Assert compares after it retires; a transfer enters its
+            target after retiring, when fuel remains *)
+         match op with
+         | Op_assert ->
+           if Code.cmp_holds cmps.(k.imm.(i0)) (get m (f0 w)) (get m (f1 w)) then i := i0 + 1
+           else begin
+             wasted := !retired - !committed;
+             Machine.rollback m;
+             stop := Stop_rollback (`Assert, !region);
+             running := false
+           end
+         | _ -> (
+           let dest = if op = Op_jr then resolve (get m (f0 w)) else (exit_at k i0).chain in
+           match dest with
+           | Some r' when not r'.invalidated ->
+             if !retired >= fuel then begin
+               stop := Stop_fuel r'.entry_pc;
+               running := false
+             end
+             else begin
+               if !region.mode = `Bb then host_bb := !host_bb + !retired - !entered;
+               entered := !retired;
+               incr chains;
+               region := r';
+               c := packed r';
+               (match retire with Some s -> descs := descriptors !c s | None -> ());
+               i := 0;
+               steps := 0
+             end
+           | Some _ | None ->
+             stop :=
+               if op = Op_jr then Stop_indirect_miss (get m (f1 w))
+               else Stop_exit (exit_at k i0);
+             running := false)
+     done
+   with
   | Machine.Alias_violation ->
-    c.wasted <- c.wasted + c.since_commit;
+    wasted := !retired - !committed;
     Machine.rollback m;
-    finish (Emulator.Stop_rollback (`Alias, c.region))
+    stop := Stop_rollback (`Alias, !region)
   | Memory.Page_fault p ->
-    c.wasted <- c.wasted + c.since_commit;
+    wasted := !retired - !committed;
     Machine.rollback m;
-    finish (Emulator.Stop_fault (p, c.region))
+    stop := Stop_fault (p, !region)
+  | e ->
+    flush retire;
+    raise e);
+  if !region.mode = `Bb then host_bb := !host_bb + !retired - !entered;
+  (* every return hands the pending entries to the consumer, so the timing
+     model has seen the whole stream when [run] returns *)
+  flush retire;
+  {
+    stop = !stop;
+    host_retired = !retired;
+    host_bb = !host_bb;
+    host_super = !retired - !host_bb;
+    guest_bb = !guest_bb;
+    guest_super = !guest_super;
+    chains_followed = !chains;
+    wasted_host = !wasted;
+  }

@@ -1,37 +1,47 @@
 open Darco_host
 
-(** Direct-threaded compilation of translated host regions.
+(** The executor of translated host regions, functional and timed alike:
+    the execution half of the paper's co-designed component.
 
-    The reference walker ({!Darco_host.Emulator.run}) dispatches every
-    executed instruction through a constructor [match].  This module
-    compiles a {!Darco_host.Code.region} once into a chain of OCaml
-    closures — one per instruction or fused pattern, each ending in a tail
-    call to its successor — so executing the region is a single
-    indirect-call stream with zero dispatch matching.  Operand decisions
-    (binop selection, comparison sense, FP operation, runtime-call weight)
-    are resolved at compile time and captured in the closure.
+    {!compile} decodes a {!Darco_host.Code.region} once into flat arrays:
+    one operation per instruction (a constant constructor, so one jump
+    table dispatches it), its register fields packed into one int, and its
+    immediate, displacement, branch target or commit count in another.
+    {!run} executes that form in one loop whose state lives in local
+    variables, follows chained exits and resolved indirect jumps, and
+    returns only when the software layer must act (unchained exit,
+    indirect miss, speculation failure, page fault, exhausted fuel).
 
-    {!run} is bit-for-bit equivalent to {!Darco_host.Emulator.run} without
-    a retire sink: identical counters, stop reasons and exception windows.
-    [Tol] runs regions here unless the bus has a retire subscriber (the
-    timing pipeline), which the walker feeds with batches of retired
-    instructions.  Chains record no retire stream: a timed run on chains
-    measured no faster than the batched walker and needed a quarter more
-    peak memory for their closures (DESIGN.md §13). *)
+    The module keeps the name it had when it compiled regions to closure
+    chains: the benchmark's translation replay times {!compile} under it. *)
 
-type ctx
-(** Per-execution state threaded through the closure chain. *)
+type stop =
+  | Stop_exit of Code.exit_info          (** unchained exit: TOL dispatches *)
+  | Stop_indirect_miss of int            (** IBTC missed; guest PC *)
+  | Stop_rollback of [ `Assert | `Alias ] * Code.region
+      (** speculation failure; registers restored to the checkpoint *)
+  | Stop_fault of int * Code.region
+      (** page fault (page index); state rolled back to the checkpoint *)
+  | Stop_fuel of int                     (** fuel exhausted at a region entry;
+                                             guest PC to resume at *)
 
-type compiled = private {
-  c_region : Code.region;
-  c_limit : int;
-      (** runaway step bound, [100 * code length + 10_000], matching the
-          walker's malformed-region assertion *)
-  c_entry : ctx -> unit;
+type result = {
+  stop : stop;
+  host_retired : int;    (** host instructions executed (application stream) *)
+  host_bb : int;         (** portion executed in [`Bb] regions *)
+  host_super : int;      (** portion executed in [`Super] regions *)
+  guest_bb : int;        (** guest insns retired from [`Bb] regions *)
+  guest_super : int;     (** guest insns retired from [`Super] regions *)
+  chains_followed : int;
+  wasted_host : int;     (** host insns whose work was rolled back *)
 }
-(** A region compiled to a closure chain.  Compilation is pure with respect
-    to machine state; the chain may be cached and reused (the code cache
-    memoizes one per live region, dropped on invalidation/flush). *)
+
+type compiled
+(** A region's packed form, with the timing descriptors of its
+    instructions once a retire sink has run it.  Compilation reads only
+    the region's code; the code cache memoizes one per live region and
+    drops it with the region (it is process state, never snapshot
+    state). *)
 
 val compile : Code.region -> compiled
 
@@ -40,11 +50,26 @@ val run :
   resolve:(int -> Code.region option) ->
   get:(Code.region -> compiled) ->
   ?fuel:int ->
+  ?retire:Retire.sink ->
   Code.region ->
-  Emulator.result
-(** [run m ~resolve ~get region] executes the compiled chain for [region],
-    following chained exits and resolved indirect jumps through [get]
-    (typically the code cache's memoized {!compile}).  Produces exactly the
-    result {!Darco_host.Emulator.run} would: same stop, same counters, same
-    rollback-on-failure state effects.  [fuel] bounds [host_retired]
-    approximately, checked at region transfers. *)
+  result
+(** [run m ~resolve ~get region] enters [region] at instruction 0.
+    [resolve] maps a host code address to the region whose [base] it is
+    (the inline IBTC stores region base addresses); [get] gives a region's
+    packed form (the code cache's memoized {!compile}).  [fuel] bounds
+    [host_retired] approximately: it is tested only at region transfers,
+    before the chain counter moves.
+
+    The checks stand: every instruction fetch, register and descriptor
+    access is bounds-checked, r0 reads as zero, a region that runs more
+    than [100 * length + 10_000] steps without leaving fails an assertion,
+    a load, store or commit that faults retires nothing, and a failed
+    [Assert] retires before it rolls back.
+
+    With [retire], every retired application instruction is appended to
+    the sink's batch after the operation's effect, with the descriptor
+    [retire.describe] gave it once per region.  The batch is flushed
+    before an append would overflow it and at every return, also when an
+    exception escapes, so the consumer has seen every entry when [run]
+    returns.  Without it one test per instruction skips the append.
+    Nothing is allocated per retired instruction either way. *)

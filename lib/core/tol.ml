@@ -176,7 +176,7 @@ let handle_speculation_failure t kind (region : Code.region) =
 
 (* --- the dispatch loop -------------------------------------------------- *)
 
-let account t ~pc (res : Emulator.result) =
+let account t ~pc (res : Threaded.result) =
   if t.stats.guest_sbm = 0 && res.guest_super > 0 then Stats.note_sbm_start t.stats;
   t.stats.guest_bbm <- t.stats.guest_bbm + res.guest_bb;
   t.stats.guest_sbm <- t.stats.guest_sbm + res.guest_super;
@@ -233,6 +233,7 @@ let run_slice t =
   let acc = Array.make 7 0 in
   let slice_end = retired t + t.cfg.slice_fuel in
   let resolve base = Codecache.resolve_base t.codecache base in
+  let get region = Codecache.compiled t.codecache region in
   let rec loop () =
     if t.cpu.halted then Ev_halt
     else if retired t >= slice_end then Ev_checkpoint
@@ -261,23 +262,10 @@ let run_slice t =
     bump t acc Ov_prologue t.cfg.costs.prologue;
     Machine.copy_guest_in t.machine t.cpu;
     let fuel = (8 * (slice_end - retired t)) + 2_000 in
+    (* the retire subscriber, when there is one (the timing pipeline),
+       takes the batched stream as it stands: nothing is built per call *)
     let res =
-      match Bus.retire_hook t.bus with
-      | None ->
-        Threaded.run t.machine ~resolve ~get:(Codecache.compiled t.codecache)
-          ~fuel region
-      | Some sub ->
-        (* The retire subscriber (the timing pipeline) consumes the batched
-           per-instruction stream that only the walker produces; timing
-           descriptors are built once per region, beside its chain. *)
-        let retire : Retire.sink =
-          {
-            batch = sub.batch;
-            consume = sub.consume;
-            descriptors = Codecache.descriptors t.codecache ~describe:sub.describe;
-          }
-        in
-        Emulator.run t.machine ~resolve ~fuel ~retire region
+      Threaded.run t.machine ~resolve ~get ~fuel ?retire:(Bus.retire_hook t.bus) region
     in
     account t ~pc:region.entry_pc res;
     Machine.copy_guest_out t.machine t.cpu;

@@ -137,15 +137,15 @@ let fp_un (op : Isa.fp_un) a =
   | Fabs -> abs_float a
   | Fchs -> -.a
 
-let fcmp_flags a b =
+let[@inline] fcmp_flags a b =
   if Float.is_nan a || Float.is_nan b then
     Flags.make ~cf:true ~zf:true ~sf:false ~of_:false
   else if a < b then Flags.make ~cf:true ~zf:false ~sf:false ~of_:false
   else if a = b then Flags.make ~cf:false ~zf:true ~sf:false ~of_:false
   else Flags.make ~cf:false ~zf:false ~sf:false ~of_:false
 
-let f2i x =
+let[@inline] f2i x =
   if Float.is_nan x || x >= 2147483648.0 || x < -2147483648.0 then 0x80000000
   else mask32 (int_of_float x)
 
-let i2f v = float_of_int (signed v)
+let[@inline] i2f v = float_of_int (signed v)

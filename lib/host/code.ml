@@ -84,6 +84,33 @@ and insn =
 let exit_of = function Exit e -> Some e | _ -> None
 let host_pc region idx = region.base + (4 * idx)
 
+let cmp_holds c a b =
+  match c with
+  | Beq -> a = b
+  | Bne -> a <> b
+  | Blt -> Semantics.signed a < Semantics.signed b
+  | Bge -> Semantics.signed a >= Semantics.signed b
+  | Bltu -> a < b
+  | Bgeu -> a >= b
+
+let eval_binop op a b =
+  match op with
+  | Add -> Semantics.mask32 (a + b)
+  | Sub -> Semantics.mask32 (a - b)
+  | Mul -> Semantics.result_of (Semantics.mul_u a b)
+  | Mulhu -> Semantics.mulhi_u a b
+  | Mulhs -> Semantics.mulhi_s a b
+  | And -> a land b
+  | Or -> a lor b
+  | Xor -> a lxor b
+  | Shl -> Semantics.mask32 (a lsl (b land 31))
+  | Shr -> a lsr (b land 31)
+  | Sar -> Semantics.mask32 (Semantics.signed a asr (b land 31))
+  | Slt -> if Semantics.signed a < Semantics.signed b then 1 else 0
+  | Sltu -> if a < b then 1 else 0
+  | Seq -> if a = b then 1 else 0
+  | Sne -> if a <> b then 1 else 0
+
 let binop_name = function
   | Add -> "add" | Sub -> "sub" | Mul -> "mul" | Mulhu -> "mulhu" | Mulhs -> "mulhs"
   | And -> "and" | Or -> "or" | Xor -> "xor"

@@ -125,6 +125,14 @@ val pp_region : Format.formatter -> region -> unit
 val host_pc : region -> int -> int
 (** Architectural host address of instruction [idx]. *)
 
+val eval_binop : binop -> int -> int -> int
+(** Value semantics of the host ALU on canonical 32-bit operands (the
+    executor, the optimizer's constant folding and the IR evaluator in the
+    tests share it). *)
+
+val cmp_holds : cmp -> int -> int -> bool
+(** Whether a [B] or [Assert] comparison holds. *)
+
 val max_operands : int
 (** The most registers any one operand set below can hold (3). *)
 

@@ -18,7 +18,7 @@ let[@inline] target w = w asr 1
 type sink = {
   batch : t;
   consume : t -> unit;
-  descriptors : Code.region -> int array;
+  describe : Code.insn -> int;
 }
 
 (* A batch is handed over at most once, even when [consume] raises. *)

@@ -1,8 +1,8 @@
 (** A batch of retired host instructions, as a struct of arrays.
 
-    The reference walker ({!Emulator.run}) appends one entry per retired
-    host application instruction and hands the batch to its consumer (the
-    timing simulator) whenever it fills and whenever the walker returns.
+    The region executor ([Threaded.run]) appends one entry per retired host
+    application instruction and hands the batch to its consumer (the
+    timing simulator) whenever it fills and whenever the executor returns.
     A batch is allocated once per subscription and reused across flushes,
     so retiring an instruction writes four array slots and allocates
     nothing.
@@ -20,9 +20,10 @@ type t = {
   branch : int array;
   mutable length : int;  (** entries [0 .. length - 1] are filled *)
 }
-(** The walker writes entries in place and bumps [length] itself: an
-    inlined push computes the entry before its full-batch test and keeps
-    it live across the flush call, measured 3% slower on timed runs. *)
+(** The executor writes entries in place and bumps [length] itself, once,
+    after its per-instruction work: an inlined push placed in each
+    operation computes the entry before its full-batch test and keeps it
+    live across the flush call, measured 3% slower on timed runs. *)
 
 val create : int -> t
 (** [create capacity]: an empty batch, four arrays of [capacity] entries.
@@ -40,10 +41,13 @@ type sink = {
   consume : t -> unit;
       (** called with a batch holding at least one entry; the batch is
           cleared when it returns *)
-  descriptors : Code.region -> int array;
-      (** the descriptor of every instruction of a region, by index *)
+  describe : Code.insn -> int;
+      (** an instruction's descriptor; the executor calls it once per
+          instruction of a region, on the region's first run with this
+          sink, and keeps the results beside the region's packed form *)
 }
-(** Where the walker sends what it retires. *)
+(** Where the executor sends what it retires: a bus's retire subscription
+    ([Bus.on_retire]). *)
 
 val flush : sink -> unit
 (** Hand the pending entries to [consume], then clear the batch (also when

@@ -1,6 +1,6 @@
 type sink = { name : string; handle : at:int -> Event.t -> unit }
 
-type retire = {
+type retire = Darco_host.Retire.sink = {
   batch : Darco_host.Retire.t;
   consume : Darco_host.Retire.t -> unit;
   describe : Darco_host.Code.insn -> int;
@@ -15,7 +15,7 @@ type t = {
   lock : Mutex.t;
 }
 
-(* Entries per retire batch: the walker flushes this many at a time.  On
+(* Entries per retire batch: the executor flushes this many at a time.  On
    suite-timed, 256 and 4,096 entries ran within noise of this, and 4,096
    cost 0.3 MB more peak RSS. *)
 let batch_capacity = 1024

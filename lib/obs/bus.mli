@@ -20,15 +20,16 @@
 
 type sink = { name : string; handle : at:int -> Event.t -> unit }
 
-type retire = {
+type retire = Darco_host.Retire.sink = {
   batch : Darco_host.Retire.t;  (** allocated once, at subscription *)
   consume : Darco_host.Retire.t -> unit;
   describe : Darco_host.Code.insn -> int;
 }
 (** The subscriber to the retired host application stream (the timing
-    simulator's [Pipeline.consume]): the batch the walker fills, the
+    simulator's [Pipeline.consume]): the batch the executor fills, the
     consumer it is flushed through, and the function that computes each
-    instruction's descriptor once per region ([Pipeline.describe]). *)
+    instruction's descriptor once per region ([Pipeline.describe]).  It is
+    the executor's sink as it stands, so a region call builds nothing. *)
 
 type t
 

@@ -93,10 +93,10 @@ let run (r : Regionir.t) (cpu : Cpu.t) mem =
       v.(d) <- v.(s);
       exec (i + 1)
     | Ir.Ibin (op, d, a, b) ->
-      v.(d) <- Emulator.eval_binop op v.(a) v.(b);
+      v.(d) <- Code.eval_binop op v.(a) v.(b);
       exec (i + 1)
     | Ir.Ibini (op, d, a, k) ->
-      v.(d) <- Emulator.eval_binop op v.(a) (Semantics.mask32 k);
+      v.(d) <- Code.eval_binop op v.(a) (Semantics.mask32 k);
       exec (i + 1)
     | Ir.Imkfl (kind, d, a, b, c) ->
       v.(d) <- Flagcalc.compute kind ~a:v.(a) ~b:v.(b) ~c:v.(c);

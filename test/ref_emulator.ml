@@ -1,14 +1,25 @@
+(* Reference executor: the walker that ran every timed region before the
+   packed loop ([Darco.Threaded.run]) replaced it, kept verbatim in
+   behaviour as an oracle.  It dispatches each executed instruction with a
+   [match] on the boxed [Code.insn] and retires it through a closure.  Its
+   types are [Darco.Threaded]'s own, so results compare field by field;
+   test_exec.ml requires equal results, machine state and retire streams
+   on generated host code.  The only edit: a sink gives descriptors per
+   instruction ([describe]), so the walker maps it over a region when it
+   enters one. *)
+
 open Darco_guest
+open Darco_host
 open Code
 
-type stop =
+type stop = Darco.Threaded.stop =
   | Stop_exit of Code.exit_info
   | Stop_indirect_miss of int
   | Stop_rollback of [ `Assert | `Alias ] * Code.region
   | Stop_fault of int * Code.region
   | Stop_fuel of int
 
-type result = {
+type result = Darco.Threaded.result = {
   stop : stop;
   host_retired : int;
   host_bb : int;
@@ -18,33 +29,6 @@ type result = {
   chains_followed : int;
   wasted_host : int;
 }
-
-let cmp_holds (c : Code.cmp) a b =
-  match c with
-  | Beq -> a = b
-  | Bne -> a <> b
-  | Blt -> Semantics.signed a < Semantics.signed b
-  | Bge -> Semantics.signed a >= Semantics.signed b
-  | Bltu -> a < b
-  | Bgeu -> a >= b
-
-let eval_binop (op : Code.binop) a b =
-  match op with
-  | Add -> Semantics.mask32 (a + b)
-  | Sub -> Semantics.mask32 (a - b)
-  | Mul -> Semantics.result_of (Semantics.mul_u a b)
-  | Mulhu -> Semantics.mulhi_u a b
-  | Mulhs -> Semantics.mulhi_s a b
-  | And -> a land b
-  | Or -> a lor b
-  | Xor -> a lxor b
-  | Shl -> Semantics.mask32 (a lsl (b land 31))
-  | Shr -> a lsr (b land 31)
-  | Sar -> Semantics.mask32 (Semantics.signed a asr (b land 31))
-  | Slt -> if Semantics.signed a < Semantics.signed b then 1 else 0
-  | Sltu -> if a < b then 1 else 0
-  | Seq -> if a = b then 1 else 0
-  | Sne -> if a <> b then 1 else 0
 
 exception Assert_failed
 
@@ -62,7 +46,10 @@ let run m ~resolve ?(fuel = max_int) ?retire entry_region =
   let steps_here = ref 0 in
   (* the timing descriptors of [!region], when a sink is attached *)
   let descs =
-    ref (match retire with Some (s : Retire.sink) -> s.descriptors entry_region | None -> [||])
+    ref
+      (match retire with
+      | Some (s : Retire.sink) -> Array.map s.describe entry_region.code
+      | None -> [||])
   in
   (* Count a retired instruction and, with a sink, append its entry: [addr]
      is read for loads and stores, [br] (a [Retire.branch_word]) for
@@ -92,7 +79,7 @@ let run m ~resolve ?(fuel = max_int) ?retire entry_region =
   let enter r =
     chains := !chains + 1;
     region := r;
-    (match retire with Some s -> descs := s.descriptors r | None -> ());
+    (match retire with Some s -> descs := Array.map s.describe r.code | None -> ());
     idx := 0;
     steps_here := 0;
     transferred := true

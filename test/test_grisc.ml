@@ -78,8 +78,8 @@ let prop_frontend_differential =
       let hw_cpu = Cpu.copy cpu0 and hw_mem = copy_memory mem0 in
       let m = Darco_host.Machine.create hw_mem in
       Darco_host.Machine.copy_guest_in m hw_cpu;
-      (match (Darco_host.Emulator.run m ~resolve:(fun _ -> None) hw).stop with
-      | Darco_host.Emulator.Stop_exit _ -> ()
+      (match (Darco.Threaded.run m ~resolve:(fun _ -> None) ~get:Darco.Threaded.compile hw).stop with
+      | Darco.Threaded.Stop_exit _ -> ()
       | _ -> QCheck.Test.fail_report "host did not exit");
       Darco_host.Machine.copy_guest_out m hw_cpu;
       let eq a b =

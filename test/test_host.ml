@@ -1,5 +1,6 @@
 open Darco_guest
 open Darco_host
+module Threaded = Darco.Threaded
 
 (* --- machine: store buffer, checkpoints, speculation -------------------- *)
 
@@ -340,8 +341,11 @@ let mk_region ?(mode = `Super) ?(id = 0) ?(entry_pc = 0x1000) code : Code.region
 let exit_info ?(kind = Code.Exit_halt) ?(retired = 0) () : Code.exit_info =
   { exit_id = 0; kind; guest_retired = retired; chain = None; prefer_bb = false }
 
-let run_region ?(fuel = 100000) m region =
-  Emulator.run m ~resolve:(fun _ -> None) ~fuel region
+let run ?resolve ?fuel ?retire m region =
+  let resolve = Option.value resolve ~default:(fun _ -> None) in
+  Threaded.run m ~resolve ~get:Threaded.compile ?fuel ?retire region
+
+let run_region ?(fuel = 100000) m region = run m ~fuel region
 
 let test_emulator_basic_alu () =
   let m, _ = fresh_machine () in
@@ -362,7 +366,7 @@ let test_emulator_basic_alu () =
   Alcotest.(check int) "host retired" 6 res.host_retired;
   Alcotest.(check int) "guest credited to super" 3 res.guest_super;
   match res.stop with
-  | Emulator.Stop_exit e -> Alcotest.(check bool) "halt exit" true (e.kind = Code.Exit_halt)
+  | Threaded.Stop_exit e -> Alcotest.(check bool) "halt exit" true (e.kind = Code.Exit_halt)
   | _ -> Alcotest.fail "expected exit"
 
 let test_emulator_assert_rollback () =
@@ -382,7 +386,7 @@ let test_emulator_assert_rollback () =
   in
   let res = run_region m region in
   (match res.stop with
-  | Emulator.Stop_rollback (`Assert, r) -> Alcotest.(check int) "region id" 0 r.id
+  | Threaded.Stop_rollback (`Assert, r) -> Alcotest.(check int) "region id" 0 r.id
   | _ -> Alcotest.fail "expected rollback");
   Alcotest.(check int) "register rolled back" 5 (Machine.get m 20);
   Alcotest.(check int) "store never committed" 0 (Memory.read32 mem 0x4000);
@@ -408,7 +412,7 @@ let test_emulator_chaining_and_fuel () =
   Alcotest.(check int) "chain followed" 1 res.chains_followed;
   Alcotest.(check int) "both retired" 2 (res.guest_super + res.guest_bb);
   (match res.stop with
-  | Emulator.Stop_exit e ->
+  | Threaded.Stop_exit e ->
     Alcotest.(check bool) "stopped at B's exit" true (e.kind = Code.Exit_direct 0x2000)
   | _ -> Alcotest.fail "expected exit");
   let exit_loop = exit_info ~kind:(Code.Exit_direct 0x3000) () in
@@ -416,9 +420,9 @@ let test_emulator_chaining_and_fuel () =
     mk_region ~id:3 ~entry_pc:0x3000 [| Code.Chk; Code.Commit 1; Code.Exit exit_loop |]
   in
   exit_loop.chain <- Some looper;
-  let res = Emulator.run m ~resolve:(fun _ -> None) ~fuel:50 looper in
+  let res = run m ~fuel:50 looper in
   match res.stop with
-  | Emulator.Stop_fuel pc -> Alcotest.(check int) "fuel resumes at entry" 0x3000 pc
+  | Threaded.Stop_fuel pc -> Alcotest.(check int) "fuel resumes at entry" 0x3000 pc
   | _ -> Alcotest.fail "expected fuel stop"
 
 let test_emulator_invalidated_chain_not_followed () =
@@ -430,7 +434,7 @@ let test_emulator_invalidated_chain_not_followed () =
   let a = mk_region ~id:8 [| Code.Chk; Code.Commit 1; Code.Exit e |] in
   let res = run_region m a in
   match res.stop with
-  | Emulator.Stop_exit e' ->
+  | Threaded.Stop_exit e' ->
     Alcotest.(check bool) "fell back to TOL" true (e'.kind = Code.Exit_direct 0x5000)
   | _ -> Alcotest.fail "expected exit"
 
@@ -463,12 +467,12 @@ let test_emulator_jr_resolution () =
   Machine.set m 20 target.base;
   Machine.set m 21 0x7777;
   let region = mk_region ~id:6 [| Code.Chk; Code.Commit 1; Code.Jr (20, 21) |] in
-  let res = Emulator.run m ~resolve ~fuel:1000 region in
+  let res = run m ~resolve ~fuel:1000 region in
   Alcotest.(check int) "entered target" 55 (Machine.get m 22);
   Machine.set m 20 0xDEAD0000;
-  let res2 = Emulator.run m ~resolve ~fuel:1000 region in
+  let res2 = run m ~resolve ~fuel:1000 region in
   (match res2.stop with
-  | Emulator.Stop_indirect_miss pc -> Alcotest.(check int) "guest pc fallback" 0x7777 pc
+  | Threaded.Stop_indirect_miss pc -> Alcotest.(check int) "guest pc fallback" 0x7777 pc
   | _ -> Alcotest.fail "expected indirect miss");
   ignore res
 
@@ -516,7 +520,7 @@ let prop_emulator_binop_vs_semantics =
       let op = ops.(opi) in
       let a = Semantics.mask32 (a0 * 48271) in
       let b = Semantics.mask32 (b0 * 69621) in
-      let v = Emulator.eval_binop op a b in
+      let v = Code.eval_binop op a b in
       let expected =
         match op with
         | Add -> Semantics.mask32 (a + b)
@@ -541,9 +545,19 @@ let prop_emulator_binop_vs_semantics =
 
 (* --- emulator: the batched retire stream ------------------------------------ *)
 
+(* A descriptor per constructor, so an entry's descriptor names the kind
+   of instruction it came from (and the pc names which one). *)
+let describe (insn : Code.insn) =
+  match insn with
+  | Nop -> 1 | Li _ -> 2 | Bin _ -> 3 | Bini _ -> 4 | Load _ -> 5 | Sload _ -> 6
+  | Store _ -> 7 | Chk -> 8 | Commit _ -> 9 | Exit _ -> 10 | J _ -> 11 | Jr _ -> 12
+  | Assert _ -> 13 | B _ -> 14
+  | Fli _ | Fmov _ | Fbin _ | Fun _ | Fload _ | Fstore _ | Fcmp _ | Cvtif _ | Cvtfi _
+  | Mkfl _ | Isel _ | Callrt_f _ | Callrt_div _ ->
+    15
+
 (* A sink of [capacity] entries that keeps every entry it is flushed, in
-   order.  Each instruction's descriptor is [1000 * region id + index], so
-   an entry names the instruction it came from. *)
+   order. *)
 let recording_sink ?(capacity = 64) () =
   let got = ref [] and flushes = ref 0 in
   let consume (b : Retire.t) =
@@ -553,13 +567,7 @@ let recording_sink ?(capacity = 64) () =
       got := (b.pc.(i), b.desc.(i), b.addr.(i), b.branch.(i)) :: !got
     done
   in
-  let sink : Retire.sink =
-    {
-      batch = Retire.create capacity;
-      consume;
-      descriptors = (fun r -> Array.init (Array.length r.code) (fun i -> (1000 * r.id) + i));
-    }
-  in
+  let sink : Retire.sink = { batch = Retire.create capacity; consume; describe } in
   (sink, (fun () -> List.rev !got), flushes)
 
 (* The entry instruction [i] of [r] must produce. *)
@@ -569,7 +577,7 @@ let entry ?(addr = 0) ?branch (r : Code.region) i =
     | Some (taken, target) -> Retire.branch_word ~taken ~target
     | None -> 0
   in
-  (Code.host_pc r i, (1000 * r.id) + i, addr, branch)
+  (Code.host_pc r i, describe r.code.(i), addr, branch)
 
 let entry_t = Alcotest.(list (pair (pair int int) (pair int int)))
 let as_pairs = List.map (fun (pc, d, a, b) -> ((pc, d), (a, b)))
@@ -588,8 +596,8 @@ let test_retire_chained_exit () =
   let a = mk_region ~id:1 [| Code.Chk; Code.Commit 1; Code.Exit exit_a |] in
   exit_a.chain <- Some b;
   let sink, got, _ = recording_sink () in
-  let res = Emulator.run m ~resolve:(fun _ -> None) ~retire:sink a in
-  (match res.stop with Emulator.Stop_exit _ -> () | _ -> Alcotest.fail "expected exit");
+  let res = run m ~retire:sink a in
+  (match res.stop with Threaded.Stop_exit _ -> () | _ -> Alcotest.fail "expected exit");
   check_entries "chained exit" sink got
     [
       entry a 0; entry a 1; entry a 2 ~branch:(true, b.base);
@@ -602,9 +610,9 @@ let test_retire_indirect_miss () =
   Machine.set m 21 0x7777;
   let r = mk_region ~id:3 [| Code.Chk; Code.Commit 1; Code.Jr (20, 21) |] in
   let sink, got, _ = recording_sink () in
-  let res = Emulator.run m ~resolve:(fun _ -> None) ~retire:sink r in
+  let res = run m ~retire:sink r in
   (match res.stop with
-  | Emulator.Stop_indirect_miss _ -> ()
+  | Threaded.Stop_indirect_miss _ -> ()
   | _ -> Alcotest.fail "expected indirect miss");
   check_entries "indirect miss" sink got
     [ entry r 0; entry r 1; entry r 2 ~branch:(true, 0xDEAD0000) ]
@@ -619,9 +627,9 @@ let test_retire_assert_rollback () =
       |]
   in
   let sink, got, _ = recording_sink () in
-  let res = Emulator.run m ~resolve:(fun _ -> None) ~retire:sink r in
+  let res = run m ~retire:sink r in
   (match res.stop with
-  | Emulator.Stop_rollback (`Assert, _) -> ()
+  | Threaded.Stop_rollback (`Assert, _) -> ()
   | _ -> Alcotest.fail "expected assert rollback");
   (* the failed Assert retired before its comparison *)
   check_entries "assert rollback" sink got [ entry r 0; entry r 1; entry r 2 ]
@@ -637,9 +645,9 @@ let test_retire_alias_rollback () =
       |]
   in
   let sink, got, _ = recording_sink () in
-  let res = Emulator.run m ~resolve:(fun _ -> None) ~retire:sink r in
+  let res = run m ~retire:sink r in
   (match res.stop with
-  | Emulator.Stop_rollback (`Alias, _) -> ()
+  | Threaded.Stop_rollback (`Alias, _) -> ()
   | _ -> Alcotest.fail "expected alias rollback");
   (* the store that hit the speculated load has no entry *)
   check_entries "alias rollback" sink got [ entry r 0; entry r 1 ~addr:0x3000 ]
@@ -655,9 +663,9 @@ let test_retire_page_fault () =
       |]
   in
   let sink, got, _ = recording_sink () in
-  let res = Emulator.run m ~resolve:(fun _ -> None) ~retire:sink r in
+  let res = run m ~retire:sink r in
   (match res.stop with
-  | Emulator.Stop_fault (5, _) -> ()
+  | Threaded.Stop_fault (5, _) -> ()
   | _ -> Alcotest.fail "expected a fault on page 5");
   check_entries "page fault" sink got [ entry r 0; entry r 1 ]
 
@@ -669,9 +677,9 @@ let test_retire_fuel_flushes_without_loss () =
   let r = mk_region ~id:7 ~entry_pc:0x3000 [| Code.Chk; Code.Commit 1; Code.Exit e |] in
   e.chain <- Some r;
   let sink, got, flushes = recording_sink ~capacity:8 () in
-  let res = Emulator.run m ~resolve:(fun _ -> None) ~fuel:50 ~retire:sink r in
+  let res = run m ~fuel:50 ~retire:sink r in
   (match res.stop with
-  | Emulator.Stop_fuel 0x3000 -> ()
+  | Threaded.Stop_fuel 0x3000 -> ()
   | _ -> Alcotest.fail "expected a fuel stop");
   Alcotest.(check int) "host retired" 51 res.host_retired;
   check_entries "fuel" sink got
@@ -685,7 +693,7 @@ let test_retire_cyclic_region_loses_nothing () =
   let m, _ = fresh_machine () in
   let r = mk_region ~id:8 [| Code.Chk; Code.J 0 |] in
   let sink, got, _ = recording_sink ~capacity:64 () in
-  (match Emulator.run m ~resolve:(fun _ -> None) ~retire:sink r with
+  (match run m ~retire:sink r with
   | _ -> Alcotest.fail "a cyclic region ran to a stop"
   | exception Assert_failure _ -> ());
   let steps = (100 * Array.length r.code) + 10_000 in

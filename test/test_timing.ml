@@ -519,6 +519,50 @@ let test_consume_allocates_nothing () =
       Alcotest.(check (float 0.)) (name ^ ": minor words over a 20k-entry batch") 0. words)
     configs
 
+(* The executor's loop allocates nothing per host instruction, with and
+   without a sink: a warm self-chained region that uses every packed
+   operation class (ALU, loads, a speculative load, stores, FP arithmetic
+   and conversions, 64-bit FP memory, flag assists, select, branches and a
+   jump) allocates as many minor words over 100,000 host instructions as
+   over 1,000 (the result and its stop, per call). *)
+let test_executor_allocates_nothing () =
+  let e : Code.exit_info =
+    { exit_id = 0; kind = Exit_direct 0x1000; guest_retired = 1; chain = None; prefer_bb = false }
+  in
+  let code : Code.insn array =
+    [|
+      Chk; Li (20, 0x4000); Bini (Add, 21, 21, 1); Store (W32, 21, 20, 8);
+      Load (W32, false, 22, 20, 8); Sload (W16, true, 23, 20, 8); Bin (Mul, 24, 22, 23);
+      Fload (3, 20, 16); Fbin (Fadd, 4, 3, 3); Fun (Fsqrt, 6, 4); Fstore (4, 20, 24);
+      Cvtif (5, 21); Cvtfi (25, 5); Fcmp (26, 4, 5); Mkfl (Fl_add, 27, 21, 22, 0);
+      Isel (28, 27, 21, 22); B (Beq, 21, 0, 18); J 18; Commit 1; Exit e;
+    |]
+  in
+  let r : Code.region =
+    { id = 0; entry_pc = 0x1000; mode = `Super; base = 0xC000_0000; code; incoming = [];
+      invalidated = false }
+  in
+  e.chain <- Some r;
+  let packed = Darco.Threaded.compile r in
+  let get _ = packed in
+  let m = Darco_host.Machine.create (Darco_guest.Memory.create `Auto_zero) in
+  let sink : Retire.sink =
+    { batch = Retire.create 1024; consume = ignore; describe = Pipeline.describe }
+  in
+  let words ?retire fuel =
+    let before = Gc.minor_words () in
+    let res = Darco.Threaded.run m ~resolve:(fun _ -> None) ~get ~fuel ?retire r in
+    (Gc.minor_words () -. before, res.host_retired)
+  in
+  List.iter
+    (fun (what, retire) ->
+      ignore (words ?retire 1_000);
+      let short, n_short = words ?retire 1_000 in
+      let long, n_long = words ?retire 100_000 in
+      Alcotest.(check bool) (what ^ ": ran 100 times longer") true (n_long > 90 * n_short);
+      Alcotest.(check (float 0.)) (what ^ ": minor words independent of length") short long)
+    [ ("without a sink", None); ("with a sink", Some sink) ]
+
 (* A warm timed window, end to end: the walker appends to the batch and
    the pipeline consumes it, and neither allocates per retired
    instruction.  The window starts where the first 200k-instruction slice
@@ -725,6 +769,8 @@ let () =
               test_streams_cover_constructors;
             Alcotest.test_case "consume allocates nothing" `Quick
               test_consume_allocates_nothing;
+            Alcotest.test_case "executor loop allocates nothing" `Quick
+              test_executor_allocates_nothing;
             Alcotest.test_case "warm timed window of 401.bzip2 allocates little" `Quick
               test_warm_timed_window_allocation;
           ] );

@@ -95,11 +95,11 @@ let eval_host cfg region (cpu0, mem0) =
   in
   let m = Darco_host.Machine.create mem in
   Darco_host.Machine.copy_guest_in m cpu;
-  match (Darco_host.Emulator.run m ~resolve:(fun _ -> None) hw).stop with
-  | Darco_host.Emulator.Stop_exit _ ->
+  match (Darco.Threaded.run m ~resolve:(fun _ -> None) ~get:Darco.Threaded.compile hw).stop with
+  | Darco.Threaded.Stop_exit _ ->
     Darco_host.Machine.copy_guest_out m cpu;
     `State (cpu, mem)
-  | Darco_host.Emulator.Stop_rollback (`Alias, _) -> `Rolled_back
+  | Darco.Threaded.Stop_rollback (`Alias, _) -> `Rolled_back
   | _ -> Alcotest.fail "host run did not exit normally"
 
 (* Reference: interpret the same instructions with the shared stepper. *)
@@ -622,9 +622,9 @@ let test_superblock_shadows_bb () =
   Alcotest.(check bool) "bb on request" true
     (match Codecache.find cc ~prefer_bb:true 0x1000 with Some x -> x == bb | None -> false)
 
-(* Timing descriptors are built once per region, on the first timed
-   execution, and dropped with the region; a restored cache starts with
-   none. *)
+(* Timing descriptors are built once per region, on its first run with a
+   retire sink, kept in the packed form the code cache memoizes, and
+   dropped with the region; a restored cache starts with none. *)
 let test_codecache_descriptors () =
   let cc, stats = fresh_cache () in
   let calls = ref 0 in
@@ -632,26 +632,43 @@ let test_codecache_descriptors () =
     incr calls;
     !calls
   in
+  let seen = ref [] in
+  let consume (b : Darco_host.Retire.t) =
+    for i = 0 to b.length - 1 do
+      seen := b.desc.(i) :: !seen
+    done
+  in
+  let sink : Darco_host.Retire.sink =
+    { batch = Darco_host.Retire.create 64; consume; describe }
+  in
+  (* the descriptors of the entries one timed run of [r] retires *)
+  let run cc (r : Darco_host.Code.region) =
+    seen := [];
+    let m = Darco_host.Machine.create (Memory.create `Auto_zero) in
+    ignore
+      (Threaded.run m ~resolve:(fun _ -> None) ~get:(Codecache.compiled cc) ~retire:sink r);
+    List.rev !seen
+  in
   let a = Codecache.insert cc Config.default (simple_region_ir 0x1000) in
   let n = Array.length a.code in
-  let d = Codecache.descriptors cc ~describe a in
-  Alcotest.(check (array int)) "one per instruction, in order" (Array.init n (fun i -> i + 1)) d;
-  Alcotest.(check bool) "memoized" true (Codecache.descriptors cc ~describe a == d);
+  let first = List.init n (fun i -> i + 1) in
+  Alcotest.(check (list int)) "one per instruction, in order" first (run cc a);
+  Alcotest.(check (list int)) "memoized" first (run cc a);
   Alcotest.(check int) "described once" n !calls;
   Codecache.invalidate cc a;
-  ignore (Codecache.descriptors cc ~describe a);
+  ignore (run cc a);
   Alcotest.(check int) "dropped by invalidate" (2 * n) !calls;
   let b = Codecache.insert cc Config.default (simple_region_ir 0x2000) in
-  ignore (Codecache.descriptors cc ~describe b);
+  ignore (run cc b);
   let restored = Codecache.unpersist (Tolmem.create (Memory.create `Fault)) stats (Codecache.persist cc) in
   calls := 0;
   (match Codecache.find restored 0x2000 with
-  | Some r -> ignore (Codecache.descriptors restored ~describe r)
+  | Some r -> ignore (run restored r)
   | None -> Alcotest.fail "restored region missing");
   Alcotest.(check int) "empty after unpersist" n !calls;
   Codecache.flush cc;
   calls := 0;
-  ignore (Codecache.descriptors cc ~describe b);
+  ignore (run cc b);
   Alcotest.(check int) "dropped by flush" n !calls
 
 let () =
