@@ -118,9 +118,8 @@ let compiled t (r : Code.region) =
   | Some c -> c
   | None ->
     let c = Threaded.compile r in
-    (* Only an id this cache could have issued is memoized (a restored
-       region brings its id from the snapshot), so the memo stays within
-       twice [next_id]. *)
+    (* Only an id this cache issued is memoized (a restored region brings
+       its id from the snapshot): the memo stays within twice [next_id]. *)
     if id >= 0 && id < t.next_id then begin
       if id >= Array.length t.tcode then begin
         let grown = Array.make (max 256 (2 * t.next_id)) None in

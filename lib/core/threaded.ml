@@ -175,8 +175,6 @@ let[@inline] store m width w d =
   Machine.store m width a (Machine.get m (f0 w));
   a
 
-let[@inline] slt a b = if Semantics.signed a < Semantics.signed b then 1 else 0
-
 (* An intra-region branch to index [t] of [r], as the retire stream
    records it. *)
 let[@inline] branch_word (r : Code.region) t taken =
@@ -195,15 +193,11 @@ let boxed (m : Machine.t) (insn : Code.insn) =
     m.f.(fd) <- Semantics.fp_un g m.f.(fs);
     Code.rt_cost fn
   | Callrt_div { signed; q; r = rr; hi; lo; d } ->
-    let hi_v = Machine.get m hi and lo_v = Machine.get m lo and d_v = Machine.get m d in
-    let fn : Code.rt_fn = if signed then Rt_divs else Rt_divu in
-    let qv, rv =
-      if signed then Semantics.div_s ~hi:hi_v ~lo:lo_v d_v
-      else Semantics.div_u ~hi:hi_v ~lo:lo_v d_v
-    in
+    let div = if signed then Semantics.div_s else Semantics.div_u in
+    let qv, rv = div ~hi:(Machine.get m hi) ~lo:(Machine.get m lo) (Machine.get m d) in
     Machine.set m q qv;
     Machine.set m rr rv;
-    Code.rt_cost fn
+    Code.rt_cost (if signed then Rt_divs else Rt_divu)
   | _ -> invalid_arg "Threaded.boxed: a packed instruction"
 
 let exit_at c i =
@@ -218,37 +212,40 @@ let descriptors c (s : Retire.sink) =
   end;
   c.descs
 
-let flush = function Some s -> Retire.flush s | None -> ()
-
 (* --- the loop --------------------------------------------------------------- *)
 
 let run m ~resolve ~get:packed ?(fuel = max_int) ?retire entry =
   let region = ref entry and c = ref (packed entry) in
   let descs = ref (match retire with Some s -> descriptors !c s | None -> [||]) in
-  let i = ref 0 and steps = ref 0 and retired = ref 0 in
-  (* [retired] when [!region] was entered and at the last Chk or Commit:
-     the host count in [`Bb] regions and the work a rollback wastes are
-     differences from them *)
+  (* [count] instructions have retired, weighing [count + extra] host
+     instructions (a runtime service weighs more than one); the runaway
+     bound for this region visit is [bound] *)
+  let i = ref 0 and count = ref 0 and extra = ref 0 and bound = ref !c.limit in
+  (* the weight retired when [!region] was entered and at the last Chk or
+     Commit: the host count in [`Bb] regions and the work a rollback
+     wastes are differences from them *)
   let entered = ref 0 and committed = ref 0 and host_bb = ref 0 in
   let guest_bb = ref 0 and guest_super = ref 0 in
   let chains = ref 0 and wasted = ref 0 in
-  (* per instruction: its effective address, its branch word, and the
-     index to run next (below 0 for an operation that acts after it
-     retires) *)
-  let addr = ref 0 and br = ref 0 and next = ref 0 in
-  let stop = ref (Stop_fuel 0) and running = ref true in
+  (* the instruction's effective address and branch word, for the append,
+     which clears them *)
+  let addr = ref 0 and br = ref 0 in
+  let stop = ref (Stop_fuel 0) in
   (try
-     while !running do
+     (* [i] is the next instruction's index, below 0 once the run stops *)
+     while !i >= 0 do
        let k = !c and i0 = !i in
-       incr steps;
-       assert (!steps <= k.limit);
-       let op = k.ops.(i0) and w = k.regs.(i0) in
-       addr := 0;
-       br := 0;
-       next := i0 + 1;
+       assert (!count < !bound);
+       let op = k.ops.(i0) in
+       (* [compile] makes [regs] and [imm] as long as [ops], so the fetch's
+          bounds check covers them *)
+       let w = Array.unsafe_get k.regs i0 and v = Array.unsafe_get k.imm i0 in
+       (* the successor: an arm may branch, or set it below 0 to act after
+          the instruction retires *)
+       i := i0 + 1;
        (match op with
        | Op_nop -> ()
-       | Op_li -> set m (f0 w) k.imm.(i0)
+       | Op_li -> set m (f0 w) v
        | Op_add -> set m (f0 w) (get m (f1 w) + get m (f2 w))
        | Op_sub -> set m (f0 w) (get m (f1 w) - get m (f2 w))
        | Op_mul -> set m (f0 w) (Semantics.result_of (Semantics.mul_u (get m (f1 w)) (get m (f2 w))))
@@ -260,40 +257,41 @@ let run m ~resolve ~get:packed ?(fuel = max_int) ?retire entry =
        | Op_shl -> set m (f0 w) (get m (f1 w) lsl (get m (f2 w) land 31))
        | Op_shr -> set m (f0 w) (get m (f1 w) lsr (get m (f2 w) land 31))
        | Op_sar -> set m (f0 w) (Semantics.signed (get m (f1 w)) asr (get m (f2 w) land 31))
-       | Op_slt -> set m (f0 w) (slt (get m (f1 w)) (get m (f2 w)))
+       | Op_slt ->
+         set m (f0 w) (Bool.to_int (Semantics.signed (get m (f1 w)) < Semantics.signed (get m (f2 w))))
        | Op_sltu -> set m (f0 w) (Bool.to_int (get m (f1 w) < get m (f2 w)))
        | Op_seq -> set m (f0 w) (Bool.to_int (get m (f1 w) = get m (f2 w)))
        | Op_sne -> set m (f0 w) (Bool.to_int (get m (f1 w) <> get m (f2 w)))
-       | Op_addi -> set m (f0 w) (get m (f1 w) + k.imm.(i0))
-       | Op_subi -> set m (f0 w) (get m (f1 w) - k.imm.(i0))
-       | Op_muli -> set m (f0 w) (Semantics.result_of (Semantics.mul_u (get m (f1 w)) k.imm.(i0)))
-       | Op_mulhui -> set m (f0 w) (Semantics.mulhi_u (get m (f1 w)) k.imm.(i0))
-       | Op_mulhsi -> set m (f0 w) (Semantics.mulhi_s (get m (f1 w)) k.imm.(i0))
-       | Op_andi -> set m (f0 w) (get m (f1 w) land k.imm.(i0))
-       | Op_ori -> set m (f0 w) (get m (f1 w) lor k.imm.(i0))
-       | Op_xori -> set m (f0 w) (get m (f1 w) lxor k.imm.(i0))
-       | Op_shli -> set m (f0 w) (get m (f1 w) lsl (k.imm.(i0) land 31))
-       | Op_shri -> set m (f0 w) (get m (f1 w) lsr (k.imm.(i0) land 31))
-       | Op_sari -> set m (f0 w) (Semantics.signed (get m (f1 w)) asr (k.imm.(i0) land 31))
-       | Op_slti -> set m (f0 w) (slt (get m (f1 w)) k.imm.(i0))
-       | Op_sltui -> set m (f0 w) (Bool.to_int (get m (f1 w) < k.imm.(i0)))
-       | Op_seqi -> set m (f0 w) (Bool.to_int (get m (f1 w) = k.imm.(i0)))
-       | Op_snei -> set m (f0 w) (Bool.to_int (get m (f1 w) <> k.imm.(i0)))
-       | Op_ld8 -> addr := load ~spec:false m W8 ~signed:false w k.imm.(i0)
-       | Op_ld8s -> addr := load ~spec:false m W8 ~signed:true w k.imm.(i0)
-       | Op_ld16 -> addr := load ~spec:false m W16 ~signed:false w k.imm.(i0)
-       | Op_ld16s -> addr := load ~spec:false m W16 ~signed:true w k.imm.(i0)
-       | Op_ld32 -> addr := load ~spec:false m W32 ~signed:false w k.imm.(i0)
-       | Op_ld32s -> addr := load ~spec:false m W32 ~signed:true w k.imm.(i0)
-       | Op_sld8 -> addr := load ~spec:true m W8 ~signed:false w k.imm.(i0)
-       | Op_sld8s -> addr := load ~spec:true m W8 ~signed:true w k.imm.(i0)
-       | Op_sld16 -> addr := load ~spec:true m W16 ~signed:false w k.imm.(i0)
-       | Op_sld16s -> addr := load ~spec:true m W16 ~signed:true w k.imm.(i0)
-       | Op_sld32 -> addr := load ~spec:true m W32 ~signed:false w k.imm.(i0)
-       | Op_sld32s -> addr := load ~spec:true m W32 ~signed:true w k.imm.(i0)
-       | Op_st8 -> addr := store m W8 w k.imm.(i0)
-       | Op_st16 -> addr := store m W16 w k.imm.(i0)
-       | Op_st32 -> addr := store m W32 w k.imm.(i0)
+       | Op_addi -> set m (f0 w) (get m (f1 w) + v)
+       | Op_subi -> set m (f0 w) (get m (f1 w) - v)
+       | Op_muli -> set m (f0 w) (Semantics.result_of (Semantics.mul_u (get m (f1 w)) v))
+       | Op_mulhui -> set m (f0 w) (Semantics.mulhi_u (get m (f1 w)) v)
+       | Op_mulhsi -> set m (f0 w) (Semantics.mulhi_s (get m (f1 w)) v)
+       | Op_andi -> set m (f0 w) (get m (f1 w) land v)
+       | Op_ori -> set m (f0 w) (get m (f1 w) lor v)
+       | Op_xori -> set m (f0 w) (get m (f1 w) lxor v)
+       | Op_shli -> set m (f0 w) (get m (f1 w) lsl (v land 31))
+       | Op_shri -> set m (f0 w) (get m (f1 w) lsr (v land 31))
+       | Op_sari -> set m (f0 w) (Semantics.signed (get m (f1 w)) asr (v land 31))
+       | Op_slti -> set m (f0 w) (Bool.to_int (Semantics.signed (get m (f1 w)) < Semantics.signed v))
+       | Op_sltui -> set m (f0 w) (Bool.to_int (get m (f1 w) < v))
+       | Op_seqi -> set m (f0 w) (Bool.to_int (get m (f1 w) = v))
+       | Op_snei -> set m (f0 w) (Bool.to_int (get m (f1 w) <> v))
+       | Op_ld8 -> addr := load ~spec:false m W8 ~signed:false w v
+       | Op_ld8s -> addr := load ~spec:false m W8 ~signed:true w v
+       | Op_ld16 -> addr := load ~spec:false m W16 ~signed:false w v
+       | Op_ld16s -> addr := load ~spec:false m W16 ~signed:true w v
+       | Op_ld32 -> addr := load ~spec:false m W32 ~signed:false w v
+       | Op_ld32s -> addr := load ~spec:false m W32 ~signed:true w v
+       | Op_sld8 -> addr := load ~spec:true m W8 ~signed:false w v
+       | Op_sld8s -> addr := load ~spec:true m W8 ~signed:true w v
+       | Op_sld16 -> addr := load ~spec:true m W16 ~signed:false w v
+       | Op_sld16s -> addr := load ~spec:true m W16 ~signed:true w v
+       | Op_sld32 -> addr := load ~spec:true m W32 ~signed:false w v
+       | Op_sld32s -> addr := load ~spec:true m W32 ~signed:true w v
+       | Op_st8 -> addr := store m W8 w v
+       | Op_st16 -> addr := store m W16 w v
+       | Op_st32 -> addr := store m W32 w v
        | Op_fmov -> m.f.(f0 w) <- m.f.(f1 w)
        | Op_fadd -> m.f.(f0 w) <- m.f.(f1 w) +. m.f.(f2 w)
        | Op_fsub -> m.f.(f0 w) <- m.f.(f1 w) -. m.f.(f2 w)
@@ -303,11 +301,11 @@ let run m ~resolve ~get:packed ?(fuel = max_int) ?retire entry =
        | Op_fabs -> m.f.(f0 w) <- Float.abs m.f.(f1 w)
        | Op_fneg -> m.f.(f0 w) <- Float.neg m.f.(f1 w)
        | Op_fload ->
-         let a = ea m w k.imm.(i0) in
+         let a = ea m w v in
          Machine.load_f64 m (f0 w) a;
          addr := a
        | Op_fstore ->
-         let a = ea m w k.imm.(i0) in
+         let a = ea m w v in
          Machine.store_f64 m a (f0 w);
          addr := a
        | Op_fcmp -> set m (f0 w) (Semantics.fcmp_flags m.f.(f1 w) m.f.(f2 w))
@@ -315,59 +313,57 @@ let run m ~resolve ~get:packed ?(fuel = max_int) ?retire entry =
        | Op_cvtfi -> set m (f0 w) (Semantics.f2i m.f.(f1 w))
        | Op_mkfl ->
          set m (f0 w)
-           (Flagcalc.compute flkinds.(k.imm.(i0)) ~a:(get m (f1 w)) ~b:(get m (f2 w))
+           (Flagcalc.compute flkinds.(v) ~a:(get m (f1 w)) ~b:(get m (f2 w))
               ~c:(get m (f3 w)))
        | Op_isel -> set m (f0 w) (if get m (f1 w) <> 0 then get m (f2 w) else get m (f3 w))
-       | Op_boxed ->
-         (* the weight beyond the one every instruction retires with *)
-         retired := !retired + boxed m k.code.(i0) - 1
+       | Op_boxed -> extra := !extra + boxed m k.code.(i0) - 1
        | Op_beq ->
          let taken = get m (f0 w) = get m (f1 w) in
-         if taken then next := k.imm.(i0);
-         br := branch_word !region k.imm.(i0) taken
+         if taken then i := v;
+         br := branch_word !region v taken
        | Op_bne ->
          let taken = get m (f0 w) <> get m (f1 w) in
-         if taken then next := k.imm.(i0);
-         br := branch_word !region k.imm.(i0) taken
+         if taken then i := v;
+         br := branch_word !region v taken
        | Op_blt ->
          let taken = Semantics.signed (get m (f0 w)) < Semantics.signed (get m (f1 w)) in
-         if taken then next := k.imm.(i0);
-         br := branch_word !region k.imm.(i0) taken
+         if taken then i := v;
+         br := branch_word !region v taken
        | Op_bge ->
          let taken = Semantics.signed (get m (f0 w)) >= Semantics.signed (get m (f1 w)) in
-         if taken then next := k.imm.(i0);
-         br := branch_word !region k.imm.(i0) taken
+         if taken then i := v;
+         br := branch_word !region v taken
        | Op_bltu ->
          let taken = get m (f0 w) < get m (f1 w) in
-         if taken then next := k.imm.(i0);
-         br := branch_word !region k.imm.(i0) taken
+         if taken then i := v;
+         br := branch_word !region v taken
        | Op_bgeu ->
          let taken = get m (f0 w) >= get m (f1 w) in
-         if taken then next := k.imm.(i0);
-         br := branch_word !region k.imm.(i0) taken
+         if taken then i := v;
+         br := branch_word !region v taken
        | Op_j ->
-         br := branch_word !region k.imm.(i0) true;
-         next := k.imm.(i0)
+         br := branch_word !region v true;
+         i := v
        | Op_jr ->
          br := Retire.branch_word ~taken:true ~target:(get m (f0 w));
-         next := -1
-       | Op_assert -> next := -1
+         i := -1
+       | Op_assert -> i := -1
        | Op_chk ->
          Machine.checkpoint m;
-         committed := !retired
+         committed := !count + !extra
        | Op_commit ->
          Machine.commit m;
          (match !region.mode with
-         | `Bb -> guest_bb := !guest_bb + k.imm.(i0)
-         | `Super -> guest_super := !guest_super + k.imm.(i0));
-         committed := !retired
+         | `Bb -> guest_bb := !guest_bb + v
+         | `Super -> guest_super := !guest_super + v);
+         committed := !count + !extra
        | Op_exit ->
          let target =
            match (exit_at k i0).chain with Some r' -> r'.base | None -> 0xE000_0000
          in
          br := Retire.branch_word ~taken:true ~target;
-         next := -1);
-       incr retired;
+         i := -1);
+       incr count;
        (match retire with
        | None -> ()
        | Some s ->
@@ -378,65 +374,68 @@ let run m ~resolve ~get:packed ?(fuel = max_int) ?retire entry =
          b.desc.(n) <- !descs.(i0);
          b.addr.(n) <- !addr;
          b.branch.(n) <- !br;
-         b.length <- n + 1);
-       if !next >= 0 then i := !next
-       else
+         b.length <- n + 1;
+         addr := 0;
+         br := 0);
+       if !i < 0 then
          (* an Assert compares after it retires; a transfer enters its
-            target after retiring, when fuel remains *)
+            target after retiring, when fuel remains; a stop leaves [i]
+            below 0 *)
          match op with
          | Op_assert ->
-           if Code.cmp_holds cmps.(k.imm.(i0)) (get m (f0 w)) (get m (f1 w)) then i := i0 + 1
+           if Code.cmp_holds cmps.(v) (get m (f0 w)) (get m (f1 w)) then i := i0 + 1
            else begin
-             wasted := !retired - !committed;
+             wasted := !count + !extra - !committed;
              Machine.rollback m;
-             stop := Stop_rollback (`Assert, !region);
-             running := false
+             stop := Stop_rollback (`Assert, !region)
            end
-         | _ -> (
+         | Op_jr | Op_exit -> (
            let dest = if op = Op_jr then resolve (get m (f0 w)) else (exit_at k i0).chain in
            match dest with
            | Some r' when not r'.invalidated ->
-             if !retired >= fuel then begin
-               stop := Stop_fuel r'.entry_pc;
-               running := false
-             end
+             let retired = !count + !extra in
+             if retired >= fuel then stop := Stop_fuel r'.entry_pc
              else begin
-               if !region.mode = `Bb then host_bb := !host_bb + !retired - !entered;
-               entered := !retired;
+               if !region.mode = `Bb then host_bb := !host_bb + retired - !entered;
+               entered := retired;
                incr chains;
                region := r';
                c := packed r';
                (match retire with Some s -> descs := descriptors !c s | None -> ());
                i := 0;
-               steps := 0
+               bound := !count + !c.limit
              end
            | Some _ | None ->
              stop :=
                if op = Op_jr then Stop_indirect_miss (get m (f1 w))
-               else Stop_exit (exit_at k i0);
-             running := false)
+               else Stop_exit (exit_at k i0))
+         | _ ->
+           (* a branch to a negative index: its fetch fails, after the guard *)
+           assert (!count < !bound);
+           ignore k.ops.(!i)
      done
    with
   | Machine.Alias_violation ->
-    wasted := !retired - !committed;
+    wasted := !count + !extra - !committed;
     Machine.rollback m;
     stop := Stop_rollback (`Alias, !region)
   | Memory.Page_fault p ->
-    wasted := !retired - !committed;
+    wasted := !count + !extra - !committed;
     Machine.rollback m;
     stop := Stop_fault (p, !region)
   | e ->
-    flush retire;
+    Option.iter Retire.flush retire;
     raise e);
-  if !region.mode = `Bb then host_bb := !host_bb + !retired - !entered;
+  let retired = !count + !extra in
+  if !region.mode = `Bb then host_bb := !host_bb + retired - !entered;
   (* every return hands the pending entries to the consumer, so the timing
      model has seen the whole stream when [run] returns *)
-  flush retire;
+  Option.iter Retire.flush retire;
   {
     stop = !stop;
-    host_retired = !retired;
+    host_retired = retired;
     host_bb = !host_bb;
-    host_super = !retired - !host_bb;
+    host_super = retired - !host_bb;
     guest_bb = !guest_bb;
     guest_super = !guest_super;
     chains_followed = !chains;

@@ -127,8 +127,8 @@ val host_pc : region -> int -> int
 
 val eval_binop : binop -> int -> int -> int
 (** Value semantics of the host ALU on canonical 32-bit operands (the
-    executor, the optimizer's constant folding and the IR evaluator in the
-    tests share it). *)
+    optimizer's constant folding and the IR evaluator in the tests use it;
+    the executor states each operator in its own arm). *)
 
 val cmp_holds : cmp -> int -> int -> bool
 (** Whether a [B] or [Assert] comparison holds. *)

@@ -510,12 +510,15 @@ let test_emulator_isel_mkfl () =
     (Machine.get m 22);
   Alcotest.(check int) "isel picked true side" 3 (Machine.get m 24)
 
+(* [Code.eval_binop] against the operators' definitions, and the
+   executor's own arm for each operator (register and immediate forms) and
+   each branch comparison against [Code.eval_binop] and [Code.cmp_holds]. *)
 let prop_emulator_binop_vs_semantics =
   QCheck.Test.make ~name:"host ALU = shared semantics" ~count:1000
-    QCheck.(triple (int_bound 13) (int_bound 0xFFFFFF) (int_bound 0xFFFFFF))
+    QCheck.(triple (int_bound 14) (int_bound 0xFFFFFF) (int_bound 0xFFFFFF))
     (fun (opi, a0, b0) ->
       let ops : Code.binop array =
-        [| Add; Sub; Mul; Mulhu; Mulhs; And; Or; Xor; Shl; Shr; Sar; Slt; Sltu; Seq |]
+        [| Add; Sub; Mul; Mulhu; Mulhs; And; Or; Xor; Shl; Shr; Sar; Slt; Sltu; Seq; Sne |]
       in
       let op = ops.(opi) in
       let a = Semantics.mask32 (a0 * 48271) in
@@ -541,7 +544,21 @@ let prop_emulator_binop_vs_semantics =
         | Seq -> if a = b then 1 else 0
         | Sne -> if a <> b then 1 else 0
       in
-      v = expected)
+      let c = ([| Beq; Bne; Blt; Bge; Bltu; Bgeu |] : Code.cmp array).(opi mod 6) in
+      let m, _ = fresh_machine () in
+      Machine.set m 20 a;
+      Machine.set m 21 b;
+      ignore
+        (run_region m
+           (mk_region
+              [|
+                Code.Bin (op, 22, 20, 21); Code.Bini (op, 23, 20, b); Code.Li (24, 0);
+                Code.B (c, 20, 21, 5); Code.Li (24, 1); Code.Exit (exit_info ());
+              |]));
+      v = expected
+      && Machine.get m 22 = expected
+      && Machine.get m 23 = expected
+      && Machine.get m 24 = if Code.cmp_holds c a b then 0 else 1)
 
 (* --- emulator: the batched retire stream ------------------------------------ *)
 
