@@ -612,7 +612,9 @@ let adaptive () =
   in
   let fixed_doc = doc (List.combine offsets fixed_results) None in
   (* the adaptive sweep, once per backend *)
-  let ix = Sampling.Driver.index_of checkpoints in
+  let ix =
+    Sampling.Driver.index_of (fun (c : Sampling.Driver.checkpoint) -> c.at) checkpoints
+  in
   let phase_of off =
     Sampling.Snapshot.guest_eip
       (Sampling.Driver.nearest_ix ix off).Sampling.Driver.snapshot

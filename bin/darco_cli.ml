@@ -614,7 +614,7 @@ let sample_cmd =
       else begin
         (* round-based planning: each round's completed IPCs feed the
            planner, which picks the next windows where the variance is *)
-        let ix = Driver.index_of checkpoints in
+        let ix = Driver.index_of (fun (c : Driver.checkpoint) -> c.at) checkpoints in
         let phase_of off =
           Snapshot.guest_eip (Driver.nearest_ix ix off).Driver.snapshot
         in

@@ -11,7 +11,9 @@ type t = {
   stats : Stats.t;
   bus : Bus.t;
   by_pc : (int, Code.region list) Hashtbl.t;
-  by_base : (int, Code.region) Hashtbl.t;
+  (* host base -> region, as the [Some] [resolve_base] returns: an
+     indirect jump that hits allocates nothing *)
+  by_base : (int, Code.region option) Hashtbl.t;
   (* region id -> packed form (with its timing descriptors once it ran
      timed); compiled on first execution, dropped when the region dies.
      Ids are dense (they count up from 0), so a chained transfer finds its
@@ -48,7 +50,9 @@ let ibtc_clear_entry t i =
 
 let flush t =
   let regions = Hashtbl.length t.by_base and host_insns = t.total_insns in
-  Hashtbl.iter (fun _ (r : Code.region) -> r.invalidated <- true) t.by_base;
+  Hashtbl.iter
+    (fun _ r -> Option.iter (fun (r : Code.region) -> r.invalidated <- true) r)
+    t.by_base;
   Hashtbl.reset t.by_pc;
   Hashtbl.reset t.by_base;
   Array.fill t.tcode 0 (Array.length t.tcode) None;
@@ -65,7 +69,7 @@ let flush t =
 let register t (r : Code.region) =
   let existing = Option.value (Hashtbl.find_opt t.by_pc r.entry_pc) ~default:[] in
   Hashtbl.replace t.by_pc r.entry_pc (r :: existing);
-  Hashtbl.replace t.by_base r.base r;
+  Hashtbl.replace t.by_base r.base (Some r);
   t.total_insns <- t.total_insns + Array.length r.code
 
 let insert t (cfg : Config.t) (rir : Regionir.t) =
@@ -110,7 +114,8 @@ let find t ?(prefer_bb = false) pc =
     | Some _ as r -> r
     | None -> first_alive regions)
 
-let resolve_base t base = Hashtbl.find_opt t.by_base base
+let resolve_base t base =
+  match Hashtbl.find t.by_base base with r -> r | exception Not_found -> None
 
 let compiled t (r : Code.region) =
   let id = r.id in
@@ -186,7 +191,7 @@ type persisted = {
 
 let persist t =
   let regions =
-    Hashtbl.fold (fun _ r acc -> r :: acc) t.by_base []
+    Hashtbl.fold (fun _ r acc -> Option.get r :: acc) t.by_base []
     |> List.sort (fun (a : Code.region) b -> compare a.id b.id)
   in
   let by_pc =
@@ -230,7 +235,7 @@ let unpersist ?(bus = Bus.create ()) tolmem stats p =
   List.iter
     (fun (r : Code.region) ->
       Hashtbl.replace by_id r.id r;
-      Hashtbl.replace t.by_base r.base r)
+      Hashtbl.replace t.by_base r.base (Some r))
     p.p_regions;
   List.iter
     (fun (pc, ids) ->

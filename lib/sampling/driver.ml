@@ -22,43 +22,45 @@ let functional_checkpoints ?input ~seed ~interval ~horizon program =
   done;
   List.rev !acc
 
-type index = checkpoint array
+type 'a index = { ats : int array; items : 'a array }
 
-let index_of checkpoints =
-  if checkpoints = [] then invalid_arg "Driver.index_of: no checkpoints";
-  let a = Array.of_list checkpoints in
-  (* stable on [at], so among equal-offset checkpoints the earliest in
-     list order wins — the same tie-break the fold this replaced had *)
-  let keyed = Array.mapi (fun i ck -> (ck.at, i, ck)) a in
+let index_of at entries =
+  if entries = [] then invalid_arg "Driver.index_of: no checkpoints";
+  let a = Array.of_list entries in
+  (* stable on [at], so among equal-offset entries the earliest in list
+     order wins — the same tie-break the fold this replaced had *)
+  let keyed = Array.mapi (fun i x -> (at x, i, x)) a in
   Array.sort (fun (x, i, _) (y, j, _) ->
       match compare x y with 0 -> compare i j | c -> c)
     keyed;
-  Array.map (fun (_, _, ck) -> ck) keyed
+  {
+    ats = Array.map (fun (at, _, _) -> at) keyed;
+    items = Array.map (fun (_, _, x) -> x) keyed;
+  }
 
 let nearest_ix ix target =
-  let n = Array.length ix in
-  if n = 0 then invalid_arg "Driver.nearest_ix: empty index";
-  if ix.(0).at > target then
-    (* no checkpoint at or before the target: settle for the earliest *)
-    ix.(0)
+  let ats = ix.ats in
+  let n = Array.length ats in
+  if ats.(0) > target then
+    (* no entry at or before the target: settle for the earliest *)
+    ix.items.(0)
   else begin
     (* rightmost entry with [at <= target] ... *)
     let lo = ref 0 and hi = ref (n - 1) in
     while !lo < !hi do
       let mid = !lo + ((!hi - !lo + 1) / 2) in
-      if ix.(mid).at <= target then lo := mid else hi := mid - 1
+      if ats.(mid) <= target then lo := mid else hi := mid - 1
     done;
     (* ... backed up to the first of an equal-[at] run *)
     let i = ref !lo in
-    while !i > 0 && ix.(!i - 1).at = ix.(!i).at do
+    while !i > 0 && ats.(!i - 1) = ats.(!i) do
       decr i
     done;
-    ix.(!i)
+    ix.items.(!i)
   end
 
 let nearest checkpoints target =
-  if checkpoints = [] then invalid_arg "Driver.nearest: no checkpoints";
-  nearest_ix (index_of checkpoints) target
+  nearest_ix (index_of (fun ck -> ck.at) checkpoints) target
 
 let reference_at checkpoints target =
   let ck = nearest checkpoints target in

@@ -21,25 +21,28 @@ val functional_checkpoints :
     checkpoint at instruction 0 and then every [interval] instructions.
     Sorted by [at], ascending. *)
 
-type index
-(** Checkpoints sorted by [at] into an array, so repeated nearest-checkpoint
-    queries (one per window the adaptive planner considers) cost
-    O(log n) instead of the O(n) fold each [nearest] call pays. *)
+type 'a index
+(** Entries keyed by the instruction count they were taken at, sorted by
+    it into an array, so repeated nearest-checkpoint queries (one per
+    window the adaptive planner considers) cost O(log n) instead of a
+    fold.  The entries are checkpoints, or whatever stands for one: the
+    campaign service selects among [(at, store digest)] pairs with the
+    same rule, without decoding a snapshot. *)
 
-val index_of : checkpoint list -> index
-(** Sort the checkpoints into a query index.  Stable on [at]: among
-    equal-offset checkpoints the earliest in list order wins, matching
-    [nearest].  Raises [Invalid_argument] on an empty list. *)
+val index_of : ('a -> int) -> 'a list -> 'a index
+(** [index_of at entries] sorts the entries into a query index by [at].
+    Stable: among equal-offset entries the earliest in list order wins.
+    Raises [Invalid_argument] on an empty list. *)
 
-val nearest_ix : index -> int -> checkpoint
-(** Binary search for the latest checkpoint at or before the target
-    instruction count (the earliest checkpoint when none qualifies) —
-    the same answer [nearest] gives on the list the index was built
-    from. *)
+val nearest_ix : 'a index -> int -> 'a
+(** Binary search for the latest entry at or before the target
+    instruction count (the earliest entry when none qualifies).  The one
+    checkpoint-selection rule: {!nearest}, every work unit, the service's
+    admission and its library fetch all choose through it. *)
 
 val nearest : checkpoint list -> int -> checkpoint
-(** The latest checkpoint at or before the target instruction count.
-    Raises [Invalid_argument] on an empty list. *)
+(** [nearest_ix] over a checkpoint list.  Raises [Invalid_argument] on an
+    empty list. *)
 
 val controller_at :
   ?cfg:Darco.Config.t ->

@@ -806,6 +806,9 @@ let restore ?(bus = Darco_obs.Bus.create ()) t =
 let restore_pipeline t =
   Option.map (B.decode pipeline) (List.assoc_opt timing_tag t.sections)
 
+(* Magic and version: the first five bytes of every encoding. *)
+let header body = B.(body |> const u8 version |> const tag4 magic)
+
 (* The container: every section is one frame, and the kind names exactly
    which sections follow, in order — an unknown, missing or reordered
    section is refused, never skipped. *)
@@ -823,11 +826,11 @@ let container : t B.t =
            | Functional, [ "GUST" ]
            | Full, ([ "GUST"; "CODE" ] | [ "GUST"; "CODE"; "TIMG" ]) -> t
            | _ -> corrupt "snapshot sections do not match its kind")
-    |> const u8 version
-    |> const tag4 magic)
+    |> header)
 
 let to_string t = B.encode container t
 let of_string s = B.decode container s
+let check_header s = B.decode_prefix (header B.unit) s
 
 let write_file path t =
   let oc = open_out_bin path in

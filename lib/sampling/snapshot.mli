@@ -57,6 +57,12 @@ val of_string : string -> t
 (** Raises {!Buf.Corrupt} on bad magic, version, checksum or framing, and
     on a section list other than the one its kind names. *)
 
+val check_header : string -> unit
+(** Accept an encoding's magic and version, its first five bytes, as
+    {!of_string} would, reading no section.  Raises {!Buf.Corrupt}
+    otherwise.  A cheap test that bytes are a snapshot this build reads,
+    for a party that only passes them on by digest. *)
+
 val write_file : string -> t -> unit
 val read_file : string -> t
 (** Raises {!Buf.Corrupt} (also on I/O errors reading the file). *)

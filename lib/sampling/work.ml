@@ -20,9 +20,11 @@ let check_params ~window ~warmup who =
   if window <= 0 then invalid_arg (who ^ ": window <= 0");
   if warmup < 0 then invalid_arg (who ^ ": warmup < 0")
 
+let checkpoint_for ix ~offset ~warmup =
+  Driver.nearest_ix ix (max 0 (offset - warmup))
+
 let pick_checkpoint ~checkpoints ~offset ~warmup =
-  let start = max 0 (offset - warmup) in
-  Driver.nearest checkpoints start
+  checkpoint_for (Driver.index_of (fun ck -> ck.Driver.at) checkpoints) ~offset ~warmup
 
 let of_window ~checkpoints ~label ~offset ~window ~warmup =
   check_params ~window ~warmup "Work.of_window";
@@ -39,6 +41,11 @@ let of_window_stored ~store ~checkpoints ~label ~offset ~window ~warmup =
   check_params ~window ~warmup "Work.of_window_stored";
   let ck = pick_checkpoint ~checkpoints ~offset ~warmup in
   let d = Store.add store (Snapshot.to_string ck.Driver.snapshot) in
+  { label; ckpt = Stored d; offset; window; warmup }
+
+let of_window_digest ~checkpoints ~label ~offset ~window ~warmup =
+  check_params ~window ~warmup "Work.of_window_digest";
+  let _, d = checkpoint_for checkpoints ~offset ~warmup in
   { label; ckpt = Stored d; offset; window; warmup }
 
 let digest t = match t.ckpt with Inline _ -> None | Stored d -> Some d

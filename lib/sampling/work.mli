@@ -60,6 +60,21 @@ val of_window_stored :
     unit carries only their digest ({!Stored}).  Results are byte-identical
     to the inline form — the store resolves to the exact same bytes. *)
 
+val checkpoint_for : 'a Driver.index -> offset:int -> warmup:int -> 'a
+(** The checkpoint a window starts from: {!Driver.nearest_ix} at its
+    warm-up start, [max 0 (offset - warmup)]. *)
+
+val of_window_digest :
+  checkpoints:(int * string) Driver.index ->
+  label:string ->
+  offset:int ->
+  window:int ->
+  warmup:int ->
+  t
+(** The {!Stored} unit {!of_window_stored} builds, chosen among
+    [(at, store digest)] entries whose bytes a store already holds: no
+    snapshot is encoded, hashed or added. *)
+
 val digest : t -> string option
 (** The checkpoint digest of a {!Stored} unit; [None] for {!Inline}. *)
 

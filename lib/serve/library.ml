@@ -159,12 +159,7 @@ let find_checkpoints t ~bench ~ckpt =
        under its byte budget, and a partial checkpoint set is useless —
        the sweep would silently pick farther-away checkpoints and change
        its warm-up.  Absent any entry, report the whole set missing. *)
-    let rec resolve acc = function
-      | [] -> Some (List.rev acc)
-      | (at, digest) :: tl -> (
-        match Store.find t.store digest with
-        | Some bytes -> resolve ((at, bytes) :: acc) tl
-        | None -> None)
-    in
-    resolve [] entries
+    if List.for_all (fun (_, digest) -> Store.mem t.store digest) entries then
+      Some entries
+    else None
   end

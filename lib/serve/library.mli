@@ -68,10 +68,13 @@ val put_window : t -> key -> string -> unit
 
 val find_checkpoints :
   t -> bench:string -> ckpt:string -> (int * string) list option
-(** The checkpoint set stored under {!Campaign.ckpt_digest} [ckpt]:
-    [(at, snapshot bytes)] pairs in ascending [at] order, every entry
-    re-verified against its digest.  [None] when the index is absent or
-    any referenced snapshot has been evicted from the store. *)
+(** The checkpoint set stored under {!Campaign.ckpt_digest} [ckpt]: its
+    index's [(at, store digest)] pairs in ascending [at] order, each
+    confirmed to resolve in {!store} (a cold entry is read back and
+    re-verified against its digest).  A checkpoint's digest is its
+    identity: the service builds work units and window keys from these
+    pairs without decoding a snapshot.  [None] when the index is absent
+    or any referenced snapshot has been evicted from the store. *)
 
 val put_checkpoints :
   t -> bench:string -> ckpt:string -> (int * string) list -> unit

@@ -71,6 +71,19 @@ type pend = {
 
 let checkpoint_set_key bench ckd = Printf.sprintf "ckpts:%s/%s" bench ckd
 
+(* The library key of the campaign's window at [offset] started from the
+   checkpoint whose digest is [snap]; [cfg] is the campaign's
+   {!Campaign.config_digest}. *)
+let window_key (spec : Campaign.t) ~cfg ~snap offset =
+  {
+    Library.bench = spec.Campaign.bench;
+    cfg;
+    snap;
+    offset;
+    window = spec.Campaign.window;
+    warmup = spec.Campaign.warmup;
+  }
+
 let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
     ?(dispatch_timeout = 60.0) ?(dispatch_retries = 2) ?keepalive_idle
     ?keepalive_misses ?max_bytes ?max_submissions ?metrics_file
@@ -329,10 +342,16 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
       Queue.push i sub.sb_todo;
       `New
   in
-  (* The sweep's checkpoint set: restored from the library when a prior
-     campaign stored it (skipping the functional fast-forward entirely),
-     regenerated — and stored for the next campaign — otherwise. *)
-  let obtain_checkpoints (spec : Campaign.t) (entry : Registry.entry) ckd =
+  (* The sweep's checkpoint set, as its library index's (at, store digest)
+     entries: restored from the library when a prior campaign stored it
+     (skipping the functional fast-forward entirely), regenerated — and
+     stored for the next campaign — otherwise.  A restored set travels by
+     digest and is not decoded; each snapshot's header is checked (magic
+     and version, five bytes), so a set this build cannot read is
+     regenerated, as an unreadable index is.  [use] runs on the set
+     before admission takes it: a [Corrupt] it raises (the planned
+     path's decode) regenerates a restored set the same way. *)
+  let obtain_checkpoints (spec : Campaign.t) (entry : Registry.entry) ckd ~use =
     let bench = spec.Campaign.bench in
     let fast_forward () =
       let program = entry.Registry.build ~scale:spec.Campaign.scale () in
@@ -342,32 +361,65 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
           ~horizon:spec.Campaign.horizon program
       in
       let total = ref 0 in
+      (* pinned until [use] has seen them: under a byte budget no snapshot
+         of the set may evict another before its units are built *)
       let entries =
         List.map
           (fun (c : Driver.checkpoint) ->
             let bytes = Snapshot.to_string c.Driver.snapshot in
             total := !total + String.length bytes;
-            (c.Driver.at, Store.add store bytes))
+            let d = Store.add store bytes in
+            Store.pin store d;
+            (c.Driver.at, d))
           cps
       in
       Library.put_checkpoints lib ~bench ~ckpt:ckd entries;
       emit bus
         (Event.Artifact_store
            { key = checkpoint_set_key bench ckd; bytes = !total });
-      cps
+      let v = use entries in
+      List.iter (fun (_, d) -> Store.unpin store d) entries;
+      v
+    in
+    let regenerate msg =
+      log "checkpoint set for %s unreadable (%s); regenerating" bench msg;
+      fast_forward ()
     in
     match Library.find_checkpoints lib ~bench ~ckpt:ckd with
-    | Some pairs ->
-      emit bus (Event.Artifact_hit { key = checkpoint_set_key bench ckd });
-      log "restored %d checkpoints for %s from the library" (List.length pairs)
-        bench;
-      List.map
-        (fun (at, bytes) -> { Driver.at; snapshot = Snapshot.of_string bytes })
-        pairs
     | None -> fast_forward ()
-    | exception B.Corrupt msg ->
-      log "checkpoint index for %s unreadable (%s); regenerating" bench msg;
-      fast_forward ()
+    | exception B.Corrupt msg -> regenerate msg
+    | Some entries -> (
+      match
+        if entries = [] then B.corrupt "checkpoint index lists no checkpoint";
+        List.iter
+          (fun (_, d) -> Option.iter Snapshot.check_header (Store.find store d))
+          entries;
+        use entries
+      with
+      | v ->
+        emit bus (Event.Artifact_hit { key = checkpoint_set_key bench ckd });
+        log "restored %d checkpoints for %s from the library"
+          (List.length entries) bench;
+        v
+      | exception B.Corrupt msg -> regenerate msg)
+  in
+  (* A planned submission's phase markers: the guest PC at each offset's
+     nearest checkpoint, exactly the CLI planner's marker, decoded once
+     per checkpoint its offsets select and no other.  Raises [Corrupt]
+     for a snapshot that does not decode. *)
+  let phases entries offsets =
+    let ix = Driver.index_of fst entries in
+    let eips = Hashtbl.create 8 in
+    Array.iter
+      (fun off ->
+        let _, d = Driver.nearest_ix ix off in
+        if not (Hashtbl.mem eips d) then
+          match Store.find store d with
+          | Some bytes ->
+            Hashtbl.replace eips d (Snapshot.guest_eip (Snapshot.of_string bytes))
+          | None -> B.corrupt ("checkpoint " ^ d ^ " left the store"))
+      offsets;
+    fun off -> Hashtbl.find eips (snd (Driver.nearest_ix ix off))
   in
   let admit c id sweep_str =
     match
@@ -403,12 +455,19 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
              ~corr:(span_corr_base + seq) ~host:"serve" ());
         log "submission #%d from %s: %s" seq c.c_peer (Campaign.describe spec);
         let cfg = Campaign.config_digest spec in
-        let ckd = Campaign.ckpt_digest spec in
-        let checkpoints = obtain_checkpoints spec entry ckd in
+        let entries, plan =
+          obtain_checkpoints spec entry (Campaign.ckpt_digest spec)
+            ~use:(fun entries ->
+              ( entries,
+                Option.map
+                  (fun ci -> (ci, phases entries offsets))
+                  spec.Campaign.ci_target ))
+        in
+        let ix = Driver.index_of fst entries in
         let works =
           Array.map
             (fun off ->
-              Work.of_window_stored ~store ~checkpoints
+              Work.of_window_digest ~checkpoints:ix
                 ~label:(Printf.sprintf "%s@%d" spec.Campaign.bench off)
                 ~offset:off ~window:spec.Campaign.window
                 ~warmup:spec.Campaign.warmup)
@@ -416,19 +475,11 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
         in
         let keys =
           Array.init n (fun i ->
-              {
-                Library.bench = spec.Campaign.bench;
-                cfg;
-                snap =
-                  (match Work.digest works.(i) with
-                  | Some d -> d
-                  | None -> assert false (* of_window_stored is always Stored *));
-                offset = offsets.(i);
-                window = spec.Campaign.window;
-                warmup = spec.Campaign.warmup;
-              })
+              match Work.digest works.(i) with
+              | Some snap -> window_key spec ~cfg ~snap offsets.(i)
+              | None -> assert false (* of_window_digest is always Stored *))
         in
-        let planned = Option.is_some spec.Campaign.ci_target in
+        let planned = Option.is_some plan in
         let sub =
           {
             sb_seq = seq;
@@ -480,19 +531,15 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
               incr dispatched_total
             | `Cand -> ())
           actions;
-        (match spec.Campaign.ci_target with
+        (match plan with
         | None -> ()
-        | Some ci ->
+        | Some (ci, phase_of) ->
           let candidates = ref [] in
           Array.iteri
             (fun i a -> if a = `Cand then candidates := offsets.(i) :: !candidates)
             actions;
-          (* the stratum of a window is the program phase — the guest PC —
-             at its nearest checkpoint, exactly the CLI planner's marker *)
-          let ix = Driver.index_of checkpoints in
-          let phase_of off =
-            Snapshot.guest_eip (Driver.nearest_ix ix off).Driver.snapshot
-          in
+          (* the stratum of a window is the program phase at its nearest
+             checkpoint ([phases]) *)
           sub.sb_plan <-
             Some
               (Plan.create ?bus
@@ -547,39 +594,26 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
       let miss key =
         send_to c (Wire.Artifact { id = offset; key; json = "" })
       in
-      let ckd = Campaign.ckpt_digest spec in
       match
-        try Library.find_checkpoints lib ~bench:spec.Campaign.bench ~ckpt:ckd
+        try
+          Library.find_checkpoints lib ~bench:spec.Campaign.bench
+            ~ckpt:(Campaign.ckpt_digest spec)
         with B.Corrupt _ -> None
       with
-      | None -> miss ""
-      | Some pairs -> (
-        (* latest checkpoint at or before the warm-up start — the same
-           choice Work.of_window makes when building the unit *)
-        let target = max 0 (offset - spec.Campaign.warmup) in
-        match
-          List.fold_left
-            (fun acc (at, bytes) -> if at <= target then Some bytes else acc)
-            None pairs
-        with
-        | None -> miss ""
-        | Some bytes -> (
-          let k =
-            {
-              Library.bench = spec.Campaign.bench;
-              cfg = Campaign.config_digest spec;
-              snap = Store.digest bytes;
-              offset;
-              window = spec.Campaign.window;
-              warmup = spec.Campaign.warmup;
-            }
-          in
-          match try Library.find_window lib k with B.Corrupt _ -> None with
-          | Some text ->
-            emit bus (Event.Artifact_hit { key = Library.render k });
-            send_to c
-              (Wire.Artifact { id = offset; key = Library.render k; json = text })
-          | None -> miss (Library.render k))))
+      | None | Some [] -> miss ""
+      | Some entries -> (
+        (* the checkpoint admission chose for this window *)
+        let _, snap =
+          Work.checkpoint_for (Driver.index_of fst entries) ~offset
+            ~warmup:spec.Campaign.warmup
+        in
+        let k = window_key spec ~cfg:(Campaign.config_digest spec) ~snap offset in
+        match try Library.find_window lib k with B.Corrupt _ -> None with
+        | Some text ->
+          emit bus (Event.Artifact_hit { key = Library.render k });
+          send_to c
+            (Wire.Artifact { id = offset; key = Library.render k; json = text })
+        | None -> miss (Library.render k)))
   in
   (* The HLTH document: everything `darco top` renders.  Worker rows and
      campaign rows are sorted so the document is a deterministic

@@ -471,7 +471,10 @@ let round_trips () =
         Library.put_checkpoints lib ~bench:k.bench ~ckpt:k.cfg index;
         let cold = Library.create ~dir () in
         Library.find_window cold k = Some json
-        && Library.find_checkpoints cold ~bench:k.bench ~ckpt:k.cfg = Some entries);
+        && Library.find_checkpoints cold ~bench:k.bench ~ckpt:k.cfg = Some index
+        && List.for_all2
+             (fun (_, d) (_, bytes) -> Store.find (Library.store cold) d = Some bytes)
+             index entries);
   ]
 
 (* Real captures decode section by section and re-encode to their bytes. *)

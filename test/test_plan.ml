@@ -62,14 +62,17 @@ let test_nearest_matches_fold () =
     in
     let want = reference_nearest checkpoints target in
     Driver.nearest checkpoints target == want
-    && Driver.nearest_ix (Driver.index_of checkpoints) target == want
+    && Driver.nearest_ix
+         (Driver.index_of (fun (c : Driver.checkpoint) -> c.Driver.at) checkpoints)
+         target
+       == want
   in
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:500
        ~name:"binary-search nearest matches the reference fold" gen prop)
 
 let test_index_rejects_empty () =
-  (match Driver.index_of [] with
+  (match Driver.index_of fst [] with
   | _ -> Alcotest.fail "index_of accepted an empty checkpoint list"
   | exception Invalid_argument _ -> ());
   match Driver.nearest [] 0 with

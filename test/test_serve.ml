@@ -141,26 +141,40 @@ let spec1 =
 
 let spec2 = Campaign.normalize { spec1 with offsets = [ 12_000; 20_000 ] }
 
+(* Two windows at the edges of checkpoint selection: one whose warm-up
+   starts on a checkpoint (10,000) and one that starts below its warm-up. *)
+let spec_edges = Campaign.normalize { spec1 with offsets = [ 500; 11_000 ] }
+
 (* What [darco sample --json] computes for [spec1] — the byte-identity
    reference for everything the service returns. *)
+let checkpoints1 =
+  lazy
+    (Driver.functional_checkpoints ~seed:7 ~interval:10_000 ~horizon:40_000
+       ((Darco_workloads.Registry.find "continuous").build ~scale:1 ()))
+
+(* The unit [darco sample] builds for one window of a [spec1]-like
+   campaign, its checkpoint added to [store]. *)
+let sample_work ?(store = Store.create ()) (spec : Campaign.t) off =
+  Work.of_window_stored ~store ~checkpoints:(Lazy.force checkpoints1)
+    ~label:(Printf.sprintf "continuous@%d" off)
+    ~offset:off ~window:spec.Campaign.window ~warmup:spec.Campaign.warmup
+
+(* The library key of that window; [stand_in] maps its checkpoint's
+   digest to the one a tampered library stores the checkpoint under. *)
+let sample_key ?(stand_in = Fun.id) (spec : Campaign.t) off =
+  {
+    Library.bench = "continuous";
+    cfg = Campaign.config_digest spec;
+    snap = stand_in (Option.get (Work.digest (sample_work spec off)));
+    offset = off;
+    window = spec.Campaign.window;
+    warmup = spec.Campaign.warmup;
+  }
+
 let expected_doc =
   lazy
-    (let program =
-       (Darco_workloads.Registry.find "continuous").build ~scale:1 ()
-     in
-     let checkpoints =
-       Driver.functional_checkpoints ~seed:7 ~interval:10_000 ~horizon:40_000
-         program
-     in
-     let store = Store.create () in
-     let works =
-       List.map
-         (fun off ->
-           Work.of_window_stored ~store ~checkpoints
-             ~label:(Printf.sprintf "continuous@%d" off)
-             ~offset:off ~window:2_000 ~warmup:1_000)
-         spec1.Campaign.offsets
-     in
+    (let store = Store.create () in
+     let works = List.map (sample_work ~store spec1) spec1.Campaign.offsets in
      let results = Sweep.run (Sweep.Backend.serial ~store ()) works in
      let rep =
        Report.sweep_json ~benchmark:"continuous" ~seed:7 ~interval:10_000
@@ -326,13 +340,15 @@ let test_library_checkpoints () =
   let d1 = Store.add (Library.store lib) b1 in
   Library.put_checkpoints lib ~bench:"continuous" ~ckpt:ck
     [ (0, d0); (10_000, d1) ];
-  Alcotest.(check bool) "set restored in order, bytes verified" true
+  Alcotest.(check bool) "set restored in order, digests resolved" true
     (Library.find_checkpoints lib ~bench:"continuous" ~ckpt:ck
-    = Some [ (0, b0); (10_000, b1) ]);
+    = Some [ (0, d0); (10_000, d1) ]);
   let cold = Library.create ~dir () in
   Alcotest.(check bool) "cold restore identical" true
     (Library.find_checkpoints cold ~bench:"continuous" ~ckpt:ck
-    = Some [ (0, b0); (10_000, b1) ]);
+    = Some [ (0, d0); (10_000, d1) ]);
+  Alcotest.(check (option string)) "cold restore verified the bytes" (Some b1)
+    (Store.find (Library.store cold) d1);
   (* an evicted snapshot poisons the whole set: a partial restore would
      silently change warm-up distances, so the set reports absent *)
   Sys.remove (Filename.concat (Filename.concat dir "ckpt") (d1 ^ ".dsnp"));
@@ -418,7 +434,7 @@ let test_library_golden () =
   ignore (Store.add (Library.store lib) b1);
   Alcotest.(check bool) "checkpoint index decodes" true
     (Library.find_checkpoints lib ~bench:"429.mcf" ~ckpt
-    = Some [ (0, b0); (50_000, b1) ]);
+    = Some [ (0, Store.digest b0); (50_000, Store.digest b1) ]);
   let fresh = Filename.concat dir "fresh" in
   let lib = Library.create ~dir:fresh () in
   Library.put_window lib key json;
@@ -460,7 +476,7 @@ let seq_client dir addr =
   | Ok None -> save "fetch_miss" "miss"
   | Ok (Some _) -> save "fetch_miss.err" "unexpected hit"
   | Error e -> save "fetch_miss.err" e);
-  submit "sibling" spec2
+  submit "sibling" spec_edges
 
 let must_read dir name =
   let path = Filename.concat dir name in
@@ -564,6 +580,14 @@ let test_serve_resubmit_and_restore () =
   let pipe2 = Unix.pipe () in
   let pid2 =
     fork_client pipe2 (fun addr ->
+        List.iter
+          (fun off ->
+            let name = Printf.sprintf "edge_%d" off in
+            match Client.fetch addr spec_edges ~offset:off with
+            | Ok (Some j) -> write_file (Filename.concat dir name) j
+            | Ok None -> write_file (Filename.concat dir (name ^ ".err")) "miss"
+            | Error e -> write_file (Filename.concat dir (name ^ ".err")) e)
+          spec_edges.Campaign.offsets;
         match Client.submit addr spec1 with
         | Ok (st, doc) ->
           write_file
@@ -582,7 +606,149 @@ let test_serve_resubmit_and_restore () =
     (let a, b, c, d = parse_stats (must_read dir "cold.stats") in
      [ a; b; c; d ]);
   Alcotest.(check string) "after restart: document still byte-identical" doc0
-    (must_read dir "cold.json")
+    (must_read dir "cold.json");
+  (* a cold fetch chooses the checkpoint admission chose: it returns the
+     very window the sibling stored, under the key [darco sample]'s unit
+     gives it, on a warm-up start at a checkpoint and below the warm-up *)
+  let lib = Library.create ~dir:libdir () in
+  List.iter
+    (fun off ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "fetch at %d returns the stored window" off)
+        (Library.find_window lib (sample_key spec_edges off))
+        (Some (must_read dir (Printf.sprintf "edge_%d" off))))
+    spec_edges.Campaign.offsets
+
+(* --- checkpoint sets the daemon cannot decode --------------------------- *)
+
+(* A library holding [spec1]'s checkpoint set with every snapshot's bytes
+   passed through [tamper] and stored under their new digest, as a store
+   accepts them.  Returns the library and the map from each real
+   snapshot's digest to its stand-in's. *)
+let tampered_library libdir tamper =
+  let lib = Library.create ~dir:libdir () in
+  let stand_ins = Hashtbl.create 8 in
+  let entries =
+    List.map
+      (fun (c : Driver.checkpoint) ->
+        let bytes = Darco_sampling.Snapshot.to_string c.Driver.snapshot in
+        let d = Store.add (Library.store lib) (tamper bytes) in
+        Hashtbl.replace stand_ins (Store.digest bytes) d;
+        (c.Driver.at, d))
+      (Lazy.force checkpoints1)
+  in
+  Library.put_checkpoints lib ~bench:"continuous"
+    ~ckpt:(Campaign.ckpt_digest spec1) entries;
+  (lib, Hashtbl.find stand_ins)
+
+let ckpts_events events =
+  ( count events (function
+      | Event.Artifact_hit { key } -> has_prefix "ckpts:" key
+      | _ -> false),
+    count events (function
+      | Event.Artifact_store { key; _ } -> has_prefix "ckpts:" key
+      | _ -> false) )
+
+(* Submit each (name, spec) in turn against a fresh daemon on [libdir],
+   saving stats and documents under [dir]; the bus's events come back. *)
+let serve_submissions dir libdir waddr subs =
+  let pipe = Unix.pipe () in
+  let pid =
+    fork_client pipe (fun addr ->
+        List.iter
+          (fun (name, spec) ->
+            match Client.submit addr spec with
+            | Ok (st, doc) ->
+              write_file
+                (Filename.concat dir (name ^ ".stats"))
+                (Printf.sprintf "%d %d %d %d" st.Client.done_ st.Client.total
+                   st.Client.hits st.Client.dispatched);
+              write_file (Filename.concat dir (name ^ ".json")) doc
+            | Error e -> write_file (Filename.concat dir (name ^ ".err")) e)
+          subs)
+  in
+  let bus, events = collecting_bus () in
+  Serve.serve ~bus ~quiet:true ~workers:(fun () -> [ waddr ]) ~jobs:2
+    ~max_submissions:(List.length subs)
+    ~ready:(announce [ snd pipe ])
+    ~library:libdir ~host:"127.0.0.1" ~port:0 ();
+  wait pid;
+  events
+
+let stats_of dir name =
+  let a, b, c, d = parse_stats (must_read dir (name ^ ".stats")) in
+  [ a; b; c; d ]
+
+(* A checkpoint set the daemon cannot use — snapshot bytes whose digests
+   match but whose version this build does not read, or an index that
+   lists no checkpoint — is regenerated, and the daemon keeps serving. *)
+let test_serve_unreadable_checkpoints () =
+  let future_version libdir =
+    ignore
+      (tampered_library libdir (fun bytes ->
+           let b = Bytes.of_string bytes in
+           Bytes.set_uint8 b 4 (Darco_sampling.Snapshot.version + 1);
+           Bytes.to_string b))
+  and empty_index libdir =
+    Library.put_checkpoints (Library.create ~dir:libdir ()) ~bench:"continuous"
+      ~ckpt:(Campaign.ckpt_digest spec1) []
+  in
+  List.iter
+    (fun (what, setup) ->
+      with_temp_dir @@ fun dir ->
+      with_worker @@ fun waddr ->
+      let libdir = Filename.concat dir "lib" in
+      setup libdir;
+      let events =
+        serve_submissions dir libdir waddr [ ("first", spec1); ("second", spec2) ]
+      in
+      let check_stats name want =
+        Alcotest.(check (list int)) (what ^ ": " ^ name) want (stats_of dir name)
+      in
+      check_stats "first" [ 3; 3; 0; 3 ];
+      Alcotest.(check string) (what ^ ": the serial backend's document")
+        (Lazy.force expected_doc) (must_read dir "first.json");
+      check_stats "second" [ 2; 2; 0; 2 ];
+      Alcotest.(check (pair int int))
+        (what ^ ": the set regenerated once, then restored") (1, 1)
+        (ckpts_events events))
+    [ ("a future snapshot version", future_version); ("an empty index", empty_index) ]
+
+(* Snapshot bytes with a valid header but a section that fails its CRC,
+   and every window of [spec1] stored against them: admission works from
+   digests alone, so the submission is answered from the library with
+   nothing decoded.  A planned submission must decode its phase markers:
+   that decode fails, and the set is regenerated. *)
+let test_serve_admission_decodes_nothing () =
+  with_temp_dir @@ fun dir ->
+  with_worker @@ fun waddr ->
+  let libdir = Filename.concat dir "lib" in
+  let lib, stand_in =
+    tampered_library libdir (fun bytes ->
+        let b = Bytes.of_string bytes in
+        let last = Bytes.length b - 1 in
+        Bytes.set_uint8 b last (Bytes.get_uint8 b last lxor 0xff);
+        Bytes.to_string b)
+  in
+  let store = Store.create () in
+  List.iter
+    (fun off ->
+      Library.put_window lib (sample_key ~stand_in spec1 off)
+        (J.to_string (Work.exec ~store (sample_work ~store spec1 off))))
+    spec1.Campaign.offsets;
+  let planned = Campaign.normalize { spec1 with ci_target = Some 0.10 } in
+  let events =
+    serve_submissions dir libdir waddr [ ("stored", spec1); ("planned", planned) ]
+  in
+  Alcotest.(check (list int)) "every window a hit, nothing dispatched"
+    [ 3; 3; 3; 0 ] (stats_of dir "stored");
+  Alcotest.(check string) "the stored texts make the serial document"
+    (Lazy.force expected_doc) (must_read dir "stored.json");
+  Alcotest.(check (list int)) "the planned submission ran on a regenerated set"
+    [ 3; 3; 0; 3 ] (stats_of dir "planned");
+  Alcotest.(check (pair int int))
+    "restored for the first, regenerated for the planner" (1, 1)
+    (ckpts_events events)
 
 (* --- a dead fleet worker is restarted between rounds -------------------- *)
 
@@ -1145,6 +1311,10 @@ let () =
         [
           Alcotest.test_case "resubmit, restore, restart" `Quick
             test_serve_resubmit_and_restore;
+          Alcotest.test_case "unreadable checkpoint set regenerated" `Quick
+            test_serve_unreadable_checkpoints;
+          Alcotest.test_case "admission decodes no checkpoint" `Quick
+            test_serve_admission_decodes_nothing;
           Alcotest.test_case "concurrent clients share work" `Quick
             test_serve_concurrent_sharing;
           Alcotest.test_case "adaptive campaign exits early" `Quick

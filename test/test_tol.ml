@@ -567,6 +567,22 @@ let test_codecache_insert_find () =
   Alcotest.(check bool) "absent pc" true (Codecache.find cc 0x9999 = None);
   Alcotest.(check int) "region count" 1 (Codecache.region_count cc)
 
+(* [Threaded.run] resolves every [Jr] through [resolve_base]: a warm hit
+   must allocate nothing, so the executor stays allocation-free per
+   transfer as well as per instruction. *)
+let test_resolve_base_allocates_nothing () =
+  let cc, _ = fresh_cache () in
+  let r = Codecache.insert cc Config.default (simple_region_ir 0x1000) in
+  ignore (Codecache.resolve_base cc r.base);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Sys.opaque_identity (Codecache.resolve_base cc r.base))
+  done;
+  Alcotest.(check (float 0.)) "minor words over 1,000 warm hits" 0.
+    (Gc.minor_words () -. before);
+  Alcotest.(check bool) "and a miss is still None" true
+    (Codecache.resolve_base cc (r.base + 4) = None)
+
 let test_codecache_invalidate_unchains () =
   let cc, _ = fresh_cache () in
   let a = Codecache.insert cc Config.default (simple_region_ir 0x1000) in
@@ -701,6 +717,8 @@ let () =
       ( "codecache",
         [
           Alcotest.test_case "insert/find" `Quick test_codecache_insert_find;
+          Alcotest.test_case "resolve_base hits allocate nothing" `Quick
+            test_resolve_base_allocates_nothing;
           Alcotest.test_case "invalidate unchains" `Quick test_codecache_invalidate_unchains;
           Alcotest.test_case "flush" `Quick test_codecache_flush;
           Alcotest.test_case "capacity flush" `Quick test_codecache_capacity_flush;
