@@ -29,11 +29,15 @@ the parent's interquartile range, `ok` when the change's median is worse
 than the parent's by no more than the bound, `unresolved` when the
 parent's own quartiles lie further apart than the bound, `WORSE`
 otherwise.  Exits 1 on a `WORSE`, on a failed operation, or when the two
-sides print different digests.  `--save FILE` keeps every run's JSON
-result, by workload and side, with the seeds.
+sides print different digests.  A last row gives each checkout's `lib/`
+line count, counted as CI counts it (every `*.ml` and `*.mli` under
+`lib/*/`), so a paired run shows the size change beside the figures.
+`--save FILE` keeps every run's JSON result, by workload and side, with
+the seeds.
 """
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -56,6 +60,16 @@ def run_workload(workload, seed, seconds, cwd="."):
         if len(words) == 3 and words[:2] == ["digest", workload]:
             digest = words[2]
     return json.loads(lines[-1]), digest
+
+
+def lib_lines(root):
+    """The `lib/` line count of checkout `root`: `cat lib/*/*.ml lib/*/*.mli | wc -l`."""
+    n = 0
+    for pattern in ("*.ml", "*.mli"):
+        for path in glob.glob(os.path.join(root, "lib", "*", pattern)):
+            with open(path, "rb") as f:
+                n += f.read().count(b"\n")
+    return n
 
 
 def worse_by(metric, value, median):
@@ -169,6 +183,9 @@ def paired(bench, args):
         breaches += digests_differ > 0
         print(f"{name:18s} {'digests differ':20s} {'':>30s} {digests_differ:>30d} "
               f"{'':5s} {'':7s} {'':6s}  {'ok' if digests_differ == 0 else 'DIFFERS'}")
+    p_lines, c_lines = lib_lines(parent), lib_lines(".")
+    print(f"{'code size':18s} {'lib/ lines':20s} {p_lines:>30d} {c_lines:>30d} "
+          f"{'':5s} {'':7s} {'':6s}  {c_lines - p_lines:+d}")
     if args.save:
         with open(args.save, "w") as f:
             json.dump(saved, f)

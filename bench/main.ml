@@ -385,6 +385,31 @@ let profile () =
   profile_summary := Some (Darco_obs.Prof.to_json ~n:10 prof);
   print_endline "  (attribution reconciles exactly with the run's Stats.t)\n"
 
+(* One Bechamel OLS estimate: nanoseconds per call of [f], as case [name]
+   of [group], from [quota] seconds of sampling. *)
+let ols_ns ~group ~quota name f =
+  let open Bechamel in
+  let open Toolkit in
+  let test =
+    Test.make_grouped ~name:group [ Test.make ~name (Staged.stage f) ]
+  in
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
+  in
+  let instances = Instance.[ monotonic_clock ] in
+  let cfg =
+    Benchmark.cfg ~limit:8 ~quota:(Time.second quota) ~stabilize:false ()
+  in
+  let raw = Benchmark.all cfg instances test in
+  let results =
+    Analyze.merge ols instances
+      (List.map (fun i -> Analyze.all ols i raw) instances)
+  in
+  let tbl = Hashtbl.find results (Measure.label Instance.monotonic_clock) in
+  match Analyze.OLS.estimates (Hashtbl.find tbl (group ^ "/" ^ name)) with
+  | Some [ est ] -> est
+  | Some _ | None -> nan
+
 (* --- multicore runtime: loopback workers vs domain pool on one image --- *)
 
 module Sampling = Darco_sampling
@@ -453,29 +478,8 @@ let parallel () =
   Printf.printf "%d windows sharing %d checkpoint image(s), %d jobs\n%!"
     (List.length works) (Sampling.Store.count store) jobs;
   let bech name backend =
-    let open Bechamel in
-    let open Toolkit in
-    let test =
-      Test.make_grouped ~name:"parallel"
-        [
-          Test.make ~name
-            (Staged.stage (fun () -> Sampling.Sweep.run backend works));
-        ]
-    in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:8 ~quota:(Time.second 3.0) ~stabilize:false () in
-    let raw = Benchmark.all cfg instances test in
-    let results =
-      Analyze.merge ols instances
-        (List.map (fun i -> Analyze.all ols i raw) instances)
-    in
-    let tbl = Hashtbl.find results (Measure.label Instance.monotonic_clock) in
-    match Analyze.OLS.estimates (Hashtbl.find tbl ("parallel/" ^ name)) with
-    | Some [ est ] -> est
-    | Some _ | None -> nan
+    ols_ns ~group:"parallel" ~quota:3.0 name (fun () ->
+        Sampling.Sweep.run backend works)
   in
   (* wall + peak tree RSS of one sweep on [backend], measured from
      outside: the sweep runs in a forked child whose process tree (the
@@ -625,39 +629,7 @@ let adaptive () =
         { Sampling.Plan.default with Sampling.Plan.ci_target; round_size = 6 }
         ~candidates:offsets ~phase_of
     in
-    let recorded = ref 0 in
-    let pairs =
-      Sampling.Sweep.run_stream backend ~next:(fun _ completed ->
-          let fresh = List.filteri (fun i _ -> i >= !recorded) completed in
-          recorded := List.length completed;
-          Sampling.Plan.record plan
-            (List.filter_map
-               (fun ((w : Sampling.Work.t), (r : Sampling.Sweep.result)) ->
-                 match r.Sampling.Sweep.outcome with
-                 | Sampling.Sweep.Ok json -> (
-                   match Darco_obs.Jsonx.member "ipc" json with
-                   | Some (Darco_obs.Jsonx.Float f) ->
-                     Some (w.Sampling.Work.offset, f)
-                   | _ -> None)
-                 | Sampling.Sweep.Failed _ -> None)
-               fresh);
-          List.map mk (Sampling.Plan.next plan))
-    in
-    let summary =
-      {
-        Sampling.Report.plan_name = "adaptive";
-        windows_used = List.length pairs;
-        ci_target;
-        ci_target_met = Sampling.Plan.ci_target_met plan;
-        rounds = Sampling.Plan.rounds plan;
-      }
-    in
-    ( doc
-        (List.map
-           (fun ((w : Sampling.Work.t), r) -> (w.Sampling.Work.offset, r))
-           pairs)
-        (Some summary),
-      plan )
+    (doc (Sampling.Sweep.run_plan backend plan mk) (Some plan), plan)
   in
   let serial_doc, plan = sweep (Sampling.Sweep.Backend.serial ~store ()) in
   let local_doc, _ = sweep (fleet ~store ~jobs:4) in
@@ -828,29 +800,7 @@ let library () =
   for i = 0 to seeded - 1 do
     Library.put_window lib (key i) json
   done;
-  let bench_ns name f =
-    let open Bechamel in
-    let open Toolkit in
-    let test =
-      Test.make_grouped ~name:"library" [ Test.make ~name (Staged.stage f) ]
-    in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:8 ~quota:(Time.second 1.0) ~stabilize:false ()
-    in
-    let raw = Benchmark.all cfg instances test in
-    let results =
-      Analyze.merge ols instances
-        (List.map (fun i -> Analyze.all ols i raw) instances)
-    in
-    let tbl = Hashtbl.find results (Measure.label Instance.monotonic_clock) in
-    match Analyze.OLS.estimates (Hashtbl.find tbl ("library/" ^ name)) with
-    | Some [ est ] -> est
-    | Some _ | None -> nan
-  in
+  let bench_ns name f = ols_ns ~group:"library" ~quota:1.0 name f in
   let n = ref seeded in
   let store_ns =
     bench_ns "store" (fun () ->
@@ -886,29 +836,7 @@ let telemetry_summary : Darco_obs.Jsonx.t option ref = ref None
 let telemetry () =
   print_endline "=== Telemetry: registry update and scrape costs ===";
   let open Darco_obs in
-  let bench_ns name f =
-    let open Bechamel in
-    let open Toolkit in
-    let test =
-      Test.make_grouped ~name:"telemetry" [ Test.make ~name (Staged.stage f) ]
-    in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:8 ~quota:(Time.second 1.0) ~stabilize:false ()
-    in
-    let raw = Benchmark.all cfg instances test in
-    let results =
-      Analyze.merge ols instances
-        (List.map (fun i -> Analyze.all ols i raw) instances)
-    in
-    let tbl = Hashtbl.find results (Measure.label Instance.monotonic_clock) in
-    match Analyze.OLS.estimates (Hashtbl.find tbl ("telemetry/" ^ name)) with
-    | Some [ est ] -> est
-    | Some _ | None -> nan
-  in
+  let bench_ns name f = ols_ns ~group:"telemetry" ~quota:1.0 name f in
   let reg = Registry.create () in
   let c = Registry.counter reg "bench_total" in
   let g = Registry.gauge reg "bench_depth" in

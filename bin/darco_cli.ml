@@ -398,12 +398,6 @@ module Work = Darco_sampling.Work
 module Report = Darco_sampling.Report
 module Plan = Darco_sampling.Plan
 
-let json_num j =
-  match j with
-  | Some (Darco_obs.Jsonx.Float f) -> Some f
-  | Some (Darco_obs.Jsonx.Int i) -> Some (float_of_int i)
-  | _ -> None
-
 let checkpoint_cmd =
   let run bench scale (sim : Flag.sim) at out timing functional cfg =
     let entry = Darco_workloads.Registry.find bench in
@@ -490,13 +484,12 @@ let resume_cmd =
       $ Flag.max_insns $ Flag.sim
       $ Arg.(value & flag & info [ "timing" ] ~doc:"Attach a cold timing pipeline if the snapshot carries none"))
 
-let sample_cmd =
-  let run bench scale (sim : Flag.sim) interval offsets nsamples horizon window
-      warmup jobs backend_str dispatch_timeout dispatch_retries store_dir
-      json_out chrome_out verify max_error plan_kind ci_target
-      max_windows round_size =
-    let entry = Darco_workloads.Registry.find bench in
-    let program = entry.build ~scale () in
+(* The sweep description shared by sample, submit and fetch: one set of
+   flags, normalized by [Campaign.normalize], so a command line moves
+   between the local and served worlds by swapping the verb. *)
+let campaign_term =
+  let mk bench scale seed input interval offsets nsamples horizon window
+      warmup ci_target =
     let offsets =
       match offsets with
       | Some s ->
@@ -508,10 +501,39 @@ let sample_cmd =
           (String.split_on_char ',' s)
       | None -> List.init nsamples (fun i -> (i + 1) * horizon / (nsamples + 1))
     in
-    let offsets = List.sort_uniq compare offsets in
-    let horizon =
-      List.fold_left (fun acc o -> max acc (o + window)) horizon offsets
-    in
+    Darco_serve.Campaign.normalize
+      {
+        Darco_serve.Campaign.bench;
+        scale;
+        seed;
+        input;
+        interval;
+        horizon;
+        offsets;
+        window;
+        warmup;
+        ci_target =
+          (match ci_target with Some c when c > 0.0 -> Some c | _ -> None);
+      }
+  in
+  Term.(
+    const mk $ Flag.bench $ Flag.scale $ Flag.seed $ Flag.input
+    $ Arg.(value & opt int 50_000 & info [ "interval" ] ~doc:"Guest instructions between functional checkpoints")
+    $ Arg.(value & opt (some string) None & info [ "offsets" ] ~docv:"A,B,C" ~doc:"Explicit sample offsets (comma-separated)")
+    $ Arg.(value & opt int 4 & info [ "samples" ] ~doc:"Number of evenly spaced samples (when --offsets is absent)")
+    $ Arg.(value & opt int 400_000 & info [ "horizon" ] ~doc:"Span of guest execution to sample (when --offsets is absent)")
+    $ Arg.(value & opt int 25_000 & info [ "window" ] ~doc:"Detailed measurement window length")
+    $ Arg.(value & opt int 30_000 & info [ "warmup" ] ~doc:"Detailed warm-up before each window")
+    $ Arg.(value & opt (some float) None & info [ "ci-target" ] ~docv:"FRACTION" ~doc:"Adaptive early exit: stop the sweep once the IPC CI95 half-width is within this fraction of the mean (e.g. 0.02 = ±2%); 0 or below means none. $(b,sample) runs its own planner to it, $(b,submit) asks the server's"))
+
+let sample_cmd =
+  let run
+      { Darco_serve.Campaign.bench; scale; seed; input; interval; horizon;
+        offsets; window; warmup; ci_target } trace jobs backend_str
+      dispatch_timeout dispatch_retries store_dir json_out chrome_out verify
+      max_error plan_kind max_windows round_size =
+    let entry = Darco_workloads.Registry.find bench in
+    let program = entry.build ~scale () in
     let spec =
       match
         Darco_dispatch.spec_of_string ~jobs ~timeout:dispatch_timeout
@@ -525,7 +547,7 @@ let sample_cmd =
     (* the dispatch lifecycle is observable through the ordinary trace sink,
        and the span timeline through the Chrome collector *)
     let bus = Darco_obs.Bus.create () in
-    with_trace bus sim.trace @@ fun _trace_oc ->
+    with_trace bus trace @@ fun _trace_oc ->
     let chrome =
       Option.map (fun _ -> Darco_obs.Chrome.attach bus) chrome_out
     in
@@ -566,8 +588,7 @@ let sample_cmd =
       entry.name horizon interval;
     let t0 = Unix.gettimeofday () in
     let checkpoints =
-      Driver.functional_checkpoints ?input:sim.input ~seed:sim.seed ~interval
-        ~horizon program
+      Driver.functional_checkpoints ?input ~seed ~interval ~horizon program
     in
     Printf.printf "%d checkpoints in %.2fs; %d detailed windows via %s\n%!"
       (List.length checkpoints)
@@ -577,21 +598,6 @@ let sample_cmd =
       Work.of_window_stored ~store ~checkpoints
         ~label:(Printf.sprintf "%s@%d" entry.name off)
         ~offset:off ~window ~warmup
-    in
-    let plan_cfg =
-      {
-        Plan.kind = plan_kind;
-        ci_target;
-        max_windows;
-        round_size;
-        seed = Plan.default.Plan.seed;
-      }
-    in
-    (* a fixed plan with no confidence target and no budget cannot deviate
-       from the exhaustive one-shot sweep, so take the one-shot path (and
-       its exact document bytes) rather than spinning the planner *)
-    let degenerate =
-      plan_kind = Plan.Fixed && ci_target <= 0.0 && max_windows <= 0
     in
     (* write the trace even when the sweep dies — a partial timeline of a
        failed sweep is the most useful trace of all *)
@@ -603,8 +609,11 @@ let sample_cmd =
           Printf.printf "wrote %s\n" path
         | _ -> ())
     @@ fun () ->
-    let rows, plan_summary =
-      if degenerate then begin
+    let rows, plan =
+      (* a fixed plan with no confidence target and no budget cannot
+         deviate from the exhaustive one-shot sweep, so take the one-shot
+         path (and its exact document bytes) rather than spin the planner *)
+      if plan_kind = Plan.Fixed && ci_target = None && max_windows <= 0 then begin
         let works = List.map mk_work offsets in
         Printf.printf "%d distinct checkpoints referenced by %d windows\n%!"
           (Darco_sampling.Store.count store)
@@ -618,44 +627,24 @@ let sample_cmd =
         let phase_of off =
           Snapshot.guest_eip (Driver.nearest_ix ix off).Driver.snapshot
         in
-        let planner = Plan.create ~bus plan_cfg ~candidates:offsets ~phase_of in
-        let recorded = ref 0 in
-        let next _round completed =
-          let fresh = List.filteri (fun i _ -> i >= !recorded) completed in
-          recorded := List.length completed;
-          Plan.record planner
-            (List.filter_map
-               (fun ((w : Work.t), (r : Sweep.result)) ->
-                 match r.Sweep.outcome with
-                 | Sweep.Ok json ->
-                   Option.map
-                     (fun ipc -> (w.Work.offset, ipc))
-                     (json_num (Darco_obs.Jsonx.member "ipc" json))
-                 | Sweep.Failed _ -> None)
-               fresh);
-          List.map mk_work (Plan.next planner)
+        let planner =
+          Plan.create ~bus
+            {
+              Plan.default with
+              Plan.kind = plan_kind;
+              ci_target = Option.value ~default:0.0 ci_target;
+              max_windows;
+              round_size;
+            }
+            ~candidates:offsets ~phase_of
         in
-        let pairs = Sweep.run_stream backend ~next in
-        (match Plan.stopped planner with
-        | Some reason ->
-          Printf.printf "plan: stopped on %s after %d windows in %d rounds\n%!"
-            (Plan.stop_reason reason) (List.length pairs)
-            (Plan.rounds planner)
-        | None -> ());
-        let summary =
-          {
-            Report.plan_name =
-              (match plan_kind with
-              | Plan.Fixed -> "fixed"
-              | Plan.Adaptive -> "adaptive");
-            windows_used = List.length pairs;
-            ci_target;
-            ci_target_met = Plan.ci_target_met planner;
-            rounds = Plan.rounds planner;
-          }
-        in
-        ( List.map (fun ((w : Work.t), r) -> (w.Work.offset, r)) pairs,
-          Some summary )
+        let rows = Sweep.run_plan backend planner mk_work in
+        Option.iter
+          (fun reason ->
+            Printf.printf "plan: stopped on %s after %d windows in %d rounds\n%!"
+              (Plan.stop_reason reason) (List.length rows) (Plan.rounds planner))
+          (Plan.stopped planner);
+        (rows, Some planner)
       end
     in
     (* offsets that actually ran, ascending — the verify loop below
@@ -671,10 +660,7 @@ let sample_cmd =
         let pipe = attach_timing vbus in
         (* fine slices, so window edges match the sampled measurement *)
         let cfg = { Darco.Config.default with slice_fuel = 2_000 } in
-        let ctl =
-          Darco.Controller.create ~cfg ~bus:vbus ?input:sim.input ~seed:sim.seed
-            program
-        in
+        let ctl = Darco.Controller.create ~cfg ~bus:vbus ?input ~seed program in
         List.map
           (fun off ->
             ignore (Darco.Controller.run ~max_insns:off ctl);
@@ -694,10 +680,8 @@ let sample_cmd =
       (fun (off, (r : Sweep.result)) ->
         match r.outcome with
         | Sweep.Failed reason -> Printf.printf "%-28s FAILED: %s\n" r.label reason
-        | Sweep.Ok json -> (
-          let ipc =
-            Option.value ~default:0.0 (json_num (Darco_obs.Jsonx.member "ipc" json))
-          in
+        | Sweep.Ok _ -> (
+          let ipc = Option.value ~default:0.0 (Sweep.ipc r.outcome) in
           match List.assoc_opt off full_ipcs with
           | None -> Printf.printf "%-28s IPC %.3f\n" r.label ipc
           | Some full ->
@@ -706,8 +690,8 @@ let sample_cmd =
               ipc full (100. *. err)))
       rows;
     let rep =
-      Report.sweep_json ~benchmark:entry.name ~seed:sim.seed ~interval ~window
-        ~warmup ~full_ipcs ?plan:plan_summary rows
+      Report.sweep_json ~benchmark:entry.name ~seed ~interval ~window ~warmup
+        ~full_ipcs ?plan rows
     in
     (* the sweep's point estimate, with its SMARTS-style sampling error *)
     if rep.Report.n_ipc > 0 then
@@ -756,13 +740,7 @@ let sample_cmd =
           execution backend — loopback worker processes, a shared-memory \
           domain pool, or remote worker daemons")
     Term.(
-      const run $ Flag.bench $ Flag.scale $ Flag.sim
-      $ Arg.(value & opt int 50_000 & info [ "interval" ] ~doc:"Guest instructions between functional checkpoints")
-      $ Arg.(value & opt (some string) None & info [ "offsets" ] ~docv:"A,B,C" ~doc:"Explicit sample offsets (comma-separated)")
-      $ Arg.(value & opt int 4 & info [ "samples" ] ~doc:"Number of evenly spaced samples (when --offsets is absent)")
-      $ Arg.(value & opt int 400_000 & info [ "horizon" ] ~doc:"Span of guest execution to sample (when --offsets is absent)")
-      $ Arg.(value & opt int 25_000 & info [ "window" ] ~doc:"Detailed measurement window length")
-      $ Arg.(value & opt int 30_000 & info [ "warmup" ] ~doc:"Detailed warm-up before each window")
+      const run $ campaign_term $ Flag.trace
       $ Arg.(value & opt int 4 & info [ "jobs" ] ~docv:"N" ~doc:"Loopback worker processes (local) or domains (domains, and the fallback of local and remote when no worker is reachable)")
       $ Arg.(value & opt string "local" & info [ "backend" ] ~docv:"SPEC" ~doc:"Execution backend: serial (in-process, sequential), local, local:JOBS (that many loopback $(b,darco worker) processes, started for the sweep), domains, domains:JOBS (shared-memory domain pool), or remote:HOST:PORT[,HOST:PORT...]")
       $ Arg.(value & opt float 60.0 & info [ "dispatch-timeout" ] ~docv:"SECONDS" ~doc:"Local and remote backends: per-work-unit deadline")
@@ -773,7 +751,6 @@ let sample_cmd =
       $ Arg.(value & flag & info [ "verify" ] ~doc:"Also run full detailed simulation and report per-sample IPC error")
       $ Arg.(value & opt (some float) None & info [ "max-error" ] ~doc:"With --verify: exit non-zero if average error exceeds this fraction")
       $ Arg.(value & opt (enum [ ("fixed", Plan.Fixed); ("adaptive", Plan.Adaptive) ]) Plan.Fixed & info [ "plan" ] ~docv:"KIND" ~doc:"Window planner: $(b,fixed) sweeps the offsets in order; $(b,adaptive) runs rounds, steering windows at the high-variance program phases and stopping once --ci-target is met")
-      $ Arg.(value & opt float 0.0 & info [ "ci-target" ] ~docv:"FRACTION" ~doc:"Stop once the IPC CI95 half-width is within this fraction of the mean (e.g. 0.02 = ±2%); 0 disables early exit")
       $ Arg.(value & opt int 0 & info [ "max-windows" ] ~docv:"N" ~doc:"Total window budget for the planner; 0 = unlimited")
       $ Arg.(value & opt int 4 & info [ "round" ] ~docv:"N" ~doc:"Windows dispatched per planner round"))
 
@@ -827,48 +804,6 @@ let connect_flag =
     value
     & opt string "127.0.0.1:9300"
     & info [ "connect" ] ~docv:"HOST:PORT" ~doc:"Campaign server address")
-
-(* The sweep-shape flags shared by submit and fetch: same names, defaults
-   and offset derivation as [sample], so a command line moves between the
-   local and served worlds by swapping the verb. *)
-let campaign_term =
-  let mk bench scale seed input interval offsets nsamples horizon window
-      warmup ci_target =
-    let offsets =
-      match offsets with
-      | Some s ->
-        List.map
-          (fun tok ->
-            match int_of_string_opt (String.trim tok) with
-            | Some v -> v
-            | None -> invalid_arg ("bad offset: " ^ tok))
-          (String.split_on_char ',' s)
-      | None -> List.init nsamples (fun i -> (i + 1) * horizon / (nsamples + 1))
-    in
-    Darco_serve.Campaign.normalize
-      {
-        Darco_serve.Campaign.bench;
-        scale;
-        seed;
-        input;
-        interval;
-        horizon;
-        offsets;
-        window;
-        warmup;
-        ci_target =
-          (match ci_target with Some c when c > 0.0 -> Some c | _ -> None);
-      }
-  in
-  Term.(
-    const mk $ Flag.bench $ Flag.scale $ Flag.seed $ Flag.input
-    $ Arg.(value & opt int 50_000 & info [ "interval" ] ~doc:"Guest instructions between functional checkpoints")
-    $ Arg.(value & opt (some string) None & info [ "offsets" ] ~docv:"A,B,C" ~doc:"Explicit sample offsets (comma-separated)")
-    $ Arg.(value & opt int 4 & info [ "samples" ] ~doc:"Number of evenly spaced samples (when --offsets is absent)")
-    $ Arg.(value & opt int 400_000 & info [ "horizon" ] ~doc:"Span of guest execution to sample (when --offsets is absent)")
-    $ Arg.(value & opt int 25_000 & info [ "window" ] ~doc:"Detailed measurement window length")
-    $ Arg.(value & opt int 30_000 & info [ "warmup" ] ~doc:"Detailed warm-up before each window")
-    $ Arg.(value & opt (some float) None & info [ "ci-target" ] ~docv:"FRACTION" ~doc:"Adaptive early exit: let the server stop the sweep once the IPC CI95 half-width is within this fraction of the mean"))
 
 let serve_cmd =
   let run listen library workers jobs credit dispatch_timeout dispatch_retries

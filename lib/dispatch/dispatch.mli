@@ -100,7 +100,7 @@ val backend :
 (** The executable backend for a spec.  [Local] is {!remote} over a
     fleet of [exe worker] processes ({!with_fleet}) started when a
     session opens and stopped when it closes, so {!Darco_sampling.Sweep.run}
-    and [run_stream] start one fleet per sweep. *)
+    and {!Darco_sampling.Sweep.run_plan} start one fleet per sweep. *)
 
 val remote :
   ?bus:Darco_obs.Bus.t ->

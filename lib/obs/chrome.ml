@@ -9,9 +9,6 @@ type t = { mutable spans : Span.t list; mutable instants : instant list }
 
 let create () = { spans = []; instants = [] }
 
-let instant t ~at name args =
-  t.instants <- { i_name = name; i_wall = at; i_args = args } :: t.instants
-
 let record t ~at (ev : Event.t) =
   match Span.of_event ev with
   | Some sp -> t.spans <- sp :: t.spans
@@ -19,64 +16,16 @@ let record t ~at (ev : Event.t) =
     (* dispatch markers become instants on the dispatcher's track; their
        [at] is already the monotonic wall-microsecond stamp *)
     match ev with
-    | Event.Worker_up { worker } ->
-      instant t ~at "worker_up" [ ("worker", Jsonx.String worker) ]
-    | Event.Worker_lost { worker; reason } ->
-      instant t ~at "worker_lost"
-        [ ("worker", Jsonx.String worker); ("reason", Jsonx.String reason) ]
-    | Event.Steal { unit_label; from_worker; to_worker } ->
-      instant t ~at "steal"
-        [
-          ("unit", Jsonx.String unit_label);
-          ("from", Jsonx.String from_worker);
-          ("to", Jsonx.String to_worker);
-        ]
-    | Event.Ckpt_hit { worker; digest } ->
-      instant t ~at "ckpt_hit"
-        [ ("worker", Jsonx.String worker); ("digest", Jsonx.String digest) ]
-    | Event.Ckpt_push { worker; digest; bytes } ->
-      instant t ~at "ckpt_push"
-        [
-          ("worker", Jsonx.String worker);
-          ("digest", Jsonx.String digest);
-          ("bytes", Jsonx.Int bytes);
-        ]
-    | Event.Dispatch_retry { unit_label; attempt; delay } ->
-      instant t ~at "dispatch_retry"
-        [
-          ("unit", Jsonx.String unit_label);
-          ("attempt", Jsonx.Int attempt);
-          ("delay", Jsonx.Float delay);
-        ]
-    | Event.Dispatch_fallback { reason } ->
-      instant t ~at "dispatch_fallback" [ ("reason", Jsonx.String reason) ]
+    | Event.Worker_up _ | Event.Worker_lost _ | Event.Steal _
+    | Event.Ckpt_hit _ | Event.Ckpt_push _ | Event.Dispatch_retry _
+    | Event.Dispatch_fallback _
     (* planner decisions land on the same track, so a Perfetto timeline
        shows why each round's windows were chosen and when the early
        exit fired *)
-    | Event.Plan_round { round; chosen; completed; mean; ci95 } ->
-      instant t ~at "plan_round"
-        [
-          ("round", Jsonx.Int round);
-          ("chosen", Jsonx.Int chosen);
-          ("completed", Jsonx.Int completed);
-          ("mean", Jsonx.Float mean);
-          ("ci95", Jsonx.Float ci95);
-        ]
-    | Event.Plan_predict { offset; phase; ipc } ->
-      instant t ~at "plan_predict"
-        [
-          ("offset", Jsonx.Int offset);
-          ("phase", Jsonx.Int phase);
-          ("ipc", Jsonx.Float ipc);
-        ]
-    | Event.Plan_stop { reason; windows; mean; ci95 } ->
-      instant t ~at "plan_stop"
-        [
-          ("reason", Jsonx.String reason);
-          ("windows", Jsonx.Int windows);
-          ("mean", Jsonx.Float mean);
-          ("ci95", Jsonx.Float ci95);
-        ]
+    | Event.Plan_round _ | Event.Plan_predict _ | Event.Plan_stop _ ->
+      t.instants <-
+        { i_name = Event.name ev; i_wall = at; i_args = Event.fields ev }
+        :: t.instants
     | _ -> ())
 
 let attach bus =

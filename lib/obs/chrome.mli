@@ -3,7 +3,10 @@
     A {!t} is a bus sink collecting {!Event.Span_begin}/{!Event.Span_end}
     pairs plus the instant-worthy dispatch markers ([Worker_up],
     [Worker_lost], [Steal], [Ckpt_push], [Ckpt_hit], [Dispatch_retry],
-    [Dispatch_fallback]).  {!to_json} renders the standard
+    [Dispatch_fallback]) and planner decisions ([Plan_round],
+    [Plan_predict], [Plan_stop]), each instant named and argued as in
+    the event trace ({!Event.name}, {!Event.fields}).  {!to_json}
+    renders the standard
     [{"traceEvents": [...]}] document — loadable in Perfetto /
     [chrome://tracing]:
 

@@ -171,5 +171,9 @@ type t =
 val name : t -> string
 (** Stable machine-readable event name (the ["ev"] field of the trace). *)
 
+val fields : t -> (string * Jsonx.t) list
+(** The event's payload as named JSON fields, in declaration order: what
+    {!to_json} writes after ["at"] and ["ev"]. *)
+
 val to_json : at:int -> t -> Jsonx.t
 (** One flat JSON object: [{"at": <clock>, "ev": <name>, ...fields}]. *)

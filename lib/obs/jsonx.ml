@@ -215,3 +215,8 @@ let member key = function
 
 let to_int = function Int i -> Some i | _ -> None
 let to_str = function String s -> Some s | _ -> None
+
+let to_float = function
+  | Float f -> Some f
+  | Int i -> Some (float_of_int i)
+  | _ -> None

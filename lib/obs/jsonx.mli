@@ -26,3 +26,6 @@ val member : string -> t -> t option
 
 val to_int : t -> int option
 val to_str : t -> string option
+
+val to_float : t -> float option
+(** A number as a float: a [Float], or an [Int] converted. *)

@@ -82,9 +82,8 @@ type window_result = {
   w_power : Darco_power.Model.report;
 }
 
-let detailed_window ?(cfg = Darco.Config.default)
-    ?(tcfg = Darco_timing.Tconfig.default) ?(warmup = 30_000) ~checkpoints ~offset
-    ~window () =
+let detailed_window ?(cfg = Darco.Config.default) ?(warmup = 30_000)
+    ~checkpoints ~offset ~window () =
   (* The controller stops at slice boundaries; coarse slices would swallow
      the whole measurement window in one step.  Clamp the slice fuel so the
      warm-up/window edges land (nearly) where requested. *)
@@ -92,7 +91,7 @@ let detailed_window ?(cfg = Darco.Config.default)
   let start = max 0 (offset - warmup) in
   let from = (nearest checkpoints start).at in
   let bus = Darco_obs.Bus.create () in
-  let pipe = Pipeline.create tcfg in
+  let pipe = Pipeline.create Darco_timing.Tconfig.default in
   Pipeline.attach pipe bus;
   let ctl = controller_at ~cfg ~bus checkpoints ~start in
   ignore (Darco.Controller.run ~max_insns:offset ctl);

@@ -70,7 +70,6 @@ type window_result = {
 
 val detailed_window :
   ?cfg:Darco.Config.t ->
-  ?tcfg:Darco_timing.Tconfig.t ->
   ?warmup:int ->
   checkpoints:checkpoint list ->
   offset:int ->

@@ -81,6 +81,7 @@ let create ?bus cfg ~candidates ~phase_of =
     t_stop = None;
   }
 
+let config t = t.cfg
 let completed t = t.t_completed
 let rounds t = t.t_rounds
 let stopped t = t.t_stop

@@ -81,6 +81,10 @@ val next : t -> int list
     stopped — check {!stopped} for why.  Calling [next] again after a
     stop keeps returning [[]]. *)
 
+val config : t -> config
+(** The configuration the planner was created with ([round_size] at
+    least 1). *)
+
 val stopped : t -> stop option
 val completed : t -> int  (** windows recorded so far *)
 

@@ -8,14 +8,6 @@
 module Jsonx = Darco_obs.Jsonx
 module SM = Darco_util.Stats_math
 
-type plan_summary = {
-  plan_name : string;
-  windows_used : int;
-  ci_target : float;
-  ci_target_met : bool;
-  rounds : int;
-}
-
 type t = {
   doc : Jsonx.t;
   ipc_mean : float;
@@ -32,12 +24,6 @@ type t = {
   avg_error : float option;
   failed : bool;
 }
-
-let json_num j =
-  match j with
-  | Some (Jsonx.Float f) -> Some f
-  | Some (Jsonx.Int i) -> Some (float_of_int i)
-  | _ -> None
 
 let sweep_json ~benchmark ~seed ~interval ~window ~warmup
     ?(full_ipcs = []) ?plan (rows : (int * Sweep.result) list) =
@@ -56,15 +42,10 @@ let sweep_json ~benchmark ~seed ~interval ~window ~warmup
               ("reason", Jsonx.String reason);
             ]
         | Sweep.Ok json ->
-          let ipc =
-            Option.value ~default:0.0 (json_num (Jsonx.member "ipc" json))
-          in
+          let ipc = Option.value ~default:0.0 (Sweep.ipc r.outcome) in
           ipcs := ipc :: !ipcs;
-          (match
-             ( json_num (Jsonx.member "energy_j" json),
-               json_num (Jsonx.member "avg_watts" json),
-               json_num (Jsonx.member "epi_nj" json) )
-           with
+          let num key = Option.bind (Jsonx.member key json) Jsonx.to_float in
+          (match (num "energy_j", num "avg_watts", num "epi_nj") with
           | Some e, Some w, Some epi -> powers := (e, w, epi) :: !powers
           | _ -> ());
           let extra =
@@ -137,12 +118,17 @@ let sweep_json ~benchmark ~seed ~interval ~window ~warmup
       match plan with
       | None -> []
       | Some p ->
+        let cfg = Plan.config p in
         [
-          ("plan", Jsonx.String p.plan_name);
-          ("windows_used", Jsonx.Int p.windows_used);
-          ("ci_target", Jsonx.Float p.ci_target);
-          ("ci_target_met", Jsonx.Bool p.ci_target_met);
-          ("rounds", Jsonx.Int p.rounds);
+          ( "plan",
+            Jsonx.String
+              (match cfg.Plan.kind with
+              | Plan.Fixed -> "fixed"
+              | Plan.Adaptive -> "adaptive") );
+          ("windows_used", Jsonx.Int (List.length rows));
+          ("ci_target", Jsonx.Float cfg.Plan.ci_target);
+          ("ci_target_met", Jsonx.Bool (Plan.ci_target_met p));
+          ("rounds", Jsonx.Int (Plan.rounds p));
         ])
   in
   {

@@ -7,17 +7,6 @@
     document: field order, float formatting ({!Darco_obs.Jsonx}'s
     [%.17g]) and row shape live here and nowhere else. *)
 
-(** Summary of the {!Plan} that chose a sweep's windows, recorded in
-    the document so a reader can tell an adaptive early-exit sweep (and
-    how far it ran) from a fixed exhaustive one. *)
-type plan_summary = {
-  plan_name : string;  (** ["fixed"] or ["adaptive"] *)
-  windows_used : int;  (** windows actually dispatched/admitted *)
-  ci_target : float;  (** requested relative CI95 target (0 = none) *)
-  ci_target_met : bool;
-  rounds : int;  (** planner rounds issued *)
-}
-
 type t = {
   doc : Darco_obs.Jsonx.t;  (** the complete sweep document *)
   ipc_mean : float;
@@ -43,14 +32,18 @@ val sweep_json :
   window:int ->
   warmup:int ->
   ?full_ipcs:(int * float) list ->
-  ?plan:plan_summary ->
+  ?plan:Plan.t ->
   (int * Sweep.result) list ->
   t
 (** [sweep_json ~benchmark .. rows] builds the document from the sweep's
     [(offset, result)] rows, in row order.  [full_ipcs] optionally maps
     offsets to reference IPCs from uninterrupted detailed simulation
     ([--verify]); matching rows gain [ipc_full]/[error] fields and the
-    document an [avg_error] field.  [plan] appends the planner summary
-    fields ([plan], [windows_used], [ci_target], [ci_target_met],
-    [rounds]); when omitted the document is byte-identical to the
+    document an [avg_error] field.  [plan], the planner that chose the
+    windows, appends its summary, so a reader can tell an adaptive
+    early-exit sweep (and how far it ran) from a fixed exhaustive one:
+    [plan] (["fixed"] or ["adaptive"], its kind), [windows_used] (the
+    row count, failed rows included), [ci_target] (its configured
+    target, [0] for none), [ci_target_met] and [rounds] (rounds
+    issued).  Without [plan] the document is byte-identical to the
     pre-planner format. *)

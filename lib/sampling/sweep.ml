@@ -95,24 +95,30 @@ module Backend = struct
     }
 end
 
-let run_stream (b : Backend.t) ~next =
-  let s = b.Backend.session () in
-  Fun.protect
-    ~finally:(fun () -> s.Backend.s_close ())
-    (fun () ->
-      (* completed (work, result) pairs, newest batch first *)
-      let completed = ref [] in
-      let round = ref 0 in
-      let continue = ref true in
-      while !continue do
-        match next !round (List.rev !completed) with
-        | [] -> continue := false
-        | works ->
-          let results = s.Backend.s_dispatch works in
-          completed := List.rev_append (List.combine works results) !completed;
-          incr round
-      done;
-      List.rev !completed)
+let ipc = function
+  | Ok json -> Option.bind (Jsonx.member "ipc" json) Jsonx.to_float
+  | Failed _ -> None
 
-let run b works =
-  List.map snd (run_stream b ~next:(fun round _ -> if round = 0 then works else []))
+let with_session (b : Backend.t) f =
+  let s = b.Backend.session () in
+  Fun.protect ~finally:s.Backend.s_close (fun () -> f s.Backend.s_dispatch)
+
+let run b works = with_session b (fun dispatch -> dispatch works)
+
+(* Rounds are the planner's determinism barrier: it sees a round's IPCs
+   only once every unit of it has settled, through [Plan.record], which
+   sorts them by offset. *)
+let run_plan b plan work =
+  with_session b (fun dispatch ->
+      let rec rounds acc =
+        match Plan.next plan with
+        | [] -> List.concat (List.rev acc)
+        | offsets ->
+          let rows = List.combine offsets (dispatch (List.map work offsets)) in
+          Plan.record plan
+            (List.filter_map
+               (fun (off, r) -> Option.map (fun v -> (off, v)) (ipc r.outcome))
+               rows);
+          rounds (rows :: acc)
+      in
+      rounds [])

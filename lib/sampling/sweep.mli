@@ -34,7 +34,7 @@ module Backend : sig
   type nonrec t = {
     name : string;  (** e.g. ["domains:4"], ["remote:host:9090"] — for logs *)
     session : unit -> session;
-        (** open a session; {!run} and {!run_stream} manage the
+        (** open a session; {!run} and {!run_plan} manage the
             open/close bracket *)
   }
 
@@ -57,20 +57,19 @@ module Backend : sig
       processes instead. *)
 end
 
+val ipc : outcome -> float option
+(** A window's IPC: the ["ipc"] field of an [Ok] result, a [Float] or an
+    [Int]; [None] for a [Failed] one or a result without the field. *)
+
 val run : Backend.t -> Work.t list -> result list
 (** [run backend works] evaluates every unit in one session of one round
-    and returns results in input order: the results of
-    [run_stream backend ~next:(fun r _ -> if r = 0 then works else [])]. *)
+    and returns results in input order. *)
 
-val run_stream :
-  Backend.t ->
-  next:(int -> (Work.t * result) list -> Work.t list) ->
-  (Work.t * result) list
-(** Round-based (streaming) dispatch for callers — the adaptive-sampling
-    planner — that decide the next units {e from} the completed ones.
-    [next round completed] is called with the 0-based round number and
-    every (unit, result) pair finished so far, in dispatch order; the
-    units it returns are dispatched as one round on a single backend
-    session, and an empty list ends the stream.  Returns all pairs in
-    dispatch order.  The session is closed on every exit, including an
-    exception from [next]. *)
+val run_plan : Backend.t -> Plan.t -> (int -> Work.t) -> (int * result) list
+(** [run_plan backend plan work] runs [plan]'s rounds on one backend
+    session: each round dispatches [work off] for every offset
+    {!Plan.next} chooses and hands the round's IPCs ({!ipc}) to
+    {!Plan.record}; the session ends when {!Plan.next} returns [[]].
+    Returns one [(offset, result)] row per dispatched unit, failed units
+    included, in dispatch order.  The session is closed on every exit,
+    including an exception from [work]. *)

@@ -18,8 +18,10 @@ let magic = "DCAM"
 let version = 1
 let version_plan = 2
 
-(* Mirrors the flag normalization in [darco sample]: offsets sorted and
-   deduplicated, horizon stretched so the last window fits under it. *)
+(* The one normalization of a sweep description: offsets sorted and
+   deduplicated, horizon stretched so the last window fits under it.
+   [darco sample], [submit] and [fetch] apply it to their flags, and the
+   server to every submission. *)
 let normalize t =
   let offsets = List.sort_uniq compare t.offsets in
   let horizon =

@@ -30,8 +30,9 @@ type t = {
 
 val normalize : t -> t
 (** Sort and deduplicate [offsets] and stretch [horizon] to cover the
-    last window — exactly the normalization [darco sample] applies to
-    its flags, so a spec and the equivalent command line describe the
+    last window.  This is the one normalization of a sweep: [darco
+    sample], [submit] and [fetch] build their sweep from the same flags
+    through it, so a spec and the equivalent command line describe the
     same sweep.  Digests below are only meaningful on normalized specs;
     the server normalizes every submission on admission. *)
 

@@ -45,7 +45,7 @@ let with_server ?(need = 4) ~deadline (addr : Darco_dispatch.addr) f =
     | Wire.Fail { reason; _ } -> Error reason
     | _ -> Error "unexpected handshake reply")
 
-let submit ?(timeout = 3600.0) ?on_status ?on_artifact addr spec =
+let submit ?(timeout = 3600.0) ?on_artifact addr spec =
   let deadline = Unix.gettimeofday () +. timeout in
   with_server ~deadline addr @@ fun fd ->
   Wire.send ~deadline fd
@@ -55,7 +55,6 @@ let submit ?(timeout = 3600.0) ?on_status ?on_artifact addr spec =
     match Wire.recv ~deadline fd with
     | Wire.Status { id = 1; state = _; done_; total; hits; dispatched; _ } ->
       stats := { done_; total; hits; dispatched };
-      Option.iter (fun f -> f !stats) on_status;
       loop ()
     | Wire.Artifact { id = 1; key; json } ->
       Option.iter (fun f -> f ~key ~json) on_artifact;

@@ -19,17 +19,15 @@ type info = { uptime_s : int; version : string }
 
 val submit :
   ?timeout:float ->
-  ?on_status:(stats -> unit) ->
   ?on_artifact:(key:string -> json:string -> unit) ->
   Darco_dispatch.addr ->
   Campaign.t ->
   (stats * string, string) result
 (** Submit the campaign and block until it finishes, returning the final
     counters and the sweep's JSON document text — byte-identical to what
-    [darco sample --json] writes for the same parameters.  [on_status]
-    sees every progress frame, [on_artifact] every finished window
-    ([json = ""] marks a failed one).  [timeout] (default 3600s) bounds
-    the whole conversation. *)
+    [darco sample --json] writes for the same parameters.  [on_artifact]
+    sees every finished window ([json = ""] marks a failed one).
+    [timeout] (default 3600s) bounds the whole conversation. *)
 
 val status :
   ?timeout:float ->

@@ -85,9 +85,9 @@ let window_key (spec : Campaign.t) ~cfg ~snap offset =
   }
 
 let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
-    ?(dispatch_timeout = 60.0) ?(dispatch_retries = 2) ?keepalive_idle
-    ?keepalive_misses ?max_bytes ?max_submissions ?metrics_file
-    ?(metrics_interval = 5.0) ?ready ~library ~host ~port () =
+    ?(dispatch_timeout = 60.0) ?(dispatch_retries = 2) ?max_bytes
+    ?max_submissions ?metrics_file ?(metrics_interval = 5.0) ?ready ~library
+    ~host ~port () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let credit = max 1 credit in
   let started = Unix.gettimeofday () in
@@ -131,8 +131,7 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
      again only when a worker is missing *)
   let se =
     Darco_dispatch.open_session ?bus ~fallback_jobs:jobs ~store
-      ?keepalive_idle ?keepalive_misses ~timeout:dispatch_timeout
-      ~retries:dispatch_retries workers
+      ~timeout:dispatch_timeout ~retries:dispatch_retries workers
   in
   (* --- service state --------------------------------------------------- *)
   let clients = ref [] in
@@ -208,14 +207,6 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
     | exception Jsonx.Parse_error msg ->
       Sweep.Failed ("library artifact unreadable: " ^ msg)
   in
-  let ipc_of_outcome = function
-    | Sweep.Failed _ -> None
-    | Sweep.Ok json -> (
-      match Jsonx.member "ipc" json with
-      | Some (Jsonx.Float f) -> Some f
-      | Some (Jsonx.Int i) -> Some (float_of_int i)
-      | _ -> None)
-  in
   (* the planner takes each batch of measurements in one sorted fold *)
   let fold_measured sub =
     Option.iter (fun pl -> Plan.record pl sub.sb_measured) sub.sb_plan;
@@ -242,24 +233,11 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
              the historical "not run" rendering *)
           if Option.is_none sub.sb_plan then row (Sweep.Failed "not run"))
       sub.sb_slots;
-    let rows = List.rev !rows in
-    let plan_summary =
-      Option.map
-        (fun pl ->
-          {
-            Report.plan_name = "adaptive";
-            windows_used = sub.sb_done;
-            ci_target = Option.value ~default:0.0 spec.Campaign.ci_target;
-            ci_target_met = Plan.ci_target_met pl;
-            rounds = Plan.rounds pl;
-          })
-        sub.sb_plan
-    in
     let rep =
       Report.sweep_json ~benchmark:spec.Campaign.bench
         ~seed:spec.Campaign.seed ~interval:spec.Campaign.interval
         ~window:spec.Campaign.window ~warmup:spec.Campaign.warmup
-        ?plan:plan_summary rows
+        ?plan:sub.sb_plan (List.rev !rows)
     in
     sub_status sub "done";
     send_to sub.sb_client
@@ -288,7 +266,7 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
          dispatched window — into its planner's CI, a round at a time
          ([plan_step]), so the fold does not depend on which worker
          finished first *)
-      (match ipc_of_outcome outcome with
+      (match Sweep.ipc outcome with
       | Some ipc when Option.is_some sub.sb_plan ->
         sub.sb_measured <- (sub.sb_offsets.(i), ipc) :: sub.sb_measured
       | _ -> ());
@@ -660,10 +638,7 @@ let serve ?bus ?(quiet = false) ~workers ?(jobs = 4) ?(credit = 4)
                       ("completed", Jsonx.Int (Plan.completed pl));
                       ("mean", Jsonx.Float (Plan.mean pl));
                       ("ci95", Jsonx.Float (Plan.ci95 pl));
-                      ( "ci_target",
-                        Jsonx.Float
-                          (Option.value ~default:0.0
-                             sub.sb_spec.Campaign.ci_target) );
+                      ("ci_target", Jsonx.Float (Plan.config pl).Plan.ci_target);
                       ("ci_target_met", Jsonx.Bool (Plan.ci_target_met pl));
                     ] );
               ]))

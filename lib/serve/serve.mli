@@ -51,8 +51,6 @@ val serve :
   ?credit:int ->
   ?dispatch_timeout:float ->
   ?dispatch_retries:int ->
-  ?keepalive_idle:float ->
-  ?keepalive_misses:int ->
   ?max_bytes:int ->
   ?max_submissions:int ->
   ?metrics_file:string ->

@@ -61,23 +61,22 @@ let ipc_of (before_i, before_c) (after_i, after_c) =
   let di = after_i - before_i and dc = after_c - before_c in
   if dc = 0 then 0.0 else float_of_int di /. float_of_int dc
 
-let run_study ?(cfg = Darco.Config.default) ?(tcfg = Darco_timing.Tconfig.default)
-    ?(candidates = default_candidates) ?(baseline_warmup = 600_000)
-    ?(checkpoint_interval = 100_000) ~program ~seed ~sample_offsets ~window () =
+let run_study ?(cfg = Darco.Config.default) ?(candidates = default_candidates)
+    ?(baseline_warmup = 600_000) ~program ~seed ~sample_offsets ~window () =
   let cfg = { cfg with slice_fuel = 2_000 } in
   let horizon = List.fold_left max 0 sample_offsets + window in
-  (* One functional fast-forward pass drops checkpoints every
-     [checkpoint_interval] guest instructions; every sample below then
-     starts from the nearest checkpoint, so per-sample cost no longer grows
-     with the sample's offset. *)
+  (* One functional fast-forward pass drops checkpoints every 100k guest
+     instructions; every sample below then starts from the nearest
+     checkpoint, so per-sample cost no longer grows with the sample's
+     offset. *)
   let checkpoints =
-    Darco_sampling.Driver.functional_checkpoints ~seed
-      ~interval:checkpoint_interval ~horizon program
+    Darco_sampling.Driver.functional_checkpoints ~seed ~interval:100_000
+      ~horizon program
   in
   (* --- authoritative: detailed simulation from the start --- *)
   let t0 = Unix.gettimeofday () in
   let full = Darco.Controller.create ~cfg ~seed program in
-  let pipe = Pipeline.create tcfg in
+  let pipe = Pipeline.create Darco_timing.Tconfig.default in
   Pipeline.attach pipe (Darco.Controller.bus full);
   let full_results =
     List.map
@@ -103,7 +102,7 @@ let run_study ?(cfg = Darco.Config.default) ?(tcfg = Darco_timing.Tconfig.defaul
         let start = max 0 (offset - baseline_warmup) in
         let ctl = Darco_sampling.Driver.controller_at ~cfg checkpoints ~start in
         let t_b0 = Unix.gettimeofday () in
-        let wpipe = Pipeline.create tcfg in
+        let wpipe = Pipeline.create Darco_timing.Tconfig.default in
         Pipeline.attach wpipe (Darco.Controller.bus ctl);
         ignore (Darco.Controller.run ~max_insns:offset ctl);
         let before = (Pipeline.instructions wpipe, Pipeline.cycles wpipe) in
@@ -131,7 +130,7 @@ let run_study ?(cfg = Darco.Config.default) ?(tcfg = Darco_timing.Tconfig.defaul
               in
               let tc0 = Unix.gettimeofday () in
               (* warming the microarchitectural state alongside TOL state *)
-              let wpipe = Pipeline.create tcfg in
+              let wpipe = Pipeline.create Darco_timing.Tconfig.default in
               Pipeline.attach wpipe (Darco.Controller.bus ctl);
               ignore (Darco.Controller.run ~max_insns:offset ctl);
               let corr =

@@ -52,10 +52,8 @@ type report = {
 
 val run_study :
   ?cfg:Darco.Config.t ->
-  ?tcfg:Darco_timing.Tconfig.t ->
   ?candidates:candidate list ->
   ?baseline_warmup:int ->
-  ?checkpoint_interval:int ->
   program:Program.t ->
   seed:int ->
   sample_offsets:int list ->
@@ -63,8 +61,8 @@ val run_study :
   unit ->
   report
 (** Every fast-forward (baseline and per-candidate) starts from the nearest
-    functional checkpoint, dropped every [checkpoint_interval] guest
-    instructions (default 100k) in a single pass up front — so a sample's
-    cost depends on its warm-up length, not its offset. *)
+    functional checkpoint, dropped every 100k guest instructions in a
+    single pass up front — so a sample's cost depends on its warm-up
+    length, not its offset.  Every pipeline is {!Darco_timing.Tconfig.default}'s. *)
 
 val pp_report : Format.formatter -> report -> unit

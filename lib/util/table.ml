@@ -7,20 +7,16 @@ let pad align width s =
     let fill = String.make (width - n) ' ' in
     match align with Left -> s ^ fill | Right -> fill ^ s
 
-let render ?aligns ~header rows =
+let render ~header rows =
   let all = header :: rows in
   let ncols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
   let widths = Array.make ncols 0 in
   let note_row r = List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) r in
   List.iter note_row all;
-  let aligns =
-    match aligns with
-    | Some a -> Array.of_list a
-    | None -> Array.init ncols (fun i -> if i = 0 then Left else Right)
-  in
-  let align_of i = if i < Array.length aligns then aligns.(i) else Right in
   let line r =
-    r |> List.mapi (fun i c -> pad (align_of i) widths.(i) c) |> String.concat "  "
+    r
+    |> List.mapi (fun i c -> pad (if i = 0 then Left else Right) widths.(i) c)
+    |> String.concat "  "
   in
   let sep = String.concat "  " (Array.to_list (Array.map (fun w -> String.make w '-') widths)) in
   String.concat "\n" (line header :: sep :: List.map line rows)

@@ -3,12 +3,10 @@
     The bench harness uses this to print, for every figure in the paper, the
     same rows/series the paper plots. *)
 
-type align = Left | Right
-
-val render : ?aligns:align list -> header:string list -> string list list -> string
+val render : header:string list -> string list list -> string
 (** [render ~header rows] lays the rows out in a column-aligned grid with a
-    separator under the header.  [aligns] defaults to left for the first
-    column and right for the rest. *)
+    separator under the header: the first column aligned left, the rest
+    right. *)
 
 val stacked_bars :
   labels:string list -> series:(string * float array) list -> string

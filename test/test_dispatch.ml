@@ -10,6 +10,7 @@ module Sweep = Darco_sampling.Sweep
 module Work = Darco_sampling.Work
 module Store = Darco_sampling.Store
 module Driver = Darco_sampling.Driver
+module Plan = Darco_sampling.Plan
 module B = Darco_sampling.Buf
 module Wire = Darco_dispatch.Wire
 module Worker = Darco_dispatch.Worker
@@ -850,13 +851,20 @@ let test_fleet_matches_serial () =
   Alcotest.(check bool) "the failed unit keeps its reason" true
     (contains (List.nth serial 4) "worker failed: ");
   Alcotest.(check bool) "every fleet worker reaped" true (Fleet.no_children ());
+  (* a planned sweep whose second round cannot build its unit *)
+  let plan =
+    Plan.create
+      { Plan.default with Plan.kind = Plan.Fixed; ci_target = 0.0; round_size = 1 }
+      ~candidates:[ 0; 1 ] ~phase_of:(fun _ -> 0)
+  in
   (match
-     Sweep.run_stream (Fleet.backend 2) ~next:(fun round _ ->
-         if round = 0 then [ garbage ] else raise Exit)
+     Sweep.run_plan (Fleet.backend 2) plan (fun off ->
+         if off = 0 then garbage else raise Exit)
    with
-  | _ -> Alcotest.fail "the callback's exception was swallowed"
+  | _ -> Alcotest.fail "the work function's exception was swallowed"
   | exception Exit -> ());
-  Alcotest.(check bool) "fleet reaped after the callback raised" true
+  Alcotest.(check int) "it raised in the second round" 2 (Plan.rounds plan);
+  Alcotest.(check bool) "fleet reaped after the work function raised" true
     (Fleet.no_children ());
   let pids = ref [] in
   (match

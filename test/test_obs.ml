@@ -741,6 +741,45 @@ let test_chrome_rejects_unclosed () =
       {|{"traceEvents":[{"name":"x","ph":"B","ts":1,"pid":1,"tid":1},{"name":"y","ph":"E","ts":2,"pid":1,"tid":1}]}|};
     ]
 
+(* One event of every instant kind, at fixed stamps, plus one the
+   collector ignores: the rendered document is pinned byte for byte, so
+   each instant's name and arguments stay those of the trace. *)
+let test_chrome_instants () =
+  let c = Chrome.create () in
+  List.iteri
+    (fun i ev -> Chrome.record c ~at:(100 + (10 * i)) ev)
+    [
+      Event.Worker_up { worker = "h:1" };
+      Event.Worker_lost { worker = "h:1"; reason = "eof" };
+      Event.Steal { unit_label = "u1"; from_worker = "h:1"; to_worker = "h:2" };
+      Event.Ckpt_hit { worker = "h:2"; digest = "d1" };
+      Event.Ckpt_push { worker = "h:2"; digest = "d2"; bytes = 4096 };
+      Event.Dispatch_retry { unit_label = "u1"; attempt = 2; delay = 0.25 };
+      Event.Dispatch_fallback { reason = "no worker" };
+      Event.Plan_round { round = 1; chosen = 4; completed = 8; mean = 1.5; ci95 = 0.125 };
+      Event.Plan_predict { offset = 4096; phase = 16; ipc = 0.5 };
+      Event.Plan_stop { reason = "ci_target"; windows = 12; mean = 1.25; ci95 = 0.0625 };
+      Event.Dispatch_sent { unit_label = "u1"; worker = "h:1"; attempt = 0; bytes = 9 };
+    ];
+  let want =
+    String.concat ""
+      [
+        {|{"traceEvents":[{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"dispatcher"}},|};
+        {|{"name":"worker_up","cat":"darco","ph":"i","s":"p","ts":0,"pid":1,"tid":0,"args":{"worker":"h:1"}},|};
+        {|{"name":"worker_lost","cat":"darco","ph":"i","s":"p","ts":10,"pid":1,"tid":0,"args":{"worker":"h:1","reason":"eof"}},|};
+        {|{"name":"steal","cat":"darco","ph":"i","s":"p","ts":20,"pid":1,"tid":0,"args":{"unit":"u1","from":"h:1","to":"h:2"}},|};
+        {|{"name":"ckpt_hit","cat":"darco","ph":"i","s":"p","ts":30,"pid":1,"tid":0,"args":{"worker":"h:2","digest":"d1"}},|};
+        {|{"name":"ckpt_push","cat":"darco","ph":"i","s":"p","ts":40,"pid":1,"tid":0,"args":{"worker":"h:2","digest":"d2","bytes":4096}},|};
+        {|{"name":"dispatch_retry","cat":"darco","ph":"i","s":"p","ts":50,"pid":1,"tid":0,"args":{"unit":"u1","attempt":2,"delay":0.25}},|};
+        {|{"name":"dispatch_fallback","cat":"darco","ph":"i","s":"p","ts":60,"pid":1,"tid":0,"args":{"reason":"no worker"}},|};
+        {|{"name":"plan_round","cat":"darco","ph":"i","s":"p","ts":70,"pid":1,"tid":0,"args":{"round":1,"chosen":4,"completed":8,"mean":1.5,"ci95":0.125}},|};
+        {|{"name":"plan_predict","cat":"darco","ph":"i","s":"p","ts":80,"pid":1,"tid":0,"args":{"offset":4096,"phase":16,"ipc":0.5}},|};
+        {|{"name":"plan_stop","cat":"darco","ph":"i","s":"p","ts":90,"pid":1,"tid":0,"args":{"reason":"ci_target","windows":12,"mean":1.25,"ci95":0.0625}}],"displayTimeUnit":"ms"}|};
+      ]
+  in
+  Alcotest.(check string) "instants render as before" want
+    (Jsonx.to_string (Chrome.to_json c))
+
 (* --- metrics hists section ----------------------------------------------- *)
 
 let test_metrics_hists () =
@@ -991,6 +1030,7 @@ let () =
           Alcotest.test_case "valid timeline validates" `Quick test_chrome_valid;
           Alcotest.test_case "rejects malformed timelines" `Quick
             test_chrome_rejects_unclosed;
+          Alcotest.test_case "instants pinned" `Quick test_chrome_instants;
         ] );
       ( "merge",
         [

@@ -236,19 +236,18 @@ let small_sweep () =
   in
   (store, [ 8_000; 16_000; 24_000 ], mk)
 
-(* A fixed plan through [run_stream] on the serial backend must rebuild
-   the one-shot sweep's document byte for byte — the degenerate plan
-   really is the existing pipeline. *)
+let report ?plan rows =
+  Report.sweep_json ~benchmark:"continuous" ~seed:7 ~interval:10_000
+    ~window:2_000 ~warmup:1_000 ?plan rows
+
+(* A fixed plan through [run_plan] on the serial backend must rebuild the
+   one-shot sweep's document byte for byte — the degenerate plan really
+   is the existing pipeline. *)
 let test_fixed_stream_matches_oneshot () =
   let store, offsets, mk = small_sweep () in
-  let report rows =
-    J.to_string
-      (Report.sweep_json ~benchmark:"continuous" ~seed:7 ~interval:10_000
-         ~window:2_000 ~warmup:1_000 rows)
-        .Report.doc
-  in
+  let doc rows = J.to_string (report rows).Report.doc in
   let oneshot =
-    report
+    doc
       (List.combine offsets
          (Sweep.run (Fleet.backend ~store 2) (List.map mk offsets)))
   in
@@ -257,16 +256,40 @@ let test_fixed_stream_matches_oneshot () =
       { Plan.default with Plan.kind = Plan.Fixed; ci_target = 0.0; round_size = 2 }
       ~candidates:offsets ~phase_of:(fun _ -> 0)
   in
-  let pairs =
-    Sweep.run_stream
-      (Sweep.Backend.serial ~store ())
-      ~next:(fun _ _ -> List.map mk (Plan.next plan))
-  in
-  let streamed =
-    report (List.map (fun ((w : Work.t), r) -> (w.Work.offset, r)) pairs)
-  in
+  let streamed = doc (Sweep.run_plan (Sweep.Backend.serial ~store ()) plan mk) in
   Alcotest.(check string) "streamed fixed plan byte-identical to one-shot"
     oneshot streamed
+
+(* A planned window that fails stays in the document as a failed row and
+   counts toward [windows_used]; the planner records only the IPCs. *)
+let test_planned_failed_window () =
+  let store, offsets, mk = small_sweep () in
+  let bad = List.nth offsets 1 in
+  let work off =
+    if off = bad then { (mk off) with Work.ckpt = Work.Inline "not a snapshot" }
+    else mk off
+  in
+  let plan =
+    Plan.create
+      { Plan.default with Plan.kind = Plan.Fixed; ci_target = 0.0; round_size = 2 }
+      ~candidates:offsets ~phase_of:(fun _ -> 0)
+  in
+  let rows = Sweep.run_plan (Sweep.Backend.serial ~store ()) plan work in
+  Alcotest.(check (list int)) "every chosen window has its row" offsets
+    (List.map fst rows);
+  Alcotest.(check int) "the planner recorded the two IPCs" 2
+    (Plan.completed plan);
+  let rep = report ~plan rows in
+  Alcotest.(check bool) "the document reports the failure" true
+    rep.Report.failed;
+  let doc = rep.Report.doc in
+  Alcotest.(check bool) "windows_used counts the failed row" true
+    (J.member "windows_used" doc = Some (J.Int 3));
+  match J.member "samples" doc with
+  | Some (J.List [ _; failed; _ ]) ->
+    Alcotest.(check bool) "the failed row is kept" true
+      (J.member "ok" failed = Some (J.Bool false))
+  | _ -> Alcotest.fail "expected three sample rows"
 
 (* The serial backend is the determinism reference: same results, same
    rendering as loopback worker processes, in this process. *)
@@ -291,37 +314,7 @@ let test_adaptive_backend_independent () =
         { Plan.default with Plan.ci_target = 0.10; round_size = 3 }
         ~candidates ~phase_of:(fun off -> off / 10_000)
     in
-    let recorded = ref 0 in
-    let pairs =
-      Sweep.run_stream backend
-        ~next:(fun _ completed ->
-          let fresh = List.filteri (fun i _ -> i >= !recorded) completed in
-          recorded := List.length completed;
-          Plan.record plan
-            (List.filter_map
-               (fun ((w : Work.t), (r : Sweep.result)) ->
-                 match r.Sweep.outcome with
-                 | Sweep.Ok json -> (
-                   match J.member "ipc" json with
-                   | Some (J.Float f) -> Some (w.Work.offset, f)
-                   | _ -> None)
-                 | Sweep.Failed _ -> None)
-               fresh);
-          List.map mk (Plan.next plan))
-    in
-    J.to_string
-      (Report.sweep_json ~benchmark:"continuous" ~seed:7 ~interval:10_000
-         ~window:2_000 ~warmup:1_000
-         ~plan:
-           {
-             Report.plan_name = "adaptive";
-             windows_used = List.length pairs;
-             ci_target = 0.10;
-             ci_target_met = Plan.ci_target_met plan;
-             rounds = Plan.rounds plan;
-           }
-         (List.map (fun ((w : Work.t), r) -> (w.Work.offset, r)) pairs))
-        .Report.doc
+    J.to_string (report ~plan (Sweep.run_plan backend plan mk)).Report.doc
   in
   let serial = sweep (Sweep.Backend.serial ~store ()) in
   let local = sweep (Fleet.backend ~store 3) in
@@ -364,6 +357,8 @@ let () =
         [
           Alcotest.test_case "fixed stream matches one-shot" `Quick
             test_fixed_stream_matches_oneshot;
+          Alcotest.test_case "planned failed window kept" `Quick
+            test_planned_failed_window;
           Alcotest.test_case "serial backend identical to local" `Quick
             test_serial_identical_to_local;
           Alcotest.test_case "adaptive backend-independent" `Quick
